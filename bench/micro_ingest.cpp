@@ -20,6 +20,9 @@
 //    64 acked flushes (scan + CRC verify + re-ingest).
 //  - BM_DurabilitySnapshotRoundTrip: checkpoint serialize + restore of
 //    one populated session, the per-tenant checkpoint cost.
+//  - BM_ParseJsonl / BM_ParseMsgpack: trace::from_jsonl / from_msgpack
+//    over one default semi-synthetic application (70,400 requests), the
+//    decode every offline trace and every MessagePack flush pays.
 //
 // Gated in CI against BENCH_micro_ingest.json via compare_bench.py
 // --normalize BM_RefRadix2Scalar/65536 (see bench/ref_kernel.hpp).
@@ -40,7 +43,10 @@
 #include "service/daemon.hpp"
 #include "service/mailbox.hpp"
 #include "service/service.hpp"
+#include "trace/formats.hpp"
 #include "trace/model.hpp"
+#include "workloads/phase_library.hpp"
+#include "workloads/semisynthetic.hpp"
 
 namespace {
 
@@ -265,6 +271,48 @@ void BM_DurabilitySnapshotRoundTrip(benchmark::State& state) {
   state.counters["blob_bytes"] = static_cast<double>(blob.size());
 }
 BENCHMARK(BM_DurabilitySnapshotRoundTrip)->Unit(benchmark::kMicrosecond);
+
+/// The default semi-synthetic application: 20 iterations, 70,400
+/// requests, ~7.6 MB of JSONL.
+const ftio::trace::Trace& parse_bench_trace() {
+  static const ftio::trace::Trace trace =
+      ftio::workloads::generate_semisynthetic(
+          {}, ftio::workloads::make_phase_library())
+          .trace;
+  return trace;
+}
+
+template <class Encoded, class Parse>
+void run_parse_bench(benchmark::State& state, const Encoded& encoded,
+                     Parse parse) {
+  std::size_t requests = 0;
+  for (auto _ : state) {
+    const ftio::trace::Trace trace = parse(encoded);
+    requests = trace.requests.size();
+    benchmark::DoNotOptimize(trace.requests.data());
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(encoded.size()));
+  state.counters["requests"] = static_cast<double>(requests);
+}
+
+void BM_ParseJsonl(benchmark::State& state) {
+  run_parse_bench(state, ftio::trace::to_jsonl(parse_bench_trace()),
+                  [](const std::string& text) {
+                    return ftio::trace::from_jsonl(text);
+                  });
+}
+// One parse takes several milliseconds, so CI's 0.05 s budget would time
+// only a handful of iterations; the floor keeps the gate window meaningful.
+BENCHMARK(BM_ParseJsonl)->MinTime(0.5)->Unit(benchmark::kMillisecond);
+
+void BM_ParseMsgpack(benchmark::State& state) {
+  run_parse_bench(state, ftio::trace::to_msgpack(parse_bench_trace()),
+                  [](const std::vector<std::uint8_t>& bytes) {
+                    return ftio::trace::from_msgpack(bytes);
+                  });
+}
+BENCHMARK(BM_ParseMsgpack)->MinTime(0.5)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fuzz/trace_dom_oracle.hpp"
 #include "trace/formats.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
@@ -16,12 +17,25 @@ namespace ftio::fuzz {
 
 namespace {
 
-[[noreturn]] void property_failed(const char* format, const char* detail) {
+[[noreturn]] void property_failed(const char* format, const char* detail,
+                                  const char* property = "round-trip") {
   // abort() rather than an exception: both libFuzzer and the corpus
   // replay driver treat an abnormal exit as the finding signal.
-  std::fprintf(stderr, "fuzz_trace_formats: %s round-trip broke: %s\n",
-               format, detail);
+  std::fprintf(stderr, "fuzz_trace_formats: %s %s broke: %s\n", format,
+               property, detail);
   std::abort();
+}
+
+/// Second property of the JSONL and MessagePack parsers: the record
+/// decoder agrees with the DOM oracle (fuzz/trace_dom_oracle.hpp) on
+/// accept/reject, ParseStats and trace bits, under both policies.
+template <class Difference>
+void check_oracle(const char* format, Difference difference) {
+  for (const auto policy : {ftio::trace::ParsePolicy::kStrict,
+                            ftio::trace::ParsePolicy::kSkipBad}) {
+    const std::string diff = difference(policy);
+    if (!diff.empty()) property_failed(format, diff.c_str(), "DOM oracle");
+  }
 }
 
 bool all_finite(const ftio::trace::Trace& trace) {
@@ -58,6 +72,9 @@ void check_fixpoint(const char* format, const ftio::trace::Trace& first,
 }
 
 void fuzz_jsonl(std::string_view text) {
+  check_oracle("jsonl", [&](ftio::trace::ParsePolicy policy) {
+    return dom_oracle::jsonl_difference(text, policy);
+  });
   ftio::trace::Trace trace;
   try {
     trace = ftio::trace::from_jsonl(text);
@@ -73,6 +90,9 @@ void fuzz_jsonl(std::string_view text) {
 }
 
 void fuzz_msgpack(std::span<const std::uint8_t> bytes) {
+  check_oracle("msgpack", [&](ftio::trace::ParsePolicy policy) {
+    return dom_oracle::msgpack_difference(bytes, policy);
+  });
   ftio::trace::Trace trace;
   try {
     trace = ftio::trace::from_msgpack(bytes);

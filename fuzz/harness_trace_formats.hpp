@@ -13,8 +13,10 @@ namespace ftio::fuzz {
 /// the parser verbatim. ParseError / InvalidArgument are the documented
 /// rejection path for malformed input and count as success — the
 /// harness hunts for everything else: crashes, sanitizer reports,
-/// contract violations, and round-trip breakage (a parsed trace must
-/// survive serialise → reparse with every request intact).
+/// contract violations, round-trip breakage (a parsed trace must
+/// survive serialise → reparse with every request intact), and, for JSONL
+/// and MessagePack, any disagreement between the record decoder and the
+/// DOM oracle of fuzz/trace_dom_oracle.hpp.
 ///
 /// Returns 0 (libFuzzer convention); aborts on a property violation.
 int ftio_fuzz_trace_formats(const std::uint8_t* data, std::size_t size);

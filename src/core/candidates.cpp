@@ -214,13 +214,15 @@ DftAnalysis analyze_spectrum(const ftio::signal::Spectrum& spectrum,
         double freq = c.frequency;  // highest power first
         if (options.refine_peak && c.bin >= 1 &&
             c.bin + 1 < spectrum.power.size()) {
-          // Quadratic interpolation through (p[k-1], p[k], p[k+1]): the
-          // vertex offset is bounded to half a bin by construction.
+          // Quadratic interpolation through (p[k-1], p[k], p[k+1]). The
+          // vertex lies within half a bin of k only when p[k] is a local
+          // maximum; otherwise (e.g. at k = 1 under a dominant DC bin) it
+          // can land below 0 Hz, so the bin frequency is kept.
           const double left = spectrum.power[c.bin - 1];
           const double mid = spectrum.power[c.bin];
           const double right = spectrum.power[c.bin + 1];
           const double denom = left - 2.0 * mid + right;
-          if (denom < 0.0) {
+          if (denom < 0.0 && mid >= left && mid >= right) {
             const double delta = 0.5 * (left - right) / denom;
             freq += delta * spectrum.frequency_step();
           }

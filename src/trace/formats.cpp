@@ -1,6 +1,7 @@
 #include "trace/formats.hpp"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -8,6 +9,7 @@
 #include "util/csv.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
+#include "util/field_capture.hpp"
 #include "util/json.hpp"
 #include "util/msgpack.hpp"
 
@@ -36,24 +38,38 @@ Json io_record(const IoRequest& r) {
   return obj;
 }
 
-/// Applies one parsed record to the trace under construction. Returns
-/// false for unknown record types (skipped for forward compatibility).
-void apply_record(const Json& record, Trace& out) {
-  if (!record.is_object() || !record.contains("type")) {
+/// The record keys the trace formats read, in FieldCapture slot order.
+enum RecordField : std::size_t {
+  kType,
+  kApp,
+  kRanks,
+  kRank,
+  kStart,
+  kEnd,
+  kBytes,
+  kKind,
+};
+constexpr std::array<std::string_view, 8> kRecordFields = {
+    "type", "app", "ranks", "rank", "start", "end", "bytes", "kind"};
+
+/// Applies one decoded record to the trace under construction. Unknown
+/// record types are skipped for forward compatibility.
+void apply_record(const ftio::util::FieldCapture& record, Trace& out) {
+  if (!record.is_object() || !record[kType].present()) {
     throw ftio::util::ParseError("trace record without 'type'");
   }
-  const std::string& type = record.at("type").as_string();
+  const std::string_view type = record[kType].as_string();
   if (type == "meta") {
-    if (record.contains("app")) out.app = record.at("app").as_string();
-    out.rank_count = static_cast<int>(record.get_int_or("ranks", 0));
+    if (record[kApp].present()) out.app = record[kApp].as_string();
+    out.rank_count = static_cast<int>(record.get_int_or(kRanks, 0));
   } else if (type == "io") {
     IoRequest r;
-    r.rank = static_cast<int>(record.get_int_or("rank", 0));
-    r.start = record.at("start").as_double();
-    r.end = record.at("end").as_double();
-    r.bytes = static_cast<std::uint64_t>(record.get_int_or("bytes", 0));
-    r.kind = record.at("kind").as_string() == "read" ? IoKind::kRead
-                                                     : IoKind::kWrite;
+    r.rank = static_cast<int>(record.get_int_or(kRank, 0));
+    r.start = record.at(kStart).as_double();
+    r.end = record.at(kEnd).as_double();
+    r.bytes = static_cast<std::uint64_t>(record.get_int_or(kBytes, 0));
+    r.kind = record.at(kKind).as_string() == "read" ? IoKind::kRead
+                                                    : IoKind::kWrite;
     if (r.end < r.start) {
       throw ftio::util::ParseError("trace record with end < start");
     }
@@ -66,8 +82,9 @@ void apply_record(const Json& record, Trace& out) {
 /// trace.parse_garbage failpoint firing) is counted instead of thrown.
 /// Only ParseError is recoverable — anything else is a library bug, not
 /// dirty input, and must keep propagating.
-void apply_record_with_policy(const Json& record, Trace& out,
-                              ParsePolicy policy, ParseStats& stats) {
+void apply_record_with_policy(const ftio::util::FieldCapture& record,
+                              Trace& out, ParsePolicy policy,
+                              ParseStats& stats) {
   try {
     if (FTIO_FAILPOINT("trace.parse_garbage")) {
       throw ftio::util::ParseError("failpoint: trace.parse_garbage");
@@ -96,6 +113,7 @@ Trace from_jsonl(std::string_view text, ParsePolicy policy,
                  ParseStats* stats) {
   Trace out;
   ParseStats local;
+  ftio::util::FieldCapture record(kRecordFields);
   std::size_t pos = 0;
   while (pos < text.size()) {
     std::size_t eol = text.find('\n', pos);
@@ -108,7 +126,8 @@ Trace from_jsonl(std::string_view text, ParsePolicy policy,
     // JSONL resynchronises at the next newline, so a bad line never
     // costs more than itself.
     try {
-      apply_record_with_policy(Json::parse(line), out, policy, local);
+      ftio::util::parse_json_fields(line, record);
+      apply_record_with_policy(record, out, policy, local);
     } catch (const ftio::util::ParseError&) {
       if (policy == ParsePolicy::kStrict) throw;
       ++local.skipped;
@@ -131,15 +150,15 @@ Trace from_msgpack(std::span<const std::uint8_t> bytes, ParsePolicy policy,
                    ParseStats* stats) {
   Trace out;
   ParseStats local;
+  ftio::util::FieldCapture record(kRecordFields);
   std::size_t pos = 0;
   while (pos < bytes.size()) {
     std::size_t consumed = 0;
-    Json record;
     // A framing error leaves no way to find the next document boundary
     // (MessagePack is length-prefixed, not line-delimited), so under
     // kSkipBad the rest of the buffer is dropped as one skipped record.
     try {
-      record = ftio::util::msgpack::decode(bytes.subspan(pos), consumed);
+      ftio::util::msgpack::decode_fields(bytes.subspan(pos), consumed, record);
     } catch (const ftio::util::ParseError&) {
       if (policy == ParsePolicy::kStrict) throw;
       ++local.skipped;

@@ -1,17 +1,20 @@
 #include "util/json.hpp"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
 
 #include "util/error.hpp"
+#include "util/field_capture.hpp"
+#include "util/json_builder.hpp"
 
 namespace ftio::util {
 
 namespace {
 
-void fail(const std::string& what) { throw ParseError("json: " + what); }
+[[noreturn]] void fail(const std::string& what) {
+  throw ParseError("json: " + what);
+}
 
 void append_escaped(std::string& out, const std::string& s) {
   out.push_back('"');
@@ -45,20 +48,24 @@ void append_double(std::string& out, double d) {
   }
 }
 
+/// The one JSON grammar walker: reports every value it reads to `Sink`
+/// (JsonBuilder for Json::parse, FieldCapture for trace records).
+template <class Sink>
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  Parser(std::string_view text, Sink& sink) : text_(text), sink_(sink) {}
 
-  Json parse_document() {
-    Json v = parse_value();
+  void parse_document() {
+    parse_value();
     skip_ws();
     if (pos_ != text_.size()) fail("trailing characters after document");
-    return v;
   }
 
  private:
   std::string_view text_;
+  Sink& sink_;
   std::size_t pos_ = 0;
+  std::string scratch_;  ///< decoded form of a string with escapes
 
   char peek() {
     if (pos_ >= text_.size()) fail("unexpected end of input");
@@ -83,22 +90,35 @@ class Parser {
     pos_ += lit.size();
   }
 
-  Json parse_value() {
+  void parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
-      case '"': return Json(parse_string());
-      case 't': expect_literal("true"); return Json(true);
-      case 'f': expect_literal("false"); return Json(false);
-      case 'n': expect_literal("null"); return Json(nullptr);
-      default: return parse_number();
+      case '{': parse_object(); return;
+      case '[': parse_array(); return;
+      case '"': sink_.string(parse_string()); return;
+      case 't': expect_literal("true"); sink_.boolean(true); return;
+      case 'f': expect_literal("false"); sink_.boolean(false); return;
+      case 'n': expect_literal("null"); sink_.null(); return;
+      default: parse_number(); return;
     }
   }
 
-  std::string parse_string() {
+  /// The decoded string: a view into the input when it has no escapes,
+  /// else into scratch_ (valid until the next parse_string).
+  std::string_view parse_string() {
     if (next() != '"') fail("expected string");
-    std::string out;
+    const std::size_t begin = pos_;
+    while (true) {
+      const char c = peek();
+      if (c == '"') {
+        ++pos_;
+        return text_.substr(begin, pos_ - 1 - begin);
+      }
+      if (c == '\\') break;
+      ++pos_;
+    }
+    std::string& out = scratch_;
+    out.assign(text_.substr(begin, pos_ - begin));
     while (true) {
       char c = next();
       if (c == '"') break;
@@ -146,72 +166,79 @@ class Parser {
     return out;
   }
 
-  Json parse_number() {
+  void parse_number() {
     const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
+    std::size_t end = pos_;
+    if (end < text_.size() && text_[end] == '-') ++end;
     bool is_double = false;
-    while (pos_ < text_.size()) {
-      char c = text_[pos_];
-      if (std::isdigit(static_cast<unsigned char>(c))) {
-        ++pos_;
+    while (end < text_.size()) {
+      const char c = text_[end];
+      if (c >= '0' && c <= '9') {
+        ++end;
       } else if (c == '.' || c == 'e' || c == 'E' || c == '+' || c == '-') {
         is_double = true;
-        ++pos_;
+        ++end;
       } else {
         break;
       }
     }
-    const std::string_view tok = text_.substr(start, pos_ - start);
+    pos_ = end;
+    const std::string_view tok = text_.substr(start, end - start);
     if (tok.empty() || tok == "-") fail("invalid number");
     if (!is_double) {
       std::int64_t v = 0;
       auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), v);
-      if (ec == std::errc() && p == tok.data() + tok.size()) return Json(v);
+      if (ec == std::errc() && p == tok.data() + tok.size()) {
+        sink_.integer(v);
+        return;
+      }
     }
     double d = 0.0;
     auto [p, ec] = std::from_chars(tok.data(), tok.data() + tok.size(), d);
     if (ec != std::errc() || p != tok.data() + tok.size()) fail("invalid number");
-    return Json(d);
+    sink_.real(d);
   }
 
-  Json parse_array() {
+  void parse_array() {
     next();  // '['
-    Json::Array arr;
+    sink_.begin_array(0);
     skip_ws();
     if (peek() == ']') {
       ++pos_;
-      return Json(std::move(arr));
+      sink_.end_array();
+      return;
     }
     while (true) {
-      arr.push_back(parse_value());
+      parse_value();
       skip_ws();
       char c = next();
       if (c == ']') break;
       if (c != ',') fail("expected ',' or ']' in array");
     }
-    return Json(std::move(arr));
+    sink_.end_array();
   }
 
-  Json parse_object() {
+  void parse_object() {
     next();  // '{'
-    Json::Object obj;
+    sink_.begin_object(0);
     skip_ws();
     if (peek() == '}') {
       ++pos_;
-      return Json(std::move(obj));
+      sink_.end_object();
+      return;
     }
     while (true) {
       skip_ws();
-      std::string key = parse_string();
+      sink_.key(parse_string());
       skip_ws();
       if (next() != ':') fail("expected ':' in object");
-      obj.emplace_back(std::move(key), parse_value());
+      parse_value();
       skip_ws();
       char c = next();
       if (c == '}') break;
       if (c != ',') fail("expected ',' or '}' in object");
     }
-    return Json(std::move(obj));
+    sink_.end_object();
   }
 };
 
@@ -332,9 +359,27 @@ std::string Json::dump() const {
   return out;
 }
 
+void JsonBuilder::put(Json v) {
+  if (open_.empty()) {
+    root_ = std::move(v);
+  } else if (open_.back().is_array()) {
+    open_.back().as_array().push_back(std::move(v));
+  } else {
+    open_.back().as_object().emplace_back(std::move(keys_.back()),
+                                          std::move(v));
+    keys_.pop_back();
+  }
+}
+
 Json Json::parse(std::string_view text) {
-  Parser p(text);
-  return p.parse_document();
+  JsonBuilder builder;
+  Parser<JsonBuilder>(text, builder).parse_document();
+  return builder.take();
+}
+
+void parse_json_fields(std::string_view text, FieldCapture& fields) {
+  fields.begin_document(text);
+  Parser<FieldCapture>(text, fields).parse_document();
 }
 
 }  // namespace ftio::util

@@ -11,6 +11,8 @@
 
 namespace ftio::util {
 
+class FieldCapture;  // util/field_capture.hpp
+
 /// Minimal JSON document model used for the TMIO JSON-Lines trace format
 /// (Sec. II-A). Supports the JSON value kinds the traces need: null, bool,
 /// integer, double, string, array, object. Objects preserve insertion order
@@ -80,5 +82,10 @@ class Json {
                Object>
       value_;
 };
+
+/// Walks one JSON document with Json::parse's grammar into `fields`,
+/// keeping only the top-level keys the capture names. Throws ParseError
+/// exactly where Json::parse would.
+void parse_json_fields(std::string_view text, FieldCapture& fields);
 
 }  // namespace ftio::util

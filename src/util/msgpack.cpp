@@ -2,14 +2,19 @@
 
 #include <bit>
 #include <cstring>
+#include <string_view>
 
 #include "util/error.hpp"
+#include "util/field_capture.hpp"
+#include "util/json_builder.hpp"
 
 namespace ftio::util::msgpack {
 
 namespace {
 
-void fail(const char* what) { throw ParseError(std::string("msgpack: ") + what); }
+[[noreturn]] void fail(const char* what) {
+  throw ParseError(std::string("msgpack: ") + what);
+}
 
 void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) { out.push_back(v); }
 
@@ -77,57 +82,74 @@ void encode_str(std::vector<std::uint8_t>& out, const std::string& s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
+/// The one MessagePack grammar walker: reports every value it reads to
+/// `Sink` (JsonBuilder for decode, FieldCapture for trace records).
+template <class Sink>
 class Decoder {
  public:
-  explicit Decoder(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
+  Decoder(std::span<const std::uint8_t> bytes, Sink& sink)
+      : bytes_(bytes), sink_(sink) {}
 
-  Json decode_value() {
+  void decode_value() {
     const std::uint8_t tag = take_u8();
-    if (tag < 0x80) return Json(static_cast<std::int64_t>(tag));
-    if (tag >= 0xE0) return Json(static_cast<std::int64_t>(static_cast<std::int8_t>(tag)));
+    if (tag < 0x80) return sink_.integer(static_cast<std::int64_t>(tag));
+    if (tag >= 0xE0) {
+      return sink_.integer(
+          static_cast<std::int64_t>(static_cast<std::int8_t>(tag)));
+    }
     if ((tag & 0xF0) == 0x80) return decode_map(tag & 0x0F);
     if ((tag & 0xF0) == 0x90) return decode_array(tag & 0x0F);
-    if ((tag & 0xE0) == 0xA0) return decode_str(tag & 0x1F);
+    if ((tag & 0xE0) == 0xA0) return sink_.string(take_str(tag & 0x1F));
     switch (tag) {
-      case 0xC0: return Json(nullptr);
-      case 0xC2: return Json(false);
-      case 0xC3: return Json(true);
+      case 0xC0: return sink_.null();
+      case 0xC2: return sink_.boolean(false);
+      case 0xC3: return sink_.boolean(true);
       case 0xCA: {
         const auto bits = take_be<std::uint32_t>();
-        float f;
+        float f = 0.0f;
         std::memcpy(&f, &bits, sizeof f);
-        return Json(static_cast<double>(f));
+        return sink_.real(static_cast<double>(f));
       }
       case 0xCB: {
         const auto bits = take_be<std::uint64_t>();
-        double d;
+        double d = 0.0;
         std::memcpy(&d, &bits, sizeof d);
-        return Json(d);
+        return sink_.real(d);
       }
-      case 0xCC: return Json(static_cast<std::int64_t>(take_u8()));
-      case 0xCD: return Json(static_cast<std::int64_t>(take_be<std::uint16_t>()));
-      case 0xCE: return Json(static_cast<std::int64_t>(take_be<std::uint32_t>()));
-      case 0xCF: return Json(static_cast<std::int64_t>(take_be<std::uint64_t>()));
-      case 0xD0: return Json(static_cast<std::int64_t>(static_cast<std::int8_t>(take_u8())));
-      case 0xD1: return Json(static_cast<std::int64_t>(static_cast<std::int16_t>(take_be<std::uint16_t>())));
-      case 0xD2: return Json(static_cast<std::int64_t>(static_cast<std::int32_t>(take_be<std::uint32_t>())));
-      case 0xD3: return Json(static_cast<std::int64_t>(take_be<std::uint64_t>()));
-      case 0xD9: return decode_str(take_u8());
-      case 0xDA: return decode_str(take_be<std::uint16_t>());
-      case 0xDB: return decode_str(take_be<std::uint32_t>());
+      case 0xCC: return sink_.integer(take_u8());
+      case 0xCD: return sink_.integer(take_be<std::uint16_t>());
+      case 0xCE: return sink_.integer(take_be<std::uint32_t>());
+      case 0xCF:  // uint64 above INT64_MAX wraps, as Json(uint64_t) does
+        return sink_.integer(
+            static_cast<std::int64_t>(take_be<std::uint64_t>()));
+      case 0xD0:
+        return sink_.integer(
+            static_cast<std::int64_t>(static_cast<std::int8_t>(take_u8())));
+      case 0xD1:
+        return sink_.integer(static_cast<std::int64_t>(
+            static_cast<std::int16_t>(take_be<std::uint16_t>())));
+      case 0xD2:
+        return sink_.integer(static_cast<std::int64_t>(
+            static_cast<std::int32_t>(take_be<std::uint32_t>())));
+      case 0xD3:
+        return sink_.integer(
+            static_cast<std::int64_t>(take_be<std::uint64_t>()));
+      case 0xD9: return sink_.string(take_str(take_u8()));
+      case 0xDA: return sink_.string(take_str(take_be<std::uint16_t>()));
+      case 0xDB: return sink_.string(take_str(take_be<std::uint32_t>()));
       case 0xDC: return decode_array(take_be<std::uint16_t>());
       case 0xDD: return decode_array(take_be<std::uint32_t>());
       case 0xDE: return decode_map(take_be<std::uint16_t>());
       case 0xDF: return decode_map(take_be<std::uint32_t>());
       default: fail("unsupported tag");
     }
-    return Json(nullptr);
   }
 
   std::size_t position() const { return pos_; }
 
  private:
   std::span<const std::uint8_t> bytes_;
+  Sink& sink_;
   std::size_t pos_ = 0;
 
   std::uint8_t take_u8() {
@@ -137,52 +159,59 @@ class Decoder {
 
   template <typename T>
   T take_be() {
-    if (pos_ + sizeof(T) > bytes_.size()) fail("truncated input");
+    if (sizeof(T) > bytes_.size() - pos_) fail("truncated input");
     T v{};
-    std::uint8_t buf[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) buf[i] = bytes_[pos_ + i];
+    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
     pos_ += sizeof(T);
     if constexpr (std::endian::native == std::endian::little) {
-      std::uint8_t rev[sizeof(T)];
-      for (std::size_t i = 0; i < sizeof(T); ++i) rev[i] = buf[sizeof(T) - 1 - i];
-      std::memcpy(&v, rev, sizeof(T));
-    } else {
-      std::memcpy(&v, buf, sizeof(T));
+      if constexpr (sizeof(T) == 2) v = __builtin_bswap16(v);
+      if constexpr (sizeof(T) == 4) v = __builtin_bswap32(v);
+      if constexpr (sizeof(T) == 8) v = __builtin_bswap64(v);
     }
     return v;
   }
 
-  Json decode_str(std::size_t n) {
-    if (pos_ + n > bytes_.size()) fail("truncated string");
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
+  std::string_view take_str(std::size_t n) {
+    if (n > bytes_.size() - pos_) fail("truncated string");
+    const std::string_view s(
+        reinterpret_cast<const char*>(bytes_.data() + pos_), n);
     pos_ += n;
-    return Json(std::move(s));
+    return s;
   }
 
-  Json decode_array(std::size_t n) {
+  void decode_array(std::size_t n) {
     // Found by fuzz_trace_formats: the element count is untrusted, and
     // every element occupies at least one input byte — reject a count
     // the remaining input cannot possibly satisfy *before* the reserve,
     // or a 6-byte document demands a multi-GiB allocation.
     if (n > bytes_.size() - pos_) fail("truncated array");
-    Json::Array arr;
-    arr.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) arr.push_back(decode_value());
-    return Json(std::move(arr));
+    sink_.begin_array(n);
+    for (std::size_t i = 0; i < n; ++i) decode_value();
+    sink_.end_array();
   }
 
-  Json decode_map(std::size_t n) {
+  void decode_map(std::size_t n) {
     // Same bound as decode_array; a map entry is at least two bytes
     // (key tag + value tag).
     if (n > (bytes_.size() - pos_) / 2) fail("truncated map");
-    Json::Object obj;
-    obj.reserve(n);
+    sink_.begin_object(n);
     for (std::size_t i = 0; i < n; ++i) {
-      Json key = decode_value();
-      if (!key.is_string()) fail("non-string map key");
-      obj.emplace_back(key.as_string(), decode_value());
+      sink_.key(take_key());
+      decode_value();
     }
-    return Json(std::move(obj));
+    sink_.end_object();
+  }
+
+  /// A map key; only the string tags are keys.
+  std::string_view take_key() {
+    const std::uint8_t tag = take_u8();
+    if ((tag & 0xE0) == 0xA0) return take_str(tag & 0x1F);
+    switch (tag) {
+      case 0xD9: return take_str(take_u8());
+      case 0xDA: return take_str(take_be<std::uint16_t>());
+      case 0xDB: return take_str(take_be<std::uint32_t>());
+      default: fail("non-string map key");
+    }
   }
 };
 
@@ -242,10 +271,20 @@ std::vector<std::uint8_t> encode(const Json& value) {
 }
 
 Json decode(std::span<const std::uint8_t> bytes, std::size_t& consumed) {
-  Decoder d(bytes);
-  Json v = d.decode_value();
+  JsonBuilder builder;
+  Decoder<JsonBuilder> d(bytes, builder);
+  d.decode_value();
   consumed = d.position();
-  return v;
+  return builder.take();
+}
+
+void decode_fields(std::span<const std::uint8_t> bytes, std::size_t& consumed,
+                   FieldCapture& fields) {
+  fields.begin_document(
+      {reinterpret_cast<const char*>(bytes.data()), bytes.size()});
+  Decoder<FieldCapture> d(bytes, fields);
+  d.decode_value();
+  consumed = d.position();
 }
 
 Json decode(std::span<const std::uint8_t> bytes) {

@@ -22,6 +22,13 @@ void encode_to(const Json& value, std::vector<std::uint8_t>& out);
 /// malformed or truncated input.
 Json decode(std::span<const std::uint8_t> bytes, std::size_t& consumed);
 
+/// Walks the document at the front of `bytes` with decode's grammar into
+/// `fields`, keeping only the top-level keys the capture names; `consumed`
+/// receives the number of bytes read. Throws ParseError exactly where
+/// decode would.
+void decode_fields(std::span<const std::uint8_t> bytes, std::size_t& consumed,
+                   FieldCapture& fields);
+
 /// Decodes exactly one document; throws if trailing bytes remain.
 Json decode(std::span<const std::uint8_t> bytes);
 

@@ -185,6 +185,39 @@ TEST(DftAnalysis, RejectsBadTolerance) {
   EXPECT_THROW(core::analyze_spectrum(s, opts), ftio::util::InvalidArgument);
 }
 
+TEST(DftAnalysis, PeakRefinementNeverCrossesZeroHertz) {
+  // Bin 1 is the only outlier, but the DC bin holds more power than it:
+  // bin 1 is no local maximum, and the parabola through (p0, p1, p2) has
+  // its vertex below 0 Hz. The refinement must keep the bin frequency.
+  sig::Spectrum s;
+  s.sampling_frequency = 1.0;
+  s.total_samples = 128;
+  const std::size_t bins = s.total_samples / 2 + 1;
+  s.power.assign(bins, 0.01);
+  s.power[0] = 180.0;
+  s.power[1] = 100.0;
+  s.power[2] = 0.0;
+  double total = 0.0;
+  for (double p : s.power) total += p;
+  for (std::size_t k = 0; k < bins; ++k) {
+    s.frequencies.push_back(static_cast<double>(k) * s.frequency_step());
+    s.normed_power.push_back(s.power[k] / total);
+  }
+  s.amplitudes.assign(bins, 0.0);
+  s.phases.assign(bins, 0.0);
+  const double denom = s.power[0] - 2.0 * s.power[1] + s.power[2];
+  const double vertex = 0.5 * (s.power[0] - s.power[2]) / denom;
+  ASSERT_LT(denom, 0.0);
+  ASSERT_LT(1.0 + vertex, 0.0);  // the unguarded vertex is negative
+
+  core::CandidateOptions opts;
+  opts.min_cycles = 1;
+  const auto a = core::analyze_spectrum(s, opts);
+  ASSERT_TRUE(a.dominant_frequency.has_value());
+  EXPECT_GT(*a.dominant_frequency, 0.0);
+  EXPECT_EQ(*a.dominant_frequency, s.frequencies[1]);
+}
+
 TEST(DftAnalysis, PeriodicityNames) {
   EXPECT_STREQ(core::periodicity_name(core::Periodicity::kPeriodic),
                "periodic");

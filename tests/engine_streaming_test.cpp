@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/online.hpp"
+#include "service/service.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
+#include "workloads/apps.hpp"
 
 namespace core = ftio::core;
 namespace eng = ftio::engine;
@@ -286,4 +290,33 @@ TEST(StreamingSession, LastResultCarriesBandwidthFields) {
   ASSERT_TRUE(got.metrics.has_value());
   ASSERT_TRUE(reference.metrics.has_value());
   EXPECT_EQ(reference.metrics->sigma_time, got.metrics->sigma_time);
+}
+TEST(StreamingSession, LammpsSecondFlushHasPositiveFrequency) {
+  // Regression: the daemon's session template on a 256-rank LAMMPS run.
+  // At its second flush (window of ~280 samples) the winning bin is bin
+  // 1 under a larger DC bin, and the unguarded peak refinement reported
+  // a negative dominant frequency, which compute_metrics rejects.
+  ftio::workloads::LammpsConfig config;
+  config.ranks = 256;
+  auto trace = ftio::workloads::generate_lammps_trace(config);
+  trace.sort_by_start();
+  // Flushes end at idle gaps of at least a second (one per dump phase).
+  std::vector<std::size_t> cuts = {0};
+  double last_end = trace.requests.front().end;
+  for (std::size_t i = 1; i < trace.requests.size(); ++i) {
+    const auto& r = trace.requests[i];
+    if (r.start - last_end >= 1.0) cuts.push_back(i);
+    last_end = std::max(last_end, r.end);
+  }
+  ASSERT_GE(cuts.size(), 3u);
+  eng::StreamingSession session(ftio::service::default_session_template());
+  const std::span<const tr::IoRequest> all(trace.requests);
+  session.ingest(all.subspan(0, cuts[1]));
+  session.predict();
+  session.ingest(all.subspan(cuts[1], cuts[2] - cuts[1]));
+  core::Prediction second;
+  ASSERT_NO_THROW(second = session.predict());
+  ASSERT_TRUE(second.frequency.has_value());
+  EXPECT_GT(*second.frequency, 0.0);
+  EXPECT_GT(second.sample_count, 200u);
 }

@@ -1,11 +1,20 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <initializer_list>
+#include <random>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "fuzz/trace_dom_oracle.hpp"
 #include "trace/formats.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
+#include "util/failpoints.hpp"
+#include "util/json.hpp"
+#include "util/msgpack.hpp"
 
 namespace tr = ftio::trace;
 
@@ -385,6 +394,325 @@ TEST(MsgpackTrace, SmallerThanJsonl) {
                           tr::IoKind::kWrite});
   }
   EXPECT_LT(tr::to_msgpack(t).size(), tr::to_jsonl(t).size());
+}
+
+// ---------------------------------------------------------------------------
+// Record decoder vs the DOM oracle (fuzz/trace_dom_oracle.hpp)
+// ---------------------------------------------------------------------------
+
+namespace {
+
+namespace oracle = ftio::fuzz::dom_oracle;
+using ftio::util::Json;
+
+constexpr tr::ParsePolicy kPolicies[] = {tr::ParsePolicy::kStrict,
+                                         tr::ParsePolicy::kSkipBad};
+
+void expect_jsonl_agrees(std::string_view text) {
+  for (const auto policy : kPolicies) {
+    EXPECT_EQ(oracle::jsonl_difference(text, policy), "")
+        << "policy " << static_cast<int>(policy) << ", input: " << text;
+  }
+}
+
+void expect_msgpack_agrees(const std::vector<std::uint8_t>& bytes) {
+  for (const auto policy : kPolicies) {
+    EXPECT_EQ(oracle::msgpack_difference(bytes, policy), "")
+        << "policy " << static_cast<int>(policy) << ", " << bytes.size()
+        << " bytes";
+  }
+}
+
+std::vector<std::uint8_t> packed(const Json& doc) {
+  return ftio::util::msgpack::encode(doc);
+}
+
+std::vector<std::uint8_t> cat(
+    std::initializer_list<std::vector<std::uint8_t>> parts) {
+  std::vector<std::uint8_t> out;
+  for (const auto& p : parts) out.insert(out.end(), p.begin(), p.end());
+  return out;
+}
+
+/// A valid io record with the given `start` value bytes spliced in
+/// (fixmap of 5: type, kind, rank, start, end).
+std::vector<std::uint8_t> io_record_with_start(
+    const std::vector<std::uint8_t>& start_value) {
+  const std::vector<std::uint8_t> head = {
+      0x85, 0xA4, 't', 'y', 'p', 'e', 0xA2, 'i', 'o',  0xA4, 'k',
+      'i',  'n',  'd', 0xA4, 'r', 'e', 'a', 'd', 0xA4, 'r',  'a',
+      'n',  'k',  0x07, 0xA5, 's', 't', 'a', 'r', 't'};
+  const std::vector<std::uint8_t> end = {0xA3, 'e', 'n', 'd', 0xCB, 0x40,
+                                         0x24, 0,   0,   0,   0,    0,
+                                         0};  // 10.0
+  return cat({head, start_value, end});
+}
+
+tr::Trace small_trace() {
+  tr::Trace t;
+  t.app = "oracle";
+  t.rank_count = 4;
+  for (int i = 0; i < 6; ++i) {
+    t.requests.push_back({i % 4, 0.25 * i, 0.25 * i + 0.125,
+                          static_cast<std::uint64_t>(1000 + 37 * i),
+                          i % 3 == 0 ? tr::IoKind::kRead : tr::IoKind::kWrite});
+  }
+  return t;
+}
+
+/// Seeded structure-aware byte mutations: overwrite, insert a token,
+/// erase a range, duplicate a range. `tokens` are format fragments that
+/// steer the mutants toward the decoders' edge cases.
+std::string mutate(std::string s, std::mt19937_64& rng,
+                   const std::vector<std::string>& tokens) {
+  const int edits = 1 + static_cast<int>(rng() % 4);
+  for (int e = 0; e < edits; ++e) {
+    const std::size_t at = s.empty() ? 0 : rng() % (s.size() + 1);
+    switch (rng() % 4) {
+      case 0:
+        if (at < s.size()) s[at] = static_cast<char>(rng() & 0xFF);
+        break;
+      case 1:
+        s.insert(at, tokens[rng() % tokens.size()]);
+        break;
+      case 2:
+        s.erase(at, 1 + rng() % 8);
+        break;
+      default: {
+        const std::size_t len = std::min<std::size_t>(1 + rng() % 24,
+                                                      s.size() - at);
+        const std::string piece = s.substr(at, len);
+        s.insert(s.empty() ? 0 : rng() % (s.size() + 1), piece);
+        break;
+      }
+    }
+  }
+  return s;
+}
+
+}  // namespace
+
+TEST(RecordDecoder, DuplicateKeysFirstOccurrenceWins) {
+  const std::string line =
+      "{\"type\":\"io\",\"kind\":\"read\",\"type\":\"meta\",\"rank\":2,"
+      "\"rank\":\"x\",\"start\":1,\"end\":2,\"start\":9,\"bytes\":3,"
+      "\"bytes\":-1,\"kind\":7}\n";
+  const auto t = tr::from_jsonl(line);
+  ASSERT_EQ(t.requests.size(), 1u);
+  EXPECT_EQ(t.requests[0].rank, 2);
+  EXPECT_EQ(t.requests[0].start, 1.0);
+  EXPECT_EQ(t.requests[0].bytes, 3u);
+  EXPECT_EQ(t.requests[0].kind, tr::IoKind::kRead);
+  expect_jsonl_agrees(line);
+
+  Json::Object dup = {{"type", Json("io")},    {"type", Json(5)},
+                      {"kind", Json("read")},  {"start", Json(1.5)},
+                      {"end", Json(2.5)},      {"end", Json("late")},
+                      {"rank", Json(3)},       {"rank", Json(1.5)}};
+  const auto bytes = packed(Json(dup));
+  const auto m = tr::from_msgpack(bytes);
+  ASSERT_EQ(m.requests.size(), 1u);
+  EXPECT_EQ(m.requests[0].end, 2.5);
+  EXPECT_EQ(m.requests[0].rank, 3);
+  expect_msgpack_agrees(bytes);
+}
+
+TEST(RecordDecoder, EscapedKeysAndValuesDecode) {
+  const std::string line =
+      "{\"typ\\u0065\":\"m\\u0065ta\",\"\\u0061pp\":\"caf\\u00e9 \\u20ac\","
+      "\"ranks\":3}\n";
+  const auto t = tr::from_jsonl(line);
+  EXPECT_EQ(t.app, "caf\xC3\xA9 \xE2\x82\xAC");
+  EXPECT_EQ(t.rank_count, 3);
+  expect_jsonl_agrees(line);
+  expect_jsonl_agrees("{\"type\":\"io\",\"kind\":\"re\\u0061d\",\"start\":0,"
+                      "\"end\":1,\"r\\ank\":1}\n");
+}
+
+TEST(RecordDecoder, NumberTokenisationMatchesJson) {
+  // int64 overflow becomes a double, which as_int rejects.
+  EXPECT_THROW(tr::from_jsonl("{\"type\":\"meta\",\"ranks\":"
+                              "9223372036854775808}\n"),
+               ftio::util::ParseError);
+  // A double-shaped token is a double even when integral.
+  for (const char* rank : {"1e0", "1.5", "1.0", "1E2", "0-1"}) {
+    const std::string line = std::string("{\"type\":\"io\",\"kind\":\"write\","
+                                         "\"start\":0,\"end\":1,\"rank\":") +
+                             rank + "}\n";
+    EXPECT_THROW(tr::from_jsonl(line), ftio::util::ParseError) << rank;
+    expect_jsonl_agrees(line);
+  }
+  // Negative bytes wrap to uint64, as the cast always did.
+  const std::string negative =
+      "{\"type\":\"io\",\"kind\":\"write\",\"start\":0,\"end\":1,"
+      "\"bytes\":-5}\n";
+  const auto t = tr::from_jsonl(negative);
+  ASSERT_EQ(t.requests.size(), 1u);
+  EXPECT_EQ(t.requests[0].bytes, static_cast<std::uint64_t>(-5));
+  for (const char* line :
+       {"{\"type\":\"meta\",\"ranks\":9223372036854775808}",
+        "{\"type\":\"meta\",\"ranks\":-9223372036854775808}",
+        "{\"type\":\"io\",\"kind\":\"read\",\"start\":-0,\"end\":1e400}",
+        "{\"type\":\"io\",\"kind\":\"read\",\"start\":1e-400,\"end\":1.}",
+        "{\"type\":\"io\",\"kind\":\"read\",\"start\":.5,\"end\":-}",
+        "{\"type\":\"io\",\"kind\":\"read\",\"start\":0,\"end\":1,"
+        "\"bytes\":99999999999999999999}"}) {
+    expect_jsonl_agrees(line);
+  }
+}
+
+TEST(RecordDecoder, MetaWithBadRanksKeepsAppUnderSkipBad) {
+  const std::string text =
+      "{\"type\":\"meta\",\"app\":\"first\",\"ranks\":2}\n"
+      "{\"type\":\"meta\",\"app\":\"second\",\"ranks\":\"4\"}\n"
+      "{\"type\":\"io\",\"kind\":\"write\",\"start\":0,\"end\":1}\n";
+  tr::ParseStats stats;
+  const auto t = tr::from_jsonl(text, tr::ParsePolicy::kSkipBad, &stats);
+  EXPECT_EQ(t.app, "second");  // set before ranks threw
+  EXPECT_EQ(t.rank_count, 2);
+  EXPECT_EQ(stats.records, 2u);
+  EXPECT_EQ(stats.skipped, 1u);
+  expect_jsonl_agrees(text);
+}
+
+TEST(RecordDecoder, NestedUnknownValuesAreValidatedAndIgnored) {
+  const std::string nested =
+      "{\"type\":\"io\",\"extra\":{\"type\":\"meta\",\"kind\":\"read\","
+      "\"rank\":[1,{\"start\":5}]},\"kind\":\"write\",\"start\":0.5,"
+      "\"end\":1,\"rank\":1,\"more\":[null,true,false,\"s\",-2.5e3]}\n";
+  const auto t = tr::from_jsonl(nested);
+  ASSERT_EQ(t.requests.size(), 1u);
+  EXPECT_EQ(t.requests[0].kind, tr::IoKind::kWrite);
+  EXPECT_EQ(t.requests[0].start, 0.5);
+  EXPECT_EQ(t.requests[0].rank, 1);
+  expect_jsonl_agrees(nested);
+  // A grammar error anywhere rejects the record, however deep.
+  for (const char* bad :
+       {"{\"type\":\"meta\",\"x\":[1,2,}",
+        "{\"type\":\"meta\",\"x\":{\"a\":tru}}",
+        "{\"type\":\"meta\",\"x\":\"\\q\"}",
+        "{\"type\":\"meta\"} trailing",
+        "{\"type\":\"meta\",\"app\":\"\\u12G4\"}",
+        "[{\"type\":\"meta\"}]", "\"type\"", "42", "{}",
+        "{\"type\":null}", "{\"type\":[\"io\"]}"}) {
+    EXPECT_THROW(tr::from_jsonl(bad), ftio::util::ParseError) << bad;
+    expect_jsonl_agrees(bad);
+  }
+}
+
+TEST(RecordDecoder, MsgpackEdgeCasesAgreeWithOracle) {
+  // float32 start.
+  const auto f32 = io_record_with_start({0xCA, 0x3F, 0xC0, 0, 0});  // 1.5f
+  const auto t = tr::from_msgpack(f32);
+  ASSERT_EQ(t.requests.size(), 1u);
+  EXPECT_EQ(t.requests[0].start, 1.5);
+  EXPECT_EQ(t.requests[0].rank, 7);
+  expect_msgpack_agrees(f32);
+  // uint64 bytes above INT64_MAX wraps through int64.
+  expect_msgpack_agrees(io_record_with_start({0xCF, 0xFF, 0xFF, 0xFF, 0xFF,
+                                              0xFF, 0xFF, 0xFF, 0xFF}));
+  // A non-string map key is a framing error: under kSkipBad the rest of
+  // the buffer drops as one skipped record.
+  const auto meta = packed(Json::parse("{\"type\":\"meta\",\"app\":\"m\"}"));
+  const std::vector<std::uint8_t> int_key = {0x81, 0x01, 0xA1, 'x'};
+  const auto framed = cat({meta, int_key, meta});
+  tr::ParseStats stats;
+  const auto m = tr::from_msgpack(framed, tr::ParsePolicy::kSkipBad, &stats);
+  EXPECT_EQ(stats.records, 1u);
+  EXPECT_EQ(stats.skipped, 1u);
+  EXPECT_THROW(tr::from_msgpack(framed), ftio::util::ParseError);
+  expect_msgpack_agrees(framed);
+  // Array and map counts the remaining input cannot hold.
+  for (const std::vector<std::uint8_t>& truncated :
+       {std::vector<std::uint8_t>{0xDD, 0xFF, 0xFF, 0xFF, 0xFF, 0x00},
+        std::vector<std::uint8_t>{0xDF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00},
+        std::vector<std::uint8_t>{0xDC, 0x00, 0x03, 0x01, 0x02},
+        std::vector<std::uint8_t>{0x82, 0xA1, 'a', 0x01},
+        std::vector<std::uint8_t>{0xDB, 0x00, 0x00, 0x01, 0x00, 'a'}}) {
+    expect_msgpack_agrees(cat({meta, truncated}));
+  }
+  // Nested unknown values, and a key that only matches at depth 2.
+  const auto nested = packed(Json::parse(
+      "{\"x\":{\"type\":\"meta\",\"app\":\"inner\"},\"type\":\"meta\","
+      "\"y\":[1,[2,{\"ranks\":9}],null,true,2.5],\"app\":\"outer\"}"));
+  const auto n = tr::from_msgpack(nested);
+  EXPECT_EQ(n.app, "outer");
+  EXPECT_EQ(n.rank_count, 0);
+  expect_msgpack_agrees(nested);
+}
+
+TEST(RecordDecoder, SeededMutationsAgreeWithOracle) {
+  const tr::Trace base = small_trace();
+  const std::vector<std::string> json_seeds = {
+      tr::to_jsonl(base),
+      "{\"typ\\u0065\":\"meta\",\"app\":\"a\\\"b\",\"ranks\":2}\n"
+      "{\"type\":\"io\",\"kind\":\"read\",\"rank\":1,\"start\":1e0,"
+      "\"end\":2.5E+1,\"bytes\":-3,\"x\":{\"y\":[1,null]}}\n"};
+  const std::vector<std::string> json_tokens = {
+      "\"", "{", "}", "[", "]", ",", ":", "\\", "\\u00", "\n", "-", ".",
+      "e", "E+", "0", "9", " ", "null", "true", "\"type\":\"io\",",
+      "\"type\":\"meta\",", "\"rank\":1.5,", "\"ranks\":\"2\",",
+      "99999999999999999999", "\"bytes\":-7,", "\"start\":3,",
+      "\"end\":", "\"kind\":\"read\",", "{\"a\":[1,{}]}", "\"app\":\"z\","};
+  const auto base_packed = tr::to_msgpack(base);
+  const std::vector<std::string> packed_seeds = {
+      std::string(base_packed.begin(), base_packed.end())};
+  const std::vector<std::string> packed_tokens = {
+      "\xC0", "\xC2", "\xC3", "\xCA\x3F\xC0\x00\x00", "\xCB", "\xCC\xFF",
+      "\xCF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF", "\xD0\x80", "\xD9\x04",
+      "\xDC\x00\x02", "\xDE\x00\x01", "\xDF\xFF\xFF\xFF\xFF", "\x81",
+      "\x92", "\xA4type", "\xA2io", "\xA4meta", "\xA4rank", "\xA5ranks",
+      "\xA5start", "\xA3""end", "\xA5""bytes", "\xA4kind", "\xA4read",
+      "\x01", "\xFF", "\xC1"};
+
+  std::mt19937_64 rng(20240501);
+  std::size_t accepted = 0;
+  for (int i = 0; i < 4000; ++i) {
+    const std::string text =
+        mutate(json_seeds[i % json_seeds.size()], rng, json_tokens);
+    expect_jsonl_agrees(text);
+    const std::string raw =
+        mutate(packed_seeds[i % packed_seeds.size()], rng, packed_tokens);
+    const std::vector<std::uint8_t> bytes(raw.begin(), raw.end());
+    expect_msgpack_agrees(bytes);
+    try {
+      static_cast<void>(tr::from_jsonl(text));
+      ++accepted;
+    } catch (const ftio::util::ParseError&) {
+    }
+    if (HasFailure()) break;  // one report is enough
+  }
+  // The mutants must exercise both outcomes, not only rejections.
+  EXPECT_GT(accepted, 100u);
+  EXPECT_LT(accepted, 3900u);
+}
+
+TEST(RecordDecoder, FailpointSequenceMatchesOracle) {
+  namespace fp = ftio::util::failpoints;
+  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints compiled out";
+  const std::string text = tr::to_jsonl(small_trace());
+  const auto bytes = tr::to_msgpack(small_trace());
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    const auto policy = tr::ParsePolicy::kSkipBad;
+    fp::arm("trace.parse_garbage", 0.3, seed);
+    const auto got = oracle::run(
+        [&](auto p, auto* s) { return tr::from_jsonl(text, p, s); }, policy);
+    fp::arm("trace.parse_garbage", 0.3, seed);
+    const auto want = oracle::run(
+        [&](auto p, auto* s) { return oracle::from_jsonl(text, p, s); },
+        policy);
+    EXPECT_EQ(oracle::difference(got, want), "") << "seed " << seed;
+    fp::arm("trace.parse_garbage", 0.3, seed);
+    const auto got_mp = oracle::run(
+        [&](auto p, auto* s) { return tr::from_msgpack(bytes, p, s); },
+        policy);
+    fp::arm("trace.parse_garbage", 0.3, seed);
+    const auto want_mp = oracle::run(
+        [&](auto p, auto* s) { return oracle::from_msgpack(bytes, p, s); },
+        policy);
+    EXPECT_EQ(oracle::difference(got_mp, want_mp), "") << "seed " << seed;
+  }
+  fp::disarm_all();
 }
 
 // ---------------------------------------------------------------------------
