@@ -5,6 +5,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/ftio.hpp"
@@ -12,6 +13,8 @@
 #include "trace/model.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/ior.hpp"
+#include "workloads/phase_library.hpp"
+#include "workloads/semisynthetic.hpp"
 #include "ref_kernel.hpp"
 
 namespace {
@@ -53,7 +56,25 @@ void BM_BandwidthSweep(benchmark::State& state) {
   }
   state.counters["requests"] = static_cast<double>(trace.requests.size());
 }
-BENCHMARK(BM_BandwidthSweep)->Arg(256)->Arg(2048);
+// The 2048-rank sweep takes ~10 ms, so CI's 0.05 s budget would time
+// only a handful of iterations; the floor keeps the gate window meaningful.
+BENCHMARK(BM_BandwidthSweep)->Arg(256)->Arg(2048)->MinTime(0.5);
+
+// IOR's requests share only 88 distinct times; the default semi-synthetic
+// application (70,400 requests) spreads its event times out, which is the
+// case the distribution sort in the sweep is built for.
+void BM_BandwidthSweepSemi(benchmark::State& state) {
+  const auto trace = ftio::workloads::generate_semisynthetic(
+                         {}, ftio::workloads::make_phase_library())
+                         .trace;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ftio::trace::bandwidth_signal(trace));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.requests.size()));
+  state.counters["requests"] = static_cast<double>(trace.requests.size());
+}
+BENCHMARK(BM_BandwidthSweepSemi)->MinTime(0.5)->Unit(benchmark::kMillisecond);
 
 void BM_AutocorrelationRefinement(benchmark::State& state) {
   // The optional ACF pass cost the paper +0.26 s on LAMMPS.
@@ -98,7 +119,7 @@ void BM_AnalyzeManyBatch(benchmark::State& state) {
   state.counters["traces"] = static_cast<double>(views.size());
 }
 BENCHMARK(BM_AnalyzeManyBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
+    ->MinTime(0.5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

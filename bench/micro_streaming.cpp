@@ -14,7 +14,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -25,6 +28,8 @@
 #include "ref_kernel.hpp"
 #include "trace/model.hpp"
 #include "util/stats.hpp"
+#include "workloads/phase_library.hpp"
+#include "workloads/semisynthetic.hpp"
 
 namespace {
 
@@ -132,7 +137,44 @@ void BM_StreamingSessionLongStream(benchmark::State& state) {
 }
 BENCHMARK(BM_StreamingSessionLongStream)
     ->Arg(4096)
+    ->MinTime(0.5)
     ->Unit(benchmark::kMillisecond);
+
+// The curve-splice step of every flush on its own: one steady tenant's
+// per-phase chunks (the default semi-synthetic application, ~3,500
+// requests per I/O phase) extended in arrival order into a fresh
+// IncrementalBandwidth. Each extend sorts its chunk's events and
+// re-sweeps the appended tail.
+void BM_IncrementalExtend(benchmark::State& state) {
+  auto app = ftio::workloads::generate_semisynthetic(
+      {}, ftio::workloads::make_phase_library());
+  app.trace.sort_by_start();
+  std::vector<std::vector<ftio::trace::IoRequest>> chunks;
+  auto it = app.trace.requests.begin();
+  for (std::size_t k = 0; k < app.phase_starts.size(); ++k) {
+    const double next = k + 1 < app.phase_starts.size()
+                            ? app.phase_starts[k + 1]
+                            : std::numeric_limits<double>::infinity();
+    const auto end = std::find_if(it, app.trace.requests.end(),
+                                  [&](const ftio::trace::IoRequest& r) {
+                                    return r.start >= next;
+                                  });
+    chunks.emplace_back(it, end);
+    it = end;
+  }
+  for (auto _ : state) {
+    ftio::trace::IncrementalBandwidth curve;
+    for (const auto& chunk : chunks) {
+      benchmark::DoNotOptimize(curve.extend(chunk));
+    }
+  }
+  const auto flushes = static_cast<std::int64_t>(chunks.size());
+  state.SetItemsProcessed(state.iterations() * flushes);
+  state.counters["per_flush_us"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * flushes) * 1e-6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_IncrementalExtend)->Unit(benchmark::kMillisecond);
 
 // Triage tier: the filter bank skips the full spectral pipeline while
 // the dominant period is stable, so a steady stream costs O(1) per

@@ -8,6 +8,7 @@
 #include <string_view>
 #include <vector>
 
+#include "fuzz/sweep_oracle.hpp"
 #include "fuzz/trace_dom_oracle.hpp"
 #include "trace/formats.hpp"
 #include "trace/model.hpp"
@@ -35,6 +36,20 @@ void check_oracle(const char* format, Difference difference) {
                             ftio::trace::ParsePolicy::kSkipBad}) {
     const std::string diff = difference(policy);
     if (!diff.empty()) property_failed(format, diff.c_str(), "DOM oracle");
+  }
+}
+
+/// Sweep property of every parsed trace: bandwidth_signal, built on the
+/// distribution sort, matches the std::sort sweep of fuzz/sweep_oracle.hpp,
+/// and no segment is NaN (every event delta is finite, so the running
+/// level can saturate at +inf but never meet inf - inf).
+void check_sweep(const char* format, const ftio::trace::Trace& trace) {
+  const auto curve = ftio::trace::bandwidth_signal(trace);
+  const std::string diff = sweep_oracle::curve_difference(
+      curve, sweep_oracle::bandwidth_signal(trace));
+  if (!diff.empty()) property_failed(format, diff.c_str(), "sweep oracle");
+  for (const double v : curve.values()) {
+    if (std::isnan(v)) property_failed(format, "NaN segment", "sweep");
   }
 }
 
@@ -83,6 +98,7 @@ void fuzz_jsonl(std::string_view text) {
   } catch (const ftio::util::InvalidArgument&) {
     return;
   }
+  check_sweep("jsonl", trace);
   check_fixpoint(
       "jsonl", trace,
       [](const ftio::trace::Trace& t) { return ftio::trace::to_jsonl(t); },
@@ -101,6 +117,7 @@ void fuzz_msgpack(std::span<const std::uint8_t> bytes) {
   } catch (const ftio::util::InvalidArgument&) {
     return;
   }
+  check_sweep("msgpack", trace);
   check_fixpoint(
       "msgpack", trace,
       [](const ftio::trace::Trace& t) { return ftio::trace::to_msgpack(t); },
@@ -118,6 +135,7 @@ void fuzz_recorder_csv(std::string_view text) {
   } catch (const ftio::util::InvalidArgument&) {
     return;
   }
+  check_sweep("recorder-csv", trace);
   check_fixpoint(
       "recorder-csv", trace,
       [](const ftio::trace::Trace& t) {

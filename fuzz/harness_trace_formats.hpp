@@ -16,7 +16,9 @@ namespace ftio::fuzz {
 /// contract violations, round-trip breakage (a parsed trace must
 /// survive serialise → reparse with every request intact), and, for JSONL
 /// and MessagePack, any disagreement between the record decoder and the
-/// DOM oracle of fuzz/trace_dom_oracle.hpp.
+/// DOM oracle of fuzz/trace_dom_oracle.hpp, and, for every parsed trace,
+/// any difference between bandwidth_signal and the std::sort sweep of
+/// fuzz/sweep_oracle.hpp.
 ///
 /// Returns 0 (libFuzzer convention); aborts on a property violation.
 int ftio_fuzz_trace_formats(const std::uint8_t* data, std::size_t size);

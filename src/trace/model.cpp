@@ -118,8 +118,29 @@ ftio::signal::StepFunction sweep(const Trace& trace,
   std::vector<BandwidthEvent> events;
   events.reserve(trace.requests.size() * 2);
   append_bandwidth_events(trace.requests, options, only_rank, events);
-  std::sort(events.begin(), events.end(), bandwidth_event_less);
+  sort_bandwidth_events(events);
   return bandwidth_from_events(events);
+}
+
+/// Below this many events the bucket pass costs more than it saves.
+constexpr std::size_t kMinBucketSortEvents = 64;
+/// Ranges up to this size are finished by insertion sort.
+constexpr std::size_t kInsertionSortMax = 16;
+
+/// Sorts one bucket, or a whole input not worth bucketing, by comparison.
+void comparison_sort(BandwidthEvent* first, BandwidthEvent* last) {
+  if (last - first > static_cast<std::ptrdiff_t>(kInsertionSortMax)) {
+    std::sort(first, last, bandwidth_event_less);
+    return;
+  }
+  for (BandwidthEvent* it = first + 1; it < last; ++it) {
+    const BandwidthEvent e = *it;
+    BandwidthEvent* hole = it;
+    for (; hole > first && bandwidth_event_less(e, hole[-1]); --hole) {
+      *hole = hole[-1];
+    }
+    *hole = e;
+  }
 }
 
 }  // namespace
@@ -127,6 +148,54 @@ ftio::signal::StepFunction sweep(const Trace& trace,
 bool bandwidth_event_less(const BandwidthEvent& a, const BandwidthEvent& b) {
   if (a.time != b.time) return a.time < b.time;
   return a.delta < b.delta;
+}
+
+void sort_bandwidth_events(std::span<BandwidthEvent> events) {
+  const std::size_t n = events.size();
+  if (n < kMinBucketSortEvents) {
+    comparison_sort(events.data(), events.data() + n);
+    return;
+  }
+  double lo = events.front().time;
+  double hi = lo;
+  for (const auto& e : events) {
+    lo = std::min(lo, e.time);
+    hi = std::max(hi, e.time);
+  }
+  // A zero, subnormal, overflowing or NaN span leaves no usable scale
+  // (and 0 * inf would be a NaN bucket index): sort by comparison.
+  const std::size_t buckets = n / 4;
+  const double span = hi - lo;
+  const double scale = static_cast<double>(buckets) / span;
+  if (!std::isfinite(span) || !std::isfinite(scale)) {
+    comparison_sort(events.data(), events.data() + n);
+    return;
+  }
+  // (time - lo) * scale never decreases as time increases, so bucket
+  // order is time order and every tie under bandwidth_event_less lands in
+  // one bucket: sorting each bucket yields exactly the comparator order.
+  const double top = static_cast<double>(buckets - 1);
+  const auto bucket_of = [&](double t) {
+    const double x = (t - lo) * scale;
+    return x < top ? static_cast<std::size_t>(x) : buckets - 1;
+  };
+
+  thread_local std::vector<std::size_t> offsets;
+  thread_local std::vector<BandwidthEvent> scratch;
+  offsets.assign(buckets + 1, 0);
+  for (const auto& e : events) ++offsets[bucket_of(e.time) + 1];
+  for (std::size_t b = 1; b <= buckets; ++b) offsets[b] += offsets[b - 1];
+  scratch.resize(n);
+  // offsets[b] runs from bucket b's start to its end while scattering,
+  // then bucket b spans [offsets[b - 1], offsets[b]) (bucket 0 from 0).
+  for (const auto& e : events) scratch[offsets[bucket_of(e.time)]++] = e;
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < buckets; ++b) {
+    const std::size_t end = offsets[b];
+    comparison_sort(scratch.data() + begin, scratch.data() + end);
+    begin = end;
+  }
+  std::copy(scratch.begin(), scratch.end(), events.begin());
 }
 
 void append_bandwidth_events(std::span<const IoRequest> requests,
@@ -142,7 +211,9 @@ void append_bandwidth_events(std::span<const IoRequest> requests,
     if (options.window_end) end = std::min(end, *options.window_end);
     if (end <= start) continue;
     const double bw = r.bandwidth();
-    if (bw <= 0.0) continue;
+    // A rate that overflows (bytes over a near-zero duration) would add
+    // inf - inf = NaN to every later segment of the sweep.
+    if (bw <= 0.0 || !std::isfinite(bw)) continue;
     events.push_back({start, bw});
     events.push_back({end, -bw});
   }
@@ -166,11 +237,11 @@ IncrementalBandwidth::IncrementalBandwidth(BandwidthOptions options)
     : options_(std::move(options)) {}
 
 double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
-  std::vector<BandwidthEvent> fresh;
-  fresh.reserve(requests.size() * 2);
+  thread_local std::vector<BandwidthEvent> fresh;
+  fresh.clear();
   append_bandwidth_events(requests, options_, std::nullopt, fresh);
   if (fresh.empty()) return std::numeric_limits<double>::infinity();
-  std::sort(fresh.begin(), fresh.end(), bandwidth_event_less);
+  sort_bandwidth_events(fresh);
   const double dirty = fresh.front().time;
 
   const std::size_t old_count = events_.size();
@@ -201,8 +272,10 @@ double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
   const double level = keep > 0 ? raw_levels_[keep - 1] : base_level_;
   raw_levels_.resize(keep);
 
-  std::vector<double> tail_times;
-  std::vector<double> tail_values;
+  thread_local std::vector<double> tail_times;
+  thread_local std::vector<double> tail_values;
+  tail_times.clear();
+  tail_values.clear();
   if (keep == boundaries.size() && keep > 0) {
     // Pure append beyond the old support: the old final boundary becomes
     // interior, so emit its (previously unstored) segment value first —

@@ -81,8 +81,17 @@ struct BandwidthEvent {
 /// Strict weak ordering of sweep events (time, then delta).
 bool bandwidth_event_less(const BandwidthEvent& a, const BandwidthEvent& b);
 
+/// Sorts sweep events into bandwidth_event_less order: one distribution
+/// pass over ~n/4 time buckets, each finished by comparison, falling back
+/// to std::sort for short inputs and degenerate time spans. Equal under
+/// the comparator means equal time and delta, so the result matches
+/// std::sort element-wise under ==. The one sort behind bandwidth_signal
+/// and IncrementalBandwidth::extend.
+void sort_bandwidth_events(std::span<BandwidthEvent> events);
+
 /// Appends the sweep events of `requests` — filtered and window-clipped
 /// per `options`, optionally restricted to one rank — to `events`.
+/// Requests with zero duration or a non-finite rate contribute nothing.
 /// Does not sort.
 void append_bandwidth_events(std::span<const IoRequest> requests,
                              const BandwidthOptions& options,
@@ -166,7 +175,8 @@ class IncrementalBandwidth {
 /// (i.e., bandwidth at the application level) is evaluated ... with a
 /// linear complexity with the number of I/O requests"). Each request
 /// contributes bytes/duration uniformly over [start, end); contributions
-/// add where requests overlap. O(R log R) including the event sort.
+/// add where requests overlap. The event sort is linear for spread-out
+/// request times and O(R log R) at worst.
 ftio::signal::StepFunction bandwidth_signal(const Trace& trace,
                                             const BandwidthOptions& options = {});
 

@@ -39,7 +39,9 @@ void append_escaped(std::string& out, const std::string& s) {
 }
 
 void append_double(std::string& out, double d) {
-  if (std::isfinite(d)) {
+  if (d == 0.0 && std::signbit(d)) {
+    out += "-0.0";  // %.17g prints "-0", which reads back as integer 0
+  } else if (std::isfinite(d)) {
     char buf[32];
     std::snprintf(buf, sizeof buf, "%.17g", d);
     out += buf;

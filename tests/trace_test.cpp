@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
 #include <random>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "core/ftio.hpp"
+#include "fuzz/sweep_oracle.hpp"
 #include "fuzz/trace_dom_oracle.hpp"
 #include "trace/formats.hpp"
 #include "trace/model.hpp"
@@ -163,6 +167,156 @@ TEST(Bandwidth, ManyIdenticalRequestsScaleLinearly) {
   EXPECT_NEAR(f.value_at(1.0), 32.0 * 500'000.0, 1e-6);
 }
 
+TEST(Bandwidth, OverflowingRateContributesNothing) {
+  // 40 periodic 2 s writes every 10 s, plus one request whose rate
+  // overflows to +inf (2^40 bytes in 1e-300 s). Summed into the sweep it
+  // would turn every later segment into inf - inf = NaN.
+  tr::Trace t;
+  for (int i = 0; i < 40; ++i) {
+    t.requests.push_back(
+        {0, i * 10.0, i * 10.0 + 2.0, 1'000'000, tr::IoKind::kWrite});
+  }
+  const double clean = ftio::core::detect(t, {}).frequency();
+  t.requests.push_back({1, 0.0, 1e-300, 1ull << 40, tr::IoKind::kWrite});
+  ASSERT_TRUE(std::isinf(t.requests.back().bandwidth()));
+
+  const auto f = tr::bandwidth_signal(t);
+  ASSERT_FALSE(f.empty());
+  for (const double v : f.values()) EXPECT_TRUE(std::isfinite(v));
+  tr::IncrementalBandwidth inc;
+  inc.extend(t.requests);
+  EXPECT_EQ(ftio::fuzz::sweep_oracle::curve_difference(inc.curve(), f), "");
+
+  const auto r = ftio::core::detect(t, {});
+  ASSERT_TRUE(r.periodic());
+  EXPECT_EQ(r.frequency(), clean);
+  EXPECT_NEAR(r.frequency(), 0.0995, 5e-4);
+}
+
+// ---------------------------------------------------------------------------
+// Event sort: the distribution sort against std::sort
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using Events = std::vector<tr::BandwidthEvent>;
+
+/// Sorts a copy both ways and reports the first element-wise difference
+/// (under ==, the comparator's equality), or "" when they agree.
+std::string sort_difference(const Events& input) {
+  Events got = input;
+  tr::sort_bandwidth_events(got);
+  Events want = input;
+  ftio::fuzz::sweep_oracle::sort_events(want);
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (!(got[i].time == want[i].time) || !(got[i].delta == want[i].delta)) {
+      return "element " + std::to_string(i) + " of " +
+             std::to_string(want.size());
+    }
+  }
+  return "";
+}
+
+Events random_events(std::size_t n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> time(-50.0, 500.0);
+  std::uniform_real_distribution<double> delta(-1e9, 1e9);
+  Events events(n);
+  for (auto& e : events) e = {time(rng), delta(rng)};
+  return events;
+}
+
+}  // namespace
+
+TEST(SortBandwidthEvents, SizesAroundTheBucketThreshold) {
+  std::mt19937_64 rng(7);
+  for (const std::size_t n : {0u, 1u, 63u, 64u, 65u}) {
+    EXPECT_EQ(sort_difference(random_events(n, rng)), "") << "n=" << n;
+  }
+}
+
+TEST(SortBandwidthEvents, AllTimesEqualWithMixedDeltas) {
+  Events events;
+  for (int i = 0; i < 500; ++i) {
+    events.push_back({3.25, (i % 7 - 3) * 1.5e6});
+  }
+  EXPECT_EQ(sort_difference(events), "");
+}
+
+TEST(SortBandwidthEvents, FewDistinctTimesHaccShaped) {
+  // 32 phase boundaries, each shared by 4000 start or end events.
+  std::mt19937_64 rng(11);
+  std::uniform_int_distribution<int> phase(0, 31);
+  std::uniform_real_distribution<double> bw(1e6, 1e8);
+  Events events;
+  for (int i = 0; i < 32 * 4000; ++i) {
+    const double d = bw(rng);
+    events.push_back({phase(rng) * 12.5, i % 2 ? d : -d});
+  }
+  EXPECT_EQ(sort_difference(events), "");
+}
+
+TEST(SortBandwidthEvents, SignedZeroAndNegativeTimes) {
+  Events events;
+  for (int i = 0; i < 200; ++i) {
+    const double t = i % 3 == 0 ? 0.0 : i % 3 == 1 ? -0.0 : -0.5 * i;
+    events.push_back({t, (i % 5 + 1) * (i % 2 ? 1.0 : -1.0)});
+  }
+  EXPECT_EQ(sort_difference(events), "");
+}
+
+TEST(SortBandwidthEvents, SubnormalSpanFallsBack) {
+  const double tiny = std::numeric_limits<double>::denorm_min();
+  Events events;
+  for (int i = 0; i < 300; ++i) {
+    events.push_back({(i * 37 % 101) * tiny, static_cast<double>(i % 9)});
+  }
+  EXPECT_EQ(sort_difference(events), "");
+}
+
+TEST(SortBandwidthEvents, OverflowingSpanFallsBack) {
+  const double big = std::numeric_limits<double>::max();
+  Events events;
+  for (int i = 0; i < 300; ++i) {
+    events.push_back({(i % 11 - 5) * (big / 5.0), static_cast<double>(-i)});
+  }
+  ASSERT_TRUE(std::isinf(big - (-big)));
+  EXPECT_EQ(sort_difference(events), "");
+}
+
+TEST(SortBandwidthEvents, SortedAndReversedInput) {
+  std::mt19937_64 rng(13);
+  Events events = random_events(5000, rng);
+  std::sort(events.begin(), events.end(), tr::bandwidth_event_less);
+  EXPECT_EQ(sort_difference(events), "");
+  std::reverse(events.begin(), events.end());
+  EXPECT_EQ(sort_difference(events), "");
+}
+
+TEST(SortBandwidthEvents, SeededRandomTraces) {
+  // Request-shaped events (a start and an end per request) with times
+  // drawn spread out, quantised to a few phases, or heavy-tailed.
+  std::mt19937_64 rng(2024);
+  std::uniform_int_distribution<int> count(0, 800);
+  std::uniform_int_distribution<int> shape(0, 2);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const int requests = count(rng);
+    const int kind = shape(rng);
+    Events events;
+    for (int i = 0; i < requests; ++i) {
+      double start = unit(rng) * 1000.0;
+      if (kind == 1) start = std::floor(start / 50.0) * 50.0;
+      if (kind == 2) start = std::exp(unit(rng) * 20.0) - 1.0;
+      const double end = kind == 1 ? start + 10.0 : start + unit(rng) * 5.0;
+      const double bw = std::floor(unit(rng) * 8.0 + 1.0) * 1e6;
+      events.push_back({start, bw});
+      events.push_back({end, -bw});
+    }
+    std::shuffle(events.begin(), events.end(), rng);
+    ASSERT_EQ(sort_difference(events), "") << "trial " << trial;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Incremental bandwidth compaction
 // ---------------------------------------------------------------------------
@@ -289,6 +443,35 @@ TEST(IncrementalCompact, MemoryBytesShrinkAfterEviction) {
   EXPECT_LT(inc.memory_bytes(), before / 2);
 }
 
+TEST(IncrementalBandwidth, OutOfOrderChunksMatchFullSweep) {
+  // Chunks of 60 overlapping requests arrive in shuffled order, so most
+  // extend() calls reach back into swept time and take the merge path.
+  std::mt19937_64 rng(5);
+  std::uniform_real_distribution<double> jitter(0.0, 3.0);
+  std::vector<std::vector<tr::IoRequest>> chunks(24);
+  tr::Trace all;
+  for (std::size_t c = 0; c < chunks.size(); ++c) {
+    for (int r = 0; r < 60; ++r) {
+      const double start = c * 20.0 + jitter(rng);
+      chunks[c].push_back({r, start, start + 4.0 + jitter(rng),
+                           1'000'000u + static_cast<std::uint64_t>(r),
+                           tr::IoKind::kWrite});
+    }
+  }
+  std::shuffle(chunks.begin(), chunks.end(), rng);
+  tr::IncrementalBandwidth inc;
+  for (const auto& chunk : chunks) {
+    inc.extend(chunk);
+    all.requests.insert(all.requests.end(), chunk.begin(), chunk.end());
+  }
+  EXPECT_EQ(ftio::fuzz::sweep_oracle::curve_difference(
+                inc.curve(), tr::bandwidth_signal(all)),
+            "");
+  EXPECT_EQ(ftio::fuzz::sweep_oracle::curve_difference(
+                inc.curve(), ftio::fuzz::sweep_oracle::bandwidth_signal(all)),
+            "");
+}
+
 // ---------------------------------------------------------------------------
 // JSONL round trip
 // ---------------------------------------------------------------------------
@@ -303,6 +486,14 @@ TEST(Jsonl, RoundTripPreservesRequests) {
   EXPECT_DOUBLE_EQ(back.requests[1].start, 0.5);
   EXPECT_EQ(back.requests[1].bytes, 100'000'000u);
   EXPECT_EQ(back.requests[1].kind, tr::IoKind::kWrite);
+}
+
+TEST(Jsonl, NegativeZeroTimeSurvivesRoundTrip) {
+  tr::Trace t;
+  t.requests.push_back({0, -0.0, 1.0, 10, tr::IoKind::kWrite});
+  const auto back = tr::from_jsonl(tr::to_jsonl(t));
+  ASSERT_EQ(back.requests.size(), 1u);
+  EXPECT_TRUE(std::signbit(back.requests[0].start));
 }
 
 TEST(Jsonl, SkipsUnknownRecordTypes) {
