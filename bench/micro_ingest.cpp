@@ -20,6 +20,12 @@
 //    64 acked flushes (scan + CRC verify + re-ingest).
 //  - BM_DurabilitySnapshotRoundTrip: checkpoint serialize + restore of
 //    one populated session, the per-tenant checkpoint cost.
+//  - BM_DurabilityJournalEncode: framing one 1,300-request flush record
+//    (the size of an online_durable flush), bytes/s — the encode share
+//    that BM_DurabilityJournalAppend's 8-request flushes hide.
+//  - BM_DurabilityCheckpointEncode: framing a 64-tenant checkpoint with
+//    0.5 MB session blobs, bytes/s.
+//  - BM_DurabilityCrc32c: CRC32C over 4 KiB and 1 MiB buffers, bytes/s.
 //  - BM_ParseJsonl / BM_ParseMsgpack: trace::from_jsonl / from_msgpack
 //    over one default semi-synthetic application (70,400 requests), the
 //    decode every offline trace and every MessagePack flush pays.
@@ -38,6 +44,8 @@
 #include <string>
 #include <vector>
 
+#include "durability/checkpoint.hpp"
+#include "durability/journal.hpp"
 #include "engine/streaming.hpp"
 #include "ref_kernel.hpp"
 #include "service/daemon.hpp"
@@ -45,6 +53,7 @@
 #include "service/service.hpp"
 #include "trace/formats.hpp"
 #include "trace/model.hpp"
+#include "util/crc32c.hpp"
 #include "workloads/phase_library.hpp"
 #include "workloads/semisynthetic.hpp"
 
@@ -271,6 +280,66 @@ void BM_DurabilitySnapshotRoundTrip(benchmark::State& state) {
   state.counters["blob_bytes"] = static_cast<double>(blob.size());
 }
 BENCHMARK(BM_DurabilitySnapshotRoundTrip)->Unit(benchmark::kMicrosecond);
+
+void BM_DurabilityJournalEncode(benchmark::State& state) {
+  ftio::durability::JournalRecord record;
+  record.seq = 12345;
+  record.tenant = "tenant-7";
+  record.requests = phase(100.0, 2.0, 1300);
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto frame = ftio::durability::encode_journal_record(record);
+    bytes = frame.size();
+    benchmark::DoNotOptimize(frame.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+BENCHMARK(BM_DurabilityJournalEncode)->Unit(benchmark::kMicrosecond);
+
+void BM_DurabilityCheckpointEncode(benchmark::State& state) {
+  ftio::durability::CheckpointData data;
+  data.floor_seq = 99;
+  data.tenants.resize(64);
+  for (std::size_t t = 0; t < data.tenants.size(); ++t) {
+    auto& tenant = data.tenants[t];
+    tenant.name = "tenant-" + std::to_string(t);
+    tenant.last_applied_seq = 100 + t;
+    tenant.has_session = true;
+    tenant.session_state.resize(512u << 10);
+    for (std::size_t i = 0; i < tenant.session_state.size(); ++i) {
+      tenant.session_state[i] = static_cast<std::uint8_t>(i * 131 + t);
+    }
+  }
+  std::size_t bytes = 0;
+  for (auto _ : state) {
+    const auto image = ftio::durability::encode_checkpoint(data);
+    bytes = image.size();
+    benchmark::DoNotOptimize(image.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(bytes));
+}
+// ~15 ms an iteration: CI's 0.05 s budget would time only three.
+BENCHMARK(BM_DurabilityCheckpointEncode)
+    ->MinTime(0.5)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DurabilityCrc32c(benchmark::State& state) {
+  std::vector<std::uint8_t> data(static_cast<std::size_t>(state.range(0)));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ftio::util::crc32c(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_DurabilityCrc32c)->Arg(4096)->Arg(1 << 20)->Unit(
+    benchmark::kMicrosecond);
 
 /// The default semi-synthetic application: 20 iterations, 70,400
 /// requests, ~7.6 MB of JSONL.

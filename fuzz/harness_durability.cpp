@@ -9,6 +9,7 @@
 #include "durability/durability.hpp"
 #include "durability/journal.hpp"
 #include "engine/streaming.hpp"
+#include "fuzz/durability_codec_oracle.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
 
@@ -72,6 +73,9 @@ void fuzz_checkpoint_parse(std::span<const std::uint8_t> bytes) {
   }
   const std::vector<std::uint8_t> encoded =
       ftio::durability::encode_checkpoint(data);
+  if (encoded != durability_codec_oracle::encode_checkpoint(data)) {
+    fail("checkpoint encoding differs from the copy-based oracle");
+  }
   ftio::durability::RecoveryStats restats;
   ftio::durability::CheckpointData reparsed;
   try {
@@ -116,6 +120,9 @@ void fuzz_journal_scan(std::span<const std::uint8_t> bytes) {
   std::vector<std::uint8_t> reencoded;
   for (const auto& record : records) {
     const auto frame = ftio::durability::encode_journal_record(record);
+    if (frame != durability_codec_oracle::encode_journal_record(record)) {
+      fail("journal record encoding differs from the copy-based oracle");
+    }
     reencoded.insert(reencoded.end(), frame.begin(), frame.end());
   }
   std::vector<ftio::durability::JournalRecord> reread;

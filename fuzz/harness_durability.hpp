@@ -20,6 +20,9 @@ namespace ftio::fuzz {
 ///      identically (the torn-tail truncation point is a pure function
 ///      of the bytes).
 ///
+/// Targets 1 and 2 also require every re-encoding to equal, byte for
+/// byte, the copy-based encoders of fuzz/durability_codec_oracle.hpp.
+///
 /// ParseError is the contract, so it is caught; any other escape, a
 /// crash, or a violated round-trip property is a finding (abort).
 ///

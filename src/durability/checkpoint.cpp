@@ -5,6 +5,7 @@
 #include <cstring>
 #include <utility>
 
+#include "durability/request_codec.hpp"
 #include "util/binio.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
@@ -19,39 +20,25 @@ constexpr char kMagic[8] = {'F', 'T', 'I', 'O', 'C', 'K', 'P', 'T'};
 constexpr std::uint32_t kVersion = 1;
 /// magic + version + floor + count, before the header CRC.
 constexpr std::size_t kHeaderBytes = 8 + 4 + 8 + 8;
-constexpr std::size_t kRequestBytes = 4 * 8 + 1;
 
-void write_request(ftio::util::BinWriter& out,
-                   const ftio::trace::IoRequest& r) {
-  out.i64(r.rank);
-  out.f64(r.start);
-  out.f64(r.end);
-  out.u64(r.bytes);
-  out.u8(static_cast<std::uint8_t>(r.kind));
+using ftio::util::BinWriter;
+
+/// Payload bytes of one tenant frame (the frame header excluded).
+std::size_t tenant_payload_bytes(const TenantFrameView& tenant) {
+  return 8 + tenant.name.size() + 1 + 8 +
+         detail::request_array_bytes(tenant.pending.size()) + 1 + 8 +
+         tenant.session_state.size();
 }
 
-ftio::trace::IoRequest read_request(ftio::util::BinReader& in) {
-  ftio::trace::IoRequest r;
-  r.rank = static_cast<int>(in.i64());
-  r.start = in.f64();
-  r.end = in.f64();
-  r.bytes = in.u64();
-  const std::uint8_t kind = in.u8();
-  if (kind > 1) throw ftio::util::ParseError("checkpoint: bad IoKind");
-  r.kind = static_cast<ftio::trace::IoKind>(kind);
-  return r;
-}
-
-std::vector<std::uint8_t> encode_tenant(const TenantSnapshot& tenant) {
-  ftio::util::BinWriter out;
+void encode_tenant(BinWriter& out, const TenantFrameView& tenant) {
+  const std::size_t frame = out.begin_frame();
   out.str(tenant.name);
   out.boolean(tenant.poisoned);
   out.u64(tenant.last_applied_seq);
-  out.u64(tenant.pending.size());
-  for (const auto& r : tenant.pending) write_request(out, r);
+  detail::write_requests(out, tenant.pending);
   out.boolean(tenant.has_session);
   out.blob(tenant.session_state);
-  return out.take();
+  out.end_frame(frame);
 }
 
 TenantSnapshot decode_tenant(std::span<const std::uint8_t> payload) {
@@ -60,9 +47,7 @@ TenantSnapshot decode_tenant(std::span<const std::uint8_t> payload) {
   tenant.name = in.str();
   tenant.poisoned = in.boolean();
   tenant.last_applied_seq = in.u64();
-  const std::size_t n = in.count(kRequestBytes);
-  tenant.pending.resize(n);
-  for (auto& r : tenant.pending) r = read_request(in);
+  tenant.pending = detail::read_requests(in);
   tenant.has_session = in.boolean();
   tenant.session_state = in.blob();
   if (!in.done()) {
@@ -94,20 +79,31 @@ bool parse_checkpoint_name(const std::string& name, std::uint64_t& seq) {
 
 }  // namespace
 
-std::vector<std::uint8_t> encode_checkpoint(const CheckpointData& data) {
-  ftio::util::BinWriter out;
+std::vector<std::uint8_t> encode_checkpoint(
+    std::uint64_t floor_seq, std::span<const TenantFrameView> tenants) {
+  std::size_t total = kHeaderBytes + sizeof(std::uint32_t);
+  for (const auto& tenant : tenants) {
+    total += BinWriter::kFrameHeaderBytes + tenant_payload_bytes(tenant);
+  }
+  BinWriter out;
+  out.reserve(total);
   for (char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
   out.u32(kVersion);
-  out.u64(data.floor_seq);
-  out.u64(data.tenants.size());
+  out.u64(floor_seq);
+  out.u64(tenants.size());
   out.u32(ftio::util::crc32c(out.bytes().data(), kHeaderBytes));
-  for (const auto& tenant : data.tenants) {
-    const std::vector<std::uint8_t> payload = encode_tenant(tenant);
-    out.u32(static_cast<std::uint32_t>(payload.size()));
-    out.u32(ftio::util::crc32c(payload.data(), payload.size()));
-    out.append(payload);
-  }
+  for (const auto& tenant : tenants) encode_tenant(out, tenant);
   return out.take();
+}
+
+std::vector<std::uint8_t> encode_checkpoint(const CheckpointData& data) {
+  std::vector<TenantFrameView> views;
+  views.reserve(data.tenants.size());
+  for (const auto& t : data.tenants) {
+    views.push_back({t.name, t.poisoned, t.last_applied_seq, t.pending,
+                     t.has_session, t.session_state});
+  }
+  return encode_checkpoint(data.floor_seq, views);
 }
 
 CheckpointData parse_checkpoint(std::span<const std::uint8_t> bytes,

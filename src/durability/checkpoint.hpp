@@ -5,6 +5,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "durability/durability.hpp"
@@ -36,10 +37,28 @@ struct CheckpointData {
   std::vector<TenantSnapshot> tenants;
 };
 
+/// One tenant of a checkpoint being written, borrowed from its owner:
+/// the encoder reads the pending requests and the session blob where
+/// they live instead of copying them into a TenantSnapshot first. Fields
+/// mean what the TenantSnapshot fields of the same name mean.
+struct TenantFrameView {
+  std::string_view name;
+  bool poisoned = false;
+  std::uint64_t last_applied_seq = 0;
+  std::span<const ftio::trace::IoRequest> pending;
+  bool has_session = false;
+  std::span<const std::uint8_t> session_state;
+};
+
 /// Serializes a checkpoint: a CRC-protected header (magic, version,
 /// floor, tenant count) followed by one CRC32C frame per tenant —
 /// [u32 len][u32 crc][payload] — so a single flipped bit costs one
-/// tenant, not the file.
+/// tenant, not the file. The output is sized once up front and every
+/// frame is encoded in place.
+std::vector<std::uint8_t> encode_checkpoint(
+    std::uint64_t floor_seq, std::span<const TenantFrameView> tenants);
+
+/// The same bytes from an owned CheckpointData.
 std::vector<std::uint8_t> encode_checkpoint(const CheckpointData& data);
 
 /// Decodes a checkpoint byte image. Throws util::ParseError when the

@@ -4,9 +4,11 @@
 #include <cstdio>
 #include <cstring>
 #include <fcntl.h>
+#include <string>
 #include <unistd.h>
 #include <utility>
 
+#include "durability/request_codec.hpp"
 #include "util/binio.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
@@ -17,29 +19,34 @@ namespace ftio::durability {
 
 namespace {
 
-constexpr std::size_t kFrameHeaderBytes = 2 * sizeof(std::uint32_t);
-/// Minimum encoded bytes of one IoRequest (allocation bound for counts).
-constexpr std::size_t kRequestBytes = 4 * 8 + 1;
+using ftio::util::BinWriter;
 
-void write_request(ftio::util::BinWriter& out,
-                   const ftio::trace::IoRequest& r) {
-  out.i64(r.rank);
-  out.f64(r.start);
-  out.f64(r.end);
-  out.u64(r.bytes);
-  out.u8(static_cast<std::uint8_t>(r.kind));
+constexpr std::size_t kFrameHeaderBytes = BinWriter::kFrameHeaderBytes;
+
+/// Payload bytes of one record (the frame header excluded).
+std::size_t payload_bytes(JournalRecordType type, std::string_view tenant,
+                          std::size_t requests) {
+  return 1 + 8 + 8 + tenant.size() +
+         (type == JournalRecordType::kFlush
+              ? detail::request_array_bytes(requests)
+              : 8);
 }
 
-ftio::trace::IoRequest read_request(ftio::util::BinReader& in) {
-  ftio::trace::IoRequest r;
-  r.rank = static_cast<int>(in.i64());
-  r.start = in.f64();
-  r.end = in.f64();
-  r.bytes = in.u64();
-  const std::uint8_t kind = in.u8();
-  if (kind > 1) throw ftio::util::ParseError("journal: bad IoKind");
-  r.kind = static_cast<ftio::trace::IoKind>(kind);
-  return r;
+/// Appends one framed record to `out`, encoding the payload in place.
+void encode_frame(BinWriter& out, JournalRecordType type, std::uint64_t seq,
+                  std::string_view tenant,
+                  std::span<const ftio::trace::IoRequest> requests,
+                  std::uint64_t aborted_seq) {
+  const std::size_t frame = out.begin_frame();
+  out.u8(static_cast<std::uint8_t>(type));
+  out.u64(seq);
+  out.str(tenant);
+  if (type == JournalRecordType::kFlush) {
+    detail::write_requests(out, requests);
+  } else {
+    out.u64(aborted_seq);
+  }
+  out.end_frame(frame);
 }
 
 JournalRecord decode_payload(std::span<const std::uint8_t> payload) {
@@ -54,9 +61,7 @@ JournalRecord decode_payload(std::span<const std::uint8_t> payload) {
   record.seq = in.u64();
   record.tenant = in.str();
   if (record.type == JournalRecordType::kFlush) {
-    const std::size_t n = in.count(kRequestBytes);
-    record.requests.resize(n);
-    for (auto& r : record.requests) r = read_request(in);
+    record.requests = detail::read_requests(in);
   } else {
     record.aborted_seq = in.u64();
   }
@@ -91,22 +96,12 @@ bool parse_segment_name(const std::string& name, std::uint64_t& first_seq) {
 }  // namespace
 
 std::vector<std::uint8_t> encode_journal_record(const JournalRecord& record) {
-  ftio::util::BinWriter payload;
-  payload.u8(static_cast<std::uint8_t>(record.type));
-  payload.u64(record.seq);
-  payload.str(record.tenant);
-  if (record.type == JournalRecordType::kFlush) {
-    payload.u64(record.requests.size());
-    for (const auto& r : record.requests) write_request(payload, r);
-  } else {
-    payload.u64(record.aborted_seq);
-  }
-
-  ftio::util::BinWriter frame;
-  frame.u32(static_cast<std::uint32_t>(payload.size()));
-  frame.u32(ftio::util::crc32c(payload.bytes().data(), payload.size()));
-  frame.append(payload.bytes());
-  return frame.take();
+  BinWriter out;
+  out.reserve(kFrameHeaderBytes + payload_bytes(record.type, record.tenant,
+                                                record.requests.size()));
+  encode_frame(out, record.type, record.seq, record.tenant, record.requests,
+               record.aborted_seq);
+  return out.take();
 }
 
 JournalScan scan_journal_bytes(std::span<const std::uint8_t> bytes,
@@ -183,13 +178,19 @@ std::uint64_t JournalWriter::append(
     JournalRecordType type, std::string_view tenant,
     std::span<const ftio::trace::IoRequest> requests,
     std::uint64_t aborted_seq) {
-  JournalRecord record;
-  record.type = type;
-  record.seq = next_seq_;
-  record.tenant = tenant;
-  record.requests.assign(requests.begin(), requests.end());
-  record.aborted_seq = aborted_seq;
-  const std::vector<std::uint8_t> frame = encode_journal_record(record);
+  // Refused before anything is written: scan_journal_bytes could not
+  // tell an oversized frame from a torn one, so recovery would truncate
+  // it together with every acknowledged record behind it.
+  const std::size_t payload = payload_bytes(type, tenant, requests.size());
+  if (payload > options_.max_record_bytes) {
+    throw ftio::util::InvalidArgument(
+        "journal: record of " + std::to_string(payload) +
+        " bytes exceeds max_record_bytes");
+  }
+  frame_.clear();
+  frame_.reserve(kFrameHeaderBytes + payload);
+  encode_frame(frame_, type, next_seq_, tenant, requests, aborted_seq);
+  const std::vector<std::uint8_t>& frame = frame_.bytes();
 
   try {
     if (fd_ < 0) open_segment();

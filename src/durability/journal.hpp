@@ -9,6 +9,7 @@
 
 #include "durability/durability.hpp"
 #include "trace/model.hpp"
+#include "util/binio.hpp"
 
 namespace ftio::durability {
 
@@ -30,6 +31,8 @@ struct JournalRecord {
 /// Encodes one record with its frame: [u32 payload_len][u32 crc32c]
 /// [payload]. The CRC covers the payload only; the length prefix is
 /// validated against the remaining bytes and max_record_bytes on scan.
+/// JournalWriter::append writes the same bytes without building a
+/// JournalRecord first.
 std::vector<std::uint8_t> encode_journal_record(const JournalRecord& record);
 
 /// Result of scanning a contiguous journal byte range.
@@ -72,7 +75,11 @@ class JournalWriter {
 
   /// Appends one record, assigning it the next sequence number, and
   /// applies the fsync policy. Returns the assigned sequence.
-  /// `aborted_seq` is meaningful for kAbort records only.
+  /// `aborted_seq` is meaningful for kAbort records only. The frame is
+  /// encoded straight from `requests` into a buffer the writer reuses.
+  /// A record whose payload exceeds options.max_record_bytes throws
+  /// util::InvalidArgument before anything is written: no sequence is
+  /// used and the segment stays open.
   std::uint64_t append(JournalRecordType type, std::string_view tenant,
                        std::span<const ftio::trace::IoRequest> requests,
                        std::uint64_t aborted_seq = 0);
@@ -100,6 +107,7 @@ class JournalWriter {
   std::size_t segment_bytes_ = 0;
   std::size_t unsynced_records_ = 0;
   std::size_t rotations_ = 0;
+  ftio::util::BinWriter frame_;  ///< reused encode buffer, one frame
 };
 
 /// Everything journal recovery hands back to the shard.

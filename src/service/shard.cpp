@@ -612,11 +612,13 @@ void Shard::recover_state() {
 
 bool Shard::write_checkpoint(CycleDelta& delta) {
   try {
-    ftio::durability::CheckpointData data;
-    data.tenants.reserve(tenants_.size());
+    // Frames borrow each tenant's pending requests and cached blob; the
+    // tenant map is not touched again until the file is written.
+    std::vector<ftio::durability::TenantFrameView> frames;
+    frames.reserve(tenants_.size());
     std::uint64_t floor = std::numeric_limits<std::uint64_t>::max();
     for (auto& [name, tenant] : tenants_) {
-      ftio::durability::TenantSnapshot snap;
+      ftio::durability::TenantFrameView snap;
       snap.name = name;
       snap.poisoned = tenant.poisoned;
       snap.pending = tenant.pending;
@@ -645,7 +647,7 @@ bool Shard::write_checkpoint(CycleDelta& delta) {
         snap.last_applied_seq = tenant.snapshot_seq;
       }
       floor = std::min(floor, snap.last_applied_seq);
-      data.tenants.push_back(std::move(snap));
+      frames.push_back(snap);
     }
     // The floor must also stay below every queued-but-unprocessed
     // sequence: those flushes exist only in the journal and the mailbox.
@@ -662,9 +664,8 @@ bool Shard::write_checkpoint(CycleDelta& delta) {
     if (floor == std::numeric_limits<std::uint64_t>::max()) {
       floor = name_seq == 0 ? 0 : name_seq - 1;
     }
-    data.floor_seq = floor;
     const std::vector<std::uint8_t> bytes =
-        ftio::durability::encode_checkpoint(data);
+        ftio::durability::encode_checkpoint(floor, frames);
     ftio::durability::write_checkpoint_file(durability_dir_, name_seq, bytes,
                                             options_.durability);
     // Truncate through the oldest *retained* floor, not this one: an

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <type_traits>
 
 #include "util/binio.hpp"
 #include "util/error.hpp"
@@ -334,13 +336,16 @@ std::size_t IncrementalBandwidth::compact(double horizon) {
   return evicted;
 }
 
+// Events are saved and restored as their in-memory bytes: (time, delta)
+// as two little-endian doubles (binio fixes the byte order), no padding.
+static_assert(sizeof(BandwidthEvent) == 2 * sizeof(double) &&
+              std::is_trivially_copyable_v<BandwidthEvent>);
+
 void IncrementalBandwidth::save_state(ftio::util::BinWriter& out) const {
   out.f64_opt(options_.window_start);  // compact() clips future chunks here
   out.u64(events_.size());
-  for (const auto& e : events_) {
-    out.f64(e.time);
-    out.f64(e.delta);
-  }
+  out.append({reinterpret_cast<const std::uint8_t*>(events_.data()),
+              events_.size() * sizeof(BandwidthEvent)});
   out.f64_vec(raw_levels_);
   out.f64_vec(curve_.times());
   out.f64_vec(curve_.values());
@@ -350,11 +355,11 @@ void IncrementalBandwidth::save_state(ftio::util::BinWriter& out) const {
 
 void IncrementalBandwidth::load_state(ftio::util::BinReader& in) {
   const std::optional<double> window_start = in.f64_opt();
-  const std::size_t event_count = in.count(2 * sizeof(double));
+  const std::size_t event_count = in.count(sizeof(BandwidthEvent));
+  const auto event_bytes = in.bytes(event_count * sizeof(BandwidthEvent));
   std::vector<BandwidthEvent> events(event_count);
-  for (auto& e : events) {
-    e.time = in.f64();
-    e.delta = in.f64();
+  if (event_count > 0) {
+    std::memcpy(events.data(), event_bytes.data(), event_bytes.size());
   }
   std::vector<double> raw_levels = in.f64_vec();
   std::vector<double> times = in.f64_vec();

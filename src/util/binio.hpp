@@ -6,8 +6,10 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 
 namespace ftio::util {
@@ -18,11 +20,18 @@ namespace ftio::util {
 /// guarantee depends on this — no text formatting anywhere).
 class BinWriter {
  public:
+  /// [u32 payload_len][u32 crc32c] ahead of every framed payload.
+  static constexpr std::size_t kFrameHeaderBytes = 2 * sizeof(std::uint32_t);
+
   [[nodiscard]] const std::vector<std::uint8_t>& bytes() const {
     return buffer_;
   }
   std::vector<std::uint8_t> take() { return std::move(buffer_); }
   [[nodiscard]] std::size_t size() const { return buffer_.size(); }
+  /// Empties the buffer but keeps its capacity, for writers that encode
+  /// one record after another into the same storage.
+  void clear() { buffer_.clear(); }
+  void reserve(std::size_t bytes) { buffer_.reserve(bytes); }
 
   void u8(std::uint8_t value) { buffer_.push_back(value); }
   void u16(std::uint16_t value) { raw(&value, sizeof(value)); }
@@ -37,14 +46,14 @@ class BinWriter {
     u64(bits);
   }
 
-  void str(const std::string& value) {
+  void str(std::string_view value) {
     u64(value.size());
     raw(value.data(), value.size());
   }
 
   void f64_vec(std::span<const double> values) {
     u64(values.size());
-    for (double v : values) f64(v);
+    raw(values.data(), values.size() * sizeof(double));
   }
 
   void f64_opt(const std::optional<double>& value) {
@@ -57,10 +66,37 @@ class BinWriter {
     raw(bytes.data(), bytes.size());
   }
 
-  /// Appends raw bytes without a length prefix (for callers that frame
-  /// themselves, e.g. the checkpoint tenant frames).
+  /// Appends raw bytes without a length prefix (for callers that lay out
+  /// fixed-size records themselves).
   void append(std::span<const std::uint8_t> bytes) {
     raw(bytes.data(), bytes.size());
+  }
+
+  /// Grows the buffer by `size` bytes in one step and returns them for
+  /// the caller to fill (a fixed-layout array of records).
+  std::span<std::uint8_t> grow(std::size_t size) {
+    const std::size_t old = buffer_.size();
+    buffer_.resize(old + size);
+    return {buffer_.data() + old, size};
+  }
+
+  /// Opens a CRC32C frame, [u32 payload_len][u32 crc32c][payload]: writes
+  /// a placeholder header and returns its offset. Everything written
+  /// until end_frame(offset) is the payload, encoded in place.
+  std::size_t begin_frame() {
+    const std::size_t offset = buffer_.size();
+    buffer_.resize(offset + kFrameHeaderBytes);
+    return offset;
+  }
+
+  /// Closes the frame opened at `offset`: fills in the payload length and
+  /// its CRC32C.
+  void end_frame(std::size_t offset) {
+    const std::size_t start = offset + kFrameHeaderBytes;
+    const auto len = static_cast<std::uint32_t>(buffer_.size() - start);
+    const std::uint32_t crc = crc32c(buffer_.data() + start, len);
+    std::memcpy(buffer_.data() + offset, &len, sizeof(len));
+    std::memcpy(buffer_.data() + offset + sizeof(len), &crc, sizeof(crc));
   }
 
  private:
@@ -125,17 +161,15 @@ class BinReader {
   }
 
   std::string str() {
-    std::size_t n = count(1);
-    need(n);
-    std::string out(reinterpret_cast<const char*>(data_.data() + pos_), n);
-    pos_ += n;
-    return out;
+    const auto view = bytes(count(1));
+    return {reinterpret_cast<const char*>(view.data()), view.size()};
   }
 
   std::vector<double> f64_vec() {
-    std::size_t n = count(sizeof(double));
+    const std::size_t n = count(sizeof(double));
+    const auto view = bytes(n * sizeof(double));
     std::vector<double> out(n);
-    for (std::size_t i = 0; i < n; ++i) out[i] = f64();
+    if (n > 0) std::memcpy(out.data(), view.data(), view.size());
     return out;
   }
 
@@ -147,20 +181,20 @@ class BinReader {
   }
 
   std::vector<std::uint8_t> blob() {
-    std::size_t n = count(1);
-    need(n);
-    std::vector<std::uint8_t> out(data_.begin() + static_cast<long>(pos_),
-                                  data_.begin() + static_cast<long>(pos_ + n));
-    pos_ += n;
-    return out;
+    const auto view = bytes(count(1));
+    return {view.begin(), view.end()};
   }
 
   /// A bounded sub-reader over the next `n` bytes (consumes them).
-  BinReader sub(std::size_t n) {
+  BinReader sub(std::size_t n) { return BinReader(bytes(n)); }
+
+  /// A view of the next `n` bytes (consumes them): one bounds check for a
+  /// fixed-layout array the caller decodes itself.
+  std::span<const std::uint8_t> bytes(std::size_t n) {
     need(n);
-    BinReader r(data_.subspan(pos_, n));
+    const auto view = data_.subspan(pos_, n);
     pos_ += n;
-    return r;
+    return view;
   }
 
  private:

@@ -2,14 +2,26 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+
+#if defined(__x86_64__)
+#include <nmmintrin.h>
+#define FTIO_CRC32C_HAVE_SSE42 1
+#else
+#define FTIO_CRC32C_HAVE_SSE42 0
+#endif
 
 namespace ftio::util {
 
 /// CRC-32C (Castagnoli, reflected polynomial 0x82F63B78) — the checksum
 /// used by the durability layer to frame checkpoint tenants and journal
-/// records. Software table implementation: portable, and fast enough for
-/// flush-sized records (the durability hot path is dominated by fsync,
-/// not checksumming).
+/// records. Every journal byte and every checkpoint byte passes through
+/// it, so on the durable daemon it is a measurable share of each flush
+/// and most of a checkpoint's encode time, not noise beside the fsync.
+/// Two implementations with identical results: the SSE4.2 `crc32`
+/// instruction, picked once at run time when the CPU has it (the
+/// portable x86-64 build does not assume it), and a slice-by-8 table
+/// for every other CPU.
 namespace crc32c_detail {
 
 struct Table {
@@ -42,14 +54,10 @@ inline const Table& table() {
   return t;
 }
 
-}  // namespace crc32c_detail
-
-/// Extends a running CRC-32C over `size` bytes. Start (and finish) with
-/// crc32c(): the pre/post inversion is handled internally, so values are
-/// directly comparable and resumable.
-inline std::uint32_t crc32c_extend(std::uint32_t crc, const void* data,
-                                   std::size_t size) {
-  const auto& t = crc32c_detail::table();
+/// Portable slice-by-8 path. Same contract as crc32c_extend.
+inline std::uint32_t extend_table(std::uint32_t crc, const void* data,
+                                  std::size_t size) {
+  const auto& t = table();
   const auto* p = static_cast<const std::uint8_t*>(data);
   crc = ~crc;
   while (size >= 8) {
@@ -67,6 +75,51 @@ inline std::uint32_t crc32c_extend(std::uint32_t crc, const void* data,
     crc = t.entries[0][(crc ^ *p++) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+/// True when extend_sse42 may run on this CPU.
+inline bool has_sse42() {
+#if FTIO_CRC32C_HAVE_SSE42
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sse4.2") != 0;
+#else
+  return false;
+#endif
+}
+
+#if FTIO_CRC32C_HAVE_SSE42
+/// The SSE4.2 `crc32` instruction (which computes exactly CRC-32C), eight
+/// bytes per step. Same contract as crc32c_extend; callers must check
+/// has_sse42() first.
+__attribute__((target("sse4.2"))) inline std::uint32_t extend_sse42(
+    std::uint32_t crc, const void* data, std::size_t size) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  std::uint64_t wide = ~crc;
+  while (size >= 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p, sizeof(word));
+    wide = _mm_crc32_u64(wide, word);
+    p += 8;
+    size -= 8;
+  }
+  crc = static_cast<std::uint32_t>(wide);
+  while (size-- > 0) crc = _mm_crc32_u8(crc, *p++);
+  return ~crc;
+}
+#endif
+
+}  // namespace crc32c_detail
+
+/// Extends a running CRC-32C over `size` bytes. Start (and finish) with
+/// crc32c(): the pre/post inversion is handled internally, so values are
+/// directly comparable and resumable.
+inline std::uint32_t crc32c_extend(std::uint32_t crc, const void* data,
+                                   std::size_t size) {
+#if FTIO_CRC32C_HAVE_SSE42
+  static const bool hardware = crc32c_detail::has_sse42();
+  if (hardware) return crc32c_detail::extend_sse42(crc, data, size);
+#endif
+  return crc32c_detail::extend_table(crc, data, size);
 }
 
 /// CRC-32C of a whole buffer.

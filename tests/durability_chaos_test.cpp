@@ -319,6 +319,41 @@ TEST_F(DurabilityChaosTest, CorruptMidJournalRecordStopsTheScanWithoutCrash) {
   EXPECT_TRUE(restarted.last_prediction("lammps").has_value());
 }
 
+TEST_F(DurabilityChaosTest, OversizedFlushIsRefusedNotLost) {
+  TempDir dir("oversized_flush");
+  auto options = durable_options(dir.path());
+  // 3000 requests encode to ~99 KB: over the cap. 100 fit easily.
+  options.durability.max_record_bytes = 64u << 10;
+
+  const auto first = phase(0.0, 2.0, 100);
+  const auto large = phase(27.4, 2.0, 3000);
+  const auto last = phase(2 * 27.4, 2.0, 100);
+  {
+    svc::IngestDaemon daemon(options);
+    EXPECT_TRUE(svc::admitted(
+        daemon.submit("lammps", std::vector<tr::IoRequest>(first))));
+    pump_all(daemon);
+    // Refused up front: acknowledging it would promise a record that
+    // recovery reads as a torn tail and cuts off, with every later
+    // acknowledged record of the segment behind it.
+    EXPECT_EQ(daemon.submit("lammps", std::vector<tr::IoRequest>(large)),
+              svc::Admission::kRejectedDurability);
+    EXPECT_TRUE(svc::admitted(
+        daemon.submit("lammps", std::vector<tr::IoRequest>(last))));
+    pump_all(daemon);
+    const auto stats = daemon.stats().total();
+    EXPECT_EQ(stats.rejected_durability, 1u);
+    EXPECT_EQ(stats.journal_append_failures, 1u);
+  }
+  svc::IngestDaemon restarted(options);
+  const auto recovery = restarted.stats().total().recovery;
+  EXPECT_EQ(recovery.records_replayed, 2u);
+  EXPECT_EQ(recovery.torn_tails_truncated, 0u);
+  EXPECT_EQ(recovery.records_discarded, 0u);
+  expect_tenant_recovered(restarted, "lammps", {first, last},
+                          phase(3 * 27.4, 2.0));
+}
+
 TEST_F(DurabilityChaosTest, InProcessShardCrashRecoversFromTheJournal) {
   if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
   TempDir dir("shard_crash");

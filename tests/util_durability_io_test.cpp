@@ -2,20 +2,30 @@
 
 #include <unistd.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
+#include <limits>
 #include <optional>
+#include <random>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "durability/checkpoint.hpp"
+#include "durability/journal.hpp"
+#include "fuzz/durability_codec_oracle.hpp"
+#include "trace/model.hpp"
 #include "util/binio.hpp"
 #include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/file.hpp"
 
 namespace util = ftio::util;
+namespace dur = ftio::durability;
+namespace tr = ftio::trace;
+namespace oracle = ftio::fuzz::durability_codec_oracle;
 namespace fs = std::filesystem;
 
 namespace {
@@ -23,6 +33,100 @@ namespace {
 fs::path temp_file(const std::string& name) {
   return fs::temp_directory_path() /
          ("ftio_io_test_" + std::to_string(::getpid()) + "_" + name);
+}
+
+std::vector<std::uint8_t> seeded_bytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> out(n);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng());
+  return out;
+}
+
+/// Times that stress the bit-pattern encoding: signed zero, NaN,
+/// infinities, subnormals, plus ordinary values.
+double awkward_time(std::mt19937_64& rng) {
+  switch (rng() % 8) {
+    case 0: return -0.0;
+    case 1: return std::numeric_limits<double>::quiet_NaN();
+    case 2: return -std::numeric_limits<double>::infinity();
+    case 3: return std::numeric_limits<double>::denorm_min();
+    default:
+      return std::uniform_real_distribution<double>(-10.0, 1e6)(rng);
+  }
+}
+
+std::vector<tr::IoRequest> seeded_requests(std::mt19937_64& rng,
+                                           std::size_t n) {
+  std::vector<tr::IoRequest> out(n);
+  for (auto& r : out) {
+    r.rank = static_cast<int>(rng());  // any int, negative ranks included
+    r.start = awkward_time(rng);
+    r.end = awkward_time(rng);
+    r.bytes = rng();
+    r.kind = rng() % 2 == 0 ? tr::IoKind::kWrite : tr::IoKind::kRead;
+  }
+  return out;
+}
+
+std::string seeded_name(std::mt19937_64& rng) {
+  std::string name(rng() % 24, '\0');
+  for (auto& c : name) c = static_cast<char>(rng());
+  return name;
+}
+
+dur::JournalRecord seeded_record(std::mt19937_64& rng) {
+  dur::JournalRecord record;
+  record.type = rng() % 4 == 0 ? dur::JournalRecordType::kAbort
+                               : dur::JournalRecordType::kFlush;
+  record.seq = rng();
+  record.tenant = seeded_name(rng);
+  // Abort records carry no requests on disk; a stray vector must not
+  // leak into the frame either.
+  record.requests = seeded_requests(rng, rng() % 40);
+  record.aborted_seq = rng();
+  return record;
+}
+
+dur::CheckpointData seeded_checkpoint(std::mt19937_64& rng) {
+  dur::CheckpointData data;
+  data.floor_seq = rng();
+  data.tenants.resize(rng() % 6);
+  for (auto& t : data.tenants) {
+    t.name = seeded_name(rng);
+    t.poisoned = rng() % 5 == 0;
+    t.last_applied_seq = rng();
+    t.pending = seeded_requests(rng, rng() % 3 == 0 ? 0 : rng() % 20);
+    t.has_session = rng() % 3 != 0;
+    t.session_state = seeded_bytes(rng() % 600, rng());
+  }
+  return data;
+}
+
+std::vector<std::uint8_t> oracle_journal(
+    const std::vector<dur::JournalRecord>& records) {
+  std::vector<std::uint8_t> out;
+  for (const auto& record : records) {
+    const auto frame = oracle::encode_journal_record(record);
+    out.insert(out.end(), frame.begin(), frame.end());
+  }
+  return out;
+}
+
+dur::DurabilityOptions journal_options() {
+  dur::DurabilityOptions options;
+  options.fsync_every_records = 0;
+  return options;
+}
+
+/// The single segment a JournalWriter left under `dir`.
+std::vector<std::uint8_t> only_segment(const fs::path& dir) {
+  std::vector<fs::path> segments;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    segments.push_back(entry.path());
+  }
+  EXPECT_EQ(segments.size(), 1u);
+  return segments.empty() ? std::vector<std::uint8_t>{}
+                          : util::read_binary_file(segments.front());
 }
 
 }  // namespace
@@ -56,6 +160,52 @@ TEST(Crc32c, IncrementalExtendMatchesOneShot) {
     EXPECT_EQ(crc, whole) << "split " << split;
   }
 }
+
+#if FTIO_CRC32C_HAVE_SSE42
+// The SSE4.2 path against the table path, called directly so a machine
+// with SSE4.2 still exercises the fallback.
+TEST(Crc32c, HardwareMatchesTableAtEveryLengthAndAlignment) {
+  if (!util::crc32c_detail::has_sse42()) GTEST_SKIP() << "no SSE4.2";
+  const auto data = seeded_bytes(1024 + 8, 1);
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    for (std::size_t len = 0; len <= 1024; ++len) {
+      const std::uint8_t* p = data.data() + offset;
+      ASSERT_EQ(util::crc32c_detail::extend_sse42(0, p, len),
+                util::crc32c_detail::extend_table(0, p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, HardwareMatchesTableAtEverySplit) {
+  if (!util::crc32c_detail::has_sse42()) GTEST_SKIP() << "no SSE4.2";
+  const auto data = seeded_bytes(1027, 2);
+  const std::uint32_t whole =
+      util::crc32c_detail::extend_table(0, data.data(), data.size());
+  for (std::size_t split = 0; split <= data.size(); ++split) {
+    const std::size_t rest = data.size() - split;
+    const std::uint32_t hw = util::crc32c_detail::extend_sse42(
+        util::crc32c_detail::extend_sse42(0, data.data(), split),
+        data.data() + split, rest);
+    const std::uint32_t table = util::crc32c_detail::extend_table(
+        util::crc32c_detail::extend_table(0, data.data(), split),
+        data.data() + split, rest);
+    ASSERT_EQ(hw, whole) << "split " << split;
+    ASSERT_EQ(table, whole) << "split " << split;
+    ASSERT_EQ(util::crc32c_extend(util::crc32c(data.data(), split),
+                                  data.data() + split, rest),
+              whole)
+        << "split " << split;
+  }
+}
+
+TEST(Crc32c, HardwareMatchesTableOnOneMebibyte) {
+  if (!util::crc32c_detail::has_sse42()) GTEST_SKIP() << "no SSE4.2";
+  const auto data = seeded_bytes(1u << 20, 3);
+  EXPECT_EQ(util::crc32c_detail::extend_sse42(0, data.data(), data.size()),
+            util::crc32c_detail::extend_table(0, data.data(), data.size()));
+}
+#endif
 
 TEST(Crc32c, SingleBitFlipsChangeTheSum) {
   std::vector<std::uint8_t> data(64, 0x5C);
@@ -198,4 +348,176 @@ TEST(FileIo, TextAndBinaryCheckedWritesRoundTrip) {
   EXPECT_THROW(util::read_text_file(temp_file("absent.txt")),
                util::ParseError);
   fs::remove(path);
+}
+
+TEST(BinIo, FrameHeaderHoldsLengthAndCrcOfThePayload) {
+  util::BinWriter w;
+  w.u8(0x77);  // a frame need not start the buffer
+  const std::size_t frame = w.begin_frame();
+  EXPECT_EQ(frame, 1u);
+  w.str("payload");
+  w.u64(42);
+  w.end_frame(frame);
+
+  const auto& bytes = w.bytes();
+  util::BinReader r(bytes);
+  EXPECT_EQ(r.u8(), 0x77);
+  const std::uint32_t len = r.u32();
+  const std::uint32_t crc = r.u32();
+  ASSERT_EQ(len, r.remaining());
+  EXPECT_EQ(crc, util::crc32c(bytes.data() + r.position(), len));
+  EXPECT_EQ(r.str(), "payload");
+  EXPECT_EQ(r.u64(), 42u);
+
+  util::BinWriter empty;
+  empty.end_frame(empty.begin_frame());
+  EXPECT_EQ(empty.bytes(), (std::vector<std::uint8_t>{0, 0, 0, 0, 0, 0, 0,
+                                                      0}));
+}
+
+TEST(BinIo, BulkF64VecMatchesPerElementEncoding) {
+  std::mt19937_64 rng(4);
+  for (int trial = 0; trial < 200; ++trial) {
+    std::vector<double> values(rng() % 50);
+    for (auto& v : values) v = awkward_time(rng);
+    util::BinWriter bulk;
+    bulk.f64_vec(values);
+    util::BinWriter per_element;
+    oracle::f64_vec(per_element, values);
+    ASSERT_EQ(bulk.bytes(), per_element.bytes()) << "trial " << trial;
+
+    util::BinReader r(bulk.bytes());
+    const std::vector<double> back = r.f64_vec();
+    ASSERT_EQ(back.size(), values.size());
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(back[i]),
+                std::bit_cast<std::uint64_t>(values[i]));
+    }
+    EXPECT_TRUE(r.done());
+  }
+  // A count promising more doubles than remain is rejected unallocated.
+  util::BinWriter lying;
+  lying.u64(3);
+  lying.f64(1.0);
+  util::BinReader r(lying.bytes());
+  EXPECT_THROW(r.f64_vec(), util::ParseError);
+}
+
+TEST(DurabilityCodec, PinnedJournalRecordsMatchTheOracle) {
+  dur::JournalRecord abort;
+  abort.type = dur::JournalRecordType::kAbort;
+  abort.seq = 17;
+  abort.tenant = "lammps";
+  abort.aborted_seq = 16;
+
+  dur::JournalRecord empty_tenant;  // kFlush, "" tenant, 0 requests
+  empty_tenant.seq = 1;
+
+  dur::JournalRecord odd_times;
+  odd_times.seq = std::numeric_limits<std::uint64_t>::max();
+  odd_times.tenant = "hacc";
+  odd_times.requests = {
+      {-1, -0.0, std::numeric_limits<double>::quiet_NaN(), 0,
+       tr::IoKind::kRead},
+      {std::numeric_limits<int>::max(), 1e-310, 0.0,
+       std::numeric_limits<std::uint64_t>::max(), tr::IoKind::kWrite}};
+
+  for (const auto& record : {abort, empty_tenant, odd_times}) {
+    EXPECT_EQ(dur::encode_journal_record(record),
+              oracle::encode_journal_record(record))
+        << "seq " << record.seq;
+  }
+}
+
+TEST(DurabilityCodec, PinnedCheckpointsMatchTheOracle) {
+  dur::CheckpointData none;
+  none.floor_seq = 9;
+
+  dur::CheckpointData tenants;
+  tenants.floor_seq = 0;
+  tenants.tenants.resize(3);
+  // [0] empty tenant: no name, no requests, no session.
+  tenants.tenants[1].name = "pending-only";  // pending but no session
+  tenants.tenants[1].last_applied_seq = 5;
+  tenants.tenants[1].pending = {
+      {0, -0.0, 2.0, 4096, tr::IoKind::kWrite},
+      {3, std::numeric_limits<double>::quiet_NaN(), 1.0, 1, tr::IoKind::kRead}};
+  tenants.tenants[2].name = "with-session";
+  tenants.tenants[2].poisoned = true;
+  tenants.tenants[2].has_session = true;
+  tenants.tenants[2].session_state = seeded_bytes(1000, 5);
+
+  for (const auto& data : {none, tenants}) {
+    EXPECT_EQ(dur::encode_checkpoint(data), oracle::encode_checkpoint(data))
+        << data.tenants.size() << " tenants";
+  }
+}
+
+TEST(DurabilityCodec, SeededRecordsAndCheckpointsMatchTheOracle) {
+  std::mt19937_64 rng(6);
+  for (int i = 0; i < 2000; ++i) {
+    const dur::JournalRecord record = seeded_record(rng);
+    ASSERT_EQ(dur::encode_journal_record(record),
+              oracle::encode_journal_record(record))
+        << "record " << i;
+    const dur::CheckpointData data = seeded_checkpoint(rng);
+    ASSERT_EQ(dur::encode_checkpoint(data), oracle::encode_checkpoint(data))
+        << "checkpoint " << i;
+  }
+}
+
+TEST(DurabilityCodec, JournalWriterSegmentMatchesTheOracle) {
+  const fs::path dir = temp_file("journal_oracle");
+  fs::remove_all(dir);
+  std::mt19937_64 rng(7);
+  std::vector<dur::JournalRecord> records;
+  {
+    dur::JournalWriter writer(dir, journal_options(), 100);
+    for (int i = 0; i < 300; ++i) {
+      dur::JournalRecord record = seeded_record(rng);
+      // The reused buffer must not carry a long record's tail into a
+      // shorter one: alternate large and small flushes.
+      if (i % 7 == 0) record.requests = seeded_requests(rng, 2000);
+      record.seq = writer.append(record.type, record.tenant, record.requests,
+                                 record.aborted_seq);
+      records.push_back(record);
+    }
+  }
+  EXPECT_EQ(only_segment(dir), oracle_journal(records));
+  fs::remove_all(dir);
+}
+
+TEST(DurabilityCodec, OversizedRecordIsRefusedBeforeAnythingIsWritten) {
+  const fs::path dir = temp_file("journal_oversized");
+  fs::remove_all(dir);
+  auto options = journal_options();
+  options.max_record_bytes = 4096;
+  std::mt19937_64 rng(8);
+  const auto small = seeded_requests(rng, 10);
+  const auto large = seeded_requests(rng, 200);  // 6,600+ payload bytes
+  std::vector<dur::JournalRecord> records;
+  {
+    dur::JournalWriter writer(dir, options, 1);
+    dur::JournalRecord record;
+    record.tenant = "t";
+    record.requests = small;
+    record.seq = writer.append(record.type, record.tenant, small);
+    records.push_back(record);
+    EXPECT_THROW(writer.append(dur::JournalRecordType::kFlush, "t", large),
+                 util::InvalidArgument);
+    EXPECT_EQ(writer.next_seq(), 2u);  // no sequence burnt
+    EXPECT_EQ(writer.rotations(), 0u);
+    record.seq = writer.append(record.type, record.tenant, small);
+    EXPECT_EQ(record.seq, 2u);
+    records.push_back(record);
+  }
+  // Both small records share the one segment, with nothing between them.
+  const auto bytes = only_segment(dir);
+  EXPECT_EQ(bytes, oracle_journal(records));
+  std::vector<dur::JournalRecord> scanned;
+  const dur::JournalScan scan =
+      dur::scan_journal_bytes(bytes, options.max_record_bytes, scanned);
+  EXPECT_TRUE(scan.clean);
+  EXPECT_EQ(scanned.size(), 2u);
+  fs::remove_all(dir);
 }
