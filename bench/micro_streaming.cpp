@@ -7,6 +7,11 @@
 //    ~O(analysis window)). Compare the per_flush_us counter across the F
 //    arguments: legacy grows roughly linearly with F, streaming stays
 //    ~flat.
+//  - BM_StreamingSessionHeavyTenant: one LAMMPS-256 tenant through the
+//    ingest daemon's session template (adaptive window, compaction,
+//    triage). Most flushes are triage skips that still compact the
+//    curve, so per_flush_us carries the cost of eviction, and
+//    final_bytes the memory it leaves behind.
 //  - BM_MorletCwtColdPath vs BM_MorletCwt: the pre-streaming CWT rebuilt
 //    per-row buffers through the allocating fft/ifft entry points on one
 //    thread; the plan-handle path reuses one plan plus per-thread scratch
@@ -26,8 +31,10 @@
 #include "signal/fft.hpp"
 #include "signal/wavelet.hpp"
 #include "ref_kernel.hpp"
+#include "service/service.hpp"
 #include "trace/model.hpp"
 #include "util/stats.hpp"
+#include "workloads/apps.hpp"
 #include "workloads/phase_library.hpp"
 #include "workloads/semisynthetic.hpp"
 
@@ -213,6 +220,57 @@ void BM_StreamingSessionTriageLoop(benchmark::State& state) {
 BENCHMARK(BM_StreamingSessionTriageLoop)
     ->Arg(256)->Arg(1024)
     ->Unit(benchmark::kMillisecond);
+
+// A daemon tenant with LAMMPS-256-shaped flushes: each of the app's dump
+// phases (256 ranks, split at idle gaps of 1 s) is one chunk, and the
+// run repeats the phases, shifted by whole repetitions, for 1024
+// flushes through service::default_session_template().
+void BM_StreamingSessionHeavyTenant(benchmark::State& state) {
+  constexpr int kFlushes = 1024;
+  ftio::workloads::LammpsConfig config;
+  config.ranks = 256;
+  auto trace = ftio::workloads::generate_lammps_trace(config);
+  trace.sort_by_start();
+  std::vector<std::vector<ftio::trace::IoRequest>> phases;
+  double last_end = -std::numeric_limits<double>::infinity();
+  for (const auto& r : trace.requests) {
+    if (phases.empty() || r.start - last_end >= 1.0) phases.emplace_back();
+    phases.back().push_back(r);
+    last_end = std::max(last_end, r.end);
+  }
+  const double first = phases.front().front().start;
+  const double last = phases.back().front().start;
+  const double shift =
+      (last - first) * static_cast<double>(phases.size()) /
+      static_cast<double>(phases.size() - 1);
+  std::vector<std::vector<ftio::trace::IoRequest>> chunks;
+  for (int i = 0; i < kFlushes; ++i) {
+    const auto repetition = static_cast<double>(
+        static_cast<std::size_t>(i) / phases.size());
+    auto chunk = phases[static_cast<std::size_t>(i) % phases.size()];
+    for (auto& r : chunk) {
+      r.start += shift * repetition;
+      r.end += shift * repetition;
+    }
+    chunks.push_back(std::move(chunk));
+  }
+  const auto options = ftio::service::default_session_template();
+  double final_bytes = 0.0;
+  for (auto _ : state) {
+    ftio::engine::StreamingSession session(options);
+    for (const auto& chunk : chunks) {
+      session.ingest(std::span<const ftio::trace::IoRequest>(chunk));
+      benchmark::DoNotOptimize(session.predict());
+    }
+    final_bytes = static_cast<double>(session.memory_bytes());
+  }
+  state.SetItemsProcessed(state.iterations() * kFlushes);
+  state.counters["per_flush_us"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * kFlushes) * 1e-6,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["final_bytes"] = final_bytes;
+}
+BENCHMARK(BM_StreamingSessionHeavyTenant)->Unit(benchmark::kMillisecond);
 
 // Cold baseline with the pre-streaming loop structure: one allocating
 // fft() for the signal, then per row a freshly allocated product vector,

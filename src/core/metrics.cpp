@@ -20,19 +20,32 @@ struct AboveThreshold {
 
 AboveThreshold measure_above(const ftio::signal::StepFunction& f, double a,
                              double b, double threshold) {
-  AboveThreshold out;
   const auto times = f.times();
   const auto values = f.values();
-  for (std::size_t i = 0; i < values.size(); ++i) {
+  // Segments ending at or before `a`, or starting at or after `b`, add
+  // nothing, so the scan covers only the ones overlapping [a, b); the
+  // additions and their order match a scan of every segment. A NaN `a`
+  // starts at 0 and a NaN `b` never stops, like that full scan.
+  std::size_t i = 0;
+  if (!times.empty() && a > times[0]) {
+    i = static_cast<std::size_t>(
+            std::upper_bound(times.begin(), times.end(), a) - times.begin()) -
+        1;
+  }
+  // Scalar accumulators: a struct here is spilled to the stack on every
+  // iteration.
+  double length = 0.0;
+  double volume = 0.0;
+  for (; i < values.size() && !(times[i] >= b); ++i) {
     const double lo = std::max(a, times[i]);
     const double hi = std::min(b, times[i + 1]);
     if (hi <= lo) continue;
     if (values[i] > threshold) {
-      out.length += hi - lo;
-      out.volume += values[i] * (hi - lo);
+      length += hi - lo;
+      volume += values[i] * (hi - lo);
     }
   }
-  return out;
+  return {length, volume};
 }
 
 }  // namespace

@@ -14,54 +14,65 @@ StepFunction::StepFunction(std::vector<double> times,
     : times_(std::move(times)), values_(std::move(values)) {
   ftio::util::expect(times_.size() == values_.size() + 1,
                      "StepFunction: times must have values.size()+1 entries");
-  for (std::size_t i = 1; i < times_.size(); ++i) {
-    ftio::util::expect(times_[i] > times_[i - 1],
+  const auto t = this->times();
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    ftio::util::expect(t[i] > t[i - 1],
                        "StepFunction: times must be strictly increasing");
   }
 }
 
+// The read methods below take the spans once: indexing the buffers
+// directly re-derives the live head on every access, which costs the
+// callers' loops their inlining and register allocation.
+
 std::size_t StepFunction::segment_index(double t) const {
-  if (values_.empty() || t < times_.front() || t >= times_.back()) {
+  const auto times = this->times();
+  if (times.size() < 2 || t < times.front() || t >= times.back()) {
     return std::numeric_limits<std::size_t>::max();
   }
   // upper_bound returns the first boundary > t; the segment is one before.
-  const auto it = std::upper_bound(times_.begin(), times_.end(), t);
-  return static_cast<std::size_t>(it - times_.begin()) - 1;
+  const auto it = std::upper_bound(times.begin(), times.end(), t);
+  return static_cast<std::size_t>(it - times.begin()) - 1;
 }
 
 double StepFunction::value_at(double t) const {
   const std::size_t idx = segment_index(t);
   if (idx == std::numeric_limits<std::size_t>::max()) return 0.0;
-  return values_[idx];
+  return values()[idx];
 }
 
 double StepFunction::integral(double a, double b) const {
-  if (values_.empty() || b <= a) return 0.0;
-  const double lo = std::max(a, times_.front());
-  const double hi = std::min(b, times_.back());
+  const auto times = this->times();
+  const auto values = this->values();
+  if (values.empty() || b <= a) return 0.0;
+  const double lo = std::max(a, times.front());
+  const double hi = std::min(b, times.back());
   if (hi <= lo) return 0.0;
   double acc = 0.0;
-  const auto first = std::upper_bound(times_.begin(), times_.end(), lo);
-  std::size_t i = static_cast<std::size_t>(first - times_.begin()) - 1;
-  for (; i < values_.size() && times_[i] < hi; ++i) {
-    const double seg_lo = std::max(lo, times_[i]);
-    const double seg_hi = std::min(hi, times_[i + 1]);
-    if (seg_hi > seg_lo) acc += values_[i] * (seg_hi - seg_lo);
+  const auto first = std::upper_bound(times.begin(), times.end(), lo);
+  std::size_t i = static_cast<std::size_t>(first - times.begin()) - 1;
+  for (; i < values.size() && times[i] < hi; ++i) {
+    const double seg_lo = std::max(lo, times[i]);
+    const double seg_hi = std::min(hi, times[i + 1]);
+    if (seg_hi > seg_lo) acc += values[i] * (seg_hi - seg_lo);
   }
   return acc;
 }
 
 double StepFunction::total_integral() const {
+  const auto times = this->times();
+  const auto values = this->values();
   double acc = 0.0;
-  for (std::size_t i = 0; i < values_.size(); ++i) {
-    acc += values_[i] * (times_[i + 1] - times_[i]);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    acc += values[i] * (times[i + 1] - times[i]);
   }
   return acc;
 }
 
 double StepFunction::max_value() const {
-  if (values_.empty()) return 0.0;
-  return *std::max_element(values_.begin(), values_.end());
+  const auto values = this->values();
+  if (values.empty()) return 0.0;
+  return *std::max_element(values.begin(), values.end());
 }
 
 void StepFunction::splice_tail(std::size_t keep_boundaries,
@@ -72,14 +83,15 @@ void StepFunction::splice_tail(std::size_t keep_boundaries,
   times_.resize(keep_boundaries);
   // Every kept boundary except a final one starts a kept segment.
   values_.resize(std::min(keep_boundaries, values_.size()));
-  times_.insert(times_.end(), new_times.begin(), new_times.end());
-  values_.insert(values_.end(), new_values.begin(), new_values.end());
+  times_.append(new_times);
+  values_.append(new_values);
   ftio::util::expect(times_.size() == values_.size() + 1,
                      "StepFunction::splice_tail: times/values size mismatch");
+  const auto times = this->times();
   const std::size_t first_new =
       keep_boundaries > 0 ? keep_boundaries : 1;
-  for (std::size_t i = first_new; i < times_.size(); ++i) {
-    ftio::util::expect(times_[i] > times_[i - 1],
+  for (std::size_t i = first_new; i < times.size(); ++i) {
+    ftio::util::expect(times[i] > times[i - 1],
                        "StepFunction::splice_tail: times must stay "
                        "strictly increasing");
   }
@@ -90,20 +102,18 @@ void StepFunction::trim_front(std::size_t drop_boundaries) {
   ftio::util::expect(drop_boundaries < values_.size(),
                      "StepFunction::trim_front: at least one segment "
                      "must remain");
-  times_.erase(times_.begin(),
-               times_.begin() + static_cast<std::ptrdiff_t>(drop_boundaries));
-  values_.erase(values_.begin(),
-                values_.begin() + static_cast<std::ptrdiff_t>(drop_boundaries));
+  times_.drop_front(drop_boundaries);
+  values_.drop_front(drop_boundaries);
   // Mutation post-condition: the class invariant (one more boundary than
   // segments, strictly increasing boundaries) must survive every
   // in-place edit — a violation here is a library bug, not caller input.
   FTIO_ASSERT(times_.size() == values_.size() + 1);
-  FTIO_ASSERT(times_.size() < 2 || times_.front() < times_[1]);
+  FTIO_ASSERT(times_.size() < 2 || times_[0] < times_[1]);
 }
 
 void StepFunction::shrink_to_fit() {
-  if (times_.capacity() > 2 * times_.size()) times_.shrink_to_fit();
-  if (values_.capacity() > 2 * values_.size()) values_.shrink_to_fit();
+  times_.release_slack();
+  values_.release_slack();
 }
 
 DiscretizedSignal discretize(const StepFunction& f, double fs,

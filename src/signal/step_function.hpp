@@ -4,6 +4,8 @@
 #include <span>
 #include <vector>
 
+#include "util/sliding_buffer.hpp"
+
 namespace ftio::signal {
 
 /// Piecewise-constant function of time: value `values[i]` holds on
@@ -33,8 +35,12 @@ class StepFunction {
   bool empty() const { return values_.empty(); }
   std::size_t segment_count() const { return values_.size(); }
 
-  std::span<const double> times() const { return times_; }
-  std::span<const double> values() const { return values_; }
+  std::span<const double> times() const {
+    return {times_.data(), times_.size()};
+  }
+  std::span<const double> values() const {
+    return {values_.data(), values_.size()};
+  }
 
   /// Largest value over the support (0 for an empty function).
   double max_value() const;
@@ -54,13 +60,14 @@ class StepFunction {
   /// times[drop_boundaries] becomes the new support start. The retained
   /// boundary times and segment values are preserved bit for bit (the
   /// function is unchanged on the new support; evicted times read as 0).
-  /// At least one segment must remain. Used by
+  /// At least one segment must remain. O(1): the storage only advances
+  /// its head (util::SlidingBuffer). Used by
   /// trace::IncrementalBandwidth::compact to bound streaming-session
   /// curves to the analysis window.
   void trim_front(std::size_t drop_boundaries);
 
-  /// Releases over-sized buffers after evictions: shrinks the backing
-  /// vectors when their capacity exceeds twice the live size.
+  /// Releases over-sized buffers after evictions: reallocates each
+  /// backing buffer to 1.5x its live size once its capacity exceeds 3x.
   void shrink_to_fit();
 
   /// Resident bytes of the backing storage (capacity, not size — the
@@ -70,8 +77,9 @@ class StepFunction {
   }
 
  private:
-  std::vector<double> times_;
-  std::vector<double> values_;
+  // Copies hold only the live range; trim_front drops in O(1).
+  ftio::util::SlidingBuffer<double> times_;
+  ftio::util::SlidingBuffer<double> values_;
 
   /// Index of the segment containing t, or SIZE_MAX when outside.
   std::size_t segment_index(double t) const;

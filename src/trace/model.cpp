@@ -96,7 +96,7 @@ bool request_selected(const IoRequest& r, const BandwidthOptions& options) {
 double sweep_tail(std::span<const BandwidthEvent> events, std::size_t from,
                   double level, std::vector<double>& times,
                   std::vector<double>& values,
-                  std::vector<double>* raw_levels) {
+                  ftio::util::SlidingBuffer<double>* raw_levels) {
   std::size_t ev = from;
   while (ev < events.size()) {
     const double t = events[ev].time;
@@ -247,15 +247,13 @@ double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
   const double dirty = fresh.front().time;
 
   const std::size_t old_count = events_.size();
-  events_.insert(events_.end(), fresh.begin(), fresh.end());
+  events_.append(fresh);
   if (old_count > 0 &&
       bandwidth_event_less(events_[old_count], events_[old_count - 1])) {
     // Only a chunk reaching back into already-swept time needs the merge;
     // the dominant in-order flush is a pure append and stays O(chunk).
-    std::inplace_merge(
-        events_.begin(),
-        events_.begin() + static_cast<std::ptrdiff_t>(old_count),
-        events_.end(), bandwidth_event_less);
+    std::inplace_merge(events_.begin(), events_.begin() + old_count,
+                       events_.end(), bandwidth_event_less);
   }
 
   // Everything strictly before the earliest new event is untouched: keep
@@ -313,9 +311,8 @@ std::size_t IncrementalBandwidth::compact(double horizon) {
       events_.begin(), events_.end(), cut_time,
       [](const BandwidthEvent& e, double t) { return e.time < t; });
   const auto evicted = static_cast<std::size_t>(first_kept - events_.begin());
-  events_.erase(events_.begin(), first_kept);
-  raw_levels_.erase(raw_levels_.begin(),
-                    raw_levels_.begin() + static_cast<std::ptrdiff_t>(cut));
+  events_.drop_front(evicted);
+  raw_levels_.drop_front(cut);
   curve_.trim_front(cut);
 
   // Late chunks reaching below the cut are clipped exactly like a
@@ -327,11 +324,10 @@ std::size_t IncrementalBandwidth::compact(double horizon) {
 
   // Return freed capacity to the allocator once it dominates live data —
   // the point of compaction is a flat memory footprint, not just flat
-  // element counts.
-  if (events_.capacity() > 2 * events_.size()) events_.shrink_to_fit();
-  if (raw_levels_.capacity() > 2 * raw_levels_.size()) {
-    raw_levels_.shrink_to_fit();
-  }
+  // element counts. The 3x threshold sits well above the buffers' 1.5x
+  // growth, so a steady window never shrinks and regrows.
+  events_.release_slack();
+  raw_levels_.release_slack();
   curve_.shrink_to_fit();
   return evicted;
 }
@@ -391,8 +387,8 @@ void IncrementalBandwidth::load_state(ftio::util::BinReader& in) {
                                                  std::move(values));
 
   options_.window_start = window_start;
-  events_ = std::move(events);
-  raw_levels_ = std::move(raw_levels);
+  events_ = ftio::util::SlidingBuffer<BandwidthEvent>(std::move(events));
+  raw_levels_ = ftio::util::SlidingBuffer<double>(std::move(raw_levels));
   curve_ = std::move(curve);
   base_level_ = base_level;
   floor_ = floor;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "signal/step_function.hpp"
+#include "util/sliding_buffer.hpp"
 
 namespace ftio::util {
 class BinWriter;
@@ -131,7 +132,9 @@ class IncrementalBandwidth {
   /// uncompacted instance would hold over the retained support. Future
   /// chunks are clipped at the cut like a BandwidthOptions::window_start:
   /// requests wholly before it are dropped, spanning requests keep only
-  /// their retained part. Returns the number of evicted events.
+  /// their retained part. Returns the number of evicted events. The
+  /// eviction itself is O(1) per buffer; reclaiming the dropped storage
+  /// costs O(evicted) amortised over later extend() calls.
   std::size_t compact(double horizon);
 
   /// The eviction cut of the latest compact() call: times before it are
@@ -160,8 +163,12 @@ class IncrementalBandwidth {
 
  private:
   BandwidthOptions options_;
-  std::vector<BandwidthEvent> events_;   ///< sorted by bandwidth_event_less
-  std::vector<double> raw_levels_;       ///< unclamped level per boundary
+  // compact() drops the front of these and of the curve's buffers in
+  // O(1); the storage is reclaimed as later appends need room.
+  /// Sorted by bandwidth_event_less.
+  ftio::util::SlidingBuffer<BandwidthEvent> events_;
+  /// Unclamped level per boundary.
+  ftio::util::SlidingBuffer<double> raw_levels_;
   ftio::signal::StepFunction curve_;
   /// Running sweep level entering the first retained boundary: the sum of
   /// every evicted event's delta, replayed in original order. 0 until a

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "core/acf_analysis.hpp"
@@ -10,6 +14,7 @@
 #include "trace/model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
+#include "util/stats.hpp"
 
 namespace core = ftio::core;
 namespace sig = ftio::signal;
@@ -214,6 +219,169 @@ TEST(Metrics, ScoreClampedToUnitInterval) {
   m.sigma_vol = 0.0;
   m.sigma_time = 0.0;
   EXPECT_DOUBLE_EQ(m.periodicity_score(), 1.0);
+}
+
+namespace full_scan {
+
+// compute_metrics and compute_io_ratio as they were before measure_above
+// learned to skip the segments outside [a, b): every call scans the whole
+// curve. The oracle the windowed scan must match bit for bit.
+
+struct Above {
+  double length = 0.0;
+  double volume = 0.0;
+};
+
+Above measure_above(const sig::StepFunction& f, double a, double b,
+                    double threshold) {
+  Above out;
+  const auto times = f.times();
+  const auto values = f.values();
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double lo = std::max(a, times[i]);
+    const double hi = std::min(b, times[i + 1]);
+    if (hi <= lo) continue;
+    if (values[i] > threshold) {
+      out.length += hi - lo;
+      out.volume += values[i] * (hi - lo);
+    }
+  }
+  return out;
+}
+
+core::PeriodicityMetrics io_ratio(const sig::StepFunction& bandwidth) {
+  core::PeriodicityMetrics m;
+  const double length = bandwidth.duration();
+  m.noise_threshold = bandwidth.total_integral() / length;
+  const auto s = measure_above(bandwidth, bandwidth.start_time(),
+                               bandwidth.end_time(), m.noise_threshold);
+  m.time_ratio_io = s.length / length;
+  m.substantial_bandwidth = s.length > 0.0 ? s.volume / s.length : 0.0;
+  return m;
+}
+
+core::PeriodicityMetrics metrics(const sig::StepFunction& bandwidth,
+                                 double dominant_frequency) {
+  core::PeriodicityMetrics m = io_ratio(bandwidth);
+  const double length = bandwidth.duration();
+  const double period = 1.0 / dominant_frequency;
+  const auto count = static_cast<std::size_t>(length * dominant_frequency);
+  m.period_count = count;
+  if (count == 0) return m;
+  const double t0 = bandwidth.start_time();
+  std::vector<double> volumes(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const double a = t0 + static_cast<double>(i) * period;
+    volumes[i] = bandwidth.integral(a, a + period);
+  }
+  const double vmax = ftio::util::max_value(volumes);
+  if (vmax > 0.0) {
+    std::vector<double> normalised(count);
+    for (std::size_t i = 0; i < count; ++i) normalised[i] = volumes[i] / vmax;
+    m.sigma_vol = ftio::util::stddev(normalised);
+  }
+  double acc = 0.0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double a = t0 + static_cast<double>(i) * period;
+    const auto si = measure_above(bandwidth, a, a + period, m.noise_threshold);
+    const double ratio = si.length / period;
+    acc += (ratio - m.time_ratio_io) * (ratio - m.time_ratio_io);
+  }
+  m.sigma_time = std::sqrt(acc / static_cast<double>(count));
+  const auto s_total = measure_above(bandwidth, bandwidth.start_time(),
+                                     bandwidth.end_time(), m.noise_threshold);
+  m.bytes_per_period = s_total.volume / (length * dominant_frequency);
+  return m;
+}
+
+}  // namespace full_scan
+
+namespace {
+
+/// Empty when every field matches bit for bit; otherwise names the first
+/// that differs.
+std::string metrics_difference(const core::PeriodicityMetrics& got,
+                               const core::PeriodicityMetrics& want) {
+  const auto same = [](double x, double y) {
+    return std::bit_cast<std::uint64_t>(x) == std::bit_cast<std::uint64_t>(y);
+  };
+  if (!same(got.sigma_vol, want.sigma_vol)) return "sigma_vol";
+  if (!same(got.time_ratio_io, want.time_ratio_io)) return "time_ratio_io";
+  if (!same(got.substantial_bandwidth, want.substantial_bandwidth)) {
+    return "substantial_bandwidth";
+  }
+  if (!same(got.sigma_time, want.sigma_time)) return "sigma_time";
+  if (!same(got.noise_threshold, want.noise_threshold)) {
+    return "noise_threshold";
+  }
+  if (!same(got.bytes_per_period, want.bytes_per_period)) {
+    return "bytes_per_period";
+  }
+  if (got.period_count != want.period_count) return "period_count";
+  return {};
+}
+
+std::string full_scan_difference(const sig::StepFunction& f,
+                                 double frequency) {
+  const std::string ratio =
+      metrics_difference(core::compute_io_ratio(f), full_scan::io_ratio(f));
+  if (!ratio.empty()) return "io_ratio " + ratio;
+  return metrics_difference(core::compute_metrics(f, frequency),
+                            full_scan::metrics(f, frequency));
+}
+
+}  // namespace
+
+TEST(Metrics, WindowedScanMatchesFullScanOnSeededCurves) {
+  std::mt19937_64 rng(23);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  for (int c = 0; c < 2000; ++c) {
+    const std::size_t segments = 1 + rng() % 300;
+    std::vector<double> times{(unit() - 0.5) * 1000.0};
+    std::vector<double> values;
+    for (std::size_t i = 0; i < segments; ++i) {
+      // Mostly short steps, some long gaps, some bursts and zeros.
+      const double step = rng() % 8 == 0 ? 50.0 * unit() : 1e-3 + unit();
+      times.push_back(times.back() + step);
+      values.push_back(rng() % 3 == 0 ? 0.0 : 1e6 * unit() * unit());
+    }
+    const double length = times.back() - times.front();
+    const sig::StepFunction f(std::move(times), std::move(values));
+    // Periods from a fiftieth of the curve to past its length; every
+    // tenth curve uses a period that divides one segment length, so
+    // period edges land on boundaries.
+    const double period = c % 10 == 0 ? f.times()[1] - f.times()[0]
+                                      : length * (0.02 + 1.2 * unit());
+    ASSERT_EQ(full_scan_difference(f, 1.0 / period), "") << "curve " << c;
+  }
+}
+
+TEST(Metrics, WindowedScanMatchesFullScanOnEdgeCases) {
+  // A single segment, with periods shorter than, equal to and longer
+  // than it.
+  const sig::StepFunction single({2.0, 7.0}, {3.0});
+  for (const double period : {0.7, 1.0, 5.0, 9.0}) {
+    EXPECT_EQ(full_scan_difference(single, 1.0 / period), "") << period;
+  }
+  // Period edges exactly on segment boundaries, the first period starting
+  // on the first boundary.
+  const auto wave = square_wave(6, 8.0, 2.0, 4.0);
+  for (const double period : {2.0, 8.0, 16.0}) {
+    EXPECT_EQ(full_scan_difference(wave, 1.0 / period), "") << period;
+  }
+  // The last period ends past the support: 0.2 + 7 * 0.1 + 0.1 rounds
+  // above 1.0.
+  const sig::StepFunction rounding({0.2, 0.5, 0.8, 1.0}, {5.0, 0.0, 9.0});
+  ASSERT_GT(0.2 + 7.0 * 0.1 + 0.1, 1.0);
+  ASSERT_EQ(core::compute_metrics(rounding, 10.0).period_count, 8u);
+  EXPECT_EQ(full_scan_difference(rounding, 10.0), "");
+  // A support starting below zero, and one starting at -0.0.
+  const sig::StepFunction negative({-3.5, -1.0, -0.0, 2.0}, {1.0, 7.0, 2.0});
+  EXPECT_EQ(full_scan_difference(negative, 1.0), "");
+  const sig::StepFunction signed_zero({-0.0, 1.0, 3.0}, {6.0, 1.0});
+  EXPECT_EQ(full_scan_difference(signed_zero, 2.0), "");
 }
 
 // ---------------------------------------------------------------------------

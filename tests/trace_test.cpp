@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
+#include <optional>
 #include <random>
 #include <string>
 #include <string_view>
@@ -13,8 +14,11 @@
 #include "core/ftio.hpp"
 #include "fuzz/sweep_oracle.hpp"
 #include "fuzz/trace_dom_oracle.hpp"
+#include "tests/incremental_state_fixture.hpp"
 #include "trace/formats.hpp"
 #include "trace/model.hpp"
+#include "util/binio.hpp"
+#include "util/crc32c.hpp"
 #include "util/error.hpp"
 #include "util/failpoints.hpp"
 #include "util/json.hpp"
@@ -470,6 +474,155 @@ TEST(IncrementalBandwidth, OutOfOrderChunksMatchFullSweep) {
   EXPECT_EQ(ftio::fuzz::sweep_oracle::curve_difference(
                 inc.curve(), ftio::fuzz::sweep_oracle::bandwidth_signal(all)),
             "");
+}
+
+namespace {
+
+/// A seeded chunk stream for the compaction property. Chunks hold 1 to
+/// `max_chunk` overlapping requests whose start times mostly advance;
+/// every fourth chunk reaches back up to 40 s into swept time (the merge
+/// path, and below the floor once compaction has run, so it is clipped).
+/// Every third chunk is followed by a compact() to a trailing horizon.
+/// Raw engine bits, not <random> distributions, so the stream (and the
+/// pinned state below) is the same under every standard library.
+struct StreamStep {
+  std::vector<tr::IoRequest> chunk;
+  std::optional<double> horizon;
+};
+
+std::vector<StreamStep> compaction_stream(std::uint64_t seed, int steps,
+                                          std::uint64_t max_chunk) {
+  std::mt19937_64 rng(seed);
+  const auto unit = [&rng] {
+    return static_cast<double>(rng() >> 11) * 0x1.0p-53;
+  };
+  std::vector<StreamStep> stream(static_cast<std::size_t>(steps));
+  double now = 0.0;
+  for (int s = 0; s < steps; ++s) {
+    auto& step = stream[static_cast<std::size_t>(s)];
+    const bool late = s % 4 == 3;
+    const double base = late ? now - 40.0 * unit() : now;
+    const auto count = static_cast<int>(1 + rng() % max_chunk);
+    for (int r = 0; r < count; ++r) {
+      const double start = base + 5.0 * unit();
+      const double end = start + 0.01 + 3.0 * unit();
+      const auto bytes = static_cast<std::uint64_t>(1.0 + 1e7 * unit());
+      step.chunk.push_back({r, start, end, bytes, tr::IoKind::kWrite});
+    }
+    if (!late) now += 2.0 + 4.0 * unit();
+    if (s % 3 == 2) step.horizon = now - 20.0 - 20.0 * unit();
+  }
+  return stream;
+}
+
+/// Replays `stream` into `inc`.
+void replay(const std::vector<StreamStep>& stream,
+            tr::IncrementalBandwidth& inc) {
+  for (const auto& step : stream) {
+    inc.extend(step.chunk);
+    if (step.horizon) inc.compact(*step.horizon);
+  }
+}
+
+/// The curve `inc` holds over its retained support, against a full
+/// comparison-sort sweep of every event it admitted: boundaries at or
+/// after the floor must coincide and segment values match bit for bit.
+std::string retained_difference(
+    const tr::IncrementalBandwidth& inc,
+    std::vector<tr::BandwidthEvent> admitted) {
+  ftio::fuzz::sweep_oracle::sort_events(admitted);
+  const auto full = tr::bandwidth_from_events(admitted);
+  const auto got = inc.curve();
+  const auto times = full.times();
+  const auto first = static_cast<std::size_t>(
+      std::lower_bound(times.begin(), times.end(), got.start_time()) -
+      times.begin());
+  if (first >= times.size()) return "no retained support";
+  const ftio::signal::StepFunction suffix(
+      std::vector<double>(times.begin() + static_cast<std::ptrdiff_t>(first),
+                          times.end()),
+      std::vector<double>(full.values().begin() +
+                              static_cast<std::ptrdiff_t>(first),
+                          full.values().end()));
+  return ftio::fuzz::sweep_oracle::curve_difference(got, suffix);
+}
+
+std::vector<std::uint8_t> saved_state(const tr::IncrementalBandwidth& inc) {
+  ftio::util::BinWriter out;
+  inc.save_state(out);
+  return out.take();
+}
+
+}  // namespace
+
+TEST(IncrementalCompact, SeededStreamsMatchSweepOfAdmittedEvents) {
+  // In-order and reaching-back chunks interleaved with compact(): after
+  // every step the curve equals the sweep of the events the instance
+  // admitted (each chunk clipped at the floor in force when it arrived),
+  // over the retained support, and the state survives a save/load round
+  // trip that then evolves identically.
+  for (std::uint64_t seed = 0; seed < 40; ++seed) {
+    SCOPED_TRACE(seed);
+    const auto stream = compaction_stream(seed, 90, 24);
+    tr::IncrementalBandwidth inc;
+    std::vector<tr::BandwidthEvent> admitted;
+    std::size_t evicted = 0;
+    for (const auto& step : stream) {
+      tr::BandwidthOptions clip;
+      clip.window_start = inc.floor_time();
+      tr::append_bandwidth_events(step.chunk, clip, std::nullopt, admitted);
+      inc.extend(step.chunk);
+      if (step.horizon) evicted += inc.compact(*step.horizon);
+      ASSERT_EQ(retained_difference(inc, admitted), "");
+      ASSERT_EQ(inc.event_count() + evicted, admitted.size());
+    }
+    ASSERT_GT(evicted, 0u);
+
+    const auto bytes = saved_state(inc);
+    tr::IncrementalBandwidth restored;
+    ftio::util::BinReader in(bytes);
+    restored.load_state(in);
+    EXPECT_TRUE(in.done());
+    EXPECT_EQ(saved_state(restored), bytes);
+    const auto more = compaction_stream(seed + 1000, 12, 24);
+    for (const auto& step : more) {
+      std::vector<tr::IoRequest> shifted = step.chunk;
+      for (auto& r : shifted) {
+        r.start += inc.curve().end_time() - 10.0;
+        r.end += inc.curve().end_time() - 10.0;
+      }
+      inc.extend(shifted);
+      restored.extend(shifted);
+      if (step.horizon) {
+        const double horizon = inc.curve().end_time() - 30.0;
+        EXPECT_EQ(inc.compact(horizon), restored.compact(horizon));
+      }
+    }
+    EXPECT_EQ(saved_state(restored), saved_state(inc));
+  }
+}
+
+TEST(IncrementalCompact, SavedStateBytesArePinned) {
+  // Bytes written before the buffers moved to O(1) front eviction: the
+  // snapshot holds the live range only, in the same layout.
+  tr::IncrementalBandwidth small;
+  replay(compaction_stream(7, 16, 6), small);
+  const auto bytes = saved_state(small);
+  EXPECT_EQ(small.event_count(), 57u);
+  EXPECT_TRUE(small.floor_time().has_value());
+  EXPECT_TRUE(std::equal(bytes.begin(), bytes.end(),
+                         std::begin(ftio::test::kIncrementalStateFixture),
+                         std::end(ftio::test::kIncrementalStateFixture)));
+
+  // A long stream (130 compactions, slides and reallocations included),
+  // pinned by size and CRC32C.
+  tr::IncrementalBandwidth large;
+  replay(compaction_stream(11, 400, 24), large);
+  const auto large_bytes = saved_state(large);
+  EXPECT_EQ(large.event_count(), 234u);
+  EXPECT_EQ(large_bytes.size(), 9410u);
+  EXPECT_EQ(ftio::util::crc32c(large_bytes.data(), large_bytes.size()),
+            0xff8959aeu);
 }
 
 // ---------------------------------------------------------------------------
