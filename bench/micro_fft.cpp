@@ -14,6 +14,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <vector>
@@ -44,68 +45,55 @@ std::vector<ftio::signal::Complex> complex_tone(std::size_t n) {
 
 // --- plan-cached vs. cold-path pairs ---------------------------------------
 // Sizes: 4096 (power of two), 4099 and 7817 (primes; 7817 is the paper's
-// IOR sample count), 6480 (highly composite).
+// IOR sample count), 6480 (highly composite). Every row runs the planar
+// forward transform on preallocated caller-owned lanes.
 
 void BM_FftPlanCached(benchmark::State& state) {
-  const auto c = complex_tone(static_cast<std::size_t>(state.range(0)));
-  std::vector<ftio::signal::Complex> out(c.size());
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto re = tone(n);
+  const std::vector<double> im(n, 0.0);
+  std::vector<double> out_re(n), out_im(n);
   for (auto _ : state) {
-    ftio::signal::fft_into(c, out);
-    benchmark::DoNotOptimize(out.data());
+    ftio::signal::get_plan(n)->forward_planar(re, im, out_re, out_im);
+    benchmark::DoNotOptimize(out_re.data());
+    benchmark::DoNotOptimize(out_im.data());
   }
 }
 BENCHMARK(BM_FftPlanCached)->Arg(4096)->Arg(4099)->Arg(7817)->Arg(6480);
 
 void BM_FftColdPlan(benchmark::State& state) {
-  const auto c = complex_tone(static_cast<std::size_t>(state.range(0)));
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const auto re = tone(n);
+  const std::vector<double> im(n, 0.0);
+  std::vector<double> out_re(n), out_im(n);
   for (auto _ : state) {
-    // Fresh tables + fresh output per call: the seed implementation's
-    // per-invocation cost model.
-    ftio::signal::FftPlan plan(c.size());
-    std::vector<ftio::signal::Complex> out(c.size());
-    plan.forward(c, out);
-    benchmark::DoNotOptimize(out.data());
+    // Fresh tables per call: the seed implementation's per-invocation
+    // cost model.
+    const ftio::signal::FftPlan plan(n);
+    plan.forward_planar(re, im, out_re, out_im);
+    benchmark::DoNotOptimize(out_re.data());
+    benchmark::DoNotOptimize(out_im.data());
   }
 }
 BENCHMARK(BM_FftColdPlan)->Arg(4096)->Arg(4099)->Arg(7817)->Arg(6480);
 
-void BM_RfftPlanCached(benchmark::State& state) {
-  const auto x = tone(static_cast<std::size_t>(state.range(0)));
-  std::vector<ftio::signal::Complex> out(x.size());
-  for (auto _ : state) {
-    ftio::signal::rfft_into(x, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RfftPlanCached)->Arg(4096)->Arg(7817);
-
 // --- split-radix half-spectrum core vs the retained reference kernels -----
 // BM_RfftHalfPlanarPlanCached is the planar packed single-sided
-// transform every consumer now runs (caller-owned re/im lanes, no
-// interleaved buffer anywhere); BM_RfftHalfPlanCached is the interleaved
-// adapter over it. BM_RfftHalfRadix4Ref reproduces the PR 3 fused
-// radix-4 path (detail::Radix4Tables + the interleaved complex unpack it
-// shipped with) with all tables prebuilt, and BM_RfftRadix2Scalar the
-// pre-PR 3 scalar kernel. The acceptance ratios for the split-radix core
-// are Radix4Ref / PlanarPlanCached and Radix2Scalar / PlanarPlanCached
-// at the power-of-two sizes.
-
-void BM_RfftHalfPlanCached(benchmark::State& state) {
-  const auto x = tone(static_cast<std::size_t>(state.range(0)));
-  std::vector<ftio::signal::Complex> out(x.size() / 2 + 1);
-  for (auto _ : state) {
-    ftio::signal::rfft_half_into(x, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RfftHalfPlanCached)->Arg(4096)->Arg(1 << 16)->Arg(7817);
+// transform every consumer runs (caller-owned re/im lanes, no
+// interleaved buffer anywhere). BM_RfftHalfRadix4Ref reproduces the PR 3
+// fused radix-4 path (detail::Radix4Tables + the interleaved complex
+// unpack it shipped with) with all tables prebuilt, and
+// BM_RfftRadix2Scalar the pre-PR 3 scalar kernel. The acceptance ratios
+// for the split-radix core are Radix4Ref / PlanarPlanCached and
+// Radix2Scalar / PlanarPlanCached at the power-of-two sizes.
 
 void BM_RfftHalfPlanarPlanCached(benchmark::State& state) {
   const auto x = tone(static_cast<std::size_t>(state.range(0)));
   std::vector<double> out_re(x.size() / 2 + 1);
   std::vector<double> out_im(x.size() / 2 + 1);
   for (auto _ : state) {
-    ftio::signal::rfft_half_planar_into(x, out_re, out_im);
+    ftio::signal::get_plan(x.size())->forward_real_half_planar(x, out_re,
+                                                               out_im);
     benchmark::DoNotOptimize(out_re.data());
     benchmark::DoNotOptimize(out_im.data());
   }
@@ -123,7 +111,7 @@ void BM_FftPlanarPlanCached(benchmark::State& state) {
     in_im[i] = c[i].imag();
   }
   for (auto _ : state) {
-    ftio::signal::fft_planar_into(in_re, in_im, out_re, out_im);
+    ftio::signal::get_plan(n)->forward_planar(in_re, in_im, out_re, out_im);
     benchmark::DoNotOptimize(out_re.data());
     benchmark::DoNotOptimize(out_im.data());
   }
@@ -208,13 +196,15 @@ void BM_RfftSeedColdPath(benchmark::State& state) {
   // The seed rfft: complexify the real signal, then run the full-size
   // complex transform with per-call tables (no half-size fast path).
   const auto x = tone(static_cast<std::size_t>(state.range(0)));
+  const std::size_t n = x.size();
+  std::vector<double> re(n), im(n), out_re(n), out_im(n);
   for (auto _ : state) {
-    std::vector<ftio::signal::Complex> c(x.size());
-    for (std::size_t i = 0; i < x.size(); ++i) c[i] = {x[i], 0.0};
-    ftio::signal::FftPlan plan(c.size());
-    std::vector<ftio::signal::Complex> out(c.size());
-    plan.forward(c, out);
-    benchmark::DoNotOptimize(out.data());
+    std::copy(x.begin(), x.end(), re.begin());
+    std::fill(im.begin(), im.end(), 0.0);
+    const ftio::signal::FftPlan plan(n);
+    plan.forward_planar(re, im, out_re, out_im);
+    benchmark::DoNotOptimize(out_re.data());
+    benchmark::DoNotOptimize(out_im.data());
   }
 }
 BENCHMARK(BM_RfftSeedColdPath)->Arg(4096)->Arg(7817);

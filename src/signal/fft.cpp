@@ -12,6 +12,30 @@ namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
+/// Deinterleave into planar lanes, transform out of place, interleave.
+std::vector<Complex> planar_adapter(std::span<const Complex> input,
+                                    bool inverse) {
+  const std::size_t n = input.size();
+  std::vector<double> lanes(4 * n);
+  const std::span<double> in_re(lanes.data(), n);
+  const std::span<double> in_im(lanes.data() + n, n);
+  const std::span<double> out_re(lanes.data() + 2 * n, n);
+  const std::span<double> out_im(lanes.data() + 3 * n, n);
+  for (std::size_t i = 0; i < n; ++i) {
+    in_re[i] = input[i].real();
+    in_im[i] = input[i].imag();
+  }
+  const auto plan = get_plan(n);
+  if (inverse) {
+    plan->inverse_planar(in_re, in_im, out_re, out_im);
+  } else {
+    plan->forward_planar(in_re, in_im, out_re, out_im);
+  }
+  std::vector<Complex> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = Complex(out_re[i], out_im[i]);
+  return out;
+}
+
 }  // namespace
 
 bool is_power_of_two(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
@@ -24,30 +48,12 @@ std::size_t next_power_of_two(std::size_t n) {
 
 std::vector<Complex> fft(std::span<const Complex> input) {
   ftio::util::expect(!input.empty(), "fft: empty input");
-  std::vector<Complex> out(input.size());
-  get_plan(input.size())->forward(input, out);
-  return out;
+  return planar_adapter(input, /*inverse=*/false);
 }
 
 std::vector<Complex> ifft(std::span<const Complex> input) {
   ftio::util::expect(!input.empty(), "ifft: empty input");
-  std::vector<Complex> out(input.size());
-  get_plan(input.size())->inverse(input, out);
-  return out;
-}
-
-std::vector<Complex> rfft(std::span<const double> input) {
-  ftio::util::expect(!input.empty(), "rfft: empty input");
-  std::vector<Complex> out(input.size());
-  get_plan(input.size())->forward_real(input, out);
-  return out;
-}
-
-std::vector<Complex> rfft_half(std::span<const double> input) {
-  ftio::util::expect(!input.empty(), "rfft_half: empty input");
-  std::vector<Complex> out(input.size() / 2 + 1);
-  get_plan(input.size())->forward_real_half(input, out);
-  return out;
+  return planar_adapter(input, /*inverse=*/true);
 }
 
 std::vector<Complex> dft_direct(std::span<const Complex> input) {

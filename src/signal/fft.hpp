@@ -9,36 +9,21 @@ namespace ftio::signal {
 using Complex = std::complex<double>;
 
 /// Discrete Fourier transform X_k = sum_n x_n * exp(-2*pi*i*k*n/N), the
-/// definition in Sec. II-B1 of the paper. Dispatches to the split-radix
-/// planar FFT core when N is a power of two and to Bluestein's chirp-z
-/// algorithm otherwise, so every N costs O(N log N). Backed by the
-/// process-wide plan cache (signal/plan.hpp): twiddle factors,
-/// bit-reversal permutations, and Bluestein chirp tables are computed
-/// once per size and reused across calls and threads. Batch callers
-/// holding split re[]/im[] lanes should prefer the planar entry points
-/// in signal/plan.hpp (fft_planar_into and friends) and skip the
-/// interleave/deinterleave at the plan boundary entirely.
+/// definition in Sec. II-B1 of the paper. Runs the split-radix core when N
+/// is a power of two and Bluestein's chirp-z algorithm otherwise, so every
+/// N costs O(N log N), through the process-wide plan cache
+/// (signal/plan.hpp): tables are computed once per size and reused across
+/// calls and threads.
+///
+/// fft and ifft are the one interleaved std::complex adapter over the
+/// planar FftPlan API: they deinterleave into re/im lanes, run the planar
+/// transform and interleave the result. Library code, and any caller that
+/// holds split lanes or a real signal, uses the FftPlan methods
+/// (forward_planar, forward_real_half_planar, the batch calls) directly.
 std::vector<Complex> fft(std::span<const Complex> input);
 
 /// Inverse transform: x_n = (1/N) sum_k X_k * exp(+2*pi*i*k*n/N).
 std::vector<Complex> ifft(std::span<const Complex> input);
-
-/// FFT of a real-valued signal (the I/O bandwidth samples). Returns the
-/// full N-bin complex spectrum; callers typically inspect only bins
-/// [0, N/2] because real input makes the spectrum conjugate-symmetric.
-/// Legacy adapter over rfft_half: the packed half transform runs, then
-/// the upper half is mirrored. New code should prefer rfft_half (or
-/// rfft_half_into in signal/plan.hpp) and never materialise the mirror.
-std::vector<Complex> rfft(std::span<const double> input);
-
-/// Packed single-sided FFT of a real signal: only the N/2+1 non-redundant
-/// bins k in [0, N/2] are computed and stored. Even N runs as one
-/// half-size complex transform through the split-radix core; the
-/// conjugate-symmetric upper half is never formed. Bit-identical to the
-/// first N/2+1 bins of rfft. Hot-path callers should prefer
-/// rfft_half_planar_into (signal/plan.hpp), which writes caller-owned
-/// re/im lanes with no interleaved buffer at all.
-std::vector<Complex> rfft_half(std::span<const double> input);
 
 /// Reference O(N^2) DFT used for validating the FFT in tests.
 std::vector<Complex> dft_direct(std::span<const Complex> input);

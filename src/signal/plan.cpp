@@ -78,36 +78,33 @@ void for_each_split_node(std::size_t n, std::size_t len, Fn&& fn) {
   }
 }
 
-/// Per-thread scratch. Each member is dedicated to one call site so that
-/// nested transforms (forward_real_half -> half plan -> Bluestein ->
-/// power-of-two core) never step on each other's buffer:
-///   split core — re/im: the planar real/imag lanes every interleaved
-///                power-of-two transform (and the packed real path) runs
-///                on; planar entry points run in caller buffers instead
-///   re2/im2    — secondary planar scratch: the linearised fold of the
-///                blocked inverse-real path, and the copy that makes the
-///                planar entry points alias-safe
-///   hre/him    — half-spectrum lanes backing the interleaved
-///                rfft_half/irfft_half adapters
-///   bluestein  — conv: the m-point convolution buffer
-///   inverse    — conj: conjugated input for the non-pow2 inverse
-///   real path  — packed/half: the N/2 packed signal and its spectrum
-///                (also the complexified input for the odd-N fallback,
-///                and the interleaved edge of the non-pow2 planar path)
+/// Per-thread scratch lanes. Each pair is dedicated to one call site so
+/// that nested transforms (real-input path -> half plan's Bluestein ->
+/// power-of-two passes) never step on each other's lanes:
+///   re/im   — the real-input paths: the packed N/2 signal and its
+///             spectrum, or for odd N the rebuilt full spectrum the
+///             inverse transforms
+///   re2/im2 — the copy that makes in-place power-of-two planar calls
+///             alias-safe, and the linearised fold of the blocked
+///             inverse-real path
+///   bre/bim — transposed batch-tile lanes (batch entry points only;
+///             never nested)
+///   cre/cim — Bluestein: the chirped, zero-padded m-point input, and
+///             later the convolution in natural order
+///   pre/pim — Bluestein: the bit-reversed m-point lanes the forward
+///             pass and the kernel product run in
 /// Buffers only grow, so steady-state transforms do no allocation at all.
 struct Workspace {
   std::vector<double> re;
   std::vector<double> im;
   std::vector<double> re2;
   std::vector<double> im2;
-  std::vector<double> hre;
-  std::vector<double> him;
-  std::vector<double> bre;  ///< transposed batch-tile lanes (batch entry
-  std::vector<double> bim;  ///  points only; never nested)
-  std::vector<Complex> conv;
-  std::vector<Complex> conj;
-  std::vector<Complex> packed;
-  std::vector<Complex> half;
+  std::vector<double> bre;
+  std::vector<double> bim;
+  std::vector<double> cre;
+  std::vector<double> cim;
+  std::vector<double> pre;
+  std::vector<double> pim;
 };
 
 Workspace& workspace() {
@@ -1148,53 +1145,34 @@ void FftPlan::irfft_half_planar_batch_into(std::size_t batch,
   }
 }
 
-void FftPlan::pow2_transform(std::span<const Complex> in,
-                             std::span<Complex> out, bool invert) const {
-  const std::size_t n = n_;
-  if (n == 1) {
-    out[0] = in[0];
-    return;
-  }
-  // Deinterleave into planar lanes, applying the bit-reversal permutation
-  // during the gather (the input span is fully consumed before any write
-  // to out, so in and out may alias). std::complex guarantees the
-  // (re, im) pair layout the pairs gather reads.
-  auto& ws = workspace();
-  ws.re.resize(n);
-  ws.im.resize(n);
-  double* re = ws.re.data();
-  double* im = ws.im.data();
-  detail::bitrev_permute_pairs(bitrev_.data(), n,
-                               reinterpret_cast<const double*>(in.data()),
-                               re, im);
-  split_passes(re, im, invert);
-  for (std::size_t i = 0; i < n; ++i) out[i] = Complex(re[i], im[i]);
-}
-
-void FftPlan::pow2_inplace(std::span<Complex> a, bool invert) const {
-  pow2_transform(a, a, invert);
-}
-
 void FftPlan::ensure_bluestein_tables() const {
   std::call_once(bluestein_once_, [this] {
     // Bluestein: chirp, and the FFT of the wrapped conjugate chirp — the
     // expensive part of the convolution, paid once per size on the first
     // complex transform.
-    chirp_.resize(n_);
+    chirp_re_.resize(n_);
+    chirp_im_.resize(n_);
     for (std::size_t k = 0; k < n_; ++k) {
       // k^2 mod 2n avoids catastrophic phase error for large k.
       const std::size_t k2 = (k * k) % (2 * n_);
       const double angle = -std::numbers::pi * static_cast<double>(k2) /
                            static_cast<double>(n_);
-      chirp_[k] = Complex(std::cos(angle), std::sin(angle));
+      chirp_re_[k] = std::cos(angle);
+      chirp_im_[k] = std::sin(angle);
     }
     sub_ = get_plan(m_);
-    bhat_.assign(m_, Complex(0.0, 0.0));
-    bhat_[0] = std::conj(chirp_[0]);
+    // The wrapped conjugate chirp, conj(w_k) at k and m-k, scattered
+    // straight into the bit-reversed order the forward pass reads.
+    const std::uint32_t* bitrev = sub_->bitrev_.data();
+    bhat_re_.assign(m_, 0.0);
+    bhat_im_.assign(m_, 0.0);
+    bhat_re_[bitrev[0]] = chirp_re_[0];
+    bhat_im_[bitrev[0]] = -chirp_im_[0];
     for (std::size_t k = 1; k < n_; ++k) {
-      bhat_[k] = bhat_[m_ - k] = std::conj(chirp_[k]);
+      bhat_re_[bitrev[k]] = bhat_re_[bitrev[m_ - k]] = chirp_re_[k];
+      bhat_im_[bitrev[k]] = bhat_im_[bitrev[m_ - k]] = -chirp_im_[k];
     }
-    sub_->pow2_inplace(bhat_, /*invert=*/false);
+    sub_->split_passes(bhat_re_.data(), bhat_im_.data(), /*invert=*/false);
   });
 }
 
@@ -1222,54 +1200,89 @@ void FftPlan::prepare(bool for_real_input) const {
   if (!pow2_ && n_ > 1) ensure_bluestein_tables();
 }
 
-void FftPlan::bluestein_forward(std::span<const Complex> in,
-                                std::span<Complex> out) const {
+template <bool Inv>
+void FftPlan::bluestein(const double* in_re, const double* in_im,
+                        double* out_re, double* out_im,
+                        std::size_t bins) const {
   ensure_bluestein_tables();
-  auto& conv = workspace().conv;
-  conv.assign(m_, Complex(0.0, 0.0));
-  for (std::size_t k = 0; k < n_; ++k) conv[k] = in[k] * chirp_[k];
+  auto& ws = workspace();
+  ws.cre.resize(m_);
+  ws.cim.resize(m_);
+  ws.pre.resize(m_);
+  ws.pim.resize(m_);
+  // t: natural order (time domain), f: bit-reversed into the forward
+  // pass (frequency domain).
+  double* __restrict tr = ws.cre.data();
+  double* __restrict ti = ws.cim.data();
+  double* __restrict fr = ws.pre.data();
+  double* __restrict fi = ws.pim.data();
+  const double* __restrict wr = chirp_re_.data();
+  const double* __restrict wi = chirp_im_.data();
 
-  sub_->pow2_inplace(conv, /*invert=*/false);
-  for (std::size_t i = 0; i < m_; ++i) conv[i] *= bhat_[i];
-  sub_->pow2_inplace(conv, /*invert=*/true);
-
-  const double scale = 1.0 / static_cast<double>(m_);
+  // a_k = x_k * w_k (x conjugated for the inverse), zero-padded to m.
   for (std::size_t k = 0; k < n_; ++k) {
-    out[k] = conv[k] * scale * chirp_[k];
+    const double xr = in_re[k];
+    double xi = in_im == nullptr ? 0.0 : in_im[k];
+    if constexpr (Inv) xi = -xi;
+    tr[k] = xr * wr[k] - xi * wi[k];
+    ti[k] = xr * wi[k] + xi * wr[k];
+  }
+  std::fill(tr + n_, tr + m_, 0.0);
+  std::fill(ti + n_, ti + m_, 0.0);
+
+  // Circular convolution with the conjugate chirp: forward pass, product
+  // with the precomputed kernel spectrum, unscaled inverse pass.
+  const std::uint32_t* bitrev = sub_->bitrev_.data();
+  detail::bitrev_permute_planar(bitrev, m_, tr, ti, fr, fi);
+  sub_->split_passes(fr, fi, /*invert=*/false);
+  const double* __restrict hr = bhat_re_.data();
+  const double* __restrict hi = bhat_im_.data();
+  for (std::size_t i = 0; i < m_; ++i) {
+    const double ar = fr[i];
+    const double ai = fi[i];
+    fr[i] = ar * hr[i] - ai * hi[i];
+    fi[i] = ar * hi[i] + ai * hr[i];
+  }
+  detail::bitrev_permute_planar(bitrev, m_, fr, fi, tr, ti);
+  sub_->split_passes(tr, ti, /*invert=*/true);
+
+  // X_k = (conv_k / m) * w_k; the inverse conjugates and scales by 1/N.
+  const double scale = 1.0 / static_cast<double>(m_);
+  const double inv_n = 1.0 / static_cast<double>(n_);
+  for (std::size_t k = 0; k < bins; ++k) {
+    const double ar = tr[k] * scale;
+    const double ai = ti[k] * scale;
+    const double yr = ar * wr[k] - ai * wi[k];
+    const double yi = ar * wi[k] + ai * wr[k];
+    if constexpr (Inv) {
+      out_re[k] = yr * inv_n;
+      out_im[k] = -yi * inv_n;
+    } else {
+      out_re[k] = yr;
+      out_im[k] = yi;
+    }
   }
 }
 
-void FftPlan::forward(std::span<const Complex> in,
-                      std::span<Complex> out) const {
-  ftio::util::expect(in.size() == n_ && out.size() == n_,
-                     "FftPlan::forward: size mismatch");
-  if (pow2_) {
-    pow2_transform(in, out, /*invert=*/false);
-    return;
+void FftPlan::pow2_planar(std::span<const double> in_re,
+                          std::span<const double> in_im,
+                          std::span<double> out_re, std::span<double> out_im,
+                          bool invert) const {
+  const double* sr = in_re.data();
+  const double* si = in_im.data();
+  if (sr == out_re.data() || si == out_im.data()) {
+    // In-place call: the permuted gather cannot run in place, so stage
+    // the input through scratch (full aliasing only; partial overlap is
+    // undefined).
+    auto& ws = workspace();
+    ws.re2.assign(in_re.begin(), in_re.end());
+    ws.im2.assign(in_im.begin(), in_im.end());
+    sr = ws.re2.data();
+    si = ws.im2.data();
   }
-  bluestein_forward(in, out);
-}
-
-void FftPlan::inverse(std::span<const Complex> in,
-                      std::span<Complex> out) const {
-  ftio::util::expect(in.size() == n_ && out.size() == n_,
-                     "FftPlan::inverse: size mismatch");
-  const double scale = 1.0 / static_cast<double>(n_);
-  if (n_ == 1) {
-    out[0] = in[0];
-    return;
-  }
-  if (pow2_) {
-    pow2_transform(in, out, /*invert=*/true);
-    for (auto& v : out) v *= scale;
-    return;
-  }
-  // Non power-of-two inverse via conjugation: ifft(x) = conj(fft(conj(x)))/N.
-  auto& cj = workspace().conj;
-  cj.resize(n_);
-  for (std::size_t k = 0; k < n_; ++k) cj[k] = std::conj(in[k]);
-  bluestein_forward(cj, out);
-  for (auto& v : out) v = std::conj(v) * scale;
+  detail::bitrev_permute_planar(bitrev_.data(), n_, sr, si, out_re.data(),
+                                out_im.data());
+  split_passes(out_re.data(), out_im.data(), invert);
 }
 
 void FftPlan::forward_planar(std::span<const double> in_re,
@@ -1287,35 +1300,12 @@ void FftPlan::forward_planar(std::span<const double> in_re,
     out_im[0] = in_im[0];
     return;
   }
-  auto& ws = workspace();
-  if (pow2_) {
-    const double* sr = in_re.data();
-    const double* si = in_im.data();
-    if (sr == out_re.data() || si == out_im.data()) {
-      // In-place call: the permuted gather cannot run in place, so stage
-      // the input through scratch (full aliasing only; partial overlap
-      // is undefined).
-      ws.re2.assign(in_re.begin(), in_re.end());
-      ws.im2.assign(in_im.begin(), in_im.end());
-      sr = ws.re2.data();
-      si = ws.im2.data();
-    }
-    detail::bitrev_permute_planar(bitrev_.data(), n_, sr, si,
-                                  out_re.data(), out_im.data());
-    split_passes(out_re.data(), out_im.data(), /*invert=*/false);
+  if (!pow2_) {
+    bluestein<false>(in_re.data(), in_im.data(), out_re.data(),
+                     out_im.data(), n_);
     return;
   }
-  // Non power-of-two: Bluestein runs on the interleaved scratch edge.
-  ws.packed.resize(n_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    ws.packed[i] = Complex(in_re[i], in_im[i]);
-  }
-  ws.half.resize(n_);
-  bluestein_forward(ws.packed, ws.half);
-  for (std::size_t i = 0; i < n_; ++i) {
-    out_re[i] = ws.half[i].real();
-    out_im[i] = ws.half[i].imag();
-  }
+  pow2_planar(in_re, in_im, out_re, out_im, /*invert=*/false);
 }
 
 void FftPlan::inverse_planar(std::span<const double> in_re,
@@ -1333,74 +1323,16 @@ void FftPlan::inverse_planar(std::span<const double> in_re,
     out_im[0] = in_im[0];
     return;
   }
-  auto& ws = workspace();
+  if (!pow2_) {
+    bluestein<true>(in_re.data(), in_im.data(), out_re.data(),
+                    out_im.data(), n_);
+    return;
+  }
+  pow2_planar(in_re, in_im, out_re, out_im, /*invert=*/true);
   const double scale = 1.0 / static_cast<double>(n_);
-  if (pow2_) {
-    const double* sr = in_re.data();
-    const double* si = in_im.data();
-    if (sr == out_re.data() || si == out_im.data()) {
-      ws.re2.assign(in_re.begin(), in_re.end());
-      ws.im2.assign(in_im.begin(), in_im.end());
-      sr = ws.re2.data();
-      si = ws.im2.data();
-    }
-    detail::bitrev_permute_planar(bitrev_.data(), n_, sr, si,
-                                  out_re.data(), out_im.data());
-    split_passes(out_re.data(), out_im.data(), /*invert=*/true);
-    for (std::size_t i = 0; i < n_; ++i) {
-      out_re[i] *= scale;
-      out_im[i] *= scale;
-    }
-    return;
-  }
-  ws.packed.resize(n_);
   for (std::size_t i = 0; i < n_; ++i) {
-    ws.packed[i] = Complex(in_re[i], in_im[i]);
-  }
-  ws.half.resize(n_);
-  inverse(ws.packed, ws.half);  // conjugation trick + 1/N inside
-  for (std::size_t i = 0; i < n_; ++i) {
-    out_re[i] = ws.half[i].real();
-    out_im[i] = ws.half[i].imag();
-  }
-}
-
-void FftPlan::forward_real(std::span<const double> in,
-                           std::span<Complex> out) const {
-  ftio::util::expect(in.size() == n_ && out.size() == n_,
-                     "FftPlan::forward_real: size mismatch");
-  if (n_ == 1) {
-    out[0] = Complex(in[0], 0.0);
-    return;
-  }
-  if (n_ % 2 != 0) {
-    // Odd N: complexify and run the full transform directly.
-    auto& packed = workspace().packed;
-    packed.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) packed[i] = Complex(in[i], 0.0);
-    forward(packed, out);
-    return;
-  }
-  // Even N: packed half transform, then mirror the conjugate-symmetric
-  // upper half for legacy full-spectrum callers.
-  const std::size_t h = n_ / 2;
-  forward_real_half(in, out.first(h + 1));
-  for (std::size_t k = 1; k < h; ++k) out[n_ - k] = std::conj(out[k]);
-}
-
-void FftPlan::forward_real_half(std::span<const double> in,
-                                std::span<Complex> out) const {
-  ftio::util::expect(in.size() == n_ && out.size() == n_ / 2 + 1,
-                     "FftPlan::forward_real_half: size mismatch");
-  // Thin adapter: run the planar path into the half-spectrum scratch
-  // lanes and interleave at the edge.
-  auto& ws = workspace();
-  const std::size_t bins = n_ / 2 + 1;
-  ws.hre.resize(bins);
-  ws.him.resize(bins);
-  forward_real_half_planar(in, ws.hre, ws.him);
-  for (std::size_t k = 0; k < bins; ++k) {
-    out[k] = Complex(ws.hre[k], ws.him[k]);
+    out_re[i] *= scale;
+    out_im[i] *= scale;
   }
 }
 
@@ -1415,98 +1347,61 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
     out_im[0] = 0.0;
     return;
   }
-  auto& ws = workspace();
   if (n_ % 2 != 0) {
-    // Odd N: full complex transform into scratch, keep the half.
-    ws.packed.resize(n_);
-    for (std::size_t i = 0; i < n_; ++i) ws.packed[i] = Complex(in[i], 0.0);
-    ws.half.resize(n_);
-    forward(ws.packed, ws.half);
-    for (std::size_t k = 0; k <= n_ / 2; ++k) {
-      out_re[k] = ws.half[k].real();
-      out_im[k] = ws.half[k].imag();
-    }
+    // Odd N: the complex transform of the real lane, first half only.
+    bluestein<false>(in.data(), nullptr, out_re.data(), out_im.data(),
+                     n_ / 2 + 1);
     return;
   }
 
-  // Pack x[2j] + i*x[2j+1] into an N/2-point signal, transform it, then
-  // untangle the single-sided even/odd spectra with the precomputed
-  // unpack twiddles. The mirror bins X[N-k] are never formed. `zre`/`zim`
-  // read bin k of the packed transform from whichever buffer the branch
-  // below produced it in.
+  // Pack x[2j] + i*x[2j+1] into an N/2-point signal in the scratch lanes,
+  // transform it there, then untangle the single-sided even/odd spectra
+  // with the precomputed unpack twiddles. The mirror bins X[N-k] are
+  // never formed.
   ensure_real_tables();
   const std::size_t h = n_ / 2;
-  const auto unpack = [&](auto&& zre, auto&& zim) {
-    const double* __restrict twr = rtw_re_.data();
-    const double* __restrict twi = rtw_im_.data();
-    // DC and Nyquist both read bin 0 of the packed transform (k and h-k
-    // wrap to 0); peeling them keeps the interior loop free of the
-    // index-wrapping modulo — two hardware divides per bin that used to
-    // dominate the whole unpack at large N.
-    const double z0r = zre(std::size_t{0}), z0i = zim(std::size_t{0});
-    out_re[0] = z0r + z0i;
-    out_im[0] = 0.0;
-    out_re[h] = z0r - z0i;
-    out_im[h] = 0.0;
-    for (std::size_t k = 1; k < h; ++k) {
-      const double zkr = zre(k), zki = zim(k);
-      const double zmr = zre(h - k), zmi = -zim(h - k);
-      const double er = 0.5 * (zkr + zmr);
-      const double ei = 0.5 * (zki + zmi);
-      // odd = -i/2 * (z_k - conj(z_{h-k}))
-      const double odr = 0.5 * (zki - zmi);
-      const double odi = -0.5 * (zkr - zmr);
-      out_re[k] = er + twr[k] * odr - twi[k] * odi;
-      out_im[k] = ei + twr[k] * odi + twi[k] * odr;
-    }
-  };
-  if (half_->pow2_) {
-    // Fast path: pack the real pairs straight into the planar split
-    // buffers, permuting as we go — no interleaved complex copy at all.
-    ws.re.resize(h);
-    ws.im.resize(h);
-    double* re = ws.re.data();
-    double* im = ws.im.data();
-    if (h == 1) {
-      re[0] = in[0];
-      im[0] = in[1];
-    } else {
-      detail::bitrev_permute_pairs(half_->bitrev_.data(), h, in.data(), re,
-                                   im);
-      half_->split_passes(re, im, /*invert=*/false);
-    }
-    unpack([&](std::size_t k) { return re[k]; },
-           [&](std::size_t k) { return im[k]; });
-    return;
-  }
-
-  // Even N with a non power-of-two half: the half transform runs through
-  // Bluestein on an interleaved buffer.
-  ws.packed.resize(h);
-  ws.half.resize(h);
-  for (std::size_t j = 0; j < h; ++j) {
-    ws.packed[j] = Complex(in[2 * j], in[2 * j + 1]);
-  }
-  half_->forward(ws.packed, ws.half);
-  unpack([&](std::size_t k) { return ws.half[k].real(); },
-         [&](std::size_t k) { return ws.half[k].imag(); });
-}
-
-void FftPlan::inverse_real_half(std::span<const Complex> in,
-                                std::span<double> out) const {
-  ftio::util::expect(in.size() == n_ / 2 + 1 && out.size() == n_,
-                     "FftPlan::inverse_real_half: size mismatch");
-  // Thin adapter: deinterleave the half spectrum into the scratch lanes
-  // and run the planar path.
   auto& ws = workspace();
-  const std::size_t bins = n_ / 2 + 1;
-  ws.hre.resize(bins);
-  ws.him.resize(bins);
-  for (std::size_t k = 0; k < bins; ++k) {
-    ws.hre[k] = in[k].real();
-    ws.him[k] = in[k].imag();
+  ws.re.resize(h);
+  ws.im.resize(h);
+  double* re = ws.re.data();
+  double* im = ws.im.data();
+  if (h == 1) {
+    re[0] = in[0];
+    im[0] = in[1];
+  } else if (half_->pow2_) {
+    // Permute the real pairs straight into the split-radix lanes.
+    detail::bitrev_permute_pairs(half_->bitrev_.data(), h, in.data(), re,
+                                 im);
+    half_->split_passes(re, im, /*invert=*/false);
+  } else {
+    for (std::size_t j = 0; j < h; ++j) {
+      re[j] = in[2 * j];
+      im[j] = in[2 * j + 1];
+    }
+    half_->bluestein<false>(re, im, re, im, h);
   }
-  inverse_real_half_planar(ws.hre, ws.him, out);
+
+  const double* __restrict twr = rtw_re_.data();
+  const double* __restrict twi = rtw_im_.data();
+  // DC and Nyquist both read bin 0 of the packed transform (k and h-k
+  // wrap to 0); peeling them keeps the interior loop free of the
+  // index-wrapping modulo — two hardware divides per bin that used to
+  // dominate the whole unpack at large N.
+  out_re[0] = re[0] + im[0];
+  out_im[0] = 0.0;
+  out_re[h] = re[0] - im[0];
+  out_im[h] = 0.0;
+  for (std::size_t k = 1; k < h; ++k) {
+    const double zkr = re[k], zki = im[k];
+    const double zmr = re[h - k], zmi = -im[h - k];
+    const double er = 0.5 * (zkr + zmr);
+    const double ei = 0.5 * (zki + zmi);
+    // odd = -i/2 * (z_k - conj(z_{h-k}))
+    const double odr = 0.5 * (zki - zmi);
+    const double odi = -0.5 * (zkr - zmr);
+    out_re[k] = er + twr[k] * odr - twi[k] * odi;
+    out_im[k] = ei + twr[k] * odi + twi[k] * odr;
+  }
 }
 
 void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
@@ -1523,17 +1418,20 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
   if (n_ % 2 != 0) {
     // Odd N: rebuild the full conjugate-symmetric spectrum and run the
     // complex inverse; the imaginary parts of the result are rounding
-    // noise and dropped.
+    // noise and land back in the scratch lane.
     const std::size_t h = n_ / 2;
-    ws.packed.resize(n_);
-    ws.packed[0] = Complex(in_re[0], 0.0);
+    ws.re.resize(n_);
+    ws.im.resize(n_);
+    double* re = ws.re.data();
+    double* im = ws.im.data();
+    re[0] = in_re[0];
+    im[0] = 0.0;
     for (std::size_t k = 1; k <= h; ++k) {
-      ws.packed[k] = Complex(in_re[k], in_im[k]);
-      ws.packed[n_ - k] = Complex(in_re[k], -in_im[k]);
+      re[k] = re[n_ - k] = in_re[k];
+      im[k] = in_im[k];
+      im[n_ - k] = -in_im[k];
     }
-    ws.half.resize(n_);
-    inverse(ws.packed, ws.half);
-    for (std::size_t i = 0; i < n_; ++i) out[i] = ws.half[i].real();
+    bluestein<true>(re, im, out.data(), im, n_);
     return;
   }
 
@@ -1564,64 +1462,61 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
     const double odi = rtw_re_[k] * di - rtw_im_[k] * dr;
     return {er - odi, ei + odr};
   };
-  if (half_->pow2_) {
-    ws.re.resize(h);
-    ws.im.resize(h);
-    double* re = ws.re.data();
-    double* im = ws.im.data();
-    if (h == 1) {
-      re[0] = z0.r;
-      im[0] = z0.i;
-    } else if (h >= detail::kBlockedBitrevMinN) {
-      // Large N: materialise the fold in linear order, then run the
-      // cache-blocked permutation — two streaming passes instead of one
-      // scattered one. Same values into the same slots as the direct
-      // scatter below, so the threshold never changes results.
-      ws.re2.resize(h);
-      ws.im2.resize(h);
-      ws.re2[0] = z0.r;
-      ws.im2[0] = z0.i;
-      for (std::size_t k = 1; k < h; ++k) {
-        const Z z = z_at(k);
-        ws.re2[k] = z.r;
-        ws.im2[k] = z.i;
-      }
-      detail::bitrev_permute_planar(half_->bitrev_.data(), h,
-                                    ws.re2.data(), ws.im2.data(), re, im);
-      half_->split_passes(re, im, /*invert=*/true);
-    } else {
-      // Scatter into bit-reversed order so the split passes run directly
-      // (bitrev[0] == 0: z0 lands in slot 0).
-      const std::uint32_t* bp = half_->bitrev_.data();
-      re[0] = z0.r;
-      im[0] = z0.i;
-      for (std::size_t k = 1; k < h; ++k) {
-        const Z z = z_at(k);
-        const std::size_t d = bp[k];
-        re[d] = z.r;
-        im[d] = z.i;
-      }
-      half_->split_passes(re, im, /*invert=*/true);
+  const auto fold_linear = [&](double* zr, double* zi) {
+    zr[0] = z0.r;
+    zi[0] = z0.i;
+    for (std::size_t k = 1; k < h; ++k) {
+      const Z z = z_at(k);
+      zr[k] = z.r;
+      zi[k] = z.i;
     }
-    const double scale = 1.0 / static_cast<double>(h);
+  };
+  ws.re.resize(h);
+  ws.im.resize(h);
+  double* re = ws.re.data();
+  double* im = ws.im.data();
+  if (!half_->pow2_) {
+    // The half plan's Bluestein inverts in place, 1/(N/2) included.
+    fold_linear(re, im);
+    half_->bluestein<true>(re, im, re, im, h);
     for (std::size_t j = 0; j < h; ++j) {
-      out[2 * j] = re[j] * scale;
-      out[2 * j + 1] = im[j] * scale;
+      out[2 * j] = re[j];
+      out[2 * j + 1] = im[j];
     }
     return;
   }
-
-  ws.packed.resize(h);
-  ws.packed[0] = Complex(z0.r, z0.i);
-  for (std::size_t k = 1; k < h; ++k) {
-    const Z z = z_at(k);
-    ws.packed[k] = Complex(z.r, z.i);
+  if (h == 1) {
+    re[0] = z0.r;
+    im[0] = z0.i;
+  } else if (h >= detail::kBlockedBitrevMinN) {
+    // Large N: materialise the fold in linear order, then run the
+    // cache-blocked permutation — two streaming passes instead of one
+    // scattered one. Same values into the same slots as the direct
+    // scatter below, so the threshold never changes results.
+    ws.re2.resize(h);
+    ws.im2.resize(h);
+    fold_linear(ws.re2.data(), ws.im2.data());
+    detail::bitrev_permute_planar(half_->bitrev_.data(), h,
+                                  ws.re2.data(), ws.im2.data(), re, im);
+    half_->split_passes(re, im, /*invert=*/true);
+  } else {
+    // Scatter into bit-reversed order so the split passes run directly
+    // (bitrev[0] == 0: z0 lands in slot 0).
+    const std::uint32_t* bp = half_->bitrev_.data();
+    re[0] = z0.r;
+    im[0] = z0.i;
+    for (std::size_t k = 1; k < h; ++k) {
+      const Z z = z_at(k);
+      const std::size_t d = bp[k];
+      re[d] = z.r;
+      im[d] = z.i;
+    }
+    half_->split_passes(re, im, /*invert=*/true);
   }
-  ws.half.resize(h);
-  half_->inverse(ws.packed, ws.half);  // includes the 1/(N/2) scaling
+  const double scale = 1.0 / static_cast<double>(h);
   for (std::size_t j = 0; j < h; ++j) {
-    out[2 * j] = ws.half[j].real();
-    out[2 * j + 1] = ws.half[j].imag();
+    out[2 * j] = re[j] * scale;
+    out[2 * j + 1] = im[j] * scale;
   }
 }
 
@@ -1761,63 +1656,6 @@ PlanCache& plan_cache() {
 
 std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
   return plan_cache().get(n);
-}
-
-// ---------------------------------------------------------------------------
-// Allocation-free entry points
-// ---------------------------------------------------------------------------
-
-void fft_into(std::span<const Complex> in, std::span<Complex> out) {
-  ftio::util::expect(!in.empty(), "fft_into: empty input");
-  get_plan(in.size())->forward(in, out);
-}
-
-void ifft_into(std::span<const Complex> in, std::span<Complex> out) {
-  ftio::util::expect(!in.empty(), "ifft_into: empty input");
-  get_plan(in.size())->inverse(in, out);
-}
-
-void rfft_into(std::span<const double> in, std::span<Complex> out) {
-  ftio::util::expect(!in.empty(), "rfft_into: empty input");
-  get_plan(in.size())->forward_real(in, out);
-}
-
-void fft_planar_into(std::span<const double> in_re,
-                     std::span<const double> in_im,
-                     std::span<double> out_re, std::span<double> out_im) {
-  ftio::util::expect(!in_re.empty(), "fft_planar_into: empty input");
-  get_plan(in_re.size())->forward_planar(in_re, in_im, out_re, out_im);
-}
-
-void ifft_planar_into(std::span<const double> in_re,
-                      std::span<const double> in_im,
-                      std::span<double> out_re, std::span<double> out_im) {
-  ftio::util::expect(!in_re.empty(), "ifft_planar_into: empty input");
-  get_plan(in_re.size())->inverse_planar(in_re, in_im, out_re, out_im);
-}
-
-void rfft_half_into(std::span<const double> in, std::span<Complex> out) {
-  ftio::util::expect(!in.empty(), "rfft_half_into: empty input");
-  get_plan(in.size())->forward_real_half(in, out);
-}
-
-void rfft_half_planar_into(std::span<const double> in,
-                           std::span<double> out_re,
-                           std::span<double> out_im) {
-  ftio::util::expect(!in.empty(), "rfft_half_planar_into: empty input");
-  get_plan(in.size())->forward_real_half_planar(in, out_re, out_im);
-}
-
-void irfft_half_into(std::span<const Complex> in, std::span<double> out) {
-  ftio::util::expect(!out.empty(), "irfft_half_into: empty output");
-  get_plan(out.size())->inverse_real_half(in, out);
-}
-
-void irfft_half_planar_into(std::span<const double> in_re,
-                            std::span<const double> in_im,
-                            std::span<double> out) {
-  ftio::util::expect(!out.empty(), "irfft_half_planar_into: empty output");
-  get_plan(out.size())->inverse_real_half_planar(in_re, in_im, out);
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ namespace ftio::signal {
 /// Precomputed transform state for one size N. A plan owns every table the
 /// transform needs — the bit-reversal permutation, the split-radix stage
 /// schedule and its per-stage twiddle pairs for the power-of-two path, the
-/// chirp and its precomputed spectrum for the Bluestein path, and (for
+/// chirp and its precomputed kernel spectrum for the Bluestein path (every
+/// other N: a length-N chirp-z convolution run through a power-of-two
+/// sub-plan of size next_pow2(2N-1)), and (for
 /// even N) a half-size sub-plan plus the unpack twiddles that make the
 /// real-input fast path possible. Plans are immutable after construction
 /// and therefore safe to share across threads; mutable scratch lives in
@@ -37,37 +39,31 @@ namespace ftio::signal {
 /// baseline, AVX2 with -march=x86-64-v3 — see the FTIO_X86_64_V3 CMake
 /// option).
 ///
-/// Layout contract of the planar API: a split-complex signal is a pair of
-/// equal-length double arrays re[]/im[] owned by the caller; element k of
-/// the logical complex signal is (re[k], im[k]). The planar entry points
-/// read and write only such arrays — no interleaved std::complex buffer
-/// is formed anywhere on the path — and are the native representation of
-/// the core; the std::complex entry points survive as thin adapters that
-/// deinterleave/interleave at the edges. Planar outputs are bit-identical
-/// to the corresponding lanes of the interleaved entry points.
+/// Layout contract: a split-complex signal is a pair of equal-length
+/// double arrays re[]/im[] owned by the caller; element k of the logical
+/// complex signal is (re[k], im[k]). Split lanes are the only complex
+/// representation inside a plan — every entry point, the Bluestein
+/// convolution included, reads and writes such arrays, and no interleaved
+/// std::complex buffer is formed anywhere. The one interleaved adapter
+/// is the `fft`/`ifft` pair in signal/fft.hpp, which deinterleaves into
+/// lanes, runs the planar transform and interleaves the result.
 ///
 /// Most callers should not construct plans directly but go through
-/// `plan_cache()` (or the `fft`/`rfft`/`ifft` free functions, which do so
-/// internally). Direct construction is the "cold path": it deliberately
-/// pays the full table-building cost per call, which is what the
-/// pre-plan-cache implementation paid on every transform — `bench/
-/// micro_fft.cpp` uses it as the baseline.
+/// `get_plan()` (or `fft`/`ifft`, which do so internally). Direct
+/// construction is the "cold path": it deliberately pays the full
+/// table-building cost per call, which is what the pre-plan-cache
+/// implementation paid on every transform — `bench/micro_fft.cpp` uses
+/// it as the baseline.
 class FftPlan {
  public:
   explicit FftPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
 
-  /// Forward DFT: out_k = sum_n in_n exp(-2*pi*i*k*n/N).
-  /// in.size() == out.size() == size(). in and out may alias.
-  void forward(std::span<const Complex> in, std::span<Complex> out) const;
-
-  /// Inverse DFT including the 1/N normalisation.
-  void inverse(std::span<const Complex> in, std::span<Complex> out) const;
-
-  /// Forward DFT of a planar split-complex signal: reads re/im lanes of
-  /// length size(), writes the spectrum into the caller-owned out lanes.
-  /// out may fully alias in (in-place); partial overlap is undefined.
+  /// Forward DFT out_k = sum_n in_n exp(-2*pi*i*k*n/N) of a planar
+  /// split-complex signal: reads re/im lanes of length size(), writes the
+  /// spectrum into the caller-owned out lanes. out may fully alias in
+  /// (in-place); partial overlap is undefined.
   void forward_planar(std::span<const double> in_re,
                       std::span<const double> in_im,
                       std::span<double> out_re,
@@ -142,40 +138,21 @@ class FftPlan {
   /// path, whose internal transform runs at size()/2.
   std::size_t batch_tile_rows(bool real_input) const;
 
-  /// Forward DFT of a real signal, returning the full N-bin conjugate-
-  /// symmetric spectrum. Legacy adapter: runs the packed half transform
-  /// and mirrors the upper half. out.size() == size().
-  void forward_real(std::span<const double> in, std::span<Complex> out) const;
-
-  /// Packed single-sided transform of a real signal: writes only the
-  /// N/2+1 non-redundant bins (indices k in [0, N/2]); the conjugate-
-  /// symmetric upper half is never computed or stored. Even N runs as one
-  /// half-size complex transform (N real -> N/2 complex + O(N) unpack),
-  /// packed straight into the planar split buffers when N/2 is a power of
-  /// two; odd N falls back to the complex transform and copies the half.
-  /// Interleaved adapter over forward_real_half_planar.
-  /// out.size() == size()/2 + 1.
-  void forward_real_half(std::span<const double> in,
-                         std::span<Complex> out) const;
-
-  /// Planar-output variant of forward_real_half: the packed single-sided
-  /// spectrum lands in caller-owned re/im lanes of length size()/2 + 1.
-  /// Bit-identical to the lanes of forward_real_half.
+  /// Packed single-sided transform of a real signal into caller-owned
+  /// re/im lanes of length size()/2 + 1: only the N/2+1 non-redundant
+  /// bins (k in [0, N/2]) are computed; the conjugate-symmetric upper half
+  /// is never formed. Even N runs as one half-size complex transform
+  /// (N real -> N/2 complex + O(N) unpack), packed straight into the
+  /// split-radix lanes when N/2 is a power of two; odd N runs the complex
+  /// Bluestein transform on the real lane and keeps the first half.
   void forward_real_half_planar(std::span<const double> in,
                                 std::span<double> out_re,
                                 std::span<double> out_im) const;
 
-  /// Inverse of forward_real_half: reconstructs the N real samples from
-  /// the packed N/2+1 half spectrum (which must be the transform of a
-  /// real signal: imag(in[0]) and, for even N, imag(in[N/2]) are ignored).
-  /// Includes the 1/N normalisation. Interleaved adapter over
-  /// inverse_real_half_planar. in.size() == size()/2 + 1,
-  /// out.size() == size().
-  void inverse_real_half(std::span<const Complex> in,
-                         std::span<double> out) const;
-
-  /// Planar-input variant of inverse_real_half: consumes the packed half
-  /// spectrum from caller-owned re/im lanes of length size()/2 + 1.
+  /// Inverse of forward_real_half_planar: reconstructs the N real samples
+  /// from the packed half spectrum in re/im lanes of length size()/2 + 1
+  /// (which must be the transform of a real signal: in_im[0] and, for
+  /// even N, in_im[N/2] are ignored). Includes the 1/N normalisation.
   void inverse_real_half_planar(std::span<const double> in_re,
                                 std::span<const double> in_im,
                                 std::span<double> out) const;
@@ -198,9 +175,12 @@ class FftPlan {
     std::vector<double> w3re, w3im; ///< exp(-2*pi*i*3k/L),  k < L/4
   };
 
-  void pow2_transform(std::span<const Complex> in, std::span<Complex> out,
-                      bool invert) const;
-  void pow2_inplace(std::span<Complex> a, bool invert) const;
+  /// Unscaled power-of-two transform of planar lanes: the bit-reversal
+  /// gather into the out lanes (staged through scratch when in-place),
+  /// then split_passes.
+  void pow2_planar(std::span<const double> in_re,
+                   std::span<const double> in_im, std::span<double> out_re,
+                   std::span<double> out_im, bool invert) const;
   /// Runs the split-radix schedule over bit-reverse-permuted planar
   /// arrays: the fused (2,4) base pass, then the length-8..N combine
   /// stages, recursing depth-first above detail::kSplitRadixLeafLen.
@@ -237,8 +217,14 @@ class FftPlan {
   void irfft_half_batch_group(std::size_t in_stride, const double* in_re,
                               const double* in_im, std::size_t out_stride,
                               double* out) const;
-  void bluestein_forward(std::span<const Complex> in,
-                         std::span<Complex> out) const;
+  /// Bluestein chirp-z DFT of the length-size() planar signal in_re/in_im
+  /// (in_im == nullptr reads an all-zero imaginary lane), writing bins
+  /// [0, bins) to out_re/out_im. Inv computes conj(B(conj x)) / N, the
+  /// normalised inverse. The out lanes may fully alias the in lanes: the
+  /// input is consumed before the first output write.
+  template <bool Inv>
+  void bluestein(const double* in_re, const double* in_im, double* out_re,
+                 double* out_im, std::size_t bins) const;
   void ensure_bluestein_tables() const;
   void ensure_real_tables() const;
 
@@ -263,16 +249,18 @@ class FftPlan {
 
   // Bluestein tables (non power-of-two N only). Built lazily on the
   // first complex transform: an even non-pow2 plan that only ever serves
-  // forward_real never touches them, and they are the expensive part
+  // real input never touches them, and they are the expensive part
   // (a next_pow2(2N-1) sub-plan plus an FFT of the chirp).
-  std::size_t m_ = 0;                   ///< pow2 convolution size >= 2N-1
+  std::size_t m_ = 0;  ///< pow2 convolution size >= 2N-1
   mutable std::once_flag bluestein_once_;
-  mutable std::vector<Complex> chirp_;  ///< exp(-i*pi*k^2/N), size N
-  mutable std::vector<Complex> bhat_;   ///< FFT_m of the wrapped conj chirp
+  mutable std::vector<double> chirp_re_;  ///< Re exp(-i*pi*k^2/N), k < N
+  mutable std::vector<double> chirp_im_;  ///< Im exp(-i*pi*k^2/N), k < N
+  mutable std::vector<double> bhat_re_;   ///< Re FFT_m of the wrapped
+  mutable std::vector<double> bhat_im_;   ///< Im   conjugate chirp
   mutable std::shared_ptr<const FftPlan> sub_;  ///< pow2 plan for m
 
   // Real-input fast path (even N only). Built lazily on the first
-  // forward_real_half/inverse_real_half call — eager construction would
+  // real-input call — eager construction would
   // recursively drag a half-plan chain (N/2, N/4, ...) into the cache for
   // plans that only ever run complex transforms (e.g. Bluestein
   // sub-plans).
@@ -283,7 +271,7 @@ class FftPlan {
 };
 
 /// Thread-safe LRU cache of FftPlans keyed by N. One global instance (see
-/// plan_cache()) backs the fft/rfft/ifft free functions so that repeated
+/// plan_cache()) backs get_plan() and the fft/ifft adapters so that repeated
 /// transforms of the same size reuse tables instead of recomputing them.
 class PlanCache {
  public:
@@ -325,51 +313,11 @@ class PlanCache {
   std::unique_ptr<Impl> impl_;
 };
 
-/// The process-wide plan cache used by the fft/rfft/ifft free functions.
+/// The process-wide plan cache behind get_plan().
 PlanCache& plan_cache();
 
 /// Convenience: plan_cache().get(n).
 std::shared_ptr<const FftPlan> get_plan(std::size_t n);
-
-// ---------------------------------------------------------------------------
-// Allocation-free transform entry points (plan-cached, scratch reused).
-// Results match the vector-returning fft/ifft/rfft free functions bit for
-// bit; the planar variants match the corresponding lanes bit for bit.
-// ---------------------------------------------------------------------------
-
-/// out.size() == in.size().
-void fft_into(std::span<const Complex> in, std::span<Complex> out);
-void ifft_into(std::span<const Complex> in, std::span<Complex> out);
-void rfft_into(std::span<const double> in, std::span<Complex> out);
-
-/// Planar split-complex transforms on caller-owned re/im lanes (all four
-/// spans the same length). out may fully alias in.
-void fft_planar_into(std::span<const double> in_re,
-                     std::span<const double> in_im,
-                     std::span<double> out_re, std::span<double> out_im);
-void ifft_planar_into(std::span<const double> in_re,
-                      std::span<const double> in_im,
-                      std::span<double> out_re, std::span<double> out_im);
-
-/// Packed single-sided real transform: out.size() == in.size()/2 + 1.
-/// Bit-identical to the first N/2+1 bins of rfft_into.
-void rfft_half_into(std::span<const double> in, std::span<Complex> out);
-
-/// Planar packed single-sided real transform: out lanes of size
-/// in.size()/2 + 1. Bit-identical to the lanes of rfft_half_into.
-void rfft_half_planar_into(std::span<const double> in,
-                           std::span<double> out_re,
-                           std::span<double> out_im);
-
-/// Inverse of rfft_half_into (1/N normalisation included):
-/// in.size() == out.size()/2 + 1.
-void irfft_half_into(std::span<const Complex> in, std::span<double> out);
-
-/// Planar inverse of rfft_half_planar_into: in lanes of size
-/// out.size()/2 + 1.
-void irfft_half_planar_into(std::span<const double> in_re,
-                            std::span<const double> in_im,
-                            std::span<double> out);
 
 namespace detail {
 
@@ -450,8 +398,8 @@ void bitrev_permute_planar(const std::uint32_t* bitrev, std::size_t n,
 
 /// Deinterleaving gather: (out_re[i], out_im[i]) = pairs[2*bitrev[i] ..],
 /// cache-blocked above kBlockedBitrevMinN. `pairs` is any array of 2n
-/// doubles holding n (re, im) pairs — an interleaved std::complex buffer
-/// or the even/odd packing of a real signal.
+/// doubles holding n (re, im) pairs, such as the even/odd packing of a
+/// real signal.
 void bitrev_permute_pairs(const std::uint32_t* bitrev, std::size_t n,
                           const double* pairs, double* out_re,
                           double* out_im);

@@ -67,7 +67,7 @@ Spectrum compute_spectrum(std::span<const double> samples, double fs) {
   thread_local std::vector<double> bin_im;
   bin_re.resize(half + 1);
   bin_im.resize(half + 1);
-  rfft_half_planar_into(samples, bin_re, bin_im);
+  get_plan(n)->forward_real_half_planar(samples, bin_re, bin_im);
   return finish_spectrum(bin_re.data(), bin_im.data(), n, fs);
 }
 

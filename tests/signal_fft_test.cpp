@@ -6,6 +6,7 @@
 #include <numbers>
 #include <vector>
 
+#include "signal/plan.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -26,6 +27,12 @@ double max_abs_diff(const std::vector<Complex>& a,
   double d = 0.0;
   for (std::size_t i = 0; i < a.size(); ++i) d = std::max(d, std::abs(a[i] - b[i]));
   return d;
+}
+
+std::vector<Complex> complexify(const std::vector<double>& x) {
+  std::vector<Complex> c(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) c[i] = Complex(x[i], 0.0);
+  return c;
 }
 
 }  // namespace
@@ -77,7 +84,7 @@ TEST(Fft, SingleToneLandsInCorrectBin) {
     x[i] = std::cos(2.0 * std::numbers::pi * 5.0 * static_cast<double>(i) /
                     static_cast<double>(n));
   }
-  const auto y = sig::rfft(x);
+  const auto y = sig::fft(complexify(x));
   EXPECT_NEAR(std::abs(y[5]), static_cast<double>(n) / 2.0, 1e-9);
   EXPECT_NEAR(std::abs(y[59]), static_cast<double>(n) / 2.0, 1e-9);
   for (std::size_t k = 0; k < n; ++k) {
@@ -89,7 +96,7 @@ TEST(Fft, RealInputSpectrumIsConjugateSymmetric) {
   ftio::util::Rng rng(3);
   std::vector<double> x(100);  // non power of two -> Bluestein path
   for (auto& v : x) v = rng.uniform(0.0, 10.0);
-  const auto y = sig::rfft(x);
+  const auto y = sig::fft(complexify(x));
   for (std::size_t k = 1; k < x.size(); ++k) {
     EXPECT_NEAR(std::abs(y[k] - std::conj(y[x.size() - k])), 0.0, 1e-8);
   }
@@ -149,23 +156,23 @@ TEST(Fft, LargeNonPowerOfTwoRoundTrip) {
   EXPECT_LT(max_abs_diff(back, x), 1e-6);
 }
 
-TEST(Fft, BluesteinMatchesRadix2OnCommonSize) {
-  // Compare a power-of-two FFT against Bluestein evaluated via a padded
-  // odd-size neighbour: embed the same tone and compare bin magnitudes.
-  const std::size_t n = 64;
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] = std::sin(2.0 * std::numbers::pi * 3.0 * static_cast<double>(i) /
-                    static_cast<double>(n));
+TEST(Fft, PackedRealBluesteinMatchesDirectDft) {
+  // Both non-pow2 branches of the packed real transform: N = 100 runs its
+  // N/2 = 50 half through Bluestein, N = 97 runs Bluestein on the real
+  // lane directly.
+  for (const std::size_t n : {100u, 97u}) {
+    std::vector<double> x(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = std::sin(2.0 * std::numbers::pi * 3.0 * static_cast<double>(i) /
+                      static_cast<double>(n)) +
+             0.25 * static_cast<double>(i % 5);
+    }
+    const auto direct = sig::dft_direct(complexify(x));
+    std::vector<double> re(n / 2 + 1), im(n / 2 + 1);
+    sig::get_plan(n)->forward_real_half_planar(x, re, im);
+    for (std::size_t k = 0; k <= n / 2; ++k) {
+      EXPECT_LT(std::abs(Complex(re[k], im[k]) - direct[k]), 1e-8)
+          << "n = " << n << " bin " << k;
+    }
   }
-  const auto direct = sig::dft_direct(sig::rfft(x).empty()
-                                          ? std::vector<Complex>{}
-                                          : [&] {
-                                              std::vector<Complex> c(n);
-                                              for (std::size_t i = 0; i < n; ++i)
-                                                c[i] = Complex(x[i], 0.0);
-                                              return c;
-                                            }());
-  const auto fast = sig::rfft(x);
-  EXPECT_LT(max_abs_diff(fast, direct), 1e-8);
 }

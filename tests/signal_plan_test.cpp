@@ -5,6 +5,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstring>
+#include <numbers>
 #include <thread>
 #include <vector>
 
@@ -52,6 +53,43 @@ const std::size_t kSizes[] = {1,  2,   4,   8,  16,  64,  256, 1024,
                               3,  5,   7,   31, 97,  101, 769,
                               6,  12,  60,  120, 360, 1000, 1260};
 
+/// Runs a plan's planar forward (or inverse) transform on the lanes of x.
+std::vector<Complex> run_planar(const sig::FftPlan& plan,
+                                const std::vector<Complex>& x,
+                                bool inverse = false) {
+  const std::size_t n = x.size();
+  std::vector<double> re(n), im(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    re[i] = x[i].real();
+    im[i] = x[i].imag();
+  }
+  if (inverse) {
+    plan.inverse_planar(re, im, re, im);
+  } else {
+    plan.forward_planar(re, im, re, im);
+  }
+  std::vector<Complex> out(n);
+  for (std::size_t i = 0; i < n; ++i) out[i] = Complex(re[i], im[i]);
+  return out;
+}
+
+/// Packed single-sided spectrum (N/2 + 1 bins) of a real signal.
+std::vector<Complex> half_spectrum(const std::vector<double>& x) {
+  const std::size_t bins = x.size() / 2 + 1;
+  std::vector<double> re(bins), im(bins);
+  sig::get_plan(x.size())->forward_real_half_planar(x, re, im);
+  std::vector<Complex> out(bins);
+  for (std::size_t k = 0; k < bins; ++k) out[k] = Complex(re[k], im[k]);
+  return out;
+}
+
+/// Complex copy of a real signal.
+std::vector<Complex> complexify(const std::vector<double>& x) {
+  std::vector<Complex> c(x.size());
+  for (std::size_t i = 0; i < x.size(); ++i) c[i] = Complex(x[i], 0.0);
+  return c;
+}
+
 }  // namespace
 
 TEST(FftPlan, ForwardMatchesDirectDft) {
@@ -67,12 +105,13 @@ TEST(FftPlan, ForwardMatchesDirectDft) {
 TEST(FftPlan, RfftMatchesDirectDft) {
   for (std::size_t n : kSizes) {
     const auto x = random_real(n, 2000 + n);
-    std::vector<Complex> cx(n);
-    for (std::size_t i = 0; i < n; ++i) cx[i] = Complex(x[i], 0.0);
-    const auto want = sig::dft_direct(cx);
-    const auto got = sig::rfft(x);  // half-size fast path for even n
-    ASSERT_EQ(got.size(), n);
-    EXPECT_LE(max_abs_diff(got, want), tolerance(n)) << "n = " << n;
+    const auto want = sig::dft_direct(complexify(x));
+    const auto got = half_spectrum(x);  // half-size fast path for even n
+    ASSERT_EQ(got.size(), n / 2 + 1);
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_LE(std::abs(got[k] - want[k]), tolerance(n))
+          << "n = " << n << " bin " << k;
+    }
   }
 }
 
@@ -97,21 +136,92 @@ TEST(FftPlan, RepeatedCallsAreBitForBitIdentical) {
   }
 }
 
-TEST(FftPlan, IntoVariantsMatchVectorVariants) {
-  const std::size_t n = 120;
-  const auto x = random_signal(n, 5);
-  const auto xr = random_real(n, 6);
+namespace {
 
+/// Bluestein's chirp-z DFT written the textbook way on std::complex,
+/// with the same operation order as the plan: chirp angle -pi*(k^2 mod
+/// 2N)/N, kernel bhat = FFT_m of the wrapped conjugate chirp (m =
+/// next_pow2(2N-1)), convolution as ifft(fft(x * chirp) * bhat) at m,
+/// then times the chirp.
+std::vector<Complex> textbook_bluestein(const std::vector<Complex>& x) {
+  const std::size_t n = x.size();
+  const std::size_t m = sig::next_power_of_two(2 * n - 1);
+  std::vector<Complex> chirp(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t k2 = (k * k) % (2 * n);
+    const double angle = -std::numbers::pi * static_cast<double>(k2) /
+                         static_cast<double>(n);
+    chirp[k] = Complex(std::cos(angle), std::sin(angle));
+  }
+  std::vector<Complex> b(m, Complex(0.0, 0.0));
+  b[0] = std::conj(chirp[0]);
+  for (std::size_t k = 1; k < n; ++k) b[k] = b[m - k] = std::conj(chirp[k]);
+  const auto bhat = sig::fft(b);
+  std::vector<Complex> a(m, Complex(0.0, 0.0));
+  for (std::size_t k = 0; k < n; ++k) a[k] = x[k] * chirp[k];
+  auto spec = sig::fft(a);
+  for (std::size_t i = 0; i < m; ++i) spec[i] *= bhat[i];
+  const auto conv = sig::ifft(spec);
   std::vector<Complex> out(n);
-  sig::fft_into(x, out);
-  EXPECT_EQ(std::memcmp(out.data(), sig::fft(x).data(), n * sizeof(Complex)),
-            0);
-  sig::ifft_into(x, out);
-  EXPECT_EQ(std::memcmp(out.data(), sig::ifft(x).data(), n * sizeof(Complex)),
-            0);
-  sig::rfft_into(xr, out);
-  EXPECT_EQ(std::memcmp(out.data(), sig::rfft(xr).data(), n * sizeof(Complex)),
-            0);
+  for (std::size_t k = 0; k < n; ++k) out[k] = conv[k] * chirp[k];
+  return out;
+}
+
+void expect_lanes_eq(const std::vector<double>& re,
+                     const std::vector<double>& im,
+                     const std::vector<Complex>& want, const char* what) {
+  ASSERT_EQ(re.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(re[i], want[i].real())
+        << what << " re n=" << want.size() << " i=" << i;
+    ASSERT_EQ(im[i], want[i].imag())
+        << what << " im n=" << want.size() << " i=" << i;
+  }
+}
+
+}  // namespace
+
+TEST(FftPlan, BluesteinBitIdenticalToTextbook) {
+  // Every non-power-of-two transform is Bluestein, so pin it bit for bit
+  // against the std::complex formulation above: forward, inverse (via
+  // conj(B(conj x)) / N), the in-place planar form and the odd-N real
+  // transform.
+  for (const std::size_t n : {3u, 97u, 100u, 360u, 4099u, 7817u}) {
+    const auto x = random_signal(n, 8800 + n);
+    const auto want = textbook_bluestein(x);
+    std::vector<Complex> cx(n);
+    for (std::size_t i = 0; i < n; ++i) cx[i] = std::conj(x[i]);
+    auto want_inv = textbook_bluestein(cx);
+    const double scale = 1.0 / static_cast<double>(n);
+    for (auto& v : want_inv) v = std::conj(v) * scale;
+
+    const auto split = [](const std::vector<Complex>& v) {
+      std::vector<double> re(v.size()), im(v.size());
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        re[i] = v[i].real();
+        im[i] = v[i].imag();
+      }
+      return std::pair{re, im};
+    };
+    const auto [fre, fim] = split(sig::fft(x));
+    expect_lanes_eq(fre, fim, want, "fft");
+    const auto [ire, iim] = split(sig::ifft(x));
+    expect_lanes_eq(ire, iim, want_inv, "ifft");
+    auto [re, im] = split(x);
+    sig::get_plan(n)->forward_planar(re, im, re, im);
+    expect_lanes_eq(re, im, want, "in-place forward_planar");
+
+    if (n % 2 == 1) {
+      // Odd N: the packed real transform is the same Bluestein run on the
+      // real lane alone.
+      const auto xr = random_real(n, 8900 + n);
+      auto want_real = textbook_bluestein(complexify(xr));
+      want_real.resize(n / 2 + 1);
+      std::vector<double> hre(n / 2 + 1), him(n / 2 + 1);
+      sig::get_plan(n)->forward_real_half_planar(xr, hre, him);
+      expect_lanes_eq(hre, him, want_real, "odd-N forward_real_half_planar");
+    }
+  }
 }
 
 TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
@@ -128,17 +238,15 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
     std::vector<Complex> want(x);
     sig::detail::radix2_scalar(want, tables, /*invert=*/false);
 
-    sig::FftPlan plan(n);
-    std::vector<Complex> got(n);
-    plan.forward(x, got);
+    const sig::FftPlan plan(n);
+    const auto got = run_planar(plan, x);
     EXPECT_LE(max_abs_diff(got, want), tolerance(n)) << "forward n = " << n;
 
     // Inverse agreement (reference kernel omits the 1/N scaling).
     std::vector<Complex> want_inv(x);
     sig::detail::radix2_scalar(want_inv, tables, /*invert=*/true);
     for (auto& v : want_inv) v /= static_cast<double>(n);
-    std::vector<Complex> got_inv(n);
-    plan.inverse(x, got_inv);
+    const auto got_inv = run_planar(plan, x, /*inverse=*/true);
     EXPECT_LE(max_abs_diff(got_inv, want_inv), tolerance(n))
         << "inverse n = " << n;
   }
@@ -160,9 +268,7 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix4ReferenceOnEveryPow2) {
     sig::detail::radix4_planar(re.data(), im.data(), tables,
                                /*invert=*/false);
 
-    sig::FftPlan plan(n);
-    std::vector<Complex> got(n);
-    plan.forward(x, got);
+    const auto got = run_planar(sig::FftPlan(n), x);
     double diff = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       diff = std::max(diff, std::abs(got[i] - Complex(re[i], im[i])));
@@ -172,22 +278,21 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix4ReferenceOnEveryPow2) {
 }
 
 TEST(FftPlan, PlanarMatchesInterleavedBitForBit) {
-  // The planar split-complex entry points and the interleaved adapters
-  // must produce identical bits lane for lane — pow2 (split-radix core)
-  // and non-pow2 (Bluestein edge) alike, forward and inverse, plus the
-  // documented full-aliasing in-place form.
+  // The fft/ifft adapters must produce the planar transform's bits lane
+  // for lane — pow2 (split-radix core) and non-pow2 (Bluestein) alike,
+  // forward and inverse, plus the documented full-aliasing in-place form.
   for (std::size_t n : {2u, 8u, 64u, 97u, 360u, 1024u, 4096u}) {
     const auto x = random_signal(n, 8100 + n);
+    const auto plan = sig::get_plan(n);
     std::vector<double> in_re(n), in_im(n);
     for (std::size_t i = 0; i < n; ++i) {
       in_re[i] = x[i].real();
       in_im[i] = x[i].imag();
     }
 
-    std::vector<Complex> want(n);
-    sig::fft_into(x, want);
+    const auto want = sig::fft(x);
     std::vector<double> out_re(n), out_im(n);
-    sig::fft_planar_into(in_re, in_im, out_re, out_im);
+    plan->forward_planar(in_re, in_im, out_re, out_im);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(out_re[i], want[i].real()) << "fwd re n=" << n << " i=" << i;
       EXPECT_EQ(out_im[i], want[i].imag()) << "fwd im n=" << n << " i=" << i;
@@ -195,48 +300,19 @@ TEST(FftPlan, PlanarMatchesInterleavedBitForBit) {
 
     // In-place planar call (full aliasing) must match the out-of-place.
     std::vector<double> io_re(in_re), io_im(in_im);
-    sig::fft_planar_into(io_re, io_im, io_re, io_im);
+    plan->forward_planar(io_re, io_im, io_re, io_im);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(io_re[i], out_re[i]) << "in-place re n=" << n << " i=" << i;
       EXPECT_EQ(io_im[i], out_im[i]) << "in-place im n=" << n << " i=" << i;
     }
 
-    std::vector<Complex> want_inv(n);
-    sig::ifft_into(x, want_inv);
-    sig::ifft_planar_into(in_re, in_im, out_re, out_im);
+    const auto want_inv = sig::ifft(x);
+    plan->inverse_planar(in_re, in_im, out_re, out_im);
     for (std::size_t i = 0; i < n; ++i) {
       EXPECT_EQ(out_re[i], want_inv[i].real())
           << "inv re n=" << n << " i=" << i;
       EXPECT_EQ(out_im[i], want_inv[i].imag())
           << "inv im n=" << n << " i=" << i;
-    }
-  }
-}
-
-TEST(FftPlan, RealHalfPlanarMatchesInterleavedBitForBit) {
-  // Planar and interleaved packed real transforms, both directions, on
-  // every parity class: pow2, even with pow2 half, even with non-pow2
-  // half, odd, prime.
-  const std::size_t sizes[] = {1, 2, 4, 6, 8, 12, 31, 60, 97, 128, 360,
-                               1024, 4096};
-  for (std::size_t n : sizes) {
-    const auto x = random_real(n, 8200 + n);
-    const std::size_t bins = n / 2 + 1;
-
-    std::vector<Complex> want(bins);
-    sig::rfft_half_into(x, want);
-    std::vector<double> hre(bins), him(bins);
-    sig::rfft_half_planar_into(x, hre, him);
-    for (std::size_t k = 0; k < bins; ++k) {
-      EXPECT_EQ(hre[k], want[k].real()) << "n=" << n << " bin " << k;
-      EXPECT_EQ(him[k], want[k].imag()) << "n=" << n << " bin " << k;
-    }
-
-    std::vector<double> back_i(n), back_p(n);
-    sig::irfft_half_into(want, back_i);
-    sig::irfft_half_planar_into(hre, him, back_p);
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(back_p[i], back_i[i]) << "n=" << n << " sample " << i;
     }
   }
 }
@@ -261,7 +337,7 @@ TEST(FftPlan, BlockedBitrevLargeTransformsMatchReference) {
     in_re[i] = x[i].real();
     in_im[i] = x[i].imag();
   }
-  sig::fft_planar_into(in_re, in_im, out_re, out_im);
+  sig::get_plan(n)->forward_planar(in_re, in_im, out_re, out_im);
   for (std::size_t i = 0; i < n; ++i) {
     ASSERT_EQ(out_re[i], got[i].real()) << "i = " << i;
     ASSERT_EQ(out_im[i], got[i].imag()) << "i = " << i;
@@ -270,8 +346,9 @@ TEST(FftPlan, BlockedBitrevLargeTransformsMatchReference) {
   // Packed real round trip at 2N: the half transform is exactly n.
   const auto xr = random_real(2 * n, 9001);
   std::vector<double> hre(n + 1), him(n + 1), back(2 * n);
-  sig::rfft_half_planar_into(xr, hre, him);
-  sig::irfft_half_planar_into(hre, him, back);
+  const auto plan2n = sig::get_plan(2 * n);
+  plan2n->forward_real_half_planar(xr, hre, him);
+  plan2n->inverse_real_half_planar(hre, him, back);
   double err = 0.0;
   for (std::size_t i = 0; i < 2 * n; ++i) {
     err = std::max(err, std::abs(back[i] - xr[i]));
@@ -279,26 +356,21 @@ TEST(FftPlan, BlockedBitrevLargeTransformsMatchReference) {
   EXPECT_LE(err, tolerance(2 * n));
 }
 
-TEST(FftPlan, RfftHalfMatchesLegacyFullSpectrum) {
-  // Packed half-spectrum output must match the legacy full-N spectrum on
-  // the non-redundant bins to 1e-12 across power-of-two, even non-pow2,
-  // odd, and prime N — including the N=2 and N=4 corner sizes whose
-  // "interior" is only DC and Nyquist.
+TEST(FftPlan, RfftHalfMatchesComplexTransform) {
+  // The packed half spectrum must match the complex transform of the
+  // complexified signal on the non-redundant bins, across power-of-two,
+  // even non-pow2, odd, and prime N — including the N=2 and N=4 corner
+  // sizes whose "interior" is only DC and Nyquist.
   const std::size_t sizes[] = {1, 2,  4,   6,   8,   12,  16, 31, 60,
                                97, 101, 128, 360, 769, 1000, 1024, 4096};
   for (std::size_t n : sizes) {
     const auto x = random_real(n, 5200 + n);
-    const auto full = sig::rfft(x);
-    const auto half = sig::rfft_half(x);
+    const auto full = sig::fft(complexify(x));
+    const auto half = half_spectrum(x);
     ASSERT_EQ(half.size(), n / 2 + 1) << "n = " << n;
     for (std::size_t k = 0; k < half.size(); ++k) {
-      EXPECT_LE(std::abs(half[k] - full[k]), 1e-12)
+      EXPECT_LE(std::abs(half[k] - full[k]), tolerance(n))
           << "n = " << n << " bin " << k;
-    }
-    // The mirrored legacy half must be the conjugate of the packed bins.
-    for (std::size_t k = 1; k + k < n; ++k) {
-      EXPECT_LE(std::abs(full[n - k] - std::conj(half[k])), 1e-12)
-          << "n = " << n << " mirror bin " << k;
     }
   }
 }
@@ -307,22 +379,23 @@ TEST(FftPlan, RfftHalfNyquistBinIsReal) {
   // Even N: bin N/2 of a real signal satisfies X_{N/2} = conj(X_{N/2}).
   for (std::size_t n : {2u, 4u, 6u, 16u, 360u}) {
     const auto x = random_real(n, 6200 + n);
-    const auto half = sig::rfft_half(x);
+    const auto half = half_spectrum(x);
     EXPECT_LE(std::abs(half[n / 2].imag()), tolerance(n)) << "n = " << n;
     EXPECT_LE(std::abs(half[0].imag()), tolerance(n)) << "n = " << n;
   }
 }
 
 TEST(FftPlan, InverseRealHalfRoundTrips) {
-  // irfft_half(rfft_half(x)) == x for every parity class of N: pow2,
-  // even with pow2 half, even with non-pow2 half, odd, prime.
+  // The planar real-half inverse recovers x from its packed spectrum for
+  // every parity class of N: pow2, even with pow2 half, even with non-pow2
+  // half, odd, prime.
   const std::size_t sizes[] = {1, 2, 4, 6, 8, 12, 31, 60, 97, 128, 360, 1024};
   for (std::size_t n : sizes) {
     const auto x = random_real(n, 7200 + n);
-    std::vector<Complex> half(n / 2 + 1);
-    sig::rfft_half_into(x, half);
-    std::vector<double> back(n);
-    sig::irfft_half_into(half, back);
+    const auto plan = sig::get_plan(n);
+    std::vector<double> hre(n / 2 + 1), him(n / 2 + 1), back(n);
+    plan->forward_real_half_planar(x, hre, him);
+    plan->inverse_real_half_planar(hre, him, back);
     double err = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       err = std::max(err, std::abs(back[i] - x[i]));
@@ -525,8 +598,8 @@ TEST(PlanCache, LruEviction) {
   EXPECT_EQ(cache.get(8).get(), p8.get());
   EXPECT_NE(cache.get(16).get(), p16.get());
   // Evicted handles stay usable (shared ownership).
-  std::vector<Complex> out(16);
-  p16->forward(random_signal(16, 9), out);
+  const auto out = run_planar(*p16, random_signal(16, 9));
+  EXPECT_EQ(out.size(), 16u);
 }
 
 TEST(PlanCache, SetCapacityShrinks) {
