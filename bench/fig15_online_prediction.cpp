@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/online.hpp"
+#include "engine/streaming.hpp"
 #include "workloads/apps.hpp"
 
 int main(int argc, char** argv) {
@@ -42,13 +42,14 @@ int main(int argc, char** argv) {
   }
   std::printf("phases flushed: %zu\n\n", chunks.size());
 
-  ftio::core::OnlineOptions online;
+  ftio::engine::StreamingOptions options;
+  auto& online = options.online;
   online.base.sampling_frequency = 10.0;
   online.base.with_metrics = false;
   online.strategy = ftio::core::WindowStrategy::kAdaptive;
   online.adaptive_hits = 3;
   online.adaptive_margin = 0;  // the paper's exact k x period rule
-  ftio::core::OnlinePredictor predictor(online);
+  ftio::engine::StreamingSession predictor(options);
 
   std::printf("pred  at[s]   window[s]        period[s]  confidence\n");
   double period_sum = 0.0;

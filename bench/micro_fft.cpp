@@ -77,15 +77,13 @@ void BM_FftColdPlan(benchmark::State& state) {
 }
 BENCHMARK(BM_FftColdPlan)->Arg(4096)->Arg(4099)->Arg(7817)->Arg(6480);
 
-// --- split-radix half-spectrum core vs the retained reference kernels -----
+// --- split-radix half-spectrum core vs the retained reference kernel ------
 // BM_RfftHalfPlanarPlanCached is the planar packed single-sided
 // transform every consumer runs (caller-owned re/im lanes, no
-// interleaved buffer anywhere). BM_RfftHalfRadix4Ref reproduces the PR 3
-// fused radix-4 path (detail::Radix4Tables + the interleaved complex
-// unpack it shipped with) with all tables prebuilt, and
-// BM_RfftRadix2Scalar the pre-PR 3 scalar kernel. The acceptance ratios
-// for the split-radix core are Radix4Ref / PlanarPlanCached and
-// Radix2Scalar / PlanarPlanCached at the power-of-two sizes.
+// interleaved buffer anywhere); BM_RfftRadix2Scalar is the scalar
+// radix-2 reference kernel with all tables prebuilt. The acceptance
+// ratio for the split-radix core is Radix2Scalar / PlanarPlanCached at
+// the power-of-two sizes.
 
 void BM_RfftHalfPlanarPlanCached(benchmark::State& state) {
   const auto x = tone(static_cast<std::size_t>(state.range(0)));
@@ -117,46 +115,6 @@ void BM_FftPlanarPlanCached(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FftPlanarPlanCached)->Arg(4096)->Arg(1 << 16)->Arg(1 << 18);
-
-void BM_RfftHalfRadix4Ref(benchmark::State& state) {
-  // The PR 3 packed real path, reproduced with the preserved radix-4
-  // reference kernel: simple bit-reversed pair gather into planar lanes,
-  // fused radix-4 passes, interleaved std::complex unpack with the
-  // index-wrapping modulo it shipped with. Tables prebuilt — its best
-  // plan-cached case.
-  namespace sig = ftio::signal;
-  const auto x = tone(static_cast<std::size_t>(state.range(0)));
-  const std::size_t n = x.size();
-  const std::size_t h = n / 2;
-  const sig::detail::Radix4Tables tables(h);
-  std::vector<sig::Complex> unpack(h + 1);
-  for (std::size_t k = 0; k <= h; ++k) {
-    const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
-                         static_cast<double>(n);
-    unpack[k] = sig::Complex(std::cos(angle), std::sin(angle));
-  }
-  std::vector<double> re(h), im(h);
-  std::vector<sig::Complex> out(h + 1);
-  for (auto _ : state) {
-    const std::uint32_t* bp = tables.bitrev.data();
-    for (std::size_t j = 0; j < h; ++j) {
-      const std::size_t s = 2 * static_cast<std::size_t>(bp[j]);
-      re[j] = x[s];
-      im[j] = x[s + 1];
-    }
-    sig::detail::radix4_planar(re.data(), im.data(), tables,
-                               /*invert=*/false);
-    for (std::size_t k = 0; k <= h; ++k) {
-      const sig::Complex zk(re[k % h], im[k % h]);
-      const sig::Complex zmk(re[(h - k) % h], -im[(h - k) % h]);
-      const sig::Complex even = 0.5 * (zk + zmk);
-      const sig::Complex odd = sig::Complex(0.0, -0.5) * (zk - zmk);
-      out[k] = even + unpack[k] * odd;
-    }
-    benchmark::DoNotOptimize(out.data());
-  }
-}
-BENCHMARK(BM_RfftHalfRadix4Ref)->Arg(4096)->Arg(1 << 16);
 
 void BM_RfftRadix2Scalar(benchmark::State& state) {
   namespace sig = ftio::signal;

@@ -1,12 +1,10 @@
 // Microbenchmark: the streaming layer's scaling claims.
 //
-//  - BM_OnlinePredictorLoop vs BM_StreamingSessionLoop: a full online run
-//    of F flushes. The legacy predictor re-runs detect() on the whole
-//    accumulated trace every flush (per-flush cost grows with the trace),
-//    the streaming session extends incremental state (per-flush cost
-//    ~O(analysis window)). Compare the per_flush_us counter across the F
-//    arguments: legacy grows roughly linearly with F, streaming stays
-//    ~flat.
+//  - BM_StreamingSessionLoop: a full online run of F flushes. The
+//    session extends incremental state instead of re-running detect() on
+//    the whole accumulated trace, so per-flush cost is ~O(analysis
+//    window). Compare the per_flush_us counter across the F arguments:
+//    it stays ~flat as F grows.
 //  - BM_StreamingSessionHeavyTenant: one LAMMPS-256 tenant through the
 //    ingest daemon's session template (adaptive window, compaction,
 //    triage). Most flushes are triage skips that still compact the
@@ -61,26 +59,6 @@ ftio::core::OnlineOptions online_options() {
 
 constexpr int kRanks = 64;
 constexpr double kPeriod = 10.0;
-
-void BM_OnlinePredictorLoop(benchmark::State& state) {
-  const auto flushes = static_cast<int>(state.range(0));
-  std::vector<std::vector<ftio::trace::IoRequest>> chunks;
-  for (int i = 0; i < flushes; ++i) chunks.push_back(phase(i * kPeriod, 2.0, kRanks));
-  for (auto _ : state) {
-    ftio::core::OnlinePredictor predictor(online_options());
-    for (const auto& chunk : chunks) {
-      predictor.ingest(std::span<const ftio::trace::IoRequest>(chunk));
-      benchmark::DoNotOptimize(predictor.predict());
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * flushes);
-  state.counters["per_flush_us"] = benchmark::Counter(
-      static_cast<double>(state.iterations() * flushes) * 1e-6,
-      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
-}
-BENCHMARK(BM_OnlinePredictorLoop)
-    ->Arg(16)->Arg(64)->Arg(256)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_StreamingSessionLoop(benchmark::State& state) {
   const auto flushes = static_cast<int>(state.range(0));

@@ -5,10 +5,11 @@
 //   ./examples/online_prediction
 //
 // Demonstrates: mpisim::VirtualCluster + tmio::Tracer in online mode +
-// engine::StreamingSession — the incremental, plan-cached successor of
-// core::OnlinePredictor (bit-identical predictions, ~O(window) per flush)
-// with an ensemble of window strategies evaluated in the same batch, and
-// the DBSCAN merging of predictions into probability-weighted intervals.
+// engine::StreamingSession — incremental, plan-cached online prediction
+// (bit-identical to core::detect over the accumulated trace, ~O(window)
+// per flush) with an ensemble of window strategies evaluated in the same
+// batch, and the DBSCAN merging of predictions into probability-weighted
+// intervals.
 // Compaction bounds the session's memory to the analysis window, and the
 // triage filter bank answers steady flushes without the full spectral
 // pipeline; both report their stats at the end.

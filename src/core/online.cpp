@@ -1,36 +1,10 @@
 #include "core/online.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "outlier/outlier.hpp"
-#include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace ftio::core {
-
-OnlinePredictor::OnlinePredictor(OnlineOptions options)
-    : options_(std::move(options)) {
-  ftio::util::expect(options_.adaptive_hits >= 1,
-                     "OnlinePredictor: adaptive_hits must be >= 1");
-  ftio::util::expect(options_.strategy != WindowStrategy::kFixedLength ||
-                         options_.fixed_window > 0.0,
-                     "OnlinePredictor: fixed_window must be positive");
-}
-
-void OnlinePredictor::ingest(std::span<const ftio::trace::IoRequest> requests) {
-  trace_.requests.insert(trace_.requests.end(), requests.begin(),
-                         requests.end());
-  for (const auto& r : requests) {
-    trace_.rank_count = std::max(trace_.rank_count, r.rank + 1);
-  }
-}
-
-void OnlinePredictor::ingest(const ftio::trace::Trace& chunk) {
-  if (trace_.app.empty()) trace_.app = chunk.app;
-  trace_.rank_count = std::max(trace_.rank_count, chunk.rank_count);
-  ingest(std::span<const ftio::trace::IoRequest>(chunk.requests));
-}
 
 double select_online_window(const OnlineOptions& options,
                             OnlineWindowState& state, double begin,
@@ -91,27 +65,6 @@ Prediction prediction_from_result(const FtioResult& result, double now) {
   return p;
 }
 
-Prediction OnlinePredictor::predict() {
-  ftio::util::expect(!trace_.empty(), "OnlinePredictor: no data ingested");
-  const double now = trace_.end_time();
-  const double begin = trace_.begin_time();
-  const double start = select_online_window(options_, state_, begin, now);
-
-  FtioOptions opts = options_.base;
-  opts.window_start = start;
-  opts.window_end = now;
-  if (options_.auto_sampling_frequency) {
-    opts.sampling_frequency = suggest_sampling_frequency(
-        trace_, options_.min_auto_fs, options_.max_auto_fs);
-  }
-  const FtioResult result = detect(trace_, opts);
-
-  const Prediction p = prediction_from_result(result, now);
-  history_.push_back(p);
-  record_online_result(state_, p);
-  return p;
-}
-
 std::vector<FrequencyInterval> merge_predictions(
     std::span<const Prediction> history) {
   std::vector<FrequencyInterval> intervals;
@@ -156,10 +109,6 @@ std::vector<FrequencyInterval> merge_predictions(
               return a.probability > b.probability;
             });
   return intervals;
-}
-
-std::vector<FrequencyInterval> OnlinePredictor::merged_intervals() const {
-  return merge_predictions(history_);
 }
 
 }  // namespace ftio::core

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/ftio.hpp"
-#include "trace/model.hpp"
 
 namespace ftio::core {
 
@@ -68,9 +67,7 @@ struct Prediction {
 };
 
 // ---------------------------------------------------------------------------
-// Building blocks shared by OnlinePredictor and engine::StreamingSession.
-// Both compose the same window-selection / bookkeeping / merge steps, so
-// the streaming session's predictions are bit-identical by construction.
+// The Sec. II-D online loop's steps, composed by engine::StreamingSession.
 // ---------------------------------------------------------------------------
 
 /// Mutable state of the Sec. II-D window-selection rule.
@@ -122,42 +119,5 @@ struct FrequencyInterval {
 /// bin spacing; Sec. II-D). Sorted by descending probability.
 std::vector<FrequencyInterval> merge_predictions(
     std::span<const Prediction> history);
-
-/// Online period prediction (Sec. II-D): the application's tracer flushes
-/// request batches; each `ingest` + `predict` pair mirrors one evaluation
-/// of the child-process FTIO in the paper's Fig. 5 pipeline.
-class OnlinePredictor {
- public:
-  explicit OnlinePredictor(OnlineOptions options);
-
-  /// Appends freshly flushed requests to the accumulated trace.
-  void ingest(std::span<const ftio::trace::IoRequest> requests);
-  void ingest(const ftio::trace::Trace& chunk);
-
-  /// Runs one FTIO evaluation over the current window and records it.
-  /// Throws InvalidArgument when no data was ingested yet.
-  Prediction predict();
-
-  /// All predictions made so far, in order.
-  const std::vector<Prediction>& history() const { return history_; }
-
-  /// Merges the recorded dominant frequencies into intervals with
-  /// probabilities, using 1-D DBSCAN with eps = the coarsest frequency
-  /// resolution among the evaluations (window-length differences change
-  /// the bin spacing; Sec. II-D).
-  std::vector<FrequencyInterval> merged_intervals() const;
-
-  /// The data window the *next* evaluation would use.
-  double current_window_start() const { return state_.window_start; }
-
-  /// Accumulated trace (all ingested requests).
-  const ftio::trace::Trace& trace() const { return trace_; }
-
- private:
-  OnlineOptions options_;
-  ftio::trace::Trace trace_;
-  std::vector<Prediction> history_;
-  OnlineWindowState state_;
-};
 
 }  // namespace ftio::core

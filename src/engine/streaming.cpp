@@ -38,6 +38,11 @@ StreamingSession::StreamingSession(StreamingOptions options)
   ftio::util::expect(options_.online.adaptive_hits >= 1,
                      "StreamingSession: adaptive_hits must be >= 1");
   validate_strategy(options_.online, options_.online.strategy);
+  ftio::util::expect(!options_.online.auto_sampling_frequency ||
+                         (options_.online.min_auto_fs > 0.0 &&
+                          options_.online.max_auto_fs >=
+                              options_.online.min_auto_fs),
+                     "StreamingSession: bad auto-fs clamp range");
   members_.reserve(options_.ensemble.size());
   for (const auto strategy : options_.ensemble) {
     validate_strategy(options_.online, strategy);

@@ -102,7 +102,7 @@ struct TriageStats {
 /// Configuration of a StreamingSession.
 struct StreamingOptions {
   /// The primary prediction loop (strategy, adaptation knobs, base FTIO
-  /// options) — same semantics as core::OnlinePredictor.
+  /// options; Sec. II-D).
   ftio::core::OnlineOptions online;
   /// Additional window strategies evaluated next to the primary one on
   /// every predict(). Each member keeps its own adaptive state and
@@ -118,11 +118,12 @@ struct StreamingOptions {
   TriageOptions triage;
 };
 
-/// Streaming online predictor: the ROADMAP's "streaming/online batching"
-/// layer. Behaves exactly like core::OnlinePredictor — the Prediction
-/// stream is bit-identical, enforced by sharing the window-selection,
-/// discretisation, and merge code — but keeps incremental state across
-/// flushes instead of re-running the offline pipeline on the whole trace:
+/// Streaming online predictor: the paper's online loop (Sec. II-D,
+/// Fig. 5). Every Prediction is bit-identical to core::detect over all
+/// requests ingested so far, windowed by core::select_online_window —
+/// enforced by sharing the window-selection, discretisation, and merge
+/// code with core — but the session keeps incremental state across
+/// flushes instead of re-running detect() on the whole trace:
 ///
 ///  - the bandwidth step-function is extended per ingest through
 ///    trace::IncrementalBandwidth (only the curve suffix after the
@@ -184,9 +185,9 @@ class StreamingSession {
 
   /// Runs one evaluation of the primary strategy (plus every ensemble
   /// member) over the current windows and records it. Returns the primary
-  /// Prediction — bit-identical to what core::OnlinePredictor::predict()
-  /// would return after the same ingest sequence (see TriageOptions /
-  /// CompactionOptions for the scope of that promise when the cheap
+  /// Prediction — bit-identical to core::detect over the accumulated
+  /// requests, windowed by core::select_online_window (see TriageOptions
+  /// / CompactionOptions for the scope of that promise when the cheap
   /// tiers are enabled). Throws InvalidArgument when no data was
   /// ingested yet.
   ftio::core::Prediction predict() FTIO_EXCLUDES(mutex_);

@@ -5,6 +5,7 @@
 #include <limits>
 #include <memory>
 
+#include "engine/streaming.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -34,7 +35,7 @@ struct JobState {
   // Period knowledge for Set-10.
   double period_hint = 0.0;              ///< 0 = unknown
   double previous_phase_start = -1.0;
-  ftio::core::OnlinePredictor* predictor = nullptr;
+  ftio::engine::StreamingSession* predictor = nullptr;
 };
 
 /// Weighted max-min water-filling: distributes `capacity` across jobs with
@@ -99,7 +100,7 @@ SimulationOutcome simulate(const std::vector<JobSpec>& jobs,
       std::min(config.per_job_bandwidth, config.fs_bandwidth);
 
   std::vector<JobState> states(jobs.size());
-  std::vector<std::unique_ptr<ftio::core::OnlinePredictor>> predictors;
+  std::vector<std::unique_ptr<ftio::engine::StreamingSession>> predictors;
   const bool use_ftio = config.period_source == PeriodSource::kFtio ||
                         config.period_source == PeriodSource::kFtioWithError;
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -108,10 +109,10 @@ SimulationOutcome simulate(const std::vector<JobSpec>& jobs,
       states[i].period_hint = jobs[i].isolation_period;
     }
     if (use_ftio) {
-      ftio::core::OnlineOptions oo;
-      oo.base = config.ftio;
+      ftio::engine::StreamingOptions so;
+      so.online.base = config.ftio;
       predictors.push_back(
-          std::make_unique<ftio::core::OnlinePredictor>(oo));
+          std::make_unique<ftio::engine::StreamingSession>(so));
       states[i].predictor = predictors.back().get();
     }
   }

@@ -5,7 +5,7 @@
 #include <string>
 #include <vector>
 
-#include "core/online.hpp"
+#include "core/ftio.hpp"
 
 namespace ftio::sched {
 

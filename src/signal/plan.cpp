@@ -1659,7 +1659,7 @@ std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
 }
 
 // ---------------------------------------------------------------------------
-// detail: reference kernels (scalar radix-2, PR 3 fused radix-4)
+// detail: the scalar radix-2 reference kernel
 // ---------------------------------------------------------------------------
 
 namespace detail {
@@ -1714,159 +1714,6 @@ void radix2_scalar(std::span<Complex> a, const Radix2Tables& tables,
     radix2_core<true>(a, tables.bitrev, tables.twiddle);
   } else {
     radix2_core<false>(a, tables.bitrev, tables.twiddle);
-  }
-}
-
-Radix4Tables::Radix4Tables(std::size_t size) : n(size) {
-  ftio::util::expect(is_power_of_two(n) && n >= 2,
-                     "Radix4Tables: n must be 2^k >= 2");
-  bitrev = build_bitrev(n);
-  // Butterfly schedule: stages of length 2, 4, ..., N fused in pairs
-  // into radix-4 passes. An odd stage count leaves the trivial
-  // twiddle-free length-2 stage as a radix-2 lead; an even count starts
-  // with the equally twiddle-free fused (2,4) pass.
-  unsigned k = 0;
-  while ((std::size_t{1} << k) < n) ++k;
-  std::size_t stage = 1;  // next unfused stage s (length 2^s)
-  if (k % 2 == 1) {
-    lead_radix2 = true;
-    stage = 2;
-  } else {
-    lead_radix4 = true;
-    stage = 3;
-  }
-  for (; stage + 1 <= k; stage += 2) {
-    const std::size_t len = std::size_t{1} << stage;  // fuse (len, 2*len)
-    Pass pass;
-    pass.half = len / 2;
-    pass.w1re.resize(pass.half);
-    pass.w1im.resize(pass.half);
-    pass.w2re.resize(pass.half);
-    pass.w2im.resize(pass.half);
-    for (std::size_t j = 0; j < pass.half; ++j) {
-      const Complex w1 = unit_root(j, len);
-      const Complex w2 = unit_root(j, 2 * len);
-      pass.w1re[j] = w1.real();
-      pass.w1im[j] = w1.imag();
-      pass.w2re[j] = w2.real();
-      pass.w2im[j] = w2.imag();
-    }
-    passes.push_back(std::move(pass));
-  }
-}
-
-namespace {
-
-template <bool Inv>
-void radix4_core(double* re, double* im, const Radix4Tables& t) {
-  const std::size_t n = t.n;
-  if (t.lead_radix2) {
-    // Stage of length 2: every twiddle is 1.
-    for (std::size_t i = 0; i + 1 < n; i += 2) {
-      const double ar = re[i], ai = im[i];
-      const double br = re[i + 1], bi = im[i + 1];
-      re[i] = ar + br;
-      im[i] = ai + bi;
-      re[i + 1] = ar - br;
-      im[i + 1] = ai - bi;
-    }
-  } else if (t.lead_radix4) {
-    // Fused stages (2, 4): plain 4-point DFTs, no twiddle loads.
-    for (std::size_t i = 0; i + 3 < n; i += 4) {
-      const double ar = re[i], ai = im[i];
-      const double br = re[i + 1], bi = im[i + 1];
-      const double cr = re[i + 2], ci = im[i + 2];
-      const double dr = re[i + 3], di = im[i + 3];
-      const double t0r = ar + br, t0i = ai + bi;
-      const double t1r = ar - br, t1i = ai - bi;
-      const double t2r = cr + dr, t2i = ci + di;
-      const double t3r = cr - dr, t3i = ci - di;
-      re[i] = t0r + t2r;
-      im[i] = t0i + t2i;
-      re[i + 2] = t0r - t2r;
-      im[i + 2] = t0i - t2i;
-      if constexpr (Inv) {
-        re[i + 1] = t1r - t3i;
-        im[i + 1] = t1i + t3r;
-        re[i + 3] = t1r + t3i;
-        im[i + 3] = t1i - t3r;
-      } else {
-        re[i + 1] = t1r + t3i;
-        im[i + 1] = t1i - t3r;
-        re[i + 3] = t1r - t3i;
-        im[i + 3] = t1i + t3r;
-      }
-    }
-  }
-  // Generic fused passes: stage pair (L, 2L) as one radix-4 sweep over
-  // blocks of 2L. Within a block the four quarters are contiguous, so
-  // the j loop below is pure stride-1 double arithmetic over disjoint
-  // lanes.
-  for (const auto& pass : t.passes) {
-    const std::size_t half = pass.half;  // L/2
-    const std::size_t block = 4 * half;  // 2L
-    const double* __restrict w1r = pass.w1re.data();
-    const double* __restrict w1i = pass.w1im.data();
-    const double* __restrict w2r = pass.w2re.data();
-    const double* __restrict w2i = pass.w2im.data();
-    for (std::size_t i = 0; i < n; i += block) {
-      double* __restrict re0 = re + i;
-      double* __restrict im0 = im + i;
-      double* __restrict re1 = re0 + half;
-      double* __restrict im1 = im0 + half;
-      double* __restrict re2 = re0 + 2 * half;
-      double* __restrict im2 = im0 + 2 * half;
-      double* __restrict re3 = re0 + 3 * half;
-      double* __restrict im3 = im0 + 3 * half;
-      for (std::size_t j = 0; j < half; ++j) {
-        const double w1rj = w1r[j];
-        const double w1ij = Inv ? -w1i[j] : w1i[j];
-        const double w2rj = w2r[j];
-        const double w2ij = Inv ? -w2i[j] : w2i[j];
-        // Stage L: butterflies (0,1) and (2,3) with twiddle w1.
-        const double br = w1rj * re1[j] - w1ij * im1[j];
-        const double bi = w1rj * im1[j] + w1ij * re1[j];
-        const double dr = w1rj * re3[j] - w1ij * im3[j];
-        const double di = w1rj * im3[j] + w1ij * re3[j];
-        const double t0r = re0[j] + br, t0i = im0[j] + bi;
-        const double t1r = re0[j] - br, t1i = im0[j] - bi;
-        const double t2r = re2[j] + dr, t2i = im2[j] + di;
-        const double t3r = re2[j] - dr, t3i = im2[j] - di;
-        // Stage 2L: butterflies (0,2) with w2 and (1,3) with -i*w2
-        // (+i*w2 for the inverse) — the -i is folded into the output
-        // shuffle instead of a third twiddle table.
-        const double u2r = w2rj * t2r - w2ij * t2i;
-        const double u2i = w2rj * t2i + w2ij * t2r;
-        const double u3r = w2rj * t3r - w2ij * t3i;
-        const double u3i = w2rj * t3i + w2ij * t3r;
-        re0[j] = t0r + u2r;
-        im0[j] = t0i + u2i;
-        re2[j] = t0r - u2r;
-        im2[j] = t0i - u2i;
-        if constexpr (Inv) {
-          re1[j] = t1r - u3i;
-          im1[j] = t1i + u3r;
-          re3[j] = t1r + u3i;
-          im3[j] = t1i - u3r;
-        } else {
-          re1[j] = t1r + u3i;
-          im1[j] = t1i - u3r;
-          re3[j] = t1r - u3i;
-          im3[j] = t1i + u3r;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
-void radix4_planar(double* re, double* im, const Radix4Tables& tables,
-                   bool invert) {
-  if (invert) {
-    radix4_core<true>(re, im, tables);
-  } else {
-    radix4_core<false>(re, im, tables);
   }
 }
 

@@ -26,12 +26,11 @@ namespace ftio::signal {
 /// over deinterleaved (planar) real/imag double arrays: each size-L node
 /// combines one L/2 sub-transform of the even samples with two L/4
 /// sub-transforms of the odd samples using the conjugate twiddle pair
-/// (w^k, w^{3k}) — about a third fewer real multiplies than the uniform
-/// fused-radix-4 schedule it replaces (kept as detail::Radix4Tables /
-/// radix4_planar for tests and benches). Input is permuted into
-/// bit-reversed order up front; above detail::kBlockedBitrevMinN the
-/// permutation runs cache-blocked (COBRA-style 32x32 tiles) so large
-/// transforms stop thrashing on the scattered gather, and the butterfly
+/// (w^k, w^{3k}) — about a third fewer real multiplies than a uniform
+/// fused-radix-4 schedule. Input is permuted into bit-reversed order up
+/// front; above detail::kBlockedBitrevMinN the permutation runs
+/// cache-blocked (COBRA-style 32x32 tiles) so large transforms stop
+/// thrashing on the scattered gather, and the butterfly
 /// schedule itself recurses depth-first above detail::kSplitRadixLeafLen
 /// so every subtree that fits in cache is finished before the next one is
 /// touched. The hot loops are contiguous stride-1 double arithmetic with
@@ -334,30 +333,6 @@ struct Radix2Tables {
 /// In-place radix-2 transform of a (a.size() == tables size). No output
 /// scaling: the inverse pass omits the 1/N factor.
 void radix2_scalar(std::span<Complex> a, const Radix2Tables& tables,
-                   bool invert);
-
-/// The PR 3 fused-radix-4 planar kernel, preserved verbatim as a second
-/// independent reference (and as the baseline the split-radix core is
-/// benchmarked against): stages of length 2..n fused in pairs into
-/// radix-4 passes with a radix-2 lead stage when log2 n is odd.
-struct Radix4Tables {
-  explicit Radix4Tables(std::size_t n);  ///< n must be a power of two
-  std::size_t n = 0;
-  std::vector<std::uint32_t> bitrev;     ///< permutation, size n
-  bool lead_radix2 = false;  ///< odd log2 n: one radix-2 stage first
-  bool lead_radix4 = false;  ///< even log2 n: twiddle-free 4-point DFTs
-  struct Pass {
-    std::size_t half = 0;           ///< L/2 butterflies per block of 2L
-    std::vector<double> w1re, w1im; ///< exp(-2*pi*i*j/L),    j < L/2
-    std::vector<double> w2re, w2im; ///< exp(-2*pi*i*j/(2L)), j < L/2
-  };
-  std::vector<Pass> passes;
-};
-
-/// In-place fused radix-4 transform over planar lanes that the caller has
-/// already permuted into bit-reversed order (tables.bitrev). No output
-/// scaling on the inverse.
-void radix4_planar(double* re, double* im, const Radix4Tables& tables,
                    bool invert);
 
 /// Above this size the bit-reversal permutation runs cache-blocked

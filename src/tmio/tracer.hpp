@@ -73,7 +73,7 @@ class Tracer {
   ftio::trace::Trace snapshot() const;
 
   /// Requests recorded since the previous flush, as a trace chunk — the
-  /// natural feed for core::OnlinePredictor::ingest.
+  /// natural feed for engine::StreamingSession::ingest.
   ftio::trace::Trace unflushed_chunk() const;
 
   /// Serialised bytes written so far (file content mirror; also available

@@ -54,23 +54,65 @@ void expect_identical(const core::Prediction& a, const core::Prediction& b,
   EXPECT_EQ(a.sample_count, b.sample_count) << "flush " << flush;
 }
 
-/// Streams `chunks` through both predictors and requires bit-identical
-/// prediction sequences.
+/// The session's oracle: the offline core::detect over every request
+/// flushed so far, windowed by the same Sec. II-D rule.
+class ReferenceLoop {
+ public:
+  explicit ReferenceLoop(core::OnlineOptions options)
+      : options_(std::move(options)) {}
+
+  core::Prediction flush(std::span<const tr::IoRequest> chunk) {
+    trace_.requests.insert(trace_.requests.end(), chunk.begin(), chunk.end());
+    const double now = trace_.end_time();
+    core::FtioOptions opts = options_.base;
+    opts.window_start = core::select_online_window(options_, state_,
+                                                   trace_.begin_time(), now);
+    opts.window_end = now;
+    if (options_.auto_sampling_frequency) {
+      opts.sampling_frequency = core::suggest_sampling_frequency(
+          trace_, options_.min_auto_fs, options_.max_auto_fs);
+    }
+    const auto p = core::prediction_from_result(core::detect(trace_, opts), now);
+    core::record_online_result(state_, p);
+    history_.push_back(p);
+    return p;
+  }
+
+  std::vector<core::FrequencyInterval> merged_intervals() const {
+    return core::merge_predictions(history_);
+  }
+
+ private:
+  core::OnlineOptions options_;
+  tr::Trace trace_;
+  core::OnlineWindowState state_;
+  std::vector<core::Prediction> history_;
+};
+
+/// Streams `chunks` through the session and the reference loop and
+/// requires bit-identical prediction sequences.
 void expect_stream_identical(const core::OnlineOptions& options,
                              const std::vector<std::vector<tr::IoRequest>>&
                                  chunks) {
-  core::OnlinePredictor reference(options);
+  ReferenceLoop reference(options);
   eng::StreamingOptions streaming;
   streaming.online = options;
   eng::StreamingSession session(streaming);
 
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    reference.ingest(std::span<const tr::IoRequest>(chunks[i]));
     session.ingest(std::span<const tr::IoRequest>(chunks[i]));
-    const auto expected = reference.predict();
+    const auto expected =
+        reference.flush(std::span<const tr::IoRequest>(chunks[i]));
     const auto got = session.predict();
     expect_identical(expected, got, static_cast<int>(i));
   }
+}
+
+/// A session over `options` with compaction and triage off.
+eng::StreamingSession make_session(const core::OnlineOptions& options) {
+  eng::StreamingOptions streaming;
+  streaming.online = options;
+  return eng::StreamingSession(streaming);
 }
 
 std::vector<std::vector<tr::IoRequest>> periodic_chunks(int count,
@@ -90,6 +132,155 @@ TEST(StreamingSession, PredictWithoutDataThrows) {
   o.online = online_options(core::WindowStrategy::kAdaptive);
   eng::StreamingSession session(o);
   EXPECT_THROW(session.predict(), ftio::util::InvalidArgument);
+  // An empty flush is still no data.
+  session.ingest(std::span<const tr::IoRequest>{});
+  EXPECT_THROW(session.predict(), ftio::util::InvalidArgument);
+}
+
+TEST(StreamingSession, RejectsInvalidOptions) {
+  const auto rejects = [](const eng::StreamingOptions& o) {
+    EXPECT_THROW(eng::StreamingSession{o}, ftio::util::InvalidArgument);
+  };
+  eng::StreamingOptions o;
+  o.online = online_options(core::WindowStrategy::kAdaptive);
+  o.online.adaptive_hits = 0;
+  rejects(o);
+
+  o.online = online_options(core::WindowStrategy::kFixedLength);
+  o.online.fixed_window = 0.0;
+  rejects(o);
+  // The same bad length on an ensemble member behind a valid primary.
+  o.online.strategy = core::WindowStrategy::kAdaptive;
+  o.ensemble = {core::WindowStrategy::kFixedLength};
+  o.online.fixed_window = -1.0;
+  rejects(o);
+  o.ensemble.clear();
+
+  // A bad auto-fs clamp range fails at build time, not on every predict.
+  o.online = online_options(core::WindowStrategy::kGrowing);
+  o.online.auto_sampling_frequency = true;
+  o.online.min_auto_fs = 0.0;
+  rejects(o);
+  o.online.min_auto_fs = 10.0;
+  o.online.max_auto_fs = 5.0;
+  rejects(o);
+  // The range is only read when auto fs is on.
+  o.online.auto_sampling_frequency = false;
+  EXPECT_NO_THROW(eng::StreamingSession{o});
+}
+
+TEST(StreamingSession, ConvergesOnPeriodicStream) {
+  // HACC-IO-like loop: a phase every 10 s, predictions after each flush.
+  auto session = make_session(online_options(core::WindowStrategy::kAdaptive));
+  core::Prediction last;
+  for (const auto& chunk : periodic_chunks(10, 10.0)) {
+    session.ingest(std::span<const tr::IoRequest>(chunk));
+    last = session.predict();
+  }
+  ASSERT_TRUE(last.found());
+  EXPECT_NEAR(last.period(), 10.0, 1.0);
+  EXPECT_EQ(session.history().size(), 10u);
+}
+
+TEST(StreamingSession, AdaptiveWindowShrinksAfterKHits) {
+  auto options = online_options(core::WindowStrategy::kAdaptive);
+  options.adaptive_hits = 3;
+  auto session = make_session(options);
+  for (const auto& chunk : periodic_chunks(12, 10.0)) {
+    session.ingest(std::span<const tr::IoRequest>(chunk));
+    session.predict();
+  }
+  const auto& h = session.history();
+  // Early predictions see the whole history; late ones only about
+  // adaptive_hits + adaptive_margin = 4 periods (fs = 2 Hz keeps the
+  // 64-sample floor, 32 s, below that 40 s window).
+  EXPECT_NEAR(h.front().window_start, 0.0, 1e-9);
+  const auto& last = h.back();
+  EXPECT_GT(last.window_start, last.window_end - 4.5 * 10.0);
+  // Shrinking must not have broken detection.
+  ASSERT_TRUE(last.found());
+  EXPECT_NEAR(last.period(), 10.0, 1.0);
+}
+
+TEST(StreamingSession, GrowingStrategyKeepsFullWindow) {
+  auto session = make_session(online_options(core::WindowStrategy::kGrowing));
+  for (const auto& chunk : periodic_chunks(8, 10.0)) {
+    session.ingest(std::span<const tr::IoRequest>(chunk));
+    session.predict();
+  }
+  for (const auto& pred : session.history()) {
+    EXPECT_NEAR(pred.window_start, 0.0, 1e-9);
+  }
+}
+
+TEST(StreamingSession, FixedLengthWindow) {
+  auto options = online_options(core::WindowStrategy::kFixedLength);
+  options.fixed_window = 35.0;
+  auto session = make_session(options);
+  for (const auto& chunk : periodic_chunks(10, 10.0)) {
+    session.ingest(std::span<const tr::IoRequest>(chunk));
+    session.predict();
+  }
+  const auto& last = session.history().back();
+  EXPECT_NEAR(last.window_end - last.window_start, 35.0, 1.0);
+}
+
+TEST(StreamingSession, BehaviourChangeIsTracked) {
+  // Period 10 s for 8 phases, then period 20 s for 10 phases: the
+  // adaptive window must let the session relearn the new cadence.
+  auto options = online_options(core::WindowStrategy::kAdaptive);
+  options.adaptive_hits = 3;
+  auto session = make_session(options);
+  double t = 0.0;
+  core::Prediction last;
+  for (int i = 0; i < 18; ++i) {
+    session.ingest(std::span<const tr::IoRequest>(phase(t, 2.0, 4)));
+    last = session.predict();
+    t += i < 8 ? 10.0 : 20.0;
+  }
+  ASSERT_TRUE(last.found());
+  EXPECT_NEAR(last.period(), 20.0, 2.5);
+}
+
+TEST(StreamingSession, MergedIntervalsSingleCluster) {
+  auto session = make_session(online_options(core::WindowStrategy::kAdaptive));
+  for (const auto& chunk : periodic_chunks(10, 10.0)) {
+    session.ingest(std::span<const tr::IoRequest>(chunk));
+    session.predict();
+  }
+  const auto& intervals = session.merged_intervals();
+  ASSERT_FALSE(intervals.empty());
+  const auto& top = intervals.front();
+  EXPECT_GE(top.probability, 0.5);
+  EXPECT_LE(top.low, 0.1);
+  EXPECT_GE(top.high, 0.095);
+  EXPECT_NEAR(top.center, 0.1, 0.02);
+}
+
+TEST(StreamingSession, MergedIntervalsEmptyWithoutDetections) {
+  auto session = make_session(online_options(core::WindowStrategy::kAdaptive));
+  // A single short request cannot produce a detection.
+  const std::vector<tr::IoRequest> one{{0, 0.0, 1.0, 10, tr::IoKind::kWrite}};
+  session.ingest(std::span<const tr::IoRequest>(one));
+  session.predict();
+  EXPECT_TRUE(session.merged_intervals().empty());
+}
+
+TEST(StreamingSession, ProbabilitiesSumToAtMostOne) {
+  auto session = make_session(online_options(core::WindowStrategy::kAdaptive));
+  double t = 0.0;
+  for (int i = 0; i < 12; ++i) {
+    // Six 2 s bursts every 10 s, then six 5 s bursts every 40 s.
+    const bool early = i < 6;
+    session.ingest(std::span<const tr::IoRequest>(
+        phase(t, early ? 2.0 : 5.0, 4)));
+    session.predict();
+    t += early ? 10.0 : 40.0;
+  }
+  double sum = 0.0;
+  for (const auto& iv : session.merged_intervals()) sum += iv.probability;
+  EXPECT_LE(sum, 1.0 + 1e-9);
+  EXPECT_GT(sum, 0.0);
 }
 
 TEST(StreamingSession, BitIdenticalGrowingStrategy) {
@@ -193,16 +384,13 @@ TEST(StreamingSession, BandwidthMatchesOfflineSweep) {
   }
 }
 
-TEST(StreamingSession, MergedIntervalsMatchOnlinePredictor) {
+TEST(StreamingSession, MergedIntervalsMatchReference) {
   const auto options = online_options(core::WindowStrategy::kAdaptive);
-  core::OnlinePredictor reference(options);
-  eng::StreamingOptions streaming;
-  streaming.online = options;
-  eng::StreamingSession session(streaming);
+  ReferenceLoop reference(options);
+  auto session = make_session(options);
   for (const auto& chunk : periodic_chunks(10, 10.0)) {
-    reference.ingest(std::span<const tr::IoRequest>(chunk));
     session.ingest(std::span<const tr::IoRequest>(chunk));
-    reference.predict();
+    reference.flush(std::span<const tr::IoRequest>(chunk));
     session.predict();
   }
   const auto expected = reference.merged_intervals();
@@ -217,9 +405,9 @@ TEST(StreamingSession, MergedIntervalsMatchOnlinePredictor) {
   }
 }
 
-TEST(StreamingSession, EnsembleMatchesDedicatedPredictors) {
-  // Every ensemble member must evolve exactly like a dedicated
-  // OnlinePredictor running that strategy over the same stream.
+TEST(StreamingSession, EnsembleMatchesDedicatedReferences) {
+  // Every ensemble member must evolve exactly like a dedicated reference
+  // loop running that strategy over the same stream.
   eng::StreamingOptions streaming;
   streaming.online = online_options(core::WindowStrategy::kAdaptive);
   streaming.ensemble = {core::WindowStrategy::kGrowing,
@@ -228,22 +416,21 @@ TEST(StreamingSession, EnsembleMatchesDedicatedPredictors) {
 
   auto growing_options = streaming.online;
   growing_options.strategy = core::WindowStrategy::kGrowing;
-  core::OnlinePredictor growing(growing_options);
+  ReferenceLoop growing(growing_options);
   auto fixed_options = streaming.online;
   fixed_options.strategy = core::WindowStrategy::kFixedLength;
-  core::OnlinePredictor fixed(fixed_options);
+  ReferenceLoop fixed(fixed_options);
 
   auto chunks = periodic_chunks(12, 10.0);
   // Straggler reaching back into swept time: the growing member's sample
-  // cache must drop its dirty suffix and still match the fresh predictor.
+  // cache must drop its dirty suffix and still match the reference.
   chunks[9].push_back({1, 73.0, 76.5, 60'000'000, tr::IoKind::kWrite});
   for (std::size_t i = 0; i < chunks.size(); ++i) {
-    session.ingest(std::span<const tr::IoRequest>(chunks[i]));
-    growing.ingest(std::span<const tr::IoRequest>(chunks[i]));
-    fixed.ingest(std::span<const tr::IoRequest>(chunks[i]));
+    const std::span<const tr::IoRequest> chunk(chunks[i]);
+    session.ingest(chunk);
     session.predict();
-    const auto expected_growing = growing.predict();
-    const auto expected_fixed = fixed.predict();
+    const auto expected_growing = growing.flush(chunk);
+    const auto expected_fixed = fixed.flush(chunk);
     expect_identical(expected_growing, session.ensemble_history(0).back(),
                      static_cast<int>(i));
     expect_identical(expected_fixed, session.ensemble_history(1).back(),
@@ -267,6 +454,13 @@ TEST(StreamingSession, TraceAggregatesMatch) {
   EXPECT_EQ(session.request_count(), 16u);
   EXPECT_DOUBLE_EQ(session.begin_time(), 5.0);
   EXPECT_DOUBLE_EQ(session.end_time(), 7.0);
+
+  // A bare request span carries no metadata: ranks come from the
+  // requests themselves.
+  eng::StreamingSession bare(o);
+  bare.ingest(std::span<const tr::IoRequest>(phase(0.0, 1.0, 8)));
+  EXPECT_EQ(bare.rank_count(), 8);
+  EXPECT_TRUE(bare.app().empty());
 }
 
 TEST(StreamingSession, LastResultCarriesBandwidthFields) {

@@ -10,6 +10,7 @@
 
 #include "core/online.hpp"
 #include "core/per_rank.hpp"
+#include "engine/streaming.hpp"
 #include "signal/wavelet.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
@@ -241,13 +242,14 @@ TEST(PerRank, RejectsEmptyTrace) {
 // ---------------------------------------------------------------------------
 
 TEST(AutoFs, DerivesFsFromRequestGranularity) {
-  core::OnlineOptions o;
+  ftio::engine::StreamingOptions options;
+  core::OnlineOptions& o = options.online;
   o.base.sampling_frequency = 1.0;  // deliberately too coarse
   o.base.with_metrics = false;
   o.strategy = core::WindowStrategy::kGrowing;
   o.auto_sampling_frequency = true;
   o.max_auto_fs = 50.0;
-  core::OnlinePredictor p(o);
+  ftio::engine::StreamingSession p(options);
 
   // Bursts of 0.2 s requests every 5 s: suggest fs = 2/0.2 = 10 Hz.
   for (int i = 0; i < 12; ++i) {
@@ -266,13 +268,14 @@ TEST(AutoFs, DerivesFsFromRequestGranularity) {
 }
 
 TEST(AutoFs, ClampsToConfiguredMaximum) {
-  core::OnlineOptions o;
+  ftio::engine::StreamingOptions options;
+  core::OnlineOptions& o = options.online;
   o.base.sampling_frequency = 1.0;
   o.base.with_metrics = false;
   o.strategy = core::WindowStrategy::kGrowing;
   o.auto_sampling_frequency = true;
   o.max_auto_fs = 4.0;  // acts as the low-pass filter from Sec. VI
-  core::OnlinePredictor p(o);
+  ftio::engine::StreamingSession p(options);
   for (int i = 0; i < 10; ++i) {
     std::vector<tr::IoRequest> reqs{
         {0, i * 5.0, i * 5.0 + 0.001, 1'000'000, tr::IoKind::kWrite}};

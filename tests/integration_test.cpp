@@ -11,6 +11,7 @@
 #include "core/online.hpp"
 #include "core/per_rank.hpp"
 #include "core/profile.hpp"
+#include "engine/streaming.hpp"
 #include "mpisim/cluster.hpp"
 #include "tmio/tracer.hpp"
 #include "trace/formats.hpp"
@@ -134,10 +135,10 @@ TEST(Integration, OnlinePredictionFromTracerChunks) {
   ftio::tmio::Tracer tracer(4, {.mode = ftio::tmio::Mode::kOnline});
   cluster.attach_tracer(&tracer);
 
-  core::OnlineOptions online;
-  online.base.sampling_frequency = 1.0;
-  online.base.with_metrics = false;
-  core::OnlinePredictor predictor(online);
+  ftio::engine::StreamingOptions options;
+  options.online.base.sampling_frequency = 1.0;
+  options.online.base.with_metrics = false;
+  ftio::engine::StreamingSession predictor(options);
 
   core::Prediction last;
   for (int iter = 0; iter < 10; ++iter) {

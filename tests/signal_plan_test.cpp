@@ -252,31 +252,6 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
   }
 }
 
-TEST(FftPlan, SplitRadixCoreMatchesRadix4ReferenceOnEveryPow2) {
-  // The PR 3 fused-radix-4 kernel is preserved verbatim as
-  // detail::radix4_planar; pin the split-radix core against it too so
-  // the two independent planar schedules cross-check each other.
-  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n <<= 1) {
-    const auto x = random_signal(n, 4300 + n);
-
-    const sig::detail::Radix4Tables tables(n);
-    std::vector<double> re(n);
-    std::vector<double> im(n);
-    sig::detail::bitrev_permute_pairs(
-        tables.bitrev.data(), n,
-        reinterpret_cast<const double*>(x.data()), re.data(), im.data());
-    sig::detail::radix4_planar(re.data(), im.data(), tables,
-                               /*invert=*/false);
-
-    const auto got = run_planar(sig::FftPlan(n), x);
-    double diff = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      diff = std::max(diff, std::abs(got[i] - Complex(re[i], im[i])));
-    }
-    EXPECT_LE(diff, tolerance(n)) << "n = " << n;
-  }
-}
-
 TEST(FftPlan, PlanarMatchesInterleavedBitForBit) {
   // The fft/ifft adapters must produce the planar transform's bits lane
   // for lane — pow2 (split-radix core) and non-pow2 (Bluestein) alike,
