@@ -1,187 +1,190 @@
+// Unit tests of the Sec. II-D online-loop steps in core/online: window
+// selection, hit bookkeeping, prediction records and interval merging.
+// The composed loop is tested end to end in engine_streaming_test.
 #include "core/online.hpp"
 
 #include <gtest/gtest.h>
 
 #include <vector>
 
-#include "trace/model.hpp"
-#include "util/error.hpp"
-
 namespace core = ftio::core;
-namespace tr = ftio::trace;
 
 namespace {
 
-/// Requests of one I/O phase: `ranks` ranks writing for `burst` seconds
-/// starting at `start`.
-std::vector<tr::IoRequest> phase(double start, double burst, int ranks,
-                                 std::uint64_t bytes = 50'000'000) {
-  std::vector<tr::IoRequest> reqs;
-  for (int r = 0; r < ranks; ++r) {
-    reqs.push_back({r, start, start + burst, bytes, tr::IoKind::kWrite});
-  }
-  return reqs;
+core::OnlineOptions options(core::WindowStrategy strategy) {
+  core::OnlineOptions o;
+  o.base.sampling_frequency = 2.0;
+  o.strategy = strategy;
+  o.adaptive_hits = 3;
+  o.adaptive_margin = 1;
+  o.min_window_samples = 64;  // 32 s at fs = 2 Hz
+  return o;
 }
 
-core::OnlineOptions online_options(core::WindowStrategy strategy =
-                                       core::WindowStrategy::kAdaptive) {
-  core::OnlineOptions o;
-  // fs = 2 Hz keeps the 64-sample minimum window (32 s) below the
-  // 4-period adaptive window (40 s), so the tests exercise the k x period
-  // rule rather than the sample floor.
-  o.base.sampling_frequency = 2.0;
-  o.base.with_metrics = false;
-  o.strategy = strategy;
-  return o;
+core::Prediction detection(double frequency, double window_start,
+                           double window_end) {
+  core::Prediction p;
+  p.at_time = window_end;
+  p.frequency = frequency;
+  p.window_start = window_start;
+  p.window_end = window_end;
+  return p;
+}
+
+core::Prediction miss(double window_start, double window_end) {
+  core::Prediction p;
+  p.at_time = window_end;
+  p.window_start = window_start;
+  p.window_end = window_end;
+  return p;
 }
 
 }  // namespace
 
-TEST(OnlinePredictor, PredictWithoutDataThrows) {
-  core::OnlinePredictor p(online_options());
-  EXPECT_THROW(p.predict(), ftio::util::InvalidArgument);
+TEST(OnlineWindow, GrowingAlwaysStartsAtBegin) {
+  const auto o = options(core::WindowStrategy::kGrowing);
+  core::OnlineWindowState s;
+  s.consecutive_hits = 10;
+  s.last_period = 10.0;
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 500.0), 0.0);
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 7.0, 500.0), 7.0);
 }
 
-TEST(OnlinePredictor, ConvergesOnPeriodicStream) {
-  core::OnlinePredictor p(online_options());
-  // HACC-IO-like loop: a phase every 10 s, predictions after each flush.
-  core::Prediction last;
-  for (int i = 0; i < 10; ++i) {
-    p.ingest(phase(i * 10.0, 2.0, 4));
-    last = p.predict();
-  }
-  ASSERT_TRUE(last.found());
-  EXPECT_NEAR(last.period(), 10.0, 1.0);
-  EXPECT_EQ(p.history().size(), 10u);
+TEST(OnlineWindow, AdaptiveShrinksOnlyAfterKHits) {
+  const auto o = options(core::WindowStrategy::kAdaptive);
+  core::OnlineWindowState s;
+  s.last_period = 10.0;
+  s.consecutive_hits = 2;
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 200.0), 0.0);
+  // k + margin = 4 periods of 10 s, above the 32 s sample floor.
+  s.consecutive_hits = 3;
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 200.0), 160.0);
+  EXPECT_DOUBLE_EQ(s.window_start, 160.0);
 }
 
-TEST(OnlinePredictor, AdaptiveWindowShrinksAfterKHits) {
-  auto opts = online_options();
-  opts.adaptive_hits = 3;
-  core::OnlinePredictor p(opts);
-  for (int i = 0; i < 12; ++i) {
-    p.ingest(phase(i * 10.0, 2.0, 4));
-    p.predict();
-  }
-  const auto& h = p.history();
-  // Early predictions see the whole history; late ones only about
-  // adaptive_hits + adaptive_margin = 4 periods.
-  EXPECT_NEAR(h.front().window_start, 0.0, 1e-9);
-  const auto& last = h.back();
-  EXPECT_GT(last.window_start, last.window_end - 4.5 * 10.0);
-  // Shrinking must not have broken detection.
-  ASSERT_TRUE(last.found());
-  EXPECT_NEAR(last.period(), 10.0, 1.0);
+TEST(OnlineWindow, AdaptiveKeepsAnchorAfterStreakBreaks) {
+  const auto o = options(core::WindowStrategy::kAdaptive);
+  core::OnlineWindowState s;
+  s.last_period = 10.0;
+  s.consecutive_hits = 3;
+  ASSERT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 200.0), 160.0);
+  // A miss resets the streak; the window then grows from the last anchor
+  // instead of jumping back to the start of the trace.
+  core::record_online_result(s, miss(160.0, 200.0));
+  EXPECT_EQ(s.consecutive_hits, 0u);
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 230.0), 160.0);
 }
 
-TEST(OnlinePredictor, GrowingStrategyKeepsFullWindow) {
-  core::OnlinePredictor p(online_options(core::WindowStrategy::kGrowing));
-  for (int i = 0; i < 8; ++i) {
-    p.ingest(phase(i * 10.0, 2.0, 4));
-    p.predict();
-  }
-  for (const auto& pred : p.history()) {
-    EXPECT_NEAR(pred.window_start, 0.0, 1e-9);
-  }
+TEST(OnlineWindow, AdaptiveRespectsSampleFloor) {
+  auto o = options(core::WindowStrategy::kAdaptive);
+  core::OnlineWindowState s;
+  s.last_period = 2.0;  // 4 periods = 8 s, below the 32 s floor
+  s.consecutive_hits = 3;
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 100.0), 68.0);
+  // With the floor off, the paper's bare (k + margin) x period rule holds.
+  o.min_window_samples = 0;
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 100.0), 92.0);
 }
 
-TEST(OnlinePredictor, FixedLengthWindow) {
-  auto opts = online_options(core::WindowStrategy::kFixedLength);
-  opts.fixed_window = 35.0;
-  core::OnlinePredictor p(opts);
-  for (int i = 0; i < 10; ++i) {
-    p.ingest(phase(i * 10.0, 2.0, 4));
-    p.predict();
-  }
-  const auto& last = p.history().back();
-  EXPECT_NEAR(last.window_end - last.window_start, 35.0, 1.0);
+TEST(OnlineWindow, AdaptiveNeverStartsBeforeBegin) {
+  const auto o = options(core::WindowStrategy::kAdaptive);
+  core::OnlineWindowState s;
+  s.last_period = 10.0;
+  s.consecutive_hits = 3;
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 5.0, 30.0), 5.0);
 }
 
-TEST(OnlinePredictor, FixedWindowRequiresPositiveLength) {
-  auto opts = online_options(core::WindowStrategy::kFixedLength);
-  opts.fixed_window = 0.0;
-  EXPECT_THROW(core::OnlinePredictor{opts}, ftio::util::InvalidArgument);
+TEST(OnlineWindow, FixedLengthLooksBackFixedWindow) {
+  auto o = options(core::WindowStrategy::kFixedLength);
+  o.fixed_window = 35.0;
+  core::OnlineWindowState s;
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 100.0), 65.0);
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 20.0), 0.0);
 }
 
-TEST(OnlinePredictor, BehaviourChangeIsTracked) {
-  // Period 10 s for 8 phases, then period 20 s for 8 phases: the adaptive
-  // window must let the predictor relearn the new cadence.
-  auto opts = online_options();
-  opts.adaptive_hits = 3;
-  core::OnlinePredictor p(opts);
-  double t = 0.0;
-  for (int i = 0; i < 8; ++i) {
-    p.ingest(phase(t, 2.0, 4));
-    p.predict();
-    t += 10.0;
-  }
-  core::Prediction last;
-  for (int i = 0; i < 10; ++i) {
-    p.ingest(phase(t, 2.0, 4));
-    last = p.predict();
-    t += 20.0;
-  }
-  ASSERT_TRUE(last.found());
-  EXPECT_NEAR(last.period(), 20.0, 2.5);
+TEST(OnlineWindow, PeekDoesNotCommitState) {
+  const auto o = options(core::WindowStrategy::kAdaptive);
+  core::OnlineWindowState s;
+  s.last_period = 10.0;
+  s.consecutive_hits = 3;
+  EXPECT_DOUBLE_EQ(core::peek_online_window(o, s, 0.0, 200.0), 160.0);
+  EXPECT_DOUBLE_EQ(s.window_start, 0.0);
+  EXPECT_DOUBLE_EQ(core::select_online_window(o, s, 0.0, 200.0), 160.0);
 }
 
-TEST(OnlinePredictor, MergedIntervalsSingleCluster) {
-  core::OnlinePredictor p(online_options());
-  for (int i = 0; i < 10; ++i) {
-    p.ingest(phase(i * 10.0, 2.0, 4));
-    p.predict();
-  }
-  const auto intervals = p.merged_intervals();
-  ASSERT_FALSE(intervals.empty());
-  const auto& top = intervals.front();
-  EXPECT_GE(top.probability, 0.5);
-  EXPECT_LE(top.low, 0.1);
-  EXPECT_GE(top.high, 0.095);
-  EXPECT_NEAR(top.center, 0.1, 0.02);
+TEST(OnlineWindow, RecordCountsHitsAndRemembersPeriod) {
+  core::OnlineWindowState s;
+  core::record_online_result(s, detection(0.1, 0.0, 10.0));
+  core::record_online_result(s, detection(0.05, 0.0, 20.0));
+  EXPECT_EQ(s.consecutive_hits, 2u);
+  EXPECT_DOUBLE_EQ(s.last_period, 20.0);
+  core::record_online_result(s, miss(0.0, 30.0));
+  EXPECT_EQ(s.consecutive_hits, 0u);
+  EXPECT_DOUBLE_EQ(s.last_period, 20.0);
 }
 
-TEST(OnlinePredictor, MergedIntervalsEmptyWithoutDetections) {
-  core::OnlinePredictor p(online_options());
-  // A single instantaneous-noise request cannot produce a detection.
-  std::vector<tr::IoRequest> one{{0, 0.0, 1.0, 10, tr::IoKind::kWrite}};
-  p.ingest(one);
-  p.predict();
-  EXPECT_TRUE(p.merged_intervals().empty());
+TEST(OnlinePrediction, FromResultCopiesEvaluation) {
+  core::FtioResult r;
+  r.dft.dominant_frequency = 0.1;
+  r.dft.confidence = 0.7;
+  r.refined_confidence = 0.8;
+  r.window_start = 12.0;
+  r.window_end = 52.0;
+  r.sample_count = 80;
+  const auto p = core::prediction_from_result(r, 55.0);
+  EXPECT_DOUBLE_EQ(p.at_time, 55.0);
+  ASSERT_TRUE(p.found());
+  EXPECT_DOUBLE_EQ(p.period(), 10.0);
+  EXPECT_DOUBLE_EQ(p.confidence, 0.7);
+  EXPECT_DOUBLE_EQ(p.refined_confidence, 0.8);
+  EXPECT_DOUBLE_EQ(p.window_start, 12.0);
+  EXPECT_DOUBLE_EQ(p.window_end, 52.0);
+  EXPECT_EQ(p.sample_count, 80u);
+  EXPECT_FALSE(p.from_triage);
 }
 
-TEST(OnlinePredictor, ProbabilitiesSumToAtMostOne) {
-  core::OnlinePredictor p(online_options());
-  double t = 0.0;
-  for (int i = 0; i < 6; ++i) {
-    p.ingest(phase(t, 2.0, 4));
-    p.predict();
-    t += 10.0;
-  }
-  for (int i = 0; i < 6; ++i) {
-    p.ingest(phase(t, 5.0, 4));
-    p.predict();
-    t += 40.0;
-  }
-  double sum = 0.0;
-  for (const auto& iv : p.merged_intervals()) sum += iv.probability;
-  EXPECT_LE(sum, 1.0 + 1e-9);
-  EXPECT_GT(sum, 0.0);
+TEST(MergePredictions, EmptyWithoutDetections) {
+  const std::vector<core::Prediction> history{miss(0.0, 10.0),
+                                              miss(0.0, 20.0)};
+  EXPECT_TRUE(core::merge_predictions(history).empty());
+  EXPECT_TRUE(core::merge_predictions({}).empty());
 }
 
-TEST(OnlinePredictor, IngestTraceMergesMetadata) {
-  core::OnlinePredictor p(online_options());
-  tr::Trace chunk;
-  chunk.app = "hacc-io";
-  chunk.rank_count = 16;
-  chunk.requests = phase(0.0, 2.0, 16);
-  p.ingest(chunk);
-  EXPECT_EQ(p.trace().app, "hacc-io");
-  EXPECT_EQ(p.trace().rank_count, 16);
-  EXPECT_EQ(p.trace().requests.size(), 16u);
+TEST(MergePredictions, SingleClusterCountsMissesInTotal) {
+  // eps = 1 / 50 s = 0.02 Hz joins 0.098…0.102 into one interval.
+  const std::vector<core::Prediction> history{
+      miss(0.0, 50.0), detection(0.098, 0.0, 50.0),
+      detection(0.100, 0.0, 60.0), detection(0.102, 0.0, 70.0)};
+  const auto intervals = core::merge_predictions(history);
+  ASSERT_EQ(intervals.size(), 1u);
+  EXPECT_EQ(intervals[0].count, 3u);
+  EXPECT_DOUBLE_EQ(intervals[0].probability, 0.75);
+  EXPECT_DOUBLE_EQ(intervals[0].low, 0.098);
+  EXPECT_DOUBLE_EQ(intervals[0].high, 0.102);
+  EXPECT_NEAR(intervals[0].center, 0.1, 1e-12);
 }
 
-TEST(OnlinePredictor, RanksInferredFromRequests) {
-  core::OnlinePredictor p(online_options());
-  p.ingest(phase(0.0, 1.0, 8));
-  EXPECT_EQ(p.trace().rank_count, 8);
+TEST(MergePredictions, SeparateClustersSortedByProbability) {
+  // eps = 1 / 100 s = 0.01 Hz keeps 0.025 Hz and 0.1 Hz apart.
+  const std::vector<core::Prediction> history{
+      detection(0.025, 0.0, 100.0), detection(0.1, 0.0, 100.0),
+      detection(0.1, 0.0, 110.0), detection(0.1, 0.0, 120.0)};
+  const auto intervals = core::merge_predictions(history);
+  ASSERT_EQ(intervals.size(), 2u);
+  EXPECT_DOUBLE_EQ(intervals[0].center, 0.1);
+  EXPECT_DOUBLE_EQ(intervals[0].probability, 0.75);
+  EXPECT_DOUBLE_EQ(intervals[1].center, 0.025);
+  EXPECT_DOUBLE_EQ(intervals[1].probability, 0.25);
+}
+
+TEST(MergePredictions, CoarsestWindowSetsEps) {
+  // The 10 s window's 0.1 Hz resolution joins 0.1 and 0.15 Hz, which
+  // the 100 s windows alone would keep apart.
+  std::vector<core::Prediction> history{detection(0.1, 0.0, 100.0),
+                                        detection(0.15, 0.0, 100.0)};
+  EXPECT_EQ(core::merge_predictions(history).size(), 2u);
+  history.push_back(miss(90.0, 100.0));
+  const auto intervals = core::merge_predictions(history);
+  ASSERT_EQ(intervals.size(), 1u);
+  EXPECT_EQ(intervals[0].count, 2u);
 }
