@@ -33,16 +33,8 @@ std::vector<DetectorConfig> configs() {
   return {
       {"dft", {{"dft", 1.0}}, false},
       {"dft+acf (paper)", {}, true},
-      {"dft+autoperiod", {{"dft", 1.0}, {"autoperiod", 1.0}}, true},
       {"dft+cfd-auto", {{"dft", 1.0}, {"cfd-autoperiod", 1.0}}, true},
-      {"dft+lomb-scargle", {{"dft", 1.0}, {"lomb-scargle", 1.0}}, true},
-      {"all",
-       {{"dft", 1.0},
-        {"acf", 1.0},
-        {"autoperiod", 1.0},
-        {"cfd-autoperiod", 1.0},
-        {"lomb-scargle", 1.0}},
-       true},
+      {"all", {{"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}}, true},
   };
 }
 

@@ -1,8 +1,9 @@
 // Microbenchmark: per-detector cost of the period-detector registry.
 // Each registered method runs directly (DetectorRegistry detect() calls
 // over precomputed artefacts), so the numbers isolate what one detector
-// adds on top of the shared spectrum/ACF work; BM_FusedPipeline prices
-// the full five-detector analysis next to the seed {dft, acf} default.
+// adds on top of the shared spectrum/ACF work; BM_DetectorPipeline
+// prices the full three-detector analysis next to the seed {dft, acf}
+// default.
 
 #include <benchmark/benchmark.h>
 
@@ -13,9 +14,7 @@
 #include "core/ftio.hpp"
 #include "signal/autocorrelation.hpp"
 #include "signal/spectrum.hpp"
-#include "util/stats.hpp"
 #include "ref_kernel.hpp"
-#include "signal/step_function.hpp"
 
 namespace {
 
@@ -47,18 +46,12 @@ struct Fixture {
   std::vector<double> samples;
   sig::Spectrum spectrum;
   std::vector<double> acf;
-  std::vector<double> detrended;
-  sig::Spectrum detrended_spectrum;
-  std::vector<double> detrended_acf;
   core::FtioOptions options;
 
   explicit Fixture(std::vector<double> x) : samples(std::move(x)) {
     options.sampling_frequency = 1.0;
     spectrum = sig::compute_spectrum(samples, 1.0);
     acf = sig::autocorrelation(samples);
-    detrended = ftio::util::detrend(samples);
-    detrended_spectrum = sig::compute_spectrum(detrended, 1.0);
-    detrended_acf = sig::autocorrelation(detrended);
   }
 
   core::DetectorInput input() const {
@@ -67,9 +60,6 @@ struct Fixture {
     in.sampling_frequency = 1.0;
     in.spectrum = &spectrum;
     in.acf = &acf;
-    in.detrended_samples = detrended;
-    in.detrended_spectrum = &detrended_spectrum;
-    in.detrended_acf = &detrended_acf;
     in.options = &options;
     return in;
   }
@@ -117,18 +107,6 @@ void BM_DetectorAcf(benchmark::State& state) {
 }
 BENCHMARK(BM_DetectorAcf);
 
-void BM_DetectorLombScargle(benchmark::State& state) {
-  // No source curve attached: LS runs over the regular grid — the
-  // O(points * frequencies) direct evaluation this gate watches.
-  run_detector(state, "lomb-scargle", bursts());
-}
-BENCHMARK(BM_DetectorLombScargle);
-
-void BM_DetectorAutoperiod(benchmark::State& state) {
-  run_detector(state, "autoperiod", bursts());
-}
-BENCHMARK(BM_DetectorAutoperiod);
-
 void BM_DetectorCfdAutoperiod(benchmark::State& state) {
   run_detector(state, "cfd-autoperiod", trending());
 }
@@ -136,17 +114,14 @@ BENCHMARK(BM_DetectorCfdAutoperiod);
 
 void BM_DetectorPipeline(benchmark::State& state) {
   // End-to-end analyze_samples: Arg 0 = the seed {dft, acf} default,
-  // Arg 1 = all five detectors fused. The gap between the two is the
+  // Arg 1 = all three built-ins fused. The gap between the two is the
   // full price of the extended registry on one window.
   const std::vector<double> x = burst_fixture(1024);
   core::FtioOptions opts;
   opts.sampling_frequency = 1.0;
   if (state.range(0) != 0) {
-    opts.detectors.detectors = {{"dft", 1.0},
-                                {"acf", 1.0},
-                                {"lomb-scargle", 1.0},
-                                {"autoperiod", 1.0},
-                                {"cfd-autoperiod", 1.0}};
+    opts.detectors.detectors = {
+        {"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}};
   }
   std::size_t fused_found = 0;
   for (auto _ : state) {

@@ -63,16 +63,17 @@ int main() {
     // previous flush, ship them to the trace sink, and feed the same
     // chunk to the session (flushing first would mark them as already
     // consumed and unflushed_chunk would come back empty).
-    // A few flushes in, widen the detector set: Lomb–Scargle reads the
-    // raw curve knots alongside the default {dft, acf} pair from the
-    // next full analysis on. Swapping detectors is free at any flush
-    // boundary — the incremental curve and sample caches carry over.
+    // A few flushes in, widen the detector set: cfd-autoperiod validates
+    // spectral hints of the detrended window on its ACF, alongside the
+    // default {dft, acf} pair, from the next full analysis on. Swapping
+    // detectors is free at any flush boundary — the incremental curve
+    // and sample caches carry over.
     // (Once the triage bank answers steady flushes, full analyses — and
     // with them the registry — only rerun on drift or cadence checks.)
     if (loop == 3) {
       ftio::core::DetectorSetOptions detectors;
       detectors.detectors = {{"dft", 1.0}, {"acf", 1.0},
-                             {"lomb-scargle", 1.0}};
+                             {"cfd-autoperiod", 1.0}};
       session.set_detectors(std::move(detectors));
     }
 

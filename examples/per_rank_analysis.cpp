@@ -92,15 +92,12 @@ int main() {
   std::printf("\n(the checkpoint cadence dominates; the logger is noise "
               "below the V/L threshold)\n");
 
-  // Detector registry view: the same aggregate through the full detector
-  // set — one verdict per method, then the weighted fusion the default
-  // {dft, acf} pair is a special case of.
+  // Detector registry view: the same aggregate through all three
+  // built-ins — one verdict per method, then the weighted fusion the
+  // default {dft, acf} pair is a special case of.
   ftio::core::FtioOptions reg_opts = opts;
-  reg_opts.detectors.detectors = {{"dft", 1.0},
-                                  {"acf", 1.0},
-                                  {"autoperiod", 1.0},
-                                  {"cfd-autoperiod", 1.0},
-                                  {"lomb-scargle", 1.0}};
+  reg_opts.detectors.detectors = {
+      {"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}};
   const auto full = ftio::core::detect(t, reg_opts);
   std::printf("\ndetector votes on the aggregate:\n");
   for (const auto& v : full.detector_verdicts) {

@@ -71,14 +71,11 @@ ftio::core::FtioOptions decode_options(ByteReader& reader) {
                               : ftio::signal::SamplingMode::kPointSample;
   // Rotate through detector selections so every registered method sees
   // fuzzed windows, not just the default {dft, acf} pair.
-  switch (reader.u8() % 4) {
+  switch (reader.u8() % 3) {
     case 0:
       break;  // paper default
     case 1:
-      options.detectors.detectors = {{"dft", 1.0}, {"lomb-scargle", 0.5}};
-      break;
-    case 2:
-      options.detectors.detectors = {{"dft", 1.0}, {"autoperiod", 1.0}};
+      options.detectors.detectors = {{"dft", 1.0}, {"cfd-autoperiod", 0.5}};
       break;
     default:
       options.detectors.detectors = {{"dft", 1.0},

@@ -6,7 +6,6 @@
 
 #include "core/ftio.hpp"
 #include "signal/autocorrelation.hpp"
-#include "signal/lombscargle.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
@@ -37,9 +36,7 @@ void set_period(DetectorVerdict& v, double period) {
 class DftDetector final : public PeriodDetector {
  public:
   std::string_view name() const override { return detector_names::kDft; }
-  unsigned capabilities() const override {
-    return kCapNeedsRegularSampling | kCapNeedsSpectrum;
-  }
+  unsigned capabilities() const override { return 0; }
   DetectorVerdict detect(const DetectorInput& input) const override {
     DetectorVerdict v = verdict_shell(*this);
     const CandidateOptions& copts = input.options->candidates;
@@ -72,9 +69,7 @@ class DftDetector final : public PeriodDetector {
 class AcfDetector final : public PeriodDetector {
  public:
   std::string_view name() const override { return detector_names::kAcf; }
-  unsigned capabilities() const override {
-    return kCapNeedsRegularSampling | kCapNeedsAcf | kCapCorroborateOnly;
-  }
+  unsigned capabilities() const override { return kCapCorroborateOnly; }
   DetectorVerdict detect(const DetectorInput& input) const override {
     DetectorVerdict v = verdict_shell(*this);
     const AcfOptions& aopts = input.options->acf;
@@ -95,167 +90,12 @@ class AcfDetector final : public PeriodDetector {
 };
 
 // ---------------------------------------------------------------------------
-// lomb-scargle: periodogram over the raw bandwidth-curve knots (segment
-// midpoints) — the irregular-sampling path that skips discretisation and
-// its abstraction error entirely. Candidates come from the same Eq. (3)
-// outlier rule, run on a pseudo-spectrum built over the LS grid.
-// ---------------------------------------------------------------------------
-
-class LombScargleDetector final : public PeriodDetector {
- public:
-  std::string_view name() const override {
-    return detector_names::kLombScargle;
-  }
-  unsigned capabilities() const override { return kCapHandlesIrregular; }
-  DetectorVerdict detect(const DetectorInput& input) const override {
-    DetectorVerdict v = verdict_shell(*this);
-    const LombScargleOptions& opts = input.options->detectors.lomb_scargle;
-    const double fs = input.sampling_frequency;
-    const double n_samples = static_cast<double>(input.samples.size());
-    if (fs <= 0.0 || input.samples.empty()) return v;
-    const double duration = n_samples / fs;
-
-    // Observation points: raw curve knots inside the analysis window
-    // when a source curve is attached, the regular grid otherwise.
-    std::vector<double> times;
-    std::vector<double> values;
-    bool from_curve = false;
-    if (opts.prefer_source_curve && input.source_curve != nullptr &&
-        !input.source_curve->empty()) {
-      collect_knots(*input.source_curve, input.origin,
-                    input.origin + duration, times, values);
-      from_curve = times.size() >= 4;
-    }
-    if (!from_curve) {
-      times.resize(input.samples.size());
-      values.assign(input.samples.begin(), input.samples.end());
-      for (std::size_t i = 0; i < times.size(); ++i) {
-        times[i] = static_cast<double>(i) / fs;
-      }
-    }
-    if (times.size() < 4) return v;
-    decimate_observations(opts.max_points, times, values);
-
-    // Frequency grid at the window's natural resolution 1/duration
-    // (refined by `oversampling`), up to the explicit cap or the
-    // pseudo-Nyquist of the observation density — which on the
-    // undecimated fallback grid is exactly fs/2, so the Fourier bins
-    // are reproduced there.
-    const double over = std::max(opts.oversampling, 1.0);
-    const double df = 1.0 / (duration * over);
-    double f_max = opts.max_frequency;
-    if (f_max <= 0.0) {
-      f_max = static_cast<double>(times.size()) / (2.0 * duration);
-    }
-    const auto bins = static_cast<std::size_t>(f_max / df + 1e-9);
-    const std::size_t k_max = std::min(bins, opts.max_frequencies);
-    if (k_max < 1) return v;
-    std::vector<double> frequencies(k_max);
-    for (std::size_t k = 0; k < k_max; ++k) {
-      frequencies[k] = static_cast<double>(k + 1) * df;
-    }
-    const std::vector<double> power =
-        ftio::signal::lomb_scargle_power(times, values, frequencies);
-
-    // Pseudo-spectrum over the LS grid: frequency_step() must equal df
-    // and bin k must mean "k cycles in the window" for the candidate
-    // rule's min_cycles to keep its meaning (rescaled under
-    // oversampling). Amplitudes/phases are not read by analyze_spectrum.
-    ftio::signal::Spectrum pseudo;
-    pseudo.total_samples = 2 * k_max;
-    pseudo.sampling_frequency = static_cast<double>(2 * k_max) * df;
-    pseudo.frequencies.resize(k_max + 1);
-    pseudo.power.resize(k_max + 1);
-    pseudo.amplitudes.assign(k_max + 1, 0.0);
-    pseudo.phases.assign(k_max + 1, 0.0);
-    pseudo.frequencies[0] = 0.0;
-    pseudo.power[0] = 0.0;
-    double total_power = 0.0;
-    for (std::size_t k = 0; k < k_max; ++k) {
-      pseudo.frequencies[k + 1] = frequencies[k];
-      pseudo.power[k + 1] = power[k];
-      total_power += power[k];
-    }
-    pseudo.normed_power.resize(k_max + 1);
-    for (std::size_t k = 0; k <= k_max; ++k) {
-      pseudo.normed_power[k] =
-          total_power > 0.0 ? pseudo.power[k] / total_power : 0.0;
-    }
-
-    CandidateOptions copts = input.options->candidates;
-    copts.min_cycles = static_cast<std::size_t>(
-        std::ceil(static_cast<double>(copts.min_cycles) * over));
-    DftAnalysis analysis = analyze_spectrum(pseudo, copts);
-    if (analysis.dominant_frequency) {
-      set_period(v, analysis.period());
-    }
-    v.confidence = analysis.confidence;
-    for (const auto& c : analysis.candidates) {
-      if (!c.harmonic_suppressed && c.frequency > 0.0) {
-        v.candidate_periods.push_back(1.0 / c.frequency);
-      }
-    }
-    return v;
-  }
-
- private:
-  /// Caps the observation count: averages runs of consecutive points
-  /// into one, so the O(points * frequencies) evaluation stays bounded
-  /// on dense curves (a 3072-rank trace has one knot per request edge).
-  static void decimate_observations(std::size_t max_points,
-                                    std::vector<double>& times,
-                                    std::vector<double>& values) {
-    const std::size_t n = times.size();
-    if (max_points < 4 || n <= max_points) return;
-    std::vector<double> merged_times;
-    std::vector<double> merged_values;
-    merged_times.reserve(max_points);
-    merged_values.reserve(max_points);
-    std::size_t start = 0;
-    for (std::size_t g = 0; g < max_points; ++g) {
-      const std::size_t end = ((g + 1) * n) / max_points;
-      double t = 0.0;
-      double v = 0.0;
-      for (std::size_t i = start; i < end; ++i) {
-        t += times[i];
-        v += values[i];
-      }
-      const double count = static_cast<double>(end - start);
-      merged_times.push_back(t / count);
-      merged_values.push_back(v / count);
-      start = end;
-    }
-    times = std::move(merged_times);
-    values = std::move(merged_values);
-  }
-
-  /// Segment midpoints of `curve` clipped to [t0, t1] — one observation
-  /// per piecewise-constant segment, zero-bandwidth gaps included (the
-  /// silence between bursts carries the period as much as the bursts).
-  static void collect_knots(const ftio::signal::StepFunction& curve,
-                            double t0, double t1, std::vector<double>& times,
-                            std::vector<double>& values) {
-    const auto ts = curve.times();
-    const auto vs = curve.values();
-    times.reserve(vs.size());
-    values.reserve(vs.size());
-    for (std::size_t i = 0; i < vs.size(); ++i) {
-      const double a = std::max(ts[i], t0);
-      const double b = std::min(ts[i + 1], t1);
-      if (b <= a) continue;
-      times.push_back(0.5 * (a + b));
-      values.push_back(vs[i]);
-    }
-  }
-};
-
-// ---------------------------------------------------------------------------
-// autoperiod (Vlachos et al.): spectral hints validated on the ACF — a
-// hint at bin k must land on an ACF hill strictly inside the lag range
-// (N/(k+1), N/(k-1)), which rejects spectral-leakage hints that have no
-// time-domain repetition behind them. cfd-autoperiod runs the same
-// validation on the linearly detrended signal and clusters adjacent-bin
-// hints first, making it robust on trending traces.
+// cfd-autoperiod (Vlachos et al.'s autoperiod on the linearly detrended
+// signal): spectral hints validated on the ACF — a hint at bin k must land
+// on an ACF hill strictly inside the lag range (N/(k+1), N/(k-1)), which
+// rejects spectral-leakage hints that have no time-domain repetition
+// behind them. Detrending and clustering adjacent-bin hints first make it
+// robust on trending traces.
 // ---------------------------------------------------------------------------
 
 struct ValidatedHint {
@@ -265,8 +105,7 @@ struct ValidatedHint {
 
 std::vector<ValidatedHint> validate_spectrum_hints(
     std::span<const double> power, std::span<const double> acf, double fs,
-    std::size_t min_cycles, const AutoperiodOptions& opts,
-    bool cluster_hints) {
+    std::size_t min_cycles, const AutoperiodOptions& opts) {
   std::vector<ValidatedHint> validated;
   if (power.size() < 2 || acf.size() < 3 || fs <= 0.0) return validated;
 
@@ -283,19 +122,17 @@ std::vector<ValidatedHint> validate_spectrum_hints(
     if (z[i] >= opts.hint_zscore) hints.push_back({bin, power[bin]});
   }
   if (hints.empty()) return validated;
-  if (cluster_hints) {
-    // Adjacent-bin runs are one leakage-smeared peak: keep the
-    // strongest bin of each run.
-    std::vector<Hint> clustered;
-    for (const Hint& h : hints) {
-      if (!clustered.empty() && h.bin == clustered.back().bin + 1) {
-        if (h.power > clustered.back().power) clustered.back() = h;
-      } else {
-        clustered.push_back(h);
-      }
+  // Adjacent-bin runs are one leakage-smeared peak: keep the strongest
+  // bin of each run.
+  std::vector<Hint> clustered;
+  for (const Hint& h : hints) {
+    if (!clustered.empty() && h.bin == clustered.back().bin + 1) {
+      if (h.power > clustered.back().power) clustered.back() = h;
+    } else {
+      clustered.push_back(h);
     }
-    hints = std::move(clustered);
   }
+  hints = std::move(clustered);
   std::stable_sort(hints.begin(), hints.end(),
                    [](const Hint& a, const Hint& b) {
                      return a.power > b.power;
@@ -351,77 +188,24 @@ DetectorVerdict autoperiod_verdict(DetectorVerdict v,
   return v;
 }
 
-class AutoperiodDetector final : public PeriodDetector {
- public:
-  std::string_view name() const override {
-    return detector_names::kAutoperiod;
-  }
-  unsigned capabilities() const override {
-    return kCapNeedsRegularSampling | kCapNeedsSpectrum | kCapNeedsAcf;
-  }
-  DetectorVerdict detect(const DetectorInput& input) const override {
-    DetectorVerdict v = verdict_shell(*this);
-    if (input.samples.size() < 3) return v;
-    const AutoperiodOptions& opts = input.options->detectors.autoperiod;
-    ftio::signal::Spectrum local_spectrum;
-    const ftio::signal::Spectrum* spectrum = input.spectrum;
-    if (spectrum == nullptr) {
-      local_spectrum = ftio::signal::compute_spectrum(
-          input.samples, input.sampling_frequency);
-      spectrum = &local_spectrum;
-    }
-    std::vector<double> local_acf;
-    const std::vector<double>* acf = input.acf;
-    if (acf == nullptr) {
-      local_acf = ftio::signal::autocorrelation(input.samples);
-      acf = &local_acf;
-    }
-    return autoperiod_verdict(
-        std::move(v),
-        validate_spectrum_hints(spectrum->power, *acf,
-                                input.sampling_frequency,
-                                input.options->candidates.min_cycles, opts,
-                                /*cluster_hints=*/false));
-  }
-};
-
 class CfdAutoperiodDetector final : public PeriodDetector {
  public:
   std::string_view name() const override {
     return detector_names::kCfdAutoperiod;
   }
-  unsigned capabilities() const override {
-    return kCapNeedsRegularSampling | kCapHandlesTrend;
-  }
+  unsigned capabilities() const override { return 0; }
   DetectorVerdict detect(const DetectorInput& input) const override {
     DetectorVerdict v = verdict_shell(*this);
     if (input.samples.size() < 3) return v;
-    const AutoperiodOptions& opts = input.options->detectors.autoperiod;
-    std::vector<double> local_detrended;
-    std::span<const double> detrended = input.detrended_samples;
-    if (detrended.size() != input.samples.size()) {
-      local_detrended = ftio::util::detrend(input.samples);
-      detrended = local_detrended;
-    }
-    ftio::signal::Spectrum local_spectrum;
-    const ftio::signal::Spectrum* spectrum = input.detrended_spectrum;
-    if (spectrum == nullptr) {
-      local_spectrum = ftio::signal::compute_spectrum(
-          detrended, input.sampling_frequency);
-      spectrum = &local_spectrum;
-    }
-    std::vector<double> local_acf;
-    const std::vector<double>* acf = input.detrended_acf;
-    if (acf == nullptr) {
-      local_acf = ftio::signal::autocorrelation(detrended);
-      acf = &local_acf;
-    }
+    const std::vector<double> detrended = ftio::util::detrend(input.samples);
+    const ftio::signal::Spectrum spectrum =
+        ftio::signal::compute_spectrum(detrended, input.sampling_frequency);
+    const std::vector<double> acf = ftio::signal::autocorrelation(detrended);
     return autoperiod_verdict(
         std::move(v),
-        validate_spectrum_hints(spectrum->power, *acf,
-                                input.sampling_frequency,
-                                input.options->candidates.min_cycles, opts,
-                                /*cluster_hints=*/true));
+        validate_spectrum_hints(spectrum.power, acf, input.sampling_frequency,
+                                input.options->candidates.min_cycles,
+                                input.options->detectors.autoperiod));
   }
 };
 
@@ -432,8 +216,6 @@ DetectorRegistry& DetectorRegistry::global() {
     auto* r = new DetectorRegistry();
     r->add(std::make_unique<DftDetector>());
     r->add(std::make_unique<AcfDetector>());
-    r->add(std::make_unique<LombScargleDetector>());
-    r->add(std::make_unique<AutoperiodDetector>());
     r->add(std::make_unique<CfdAutoperiodDetector>());
     return r;
   }();

@@ -20,38 +20,27 @@ struct FtioOptions;
 
 // ---------------------------------------------------------------------------
 // Detector registry: the paper's DFT-outlier + ACF pipeline generalised to
-// a pluggable set of period-detection methods (ROADMAP item 3). Every
-// analysis resolves an ordered detector selection (the first entry is the
-// fusion primary), runs each detector over shared artefacts (spectrum,
-// ACF, source curve, detrended variants), and fuses the per-method
-// verdicts into the refined confidence and a weighted-vote prediction.
+// a pluggable set of period-detection methods. Every analysis resolves an
+// ordered detector selection (the first entry is the fusion primary), runs
+// each detector over shared artefacts (spectrum, ACF), and fuses the
+// per-method verdicts into the refined confidence and a weighted-vote
+// prediction. Three methods are built in: dft, acf and cfd-autoperiod.
 // The default selection — {dft, acf} — reproduces the seed pipeline bit
 // for bit.
 // ---------------------------------------------------------------------------
 
-/// Capability flags a detector declares (bitmask).
-inline constexpr unsigned kCapNeedsRegularSampling = 1u << 0;
-/// Robust to a drifting baseline (detrends internally).
-inline constexpr unsigned kCapHandlesTrend = 1u << 1;
-/// Consumes raw event times — no discretisation grid required.
-inline constexpr unsigned kCapHandlesIrregular = 1u << 2;
-/// Reads the precomputed spectrum artefact when available.
-inline constexpr unsigned kCapNeedsSpectrum = 1u << 3;
-/// Reads the precomputed ACF artefact when available.
-inline constexpr unsigned kCapNeedsAcf = 1u << 4;
-/// The detector refines/validates another method's period but cannot
-/// claim periodicity on its own: its verdict joins the confidence merge
-/// and supports fusion clusters, yet never seeds the fused prediction
-/// (the ACF pass — a refinement in the paper — and the triage filter
-/// bank carry this flag).
-inline constexpr unsigned kCapCorroborateOnly = 1u << 5;
+/// Capability flags a detector declares (bitmask). The one flag: the
+/// detector refines/validates another method's period but cannot claim
+/// periodicity on its own — its verdict joins the confidence merge and
+/// supports fusion clusters, yet never seeds the fused prediction (the
+/// ACF pass — a refinement in the paper — and the triage filter bank
+/// carry this flag).
+inline constexpr unsigned kCapCorroborateOnly = 1u << 0;
 
 /// Canonical names of the built-in detectors.
 namespace detector_names {
 inline constexpr std::string_view kDft = "dft";
 inline constexpr std::string_view kAcf = "acf";
-inline constexpr std::string_view kLombScargle = "lomb-scargle";
-inline constexpr std::string_view kAutoperiod = "autoperiod";
 inline constexpr std::string_view kCfdAutoperiod = "cfd-autoperiod";
 }  // namespace detector_names
 
@@ -71,14 +60,9 @@ struct DetectorInput {
   /// Lag-0-normalised ACF of `samples`.
   const std::vector<double>* acf = nullptr;
   /// The continuous bandwidth curve the samples were discretised from,
-  /// when the analysis came from a curve or trace. Lomb–Scargle reads
-  /// the raw step-function knots from it instead of the regular grid.
+  /// when the analysis came from a curve or trace. No built-in reads it;
+  /// plug-ins registered through DetectorRegistry::add may.
   const ftio::signal::StepFunction* source_curve = nullptr;
-  /// Linearly detrended samples and their spectrum/ACF (CFD-autoperiod);
-  /// computed on demand when absent.
-  std::span<const double> detrended_samples;
-  const ftio::signal::Spectrum* detrended_spectrum = nullptr;
-  const std::vector<double>* detrended_acf = nullptr;
   /// The analysis options (candidate rule, ACF knobs, detector set).
   const FtioOptions* options = nullptr;
 };
@@ -92,8 +76,7 @@ struct DetectorVerdict {
   double period = 0.0;     ///< seconds, 0 when not found
   double frequency = 0.0;  ///< Hz, 0 when not found
   /// Method confidence in [0, 1] (c_d for the DFT stage, c_a for the
-  /// ACF, validated-peak height for the autoperiod variants, the LS
-  /// spectrum's c_d for Lomb–Scargle).
+  /// ACF, the validated-peak height for cfd-autoperiod).
   double confidence = 0.0;
   /// Supporting period estimates (the similarity evidence the fusion
   /// scores against the primary period).
@@ -130,30 +113,8 @@ struct DetectorSelection {
   double weight = 1.0;
 };
 
-/// Knobs of the Lomb–Scargle detector.
-struct LombScargleOptions {
-  /// Frequency-grid oversampling relative to 1/duration. Values > 1
-  /// refine the grid below the natural resolution; the candidate rule's
-  /// min_cycles is rescaled accordingly.
-  double oversampling = 1.0;
-  /// Highest analysed frequency in Hz; 0 derives it from the input
-  /// (fs/2 on the sample grid, the knot-count pseudo-Nyquist
-  /// n/(2*duration) on a curve).
-  double max_frequency = 0.0;
-  /// Hard cap on evaluated frequencies — the direct evaluation is
-  /// O(points * frequencies).
-  std::size_t max_frequencies = 4096;
-  /// Hard cap on observation points: denser inputs are decimated by
-  /// averaging runs of consecutive observations, which bounds the
-  /// evaluation cost and lowers the derived pseudo-Nyquist accordingly.
-  std::size_t max_points = 2048;
-  /// Use the source curve's raw knots (segment midpoints) when a curve
-  /// is attached; the discretised grid otherwise.
-  bool prefer_source_curve = true;
-};
-
-/// Knobs of the autoperiod / CFD-autoperiod detectors (Vlachos et al.:
-/// periodogram hints validated on the ACF).
+/// Knobs of the cfd-autoperiod detector (Vlachos et al.: periodogram
+/// hints validated on the ACF, here of the detrended signal).
 struct AutoperiodOptions {
   /// Z-score a spectral bin must reach to become a hint.
   double hint_zscore = 3.0;
@@ -178,7 +139,6 @@ struct FusionOptions {
 /// fusion primary and should normally stay "dft".
 struct DetectorSetOptions {
   std::vector<DetectorSelection> detectors;
-  LombScargleOptions lomb_scargle;
   AutoperiodOptions autoperiod;
   FusionOptions fusion;
 };
@@ -195,7 +155,7 @@ class PeriodDetector {
   virtual DetectorVerdict detect(const DetectorInput& input) const = 0;
 };
 
-/// Process-wide detector registry. The five built-ins are registered on
+/// Process-wide detector registry. The three built-ins are registered on
 /// first access; add() lets applications plug their own methods (same
 /// name replaces). Lookup is thread-safe — engine workers resolve
 /// detectors concurrently.

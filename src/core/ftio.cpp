@@ -49,9 +49,6 @@ FtioResult analyze_samples_prepared(std::span<const double> samples,
   input.spectrum = &spectrum;
   input.acf = artifacts.acf;
   input.source_curve = artifacts.source_curve;
-  input.detrended_samples = artifacts.detrended_samples;
-  input.detrended_spectrum = artifacts.detrended_spectrum;
-  input.detrended_acf = artifacts.detrended_acf;
   input.options = &options;
 
   DetectorRegistry& registry = DetectorRegistry::global();
@@ -60,6 +57,10 @@ FtioResult analyze_samples_prepared(std::span<const double> samples,
     const PeriodDetector* detector = registry.find(selection.name);
     ftio::util::expect(detector != nullptr,
                        "analyze_samples: unknown detector in selection");
+    ftio::util::expect(std::isfinite(selection.weight) &&
+                           selection.weight >= 0.0,
+                       "analyze_samples: detector weight must be finite "
+                       "and >= 0");
     DetectorVerdict verdict = detector->detect(input);
     // The verdict invariants every registered detector (built-in or
     // plugged-in) must uphold — fusion and the confidence merge divide

@@ -66,8 +66,8 @@ struct FtioResult {
   /// fusion primary; stage payloads are moved into `dft`/`acf` above).
   std::vector<DetectorVerdict> detector_verdicts;
   /// Weighted vote over the verdicts — the surface where non-default
-  /// detectors (Lomb–Scargle, CFD-autoperiod, the streaming triage
-  /// vote) can report a period the primary DFT stage missed.
+  /// detectors (cfd-autoperiod, plug-ins, the streaming triage vote) can
+  /// report a period the primary DFT stage missed.
   FusedPrediction fused;
   /// Characterization metrics, present when a period was found and
   /// with_metrics was set.
@@ -100,16 +100,12 @@ struct FtioResult {
 /// batched engine fills these from its grouped stage-major transforms so
 /// registry analyses still ride the planar FftPlan path.
 struct AnalysisArtifacts {
-  /// signal::autocorrelation(samples); read by the acf/autoperiod
-  /// detectors.
+  /// signal::autocorrelation(samples); read by the acf detector.
   const std::vector<double>* acf = nullptr;
   /// The continuous bandwidth curve the samples were discretised from;
-  /// Lomb–Scargle consumes its raw knots instead of the grid.
+  /// no built-in reads it, plug-ins registered through
+  /// DetectorRegistry::add may (forwarded as DetectorInput::source_curve).
   const ftio::signal::StepFunction* source_curve = nullptr;
-  /// util::detrend(samples) and its spectrum/ACF (cfd-autoperiod).
-  std::span<const double> detrended_samples;
-  const ftio::signal::Spectrum* detrended_spectrum = nullptr;
-  const std::vector<double>* detrended_acf = nullptr;
 };
 
 /// Analyses an already-discretised signal (samples at fs Hz).

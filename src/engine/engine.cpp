@@ -11,7 +11,6 @@
 #include "signal/spectrum.hpp"
 #include "util/error.hpp"
 #include "util/parallel.hpp"
-#include "util/stats.hpp"
 
 namespace ftio::engine {
 
@@ -102,7 +101,6 @@ std::vector<ftio::core::FtioResult> analyze_many(
                              "analyze_many: view without a source");
           w.samples = v.samples;
           w.origin = v.origin;
-          w.curve = v.source_curve;
           return;
         }
         w.curve_backed = true;
@@ -114,37 +112,26 @@ std::vector<ftio::core::FtioResult> analyze_many(
       },
       engine.threads);
 
-  // Which artefacts the selected detectors will read: the raw ACF feeds
-  // the acf and autoperiod detectors, the detrended trio feeds
-  // cfd-autoperiod. Batching them here keeps every registry analysis on
-  // the planar FftPlan path.
-  const std::span<const ftio::core::DetectorSelection> selections =
+  // The raw ACF is the one batched artefact beyond the spectrum: only
+  // the acf detector reads it, so it is computed only when selected.
+  const bool want_acf = ftio::core::selections_include(
       ftio::core::effective_selections(options.detectors,
-                                       options.with_autocorrelation);
-  const bool want_acf =
-      ftio::core::selections_include(selections,
-                                     ftio::core::detector_names::kAcf) ||
-      ftio::core::selections_include(selections,
-                                     ftio::core::detector_names::kAutoperiod);
-  const bool want_detrended = ftio::core::selections_include(
-      selections, ftio::core::detector_names::kCfdAutoperiod);
+                                       options.with_autocorrelation),
+      ftio::core::detector_names::kAcf);
 
   if (engine.warm_plans) warm_plans_for(work, want_acf);
 
   // Pass 2 — grouped transforms: windows of equal length run their
-  // spectra (and raw/detrended ACF artefacts) through the signal
-  // layer's stage-major batched plan execution, parallel over
-  // cache-resident batch tiles rather than whole signals. Batched rows
-  // are bit-identical to per-signal transforms, so results stay
-  // identical to looped analyze_samples calls.
+  // spectra (and raw ACFs) through the signal layer's stage-major
+  // batched plan execution, parallel over cache-resident batch tiles
+  // rather than whole signals. Batched rows are bit-identical to
+  // per-signal transforms, so results stay identical to looped
+  // analyze_samples calls.
   // Single-view batches (the streaming session's per-flush call) have
   // nothing to group, so the map and the artefact stores stay unbuilt —
   // their allocations are pure fixed overhead at views.size() == 1.
   std::vector<ftio::signal::Spectrum> spectra;
   std::vector<std::vector<double>> acfs;
-  std::vector<std::vector<double>> detrended;
-  std::vector<ftio::signal::Spectrum> detrended_spectra;
-  std::vector<std::vector<double>> detrended_acfs;
   std::vector<char> prepared;
   std::map<std::size_t, std::vector<std::size_t>> groups;
   if (views.size() >= 2) {
@@ -157,9 +144,6 @@ std::vector<ftio::core::FtioResult> analyze_many(
     if (prepared.empty()) {
       spectra.resize(views.size());
       acfs.resize(views.size());
-      detrended.resize(views.size());
-      detrended_spectra.resize(views.size());
-      detrended_acfs.resize(views.size());
       prepared.assign(views.size(), 0);
     }
     std::vector<std::span<const double>> windows;
@@ -177,26 +161,6 @@ std::vector<ftio::core::FtioResult> analyze_many(
         acfs[idx[j]] = std::move(group_acfs[j]);
       }
     }
-    if (want_detrended) {
-      std::vector<std::span<const double>> detrended_windows;
-      detrended_windows.reserve(idx.size());
-      for (std::size_t i : idx) {
-        detrended[i] = ftio::util::detrend(work[i].samples);
-        detrended_windows.push_back(detrended[i]);
-      }
-      auto group_detrended_spectra = ftio::signal::compute_spectra(
-          detrended_windows, options.sampling_frequency, engine.threads);
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        detrended_spectra[idx[j]] = std::move(group_detrended_spectra[j]);
-      }
-      if (n >= 3) {
-        auto group_detrended_acfs = ftio::signal::autocorrelation_many(
-            detrended_windows, engine.threads);
-        for (std::size_t j = 0; j < idx.size(); ++j) {
-          detrended_acfs[idx[j]] = std::move(group_detrended_acfs[j]);
-        }
-      }
-    }
     for (std::size_t i : idx) prepared[i] = 1;
   }
 
@@ -211,13 +175,6 @@ std::vector<ftio::core::FtioResult> analyze_many(
         artifacts.source_curve = w.curve;
         if (!prepared.empty() && prepared[i]) {
           if (!acfs[i].empty()) artifacts.acf = &acfs[i];
-          if (!detrended[i].empty()) {
-            artifacts.detrended_samples = detrended[i];
-            artifacts.detrended_spectrum = &detrended_spectra[i];
-            if (!detrended_acfs[i].empty()) {
-              artifacts.detrended_acf = &detrended_acfs[i];
-            }
-          }
           results[i] = ftio::core::analyze_samples_prepared(
               w.samples, options, w.origin, std::move(spectra[i]),
               artifacts);

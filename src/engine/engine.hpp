@@ -20,10 +20,6 @@ struct TraceView {
   std::span<const double> samples;
   /// Absolute time of samples[0] (sample views only; reporting context).
   double origin = 0.0;
-  /// Optional, sample views only: the continuous curve the samples were
-  /// discretised from, forwarded to detectors that consume raw event
-  /// times (Lomb–Scargle). Trace/bandwidth views wire it automatically.
-  const ftio::signal::StepFunction* source_curve = nullptr;
 
   static TraceView of(const ftio::trace::Trace& t) {
     TraceView v;
@@ -35,13 +31,11 @@ struct TraceView {
     v.bandwidth = &bw;
     return v;
   }
-  static TraceView of_samples(std::span<const double> s, double origin = 0.0,
-                              const ftio::signal::StepFunction* source =
-                                  nullptr) {
+  static TraceView of_samples(std::span<const double> s,
+                              double origin = 0.0) {
     TraceView v;
     v.samples = s;
     v.origin = origin;
-    v.source_curve = source;
     return v;
   }
 };
@@ -67,10 +61,11 @@ struct EngineOptions {
 /// (1) windowing — trace views build their bandwidth curve and every
 /// curve-backed view selects + discretises its analysis window, so all
 /// sample lengths are known up front; (2) grouped transforms — windows
-/// of equal length (from any view kind) run their spectra, ACFs, and,
-/// when the cfd-autoperiod detector is selected, their detrended
-/// artefacts through the signal layer's stage-major batched plan
-/// execution; (3) per-view finish over the precomputed artefacts.
+/// of equal length (from any view kind) run their spectra and, when the
+/// acf detector is selected, their ACFs through the signal layer's
+/// stage-major batched plan execution; (3) per-view finish over the
+/// precomputed artefacts. Curve-backed views forward their curve as
+/// AnalysisArtifacts::source_curve.
 /// Results are index-aligned with `views` and identical to calling
 /// analyze_samples / analyze_bandwidth / detect on each view in a loop.
 std::vector<ftio::core::FtioResult> analyze_many(

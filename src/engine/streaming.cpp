@@ -62,6 +62,12 @@ StreamingSession::StreamingSession(StreamingOptions options)
   ftio::util::expect(!options_.triage.enabled ||
                          options_.triage.warmup_analyses >= 1,
                      "StreamingSession: warmup_analyses must be >= 1");
+  for (const auto& selection : options_.online.base.detectors.detectors) {
+    ftio::util::expect(std::isfinite(selection.weight) &&
+                           selection.weight >= 0.0,
+                       "StreamingSession: detector weight must be finite "
+                       "and >= 0");
+  }
 }
 
 void StreamingSession::ingest(
@@ -274,16 +280,11 @@ ftio::core::Prediction StreamingSession::predict() {
   // stage-major plan execution inside analyze_many.
   std::vector<TraceView> views;
   views.reserve(1 + members_.size());
-  // The incremental curve is the source every cache was discretised from;
-  // passing it lets event-time detectors (Lomb–Scargle) read the raw
-  // knots. Retention always covers the analysis windows (the compaction
-  // horizon is peeked from the same strategy state), so the knots a
-  // detector reads are bit-identical to the uncompacted curve.
-  views.push_back(TraceView::of_samples(primary_cache_.samples,
-                                        primary_window.start, &curve));
+  views.push_back(
+      TraceView::of_samples(primary_cache_.samples, primary_window.start));
   for (std::size_t i = 0; i < members_.size(); ++i) {
     views.push_back(TraceView::of_samples(member_caches_[i].samples,
-                                          member_windows[i].start, &curve));
+                                          member_windows[i].start));
   }
   auto results = analyze_many(views, base, options_.engine);
 

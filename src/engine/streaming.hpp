@@ -171,9 +171,7 @@ class StreamingSession {
   /// the per-flush registry surface. Safe at any flush boundary: the
   /// incremental curve, sample caches, and window state are
   /// detector-agnostic, so switching costs nothing and the next full
-  /// analysis simply runs (and fuses) the new selection. Compaction is
-  /// unaffected — Lomb–Scargle reads curve knots only inside the
-  /// analysis window, which retention always covers.
+  /// analysis simply runs (and fuses) the new selection.
   void set_detectors(ftio::core::DetectorSetOptions detectors)
       FTIO_EXCLUDES(mutex_) {
     const ftio::util::LockGuard lock(mutex_);

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <numbers>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -10,9 +12,7 @@
 #include "core/detectors.hpp"
 #include "core/ftio.hpp"
 #include "engine/engine.hpp"
-#include "signal/lombscargle.hpp"
 #include "signal/spectrum.hpp"
-#include "signal/step_function.hpp"
 #include "util/error.hpp"
 
 namespace core = ftio::core;
@@ -33,21 +33,6 @@ std::vector<double> burst_train(std::size_t n, double period, double duty,
   return x;
 }
 
-/// Square bandwidth wave as a step function (burst then silence).
-sig::StepFunction square_wave(int cycles, double period, double burst,
-                              double height) {
-  std::vector<double> times{0.0};
-  std::vector<double> values;
-  for (int c = 0; c < cycles; ++c) {
-    const double t0 = c * period;
-    times.push_back(t0 + burst);
-    values.push_back(height);
-    times.push_back(t0 + period);
-    values.push_back(0.0);
-  }
-  return sig::StepFunction(std::move(times), std::move(values));
-}
-
 core::DetectorVerdict make_verdict(std::string_view name, bool found,
                                    double period, double confidence,
                                    double weight = 1.0,
@@ -64,59 +49,6 @@ core::DetectorVerdict make_verdict(std::string_view name, bool found,
 }
 
 }  // namespace
-
-// ---------------------------------------------------------------------------
-// Lomb-Scargle periodogram
-// ---------------------------------------------------------------------------
-
-TEST(LombScargle, MatchesClassicalPeriodogramOnRegularGrid) {
-  // On a regular grid evaluated at the Fourier frequencies the LS power
-  // reduces to the classical periodogram |X_k|^2 / N — the same quantity
-  // Spectrum::power stores. The even-N Nyquist bin is excluded: there
-  // sin(w t_i) = 0 at every point and LS legitimately returns half.
-  const std::size_t n = 128;
-  const double fs = 2.0;
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    x[i] = 5.0 + 3.0 * std::sin(kTau * t * 10.0 / 128.0) +
-           1.5 * std::cos(kTau * t * 23.0 / 128.0 + 0.7) +
-           0.5 * std::sin(kTau * t * 40.0 / 128.0 + 1.3);
-  }
-  const sig::Spectrum spectrum = sig::compute_spectrum(x, fs);
-
-  std::vector<double> times(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    times[i] = static_cast<double>(i) / fs;
-  }
-  std::vector<double> frequencies;
-  for (std::size_t k = 1; k < n / 2; ++k) {  // interior bins only
-    frequencies.push_back(spectrum.frequencies[k]);
-  }
-  const std::vector<double> ls =
-      sig::lomb_scargle_power(times, x, frequencies);
-
-  double p_max = 0.0;
-  for (std::size_t k = 1; k < n / 2; ++k) {
-    p_max = std::max(p_max, spectrum.power[k]);
-  }
-  ASSERT_GT(p_max, 0.0);
-  for (std::size_t k = 1; k < n / 2; ++k) {
-    // Power ratios (bin over max) agree to 1e-9 — far below any physical
-    // distinction, limited only by accumulation order.
-    EXPECT_NEAR(ls[k - 1] / p_max, spectrum.power[k] / p_max, 1e-9)
-        << "bin " << k;
-  }
-}
-
-TEST(LombScargle, DegenerateInputsYieldZeros) {
-  const std::vector<double> f{0.1, 0.2};
-  const std::vector<double> one{1.0};
-  const auto p = sig::lomb_scargle_power(one, one, f);
-  ASSERT_EQ(p.size(), f.size());
-  EXPECT_DOUBLE_EQ(p[0], 0.0);
-  EXPECT_DOUBLE_EQ(p[1], 0.0);
-}
 
 // ---------------------------------------------------------------------------
 // Registry default = seed pipeline, bit for bit
@@ -217,11 +149,11 @@ TEST(DetectorRegistry, TrendingFixtureNeedsCfdAutoperiod) {
 }
 
 TEST(DetectorRegistry, AutoperiodValidatesSpectralHintOnAcf) {
-  // On a clean burst train the plain autoperiod agrees with the DFT.
+  // On a clean burst train cfd-autoperiod agrees with the DFT.
   const auto x = burst_train(400, 20.0, 3.0, 10.0);
   core::FtioOptions opts;
   opts.sampling_frequency = 1.0;
-  opts.detectors.detectors = {{"dft", 1.0}, {"autoperiod", 1.0}};
+  opts.detectors.detectors = {{"dft", 1.0}, {"cfd-autoperiod", 1.0}};
   const core::FtioResult r = core::analyze_samples(x, opts);
   ASSERT_EQ(r.detector_verdicts.size(), 2u);
   const core::DetectorVerdict& ap = r.detector_verdicts[1];
@@ -230,40 +162,6 @@ TEST(DetectorRegistry, AutoperiodValidatesSpectralHintOnAcf) {
   EXPECT_GT(ap.confidence, 0.5);
   ASSERT_TRUE(r.fused.found());
   EXPECT_EQ(r.fused.supporting, 2u);
-}
-
-// ---------------------------------------------------------------------------
-// Irregular sampling: Lomb-Scargle beyond the grid Nyquist
-// ---------------------------------------------------------------------------
-
-TEST(DetectorRegistry, SubNyquistBurstTrainNeedsLombScargle) {
-  // 3 s bursts sampled at fs = 0.25 Hz: the grid Nyquist (0.125 Hz) sits
-  // below the true rate (1/3 Hz), so the discretised pipeline cannot
-  // represent the period at all. Lomb-Scargle reads the raw curve knots
-  // and, with an explicit max_frequency above 1/3 Hz, recovers it.
-  const sig::StepFunction curve = square_wave(80, 3.0, 0.4, 100.0);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 0.25;
-
-  const core::FtioResult seed = core::analyze_bandwidth(curve, opts);
-  if (seed.periodic()) {
-    EXPECT_GT(std::abs(seed.period() - 3.0), 0.5);  // alias, not the truth
-  }
-
-  // The DFT confidently locks the 12 s alias of the 3 s period, so the
-  // grid-bound vote must be down-weighted for the event-time evidence to
-  // win the fusion — the situation selection weights exist for.
-  core::FtioOptions with_ls = opts;
-  with_ls.detectors.detectors = {{"dft", 1.0}, {"lomb-scargle", 2.0}};
-  with_ls.detectors.lomb_scargle.max_frequency = 0.5;
-  const core::FtioResult r = core::analyze_bandwidth(curve, with_ls);
-  ASSERT_EQ(r.detector_verdicts.size(), 2u);
-  const core::DetectorVerdict& ls = r.detector_verdicts[1];
-  EXPECT_EQ(ls.name, "lomb-scargle");
-  ASSERT_TRUE(ls.found);
-  EXPECT_NEAR(ls.period, 3.0, 0.1);
-  ASSERT_TRUE(r.fused.found());
-  EXPECT_NEAR(r.fused.period, 3.0, 0.1);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,8 +195,8 @@ TEST(Fusion, CorroborateOnlyVerdictAddsMassToCluster) {
 TEST(Fusion, HeaviestClusterWinsWeightedVote) {
   std::vector<core::DetectorVerdict> verdicts;
   verdicts.push_back(make_verdict("dft", true, 20.0, 0.9));
-  verdicts.push_back(make_verdict("autoperiod", true, 20.4, 0.2));
-  verdicts.push_back(make_verdict("lomb-scargle", true, 40.0, 0.5, 3.0));
+  verdicts.push_back(make_verdict("cfd-autoperiod", true, 20.4, 0.2));
+  verdicts.push_back(make_verdict("plugin", true, 40.0, 0.5, 3.0));
   const core::FusedPrediction fused =
       core::fuse_verdicts(verdicts, core::FusionOptions{});
   ASSERT_TRUE(fused.found());
@@ -352,15 +250,22 @@ class ConstantDetector final : public core::PeriodDetector {
 }  // namespace
 
 TEST(DetectorRegistry, BuiltInsAreRegistered) {
+  // Exactly the three built-ins, in registration order. CustomDetector-
+  // Pluggable appends to the global registry, so compare the prefix.
   const auto names = core::DetectorRegistry::global().names();
-  for (const std::string_view expected :
-       {core::detector_names::kDft, core::detector_names::kAcf,
-        core::detector_names::kLombScargle, core::detector_names::kAutoperiod,
-        core::detector_names::kCfdAutoperiod}) {
-    bool found = false;
-    for (const auto& n : names) found = found || n == expected;
-    EXPECT_TRUE(found) << expected;
+  const std::vector<std::string> builtins = {
+      std::string(core::detector_names::kDft),
+      std::string(core::detector_names::kAcf),
+      std::string(core::detector_names::kCfdAutoperiod)};
+  ASSERT_GE(names.size(), builtins.size());
+  EXPECT_EQ(std::vector<std::string>(names.begin(),
+                                     names.begin() + builtins.size()),
+            builtins);
+  for (std::size_t i = builtins.size(); i < names.size(); ++i) {
+    EXPECT_EQ(names[i], "constant-7");
   }
+  EXPECT_EQ(core::DetectorRegistry::global().find("lomb-scargle"), nullptr);
+  EXPECT_EQ(core::DetectorRegistry::global().find("autoperiod"), nullptr);
   EXPECT_EQ(core::DetectorRegistry::global().find("no-such-detector"),
             nullptr);
 }
@@ -371,6 +276,28 @@ TEST(DetectorRegistry, UnknownSelectionThrows) {
   opts.sampling_frequency = 1.0;
   opts.detectors.detectors = {{"no-such-detector", 1.0}};
   EXPECT_THROW(core::analyze_samples(x, opts), ftio::util::InvalidArgument);
+}
+
+TEST(DetectorRegistry, InvalidWeightThrows) {
+  // Weights scale fusion mass and the confidence merge: a negative or
+  // non-finite one would push refined_confidence outside [0, 1].
+  const auto x = burst_train(400, 20.0, 3.0, 10.0);
+  core::FtioOptions opts;
+  opts.sampling_frequency = 1.0;
+  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    opts.detectors.detectors = {{"dft", bad}, {"acf", 1.0}};
+    EXPECT_THROW(core::analyze_samples(x, opts), ftio::util::InvalidArgument)
+        << bad;
+    opts.detectors.detectors = {{"dft", 1.0}, {"acf", bad}};
+    EXPECT_THROW(core::analyze_samples(x, opts), ftio::util::InvalidArgument)
+        << bad;
+  }
+  // Weight 0 stays legal: the verdict is reported but never seeds.
+  opts.detectors.detectors = {{"dft", 1.0}, {"acf", 0.0}};
+  const core::FtioResult r = core::analyze_samples(x, opts);
+  EXPECT_GE(r.refined_confidence, 0.0);
+  EXPECT_LE(r.refined_confidence, 1.0);
 }
 
 TEST(DetectorRegistry, CustomDetectorPluggable) {
@@ -395,8 +322,7 @@ TEST(Engine, BatchMatchesLoopedAnalysesWithRegistrySelection) {
   core::FtioOptions opts;
   opts.sampling_frequency = 1.0;
   opts.detectors.detectors = {
-      {"dft", 1.0}, {"acf", 1.0}, {"autoperiod", 1.0},
-      {"cfd-autoperiod", 1.0}};
+      {"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}};
 
   // Three equal-length windows (the batched transform path) plus one odd
   // size (the per-view fallback).

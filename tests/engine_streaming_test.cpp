@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -166,6 +167,16 @@ TEST(StreamingSession, RejectsInvalidOptions) {
   rejects(o);
   // The range is only read when auto fs is on.
   o.online.auto_sampling_frequency = false;
+  EXPECT_NO_THROW(eng::StreamingSession{o});
+
+  // Negative and non-finite detector weights fail at build time; 0 is a
+  // legal "report, never seed" weight.
+  o.online.base.detectors.detectors = {{"dft", 1.0}, {"acf", -1.0}};
+  rejects(o);
+  o.online.base.detectors.detectors = {
+      {"dft", std::numeric_limits<double>::quiet_NaN()}, {"acf", 1.0}};
+  rejects(o);
+  o.online.base.detectors.detectors = {{"dft", 1.0}, {"acf", 0.0}};
   EXPECT_NO_THROW(eng::StreamingSession{o});
 }
 

@@ -62,6 +62,26 @@ TEST(ServiceTest, PredictsForSingleTenant) {
   EXPECT_EQ(total.level, svc::DegradationLevel::kFull);
 }
 
+TEST(ServiceTest, BadDetectorWeightFailsAtSessionBuild) {
+  // A negative selection weight in the template is rejected when the
+  // tenant's session is built, and counted there; the tenant is
+  // quarantined after max_build_failures attempts.
+  svc::ServiceOptions options = foreground_options();
+  options.max_build_failures = 2;
+  options.session.online.base.detectors.detectors = {{"dft", 1.0},
+                                                     {"acf", -1.0}};
+  svc::IngestDaemon daemon(options);
+  for (int i = 0; i < 2; ++i) {
+    ASSERT_EQ(daemon.submit("bad", phase(8.0 * i, 2.0)),
+              svc::Admission::kAccepted);
+    daemon.pump();
+  }
+  const svc::ShardStats total = daemon.stats().total();
+  EXPECT_EQ(total.session_build_failures, 2u);
+  EXPECT_EQ(total.sessions_built, 0u);
+  EXPECT_TRUE(daemon.poisoned("bad"));
+}
+
 TEST(ServiceTest, EmptyTenantNameIsRejectedWithInvalidArgument) {
   svc::IngestDaemon daemon(foreground_options());
   EXPECT_THROW(static_cast<void>(daemon.submit("", phase(0.0, 1.0))),
