@@ -167,107 +167,12 @@ void BM_RfftSeedColdPath(benchmark::State& state) {
 }
 BENCHMARK(BM_RfftSeedColdPath)->Arg(4096)->Arg(7817);
 
-// --- batched stage-major execution vs the looped single-signal calls -------
-// One plan run over B planar rows (contiguous re/im lanes, row stride)
-// against B independent single-signal calls on the same rows: the batch
-// path runs every split-radix pass across a cache-resident tile of rows
-// before advancing, so twiddle streams load once per stage and the short
-// combines vectorise down the batch axis. Outputs are bit-identical; the
-// acceptance ratio is BatchRfftLooped / BatchRfft at B=32, N=4096.
-
-void BM_BatchRfftHalfPlanar(benchmark::State& state) {
-  const std::size_t b = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = static_cast<std::size_t>(state.range(1));
-  const std::size_t bins = n / 2 + 1;
-  const auto x = tone(n);
-  std::vector<double> in(b * n);
-  for (std::size_t r = 0; r < b; ++r) {
-    std::copy(x.begin(), x.end(), in.begin() + static_cast<std::ptrdiff_t>(r * n));
-  }
-  std::vector<double> out_re(b * bins), out_im(b * bins);
-  const auto plan = ftio::signal::get_plan(n);
-  plan->prepare(/*for_real_input=*/true);
-  for (auto _ : state) {
-    plan->rfft_half_planar_batch_into(b, n, in, bins, out_re, out_im);
-    benchmark::DoNotOptimize(out_re.data());
-    benchmark::DoNotOptimize(out_im.data());
-  }
-}
-BENCHMARK(BM_BatchRfftHalfPlanar)->Args({32, 4096})->Args({8, 65536});
-
-void BM_BatchRfftHalfPlanarLooped(benchmark::State& state) {
-  const std::size_t b = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = static_cast<std::size_t>(state.range(1));
-  const std::size_t bins = n / 2 + 1;
-  const auto x = tone(n);
-  std::vector<double> in(b * n);
-  for (std::size_t r = 0; r < b; ++r) {
-    std::copy(x.begin(), x.end(), in.begin() + static_cast<std::ptrdiff_t>(r * n));
-  }
-  std::vector<double> out_re(b * bins), out_im(b * bins);
-  const auto plan = ftio::signal::get_plan(n);
-  plan->prepare(/*for_real_input=*/true);
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < b; ++r) {
-      plan->forward_real_half_planar(
-          std::span<const double>(in).subspan(r * n, n),
-          std::span<double>(out_re).subspan(r * bins, bins),
-          std::span<double>(out_im).subspan(r * bins, bins));
-    }
-    benchmark::DoNotOptimize(out_re.data());
-    benchmark::DoNotOptimize(out_im.data());
-  }
-}
-BENCHMARK(BM_BatchRfftHalfPlanarLooped)->Args({32, 4096})->Args({8, 65536});
-
-void BM_BatchCfftPlanar(benchmark::State& state) {
-  const std::size_t b = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = static_cast<std::size_t>(state.range(1));
-  const auto x = tone(n);
-  std::vector<double> in_re(b * n), in_im(b * n);
-  for (std::size_t r = 0; r < b; ++r) {
-    std::copy(x.begin(), x.end(),
-              in_re.begin() + static_cast<std::ptrdiff_t>(r * n));
-  }
-  std::vector<double> out_re(b * n), out_im(b * n);
-  const auto plan = ftio::signal::get_plan(n);
-  for (auto _ : state) {
-    plan->forward_planar_batch(b, n, in_re, in_im, out_re, out_im);
-    benchmark::DoNotOptimize(out_re.data());
-    benchmark::DoNotOptimize(out_im.data());
-  }
-}
-BENCHMARK(BM_BatchCfftPlanar)->Args({32, 4096});
-
-void BM_BatchCfftPlanarLooped(benchmark::State& state) {
-  const std::size_t b = static_cast<std::size_t>(state.range(0));
-  const std::size_t n = static_cast<std::size_t>(state.range(1));
-  const auto x = tone(n);
-  std::vector<double> in_re(b * n), in_im(b * n);
-  for (std::size_t r = 0; r < b; ++r) {
-    std::copy(x.begin(), x.end(),
-              in_re.begin() + static_cast<std::ptrdiff_t>(r * n));
-  }
-  std::vector<double> out_re(b * n), out_im(b * n);
-  const auto plan = ftio::signal::get_plan(n);
-  for (auto _ : state) {
-    for (std::size_t r = 0; r < b; ++r) {
-      plan->forward_planar(std::span<const double>(in_re).subspan(r * n, n),
-                           std::span<const double>(in_im).subspan(r * n, n),
-                           std::span<double>(out_re).subspan(r * n, n),
-                           std::span<double>(out_im).subspan(r * n, n));
-    }
-    benchmark::DoNotOptimize(out_re.data());
-    benchmark::DoNotOptimize(out_im.data());
-  }
-}
-BENCHMARK(BM_BatchCfftPlanarLooped)->Args({32, 4096});
+// --- the CWT's per-row inverse transforms --------------------------------
 
 void BM_BatchCwt(benchmark::State& state) {
-  // End-to-end consumer of the batched inverse path: morlet_cwt runs its
-  // 32 scale rows through inverse_planar_batch in cache-resident tiles
-  // (single-threaded here — the bench isolates the batching, not the
-  // thread fan-out).
+  // morlet_cwt over 32 scale rows, each one padded-size inverse_planar
+  // through the shared plan (single-threaded here — the bench isolates
+  // the per-row transform cost, not the thread fan-out).
   const auto x = tone(static_cast<std::size_t>(state.range(0)));
   const auto freqs = ftio::signal::log_spaced_frequencies(0.001, 0.4, 32);
   for (auto _ : state) {

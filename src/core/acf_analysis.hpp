@@ -41,9 +41,9 @@ AcfAnalysis analyze_autocorrelation(std::span<const double> samples, double fs,
 
 /// The peak/period/confidence stages of analyze_autocorrelation on an
 /// already-computed, lag-0-normalised ACF (lags 0..N-1 of an N-sample
-/// signal). The batched engine precomputes ACFs for same-size windows
-/// through signal::autocorrelation_many and feeds them here; results are
-/// identical to analyze_autocorrelation on the original samples.
+/// signal), for callers that already computed signal::autocorrelation
+/// (the acf detector reads AnalysisArtifacts::acf through it). Results
+/// are identical to analyze_autocorrelation on the original samples.
 AcfAnalysis analyze_autocorrelation_prepared(std::span<const double> acf,
                                              double fs,
                                              const AcfOptions& options = {});

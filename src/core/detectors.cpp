@@ -268,14 +268,6 @@ std::span<const DetectorSelection> effective_selections(
              : std::span<const DetectorSelection>(kSeedDefault.data(), 1);
 }
 
-bool selections_include(std::span<const DetectorSelection> selections,
-                        std::string_view name) {
-  for (const auto& s : selections) {
-    if (s.name == name) return true;
-  }
-  return false;
-}
-
 double corroborated_confidence(std::span<const DetectorVerdict> verdicts) {
   if (verdicts.empty()) return 0.0;
   const DetectorVerdict& primary = verdicts.front();

@@ -46,7 +46,7 @@ inline constexpr std::string_view kCfdAutoperiod = "cfd-autoperiod";
 
 /// Everything a detector may consume for one analysis. Only `samples`,
 /// `sampling_frequency`, and `options` are always present; the artefact
-/// pointers are set when a caller (the batched engine) precomputed them,
+/// pointers are set when a caller precomputed them (AnalysisArtifacts),
 /// and detectors fall back to computing what they need from `samples`.
 /// Pointed-to objects outlive the detect() call.
 struct DetectorInput {
@@ -188,14 +188,10 @@ std::vector<DetectorSelection> resolve_detector_selections(
 
 /// Allocation-free view of the same resolution — the span aliases either
 /// `set.detectors` or a process-static default list, so it stays valid
-/// while `set` does. The per-flush hot paths (analyze_samples_prepared,
-/// the batch engine) read this instead of copying a vector.
+/// while `set` does. The per-flush hot path (analyze_samples_prepared)
+/// reads this instead of copying a vector.
 std::span<const DetectorSelection> effective_selections(
     const DetectorSetOptions& set, bool with_autocorrelation);
-
-/// True when `selections` contains detector `name`.
-bool selections_include(std::span<const DetectorSelection> selections,
-                        std::string_view name);
 
 /// Primary-anchored confidence merge over ordered verdicts: when the
 /// primary (first) verdict found a period, every other found verdict

@@ -96,9 +96,10 @@ struct FtioResult {
 
 /// Precomputed artefacts and auxiliary sources for one analysis. All
 /// fields are optional: a detector that needs a missing artefact computes
-/// it from the samples. Pointed-to objects must outlive the call. The
-/// batched engine fills these from its grouped stage-major transforms so
-/// registry analyses still ride the planar FftPlan path.
+/// it from the samples. Pointed-to objects must outlive the call.
+/// analyze_bandwidth sets source_curve; a caller that already holds the
+/// window's ACF (perfbench/src/offline.cpp times the transform stages
+/// separately) passes it through `acf`.
 struct AnalysisArtifacts {
   /// signal::autocorrelation(samples); read by the acf detector.
   const std::vector<double>* acf = nullptr;
@@ -114,13 +115,11 @@ FtioResult analyze_samples(std::span<const double> samples,
                            const FtioOptions& options, double origin = 0.0,
                            const AnalysisArtifacts& artifacts = {});
 
-/// analyze_samples with the transform stages supplied by the caller: the
-/// batched engine groups same-length sample windows, runs their spectra
-/// (and, when enabled, their raw ACFs) through the signal layer's batched
-/// plan execution, and hands each window's artefacts here for the
-/// remaining pipeline. `spectrum` must be compute_spectrum(samples, fs);
-/// artefacts follow the AnalysisArtifacts contract. Results are
-/// identical to analyze_samples.
+/// analyze_samples with the spectrum supplied by the caller, for callers
+/// that compute the transform stages themselves (perfbench/src/offline.cpp
+/// does, to time them apart from the detectors). `spectrum` must
+/// be compute_spectrum(samples, fs); artefacts follow the
+/// AnalysisArtifacts contract. Results are identical to analyze_samples.
 FtioResult analyze_samples_prepared(std::span<const double> samples,
                                     const FtioOptions& options, double origin,
                                     ftio::signal::Spectrum spectrum,

@@ -44,30 +44,16 @@ struct TraceView {
 struct EngineOptions {
   /// Worker threads for the fan-out (0 = hardware concurrency).
   unsigned threads = 0;
-  /// Grow the global FFT plan cache to at least this many plans before
-  /// the batch runs (0 = leave the cache capacity unchanged). Useful when
-  /// a sweep mixes many distinct window lengths.
-  std::size_t plan_cache_capacity = 0;
-  /// Pre-build the FFT plans for every view's window length (and the 2N
-  /// ACF sizes) on the calling thread, so worker threads start with a
-  /// warm cache and never race on constructing the same plan. Trace and
-  /// bandwidth views discretise in a first batched pass, so their
-  /// lengths are known here too.
-  bool warm_plans = true;
 };
 
 /// Runs the full FTIO pipeline on every view, fanned across worker
-/// threads with util::parallel_for. The batch runs in three passes:
-/// (1) windowing — trace views build their bandwidth curve and every
-/// curve-backed view selects + discretises its analysis window, so all
-/// sample lengths are known up front; (2) grouped transforms — windows
-/// of equal length (from any view kind) run their spectra and, when the
-/// acf detector is selected, their ACFs through the signal layer's
-/// stage-major batched plan execution; (3) per-view finish over the
-/// precomputed artefacts. Curve-backed views forward their curve as
-/// AnalysisArtifacts::source_curve.
-/// Results are index-aligned with `views` and identical to calling
-/// analyze_samples / analyze_bandwidth / detect on each view in a loop.
+/// threads with util::parallel_for: trace views run core::detect,
+/// bandwidth views core::analyze_bandwidth, and sample views
+/// core::analyze_samples. Results are index-aligned with `views` and
+/// identical to calling those functions on each view in a loop; the
+/// shared FFT plan cache builds each concurrently requested plan once.
+/// A view with no source throws InvalidArgument; when several views
+/// throw, the lowest index's exception reaches the caller.
 std::vector<ftio::core::FtioResult> analyze_many(
     std::span<const TraceView> views, const ftio::core::FtioOptions& options,
     const EngineOptions& engine = {});

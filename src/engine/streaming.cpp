@@ -273,11 +273,10 @@ ftio::core::Prediction StreamingSession::predict() {
     discretize_into_cache(member_caches_[i], member_windows[i], base);
   }
 
-  // One batch through the engine: primary + ensemble share the warm plan
-  // cache and the worker pool, and members whose windows landed on the
-  // same sample count (growing-window strategies converge there) get
-  // their spectra and ACFs computed through the signal layer's batched
-  // stage-major plan execution inside analyze_many.
+  // One analyze_many call: the primary and ensemble windows fan across
+  // the worker pool and share the plan cache, so members whose windows
+  // landed on the same sample count (growing-window strategies converge
+  // there) reuse one plan.
   std::vector<TraceView> views;
   views.reserve(1 + members_.size());
   views.push_back(

@@ -107,10 +107,10 @@ struct StreamingOptions {
   /// Additional window strategies evaluated next to the primary one on
   /// every predict(). Each member keeps its own adaptive state and
   /// history; all windows of one flush are discretised once and fanned
-  /// through analyze_many, so the whole ensemble shares the warm plan
-  /// cache and the worker pool.
+  /// through analyze_many, so the whole ensemble shares the plan cache
+  /// and the worker pool.
   std::vector<ftio::core::WindowStrategy> ensemble;
-  /// Fan-out knobs for the per-flush analyze_many batch.
+  /// Worker threads for the per-flush analyze_many call.
   EngineOptions engine;
   /// O(window) state eviction (off by default: exact O(requests) mode).
   CompactionOptions compaction;

@@ -351,8 +351,7 @@ void Shard::run_due_analyses(DegradationLevel level, CycleDelta& delta) {
   if (due_.empty()) return;
   // Equal last-analysis sample counts mean equal window lengths with
   // high likelihood, and equal lengths share FFT plans: sorting the due
-  // set runs them back to back into the warm plan cache (the shard-level
-  // form of the engine's same-length batch grouping). Name tie-break
+  // set runs them back to back into the warm plan cache. Name tie-break
   // keeps the order deterministic.
   std::sort(due_.begin(), due_.end(), [](const Tenant* a, const Tenant* b) {
     if (a->last_sample_count != b->last_sample_count) {

@@ -17,14 +17,4 @@ std::vector<double> autocorrelation(std::span<const double> samples);
 /// the textbook definition; also lag-0 normalised.
 std::vector<double> autocorrelation_centered(std::span<const double> samples);
 
-/// Batched autocorrelation of many signals (the engine's multi-window
-/// path): signals sharing a power-of-two convolution size run their
-/// forward and inverse transforms through the plan's stage-major batched
-/// execution, with cache-resident batch tiles fanned across up to
-/// `threads` workers (0 = hardware concurrency; 1 = serial). out[i] is
-/// bit-identical to autocorrelation(signals[i]) for every grouping and
-/// thread count. Throws InvalidArgument if any signal is empty.
-std::vector<std::vector<double>> autocorrelation_many(
-    std::span<const std::span<const double>> signals, unsigned threads = 1);
-
 }  // namespace ftio::signal

@@ -19,7 +19,7 @@ using Complex = std::complex<double>;
 /// planar FftPlan API: they deinterleave into re/im lanes, run the planar
 /// transform and interleave the result. Library code, and any caller that
 /// holds split lanes or a real signal, uses the FftPlan methods
-/// (forward_planar, forward_real_half_planar, the batch calls) directly.
+/// (forward_planar, forward_real_half_planar) directly.
 std::vector<Complex> fft(std::span<const Complex> input);
 
 /// Inverse transform: x_n = (1/N) sum_k X_k * exp(+2*pi*i*k*n/N).

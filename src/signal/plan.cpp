@@ -20,22 +20,21 @@ namespace {
 
 constexpr double kTwoPi = 2.0 * std::numbers::pi;
 
-/// exp(-2*pi*i*k/n) with the quarter-period points snapped to their exact
-/// values. sin(pi) rounds to ~1.22e-16 rather than 0, and that residue
-/// multiplied into a nonzero bin turns an exactly-zero spectrum line into
-/// noise (visible on constant signals, whose off-DC bins cancel exactly).
-/// The planar aliasing contract shared by every planar entry point: an
-/// input lane and an output lane must either be the same array (full
-/// alias, the documented in-place form) or not overlap at all. Partial
-/// overlap silently corrupts the permuted gather, so Debug/sanitizer
-/// builds reject it here instead of producing a plausible wrong
-/// spectrum.
+/// The aliasing contract of forward_planar/inverse_planar: an input lane
+/// and an output lane must either be the same array (full alias, the
+/// documented in-place form) or not overlap at all. Partial overlap
+/// silently corrupts the permuted gather, so Debug/sanitizer builds
+/// reject it instead of producing a plausible wrong spectrum.
 inline bool alias_full_or_disjoint(const double* in, const double* out,
                                    std::size_t n) {
   if (in == out) return true;
   return in + n <= out || out + n <= in;
 }
 
+/// exp(-2*pi*i*k/n) with the quarter-period points snapped to their exact
+/// values. sin(pi) rounds to ~1.22e-16 rather than 0, and that residue
+/// multiplied into a nonzero bin turns an exactly-zero spectrum line into
+/// noise (visible on constant signals, whose off-DC bins cancel exactly).
 Complex unit_root(std::size_t k, std::size_t n) {
   if (k == 0) return Complex(1.0, 0.0);
   if (4 * k == n) return Complex(0.0, -1.0);
@@ -85,10 +84,8 @@ void for_each_split_node(std::size_t n, std::size_t len, Fn&& fn) {
 ///             spectrum, or for odd N the rebuilt full spectrum the
 ///             inverse transforms
 ///   re2/im2 — the copy that makes in-place power-of-two planar calls
-///             alias-safe, and the linearised fold of the blocked
-///             inverse-real path
-///   bre/bim — transposed batch-tile lanes (batch entry points only;
-///             never nested)
+///             alias-safe, and the linearised pairs/fold of the blocked
+///             real paths
 ///   cre/cim — Bluestein: the chirped, zero-padded m-point input, and
 ///             later the convolution in natural order
 ///   pre/pim — Bluestein: the bit-reversed m-point lanes the forward
@@ -99,8 +96,6 @@ struct Workspace {
   std::vector<double> im;
   std::vector<double> re2;
   std::vector<double> im2;
-  std::vector<double> bre;
-  std::vector<double> bim;
   std::vector<double> cre;
   std::vector<double> cim;
   std::vector<double> pre;
@@ -162,44 +157,6 @@ void permute_planar_blocked(const std::uint32_t* bitrev, std::size_t n,
   }
 }
 
-/// Blocked deinterleaving gather, same tiling with paired source reads.
-void permute_pairs_blocked(const std::uint32_t* bitrev, std::size_t n,
-                           const double* pairs, double* out_re,
-                           double* out_im) {
-  const unsigned sh =
-      static_cast<unsigned>(std::countr_zero(n)) - kTileBits;
-  const std::size_t mid = n >> (2 * kTileBits);
-  std::uint8_t revt[kTile];
-  for (std::size_t i = 0; i < kTile; ++i) {
-    revt[i] = static_cast<std::uint8_t>(bitrev[i] >> sh);
-  }
-  double tre[kTile * kTile];
-  double tim[kTile * kTile];
-  for (std::size_t m = 0; m < mid; ++m) {
-    const std::size_t mr = bitrev[m << kTileBits] >> kTileBits;
-    for (std::size_t jh = 0; jh < kTile; ++jh) {
-      const double* __restrict src =
-          pairs + 2 * ((jh << sh) + (m << kTileBits));
-      for (std::size_t jl = 0; jl < kTile; ++jl) {
-        const std::size_t slot =
-            static_cast<std::size_t>(revt[jl]) * kTile + jh;
-        tre[slot] = src[2 * jl];
-        tim[slot] = src[2 * jl + 1];
-      }
-    }
-    for (std::size_t ih = 0; ih < kTile; ++ih) {
-      double* __restrict dr = out_re + (ih << sh) + (mr << kTileBits);
-      double* __restrict di = out_im + (ih << sh) + (mr << kTileBits);
-      const double* __restrict rr = tre + ih * kTile;
-      const double* __restrict ri = tim + ih * kTile;
-      for (std::size_t il = 0; il < kTile; ++il) {
-        dr[il] = rr[revt[il]];
-        di[il] = ri[revt[il]];
-      }
-    }
-  }
-}
-
 }  // namespace
 
 namespace detail {
@@ -215,20 +172,6 @@ void bitrev_permute_planar(const std::uint32_t* bitrev, std::size_t n,
     const std::size_t s = bitrev[i];
     out_re[i] = in_re[s];
     out_im[i] = in_im[s];
-  }
-}
-
-void bitrev_permute_pairs(const std::uint32_t* bitrev, std::size_t n,
-                          const double* pairs, double* out_re,
-                          double* out_im) {
-  if (n >= kBlockedBitrevMinN) {
-    permute_pairs_blocked(bitrev, n, pairs, out_re, out_im);
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t s = 2 * static_cast<std::size_t>(bitrev[i]);
-    out_re[i] = pairs[s];
-    out_im[i] = pairs[s + 1];
   }
 }
 
@@ -330,335 +273,60 @@ namespace {
 ///   X_{k+L/4} = U_{k+L/4} -+ i t2     X_{k+3L/4} = U_{k+L/4} +- i t2
 /// (upper signs forward, lower inverse; inverse also conjugates the
 /// twiddles). Four loads and four stores per k across four disjoint
-/// stride-1 lanes — the shape auto-vectorisers handle.
+/// stride-1 lanes — the shape auto-vectorisers handle. The quarter lanes
+/// arrive as separate __restrict parameters: GCC honours restrict on
+/// parameters but not on locals derived from one base pointer, and
+/// without it the twelve streams need more run-time alias checks than
+/// the vectoriser will emit, so the loop would run scalar.
+template <bool Inv>
+void split_combine_lanes(double* __restrict ur, double* __restrict ui,
+                         double* __restrict vr, double* __restrict vi,
+                         double* __restrict zr, double* __restrict zi,
+                         double* __restrict sr, double* __restrict si,
+                         std::size_t quarter, const double* __restrict w1r,
+                         const double* __restrict w1i,
+                         const double* __restrict w3r,
+                         const double* __restrict w3i) {
+  for (std::size_t k = 0; k < quarter; ++k) {
+    const double a1r = w1r[k];
+    const double a1i = Inv ? -w1i[k] : w1i[k];
+    const double a3r = w3r[k];
+    const double a3i = Inv ? -w3i[k] : w3i[k];
+    const double tzr = a1r * zr[k] - a1i * zi[k];
+    const double tzi = a1r * zi[k] + a1i * zr[k];
+    const double tsr = a3r * sr[k] - a3i * si[k];
+    const double tsi = a3r * si[k] + a3i * sr[k];
+    const double t1r = tzr + tsr, t1i = tzi + tsi;
+    const double t2r = tzr - tsr, t2i = tzi - tsi;
+    const double u0r = ur[k], u0i = ui[k];
+    const double u1r = vr[k], u1i = vi[k];
+    ur[k] = u0r + t1r;
+    ui[k] = u0i + t1i;
+    zr[k] = u0r - t1r;
+    zi[k] = u0i - t1i;
+    if constexpr (Inv) {
+      vr[k] = u1r - t2i;
+      vi[k] = u1i + t2r;
+      sr[k] = u1r + t2i;
+      si[k] = u1i - t2r;
+    } else {
+      vr[k] = u1r + t2i;
+      vi[k] = u1i - t2r;
+      sr[k] = u1r - t2i;
+      si[k] = u1i + t2r;
+    }
+  }
+}
+
+/// split_combine_lanes over the L-long block rooted at re/im.
 template <bool Inv>
 void split_combine(double* re, double* im, std::size_t quarter,
                    const double* w1re, const double* w1im,
                    const double* w3re, const double* w3im) {
-  double* __restrict ur = re;
-  double* __restrict ui = im;
-  double* __restrict vr = re + quarter;
-  double* __restrict vi = im + quarter;
-  double* __restrict zr = re + 2 * quarter;
-  double* __restrict zi = im + 2 * quarter;
-  double* __restrict sr = re + 3 * quarter;
-  double* __restrict si = im + 3 * quarter;
-  const double* __restrict w1r = w1re;
-  const double* __restrict w1i = w1im;
-  const double* __restrict w3r = w3re;
-  const double* __restrict w3i = w3im;
-  for (std::size_t k = 0; k < quarter; ++k) {
-    const double a1r = w1r[k];
-    const double a1i = Inv ? -w1i[k] : w1i[k];
-    const double a3r = w3r[k];
-    const double a3i = Inv ? -w3i[k] : w3i[k];
-    const double tzr = a1r * zr[k] - a1i * zi[k];
-    const double tzi = a1r * zi[k] + a1i * zr[k];
-    const double tsr = a3r * sr[k] - a3i * si[k];
-    const double tsi = a3r * si[k] + a3i * sr[k];
-    const double t1r = tzr + tsr, t1i = tzi + tsi;
-    const double t2r = tzr - tsr, t2i = tzi - tsi;
-    const double u0r = ur[k], u0i = ui[k];
-    const double u1r = vr[k], u1i = vi[k];
-    ur[k] = u0r + t1r;
-    ui[k] = u0i + t1i;
-    zr[k] = u0r - t1r;
-    zi[k] = u0i - t1i;
-    if constexpr (Inv) {
-      vr[k] = u1r - t2i;
-      vi[k] = u1i + t2r;
-      sr[k] = u1r + t2i;
-      si[k] = u1i - t2r;
-    } else {
-      vr[k] = u1r + t2i;
-      vi[k] = u1i - t2r;
-      sr[k] = u1r - t2i;
-      si[k] = u1i + t2r;
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched stage-major kernels. A batch group is kBatchGroup rows stored
-// interleaved down the batch axis: element k of group row g lives at
-// lane[k * kBatchGroup + g]. Every split-radix pass keeps its original
-// stride-1 loop shape — the index space just grows by the group factor,
-// with the twiddle tables duplicated group-wise so twiddle loads stay
-// vectorisable — which means the long combine stages vectorise exactly
-// like the single-signal core while the short L=8/16 combines (2-4
-// iteration loops there) get kBatchGroup times the trip count and
-// vectorise down the batch axis. The arithmetic per row is the verbatim
-// single-signal formulas (the L-combine literally reuses split_combine;
-// plan.cpp is compiled with -ffp-contract=off), so row b of a batch call
-// is bit-identical to the single-signal call on row b.
-// ---------------------------------------------------------------------------
-
-/// Rows per interleaved batch group. Measured on the 1-core container, 2
-/// beats 4 and 8: the kernels are load/store- and L1-traffic-bound, so a
-/// small group (working set 2 x N x 16 B, twiddle streams only 2x) that
-/// keeps the depth-first sub-blocks L1-resident wins over wider groups
-/// whose extra SIMD lanes the memory ports cannot feed.
-constexpr std::size_t kBatchGroup = 2;
-
-// The batch kernels are explicitly SIMD: every loop below is free of
-// loop-carried dependencies (each iteration touches only its own index
-// across disjoint lanes), which `#pragma omp simd` asserts so the
-// vectoriser stops versioning for aliasing and emits packed code — the
-// single-signal kernels' 12-stream butterflies defeat GCC's cost model
-// and run scalar, which is exactly the gap the batch layout closes. On
-// x86-64 each kernel additionally carries a runtime-dispatched
-// x86-64-v3 clone (FFTW-style), so the portable SSE2 binary runs the
-// batch axis 256 bits wide on AVX2 hosts. plan.cpp is compiled with
-// -ffp-contract=off, so every clone performs the same IEEE operations
-// and batch results stay bit-identical to the single-signal path.
-// GCC only: clang's target_clones support on function templates is not
-// reliable across the versions CI builds with; its builds simply run the
-// portable codegen (still correct, still SIMD via the pragmas — and the
-// FTIO_X86_64_V3 build compiles everything at v3 anyway).
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(__clang__) && \
-    defined(__has_attribute)
-#if __has_attribute(target_clones)
-#define FTIO_BATCH_KERNEL \
-  __attribute__((target_clones("default", "arch=x86-64-v3")))
-#endif
-#endif
-#ifndef FTIO_BATCH_KERNEL
-#define FTIO_BATCH_KERNEL
-#endif
-
-/// The fused (2,4) base pass of split_iterative over an interleaved
-/// group: per 4-block the G-wide butterflies are contiguous 4*G doubles
-/// per lane.
-template <bool Inv>
-FTIO_BATCH_KERNEL void gbatch_base_pass(double* __restrict re,
-                                        double* __restrict im,
-                                        std::size_t n,
-                                        const std::uint8_t* __restrict t4) {
-  constexpr std::size_t G = kBatchGroup;
-  for (std::size_t i = 0, b = 0; i < n; i += 4, ++b) {
-    double* __restrict r = re + i * G;
-    double* __restrict m = im + i * G;
-    if (t4[b]) {
-#pragma omp simd
-      for (std::size_t g = 0; g < G; ++g) {
-        const double ar = r[g], ai = m[g];
-        const double br = r[G + g], bi = m[G + g];
-        const double cr = r[2 * G + g], ci = m[2 * G + g];
-        const double dr = r[3 * G + g], di = m[3 * G + g];
-        const double t0r = ar + br, t0i = ai + bi;
-        const double t1r = ar - br, t1i = ai - bi;
-        const double t2r = cr + dr, t2i = ci + di;
-        const double t3r = cr - dr, t3i = ci - di;
-        r[g] = t0r + t2r;
-        m[g] = t0i + t2i;
-        r[2 * G + g] = t0r - t2r;
-        m[2 * G + g] = t0i - t2i;
-        if constexpr (Inv) {
-          r[G + g] = t1r - t3i;
-          m[G + g] = t1i + t3r;
-          r[3 * G + g] = t1r + t3i;
-          m[3 * G + g] = t1i - t3r;
-        } else {
-          r[G + g] = t1r + t3i;
-          m[G + g] = t1i - t3r;
-          r[3 * G + g] = t1r - t3i;
-          m[3 * G + g] = t1i + t3r;
-        }
-      }
-    } else {
-      // Two independent size-2 nodes: (columns i, i+1) and (i+2, i+3).
-#pragma omp simd
-      for (std::size_t g = 0; g < G; ++g) {
-        const double ar = r[g], ai = m[g];
-        const double br = r[G + g], bi = m[G + g];
-        const double cr = r[2 * G + g], ci = m[2 * G + g];
-        const double dr = r[3 * G + g], di = m[3 * G + g];
-        r[g] = ar + br;
-        m[g] = ai + bi;
-        r[G + g] = ar - br;
-        m[G + g] = ai - bi;
-        r[2 * G + g] = cr + dr;
-        m[2 * G + g] = ci + di;
-        r[3 * G + g] = cr - dr;
-        m[3 * G + g] = ci - di;
-      }
-    }
-  }
-}
-
-/// gbatch_base_pass with the bit-reversal gather fused in: the butterfly
-/// operands load straight from the G source rows (the elements the base
-/// pass was about to read anyway) and only the results are written to the
-/// interleaved scratch — sequentially — so the separate permutation pass
-/// over the group working set disappears. Loads stream each row's
-/// L1-sized window; `sel` maps a permuted index to its lane offset within
-/// a row (identity for planar lanes, 2*s / 2*s+1 for packed real pairs).
-template <bool Inv, class SelRe, class SelIm>
-FTIO_BATCH_KERNEL void gbatch_base_gather(
-    const double* __restrict row_re, const double* __restrict row_im,
-    std::size_t stride, const std::uint32_t* __restrict bp, std::size_t n,
-    const std::uint8_t* __restrict t4, double* __restrict re,
-    double* __restrict im, SelRe sel_re, SelIm sel_im) {
-  constexpr std::size_t G = kBatchGroup;
-  for (std::size_t i = 0, b = 0; i < n; i += 4, ++b) {
-    const std::size_t s0 = bp[i];
-    const std::size_t s1 = bp[i + 1];
-    const std::size_t s2 = bp[i + 2];
-    const std::size_t s3 = bp[i + 3];
-    // Prefetch the next block's operand lines: the bit-reversed columns
-    // land on fresh cache lines in every row window, and the windows
-    // together exceed L1, so demand loads would stall otherwise.
-    if (i + 16 < n) {
-      const std::size_t p0 = bp[i + 12];
-      const std::size_t p2 = bp[i + 14];
-      const bool planar = row_im != row_re;
-      for (std::size_t g = 0; g < G; ++g) {
-        const double* __restrict rr = row_re + g * stride;
-        __builtin_prefetch(rr + sel_re(p0));
-        __builtin_prefetch(rr + sel_re(p2));
-        if (planar) {
-          const double* __restrict ri = row_im + g * stride;
-          __builtin_prefetch(ri + sel_im(p0));
-          __builtin_prefetch(ri + sel_im(p2));
-        }
-      }
-    }
-    double* __restrict r = re + i * G;
-    double* __restrict m = im + i * G;
-    if (t4[b]) {
-#pragma omp simd
-      for (std::size_t g = 0; g < G; ++g) {
-        const double* __restrict rr = row_re + g * stride;
-        const double* __restrict ri = row_im + g * stride;
-        const double ar = rr[sel_re(s0)], ai = ri[sel_im(s0)];
-        const double br = rr[sel_re(s1)], bi = ri[sel_im(s1)];
-        const double cr = rr[sel_re(s2)], ci = ri[sel_im(s2)];
-        const double dr = rr[sel_re(s3)], di = ri[sel_im(s3)];
-        const double t0r = ar + br, t0i = ai + bi;
-        const double t1r = ar - br, t1i = ai - bi;
-        const double t2r = cr + dr, t2i = ci + di;
-        const double t3r = cr - dr, t3i = ci - di;
-        r[g] = t0r + t2r;
-        m[g] = t0i + t2i;
-        r[2 * G + g] = t0r - t2r;
-        m[2 * G + g] = t0i - t2i;
-        if constexpr (Inv) {
-          r[G + g] = t1r - t3i;
-          m[G + g] = t1i + t3r;
-          r[3 * G + g] = t1r + t3i;
-          m[3 * G + g] = t1i - t3r;
-        } else {
-          r[G + g] = t1r + t3i;
-          m[G + g] = t1i - t3r;
-          r[3 * G + g] = t1r - t3i;
-          m[3 * G + g] = t1i + t3r;
-        }
-      }
-    } else {
-#pragma omp simd
-      for (std::size_t g = 0; g < G; ++g) {
-        const double* __restrict rr = row_re + g * stride;
-        const double* __restrict ri = row_im + g * stride;
-        const double ar = rr[sel_re(s0)], ai = ri[sel_im(s0)];
-        const double br = rr[sel_re(s1)], bi = ri[sel_im(s1)];
-        const double cr = rr[sel_re(s2)], ci = ri[sel_im(s2)];
-        const double dr = rr[sel_re(s3)], di = ri[sel_im(s3)];
-        r[g] = ar + br;
-        m[g] = ai + bi;
-        r[G + g] = ar - br;
-        m[G + g] = ai - bi;
-        r[2 * G + g] = cr + dr;
-        m[2 * G + g] = ci + di;
-        r[3 * G + g] = cr - dr;
-        m[3 * G + g] = ci - di;
-      }
-    }
-  }
-}
-
-/// split_combine over the G-times-larger interleaved index space with the
-/// group-duplicated twiddle streams: identical per-row formulas, explicit
-/// SIMD (the quarter*G-long loop is dependency-free). Kept as a plain
-/// always-inline body so the cloned kernels below absorb it into their
-/// own ISA level instead of paying a dispatched call per tree node.
-template <bool Inv>
-[[gnu::always_inline]] inline void gbatch_combine_body(
-    double* __restrict re, double* __restrict im, std::size_t quarter,
-    const double* __restrict w1r, const double* __restrict w1i,
-    const double* __restrict w3r, const double* __restrict w3i) {
-  double* __restrict ur = re;
-  double* __restrict ui = im;
-  double* __restrict vr = re + quarter;
-  double* __restrict vi = im + quarter;
-  double* __restrict zr = re + 2 * quarter;
-  double* __restrict zi = im + 2 * quarter;
-  double* __restrict sr = re + 3 * quarter;
-  double* __restrict si = im + 3 * quarter;
-#pragma omp simd
-  for (std::size_t k = 0; k < quarter; ++k) {
-    const double a1r = w1r[k];
-    const double a1i = Inv ? -w1i[k] : w1i[k];
-    const double a3r = w3r[k];
-    const double a3i = Inv ? -w3i[k] : w3i[k];
-    const double tzr = a1r * zr[k] - a1i * zi[k];
-    const double tzi = a1r * zi[k] + a1i * zr[k];
-    const double tsr = a3r * sr[k] - a3i * si[k];
-    const double tsi = a3r * si[k] + a3i * sr[k];
-    const double t1r = tzr + tsr, t1i = tzi + tsi;
-    const double t2r = tzr - tsr, t2i = tzi - tsi;
-    const double u0r = ur[k], u0i = ui[k];
-    const double u1r = vr[k], u1i = vi[k];
-    ur[k] = u0r + t1r;
-    ui[k] = u0i + t1i;
-    zr[k] = u0r - t1r;
-    zi[k] = u0i - t1i;
-    if constexpr (Inv) {
-      vr[k] = u1r - t2i;
-      vi[k] = u1i + t2r;
-      sr[k] = u1r + t2i;
-      si[k] = u1i - t2r;
-    } else {
-      vr[k] = u1r + t2i;
-      vi[k] = u1i - t2r;
-      sr[k] = u1r - t2i;
-      si[k] = u1i + t2r;
-    }
-  }
-}
-
-/// One combine node (the block-top combine of the depth-first recursion).
-template <bool Inv>
-FTIO_BATCH_KERNEL void gbatch_combine(double* __restrict re,
-                                      double* __restrict im,
-                                      std::size_t quarter,
-                                      const double* __restrict w1r,
-                                      const double* __restrict w1i,
-                                      const double* __restrict w3r,
-                                      const double* __restrict w3i) {
-  gbatch_combine_body<Inv>(re, im, quarter, w1r, w1i, w3r, w3i);
-}
-
-/// One whole combine stage over a leaf block: the is/id node enumeration
-/// runs inside the cloned kernel, so the short stages (hundreds of
-/// length-8/16 nodes per block) pay one dispatched call per stage
-/// instead of one per node.
-template <bool Inv>
-FTIO_BATCH_KERNEL void gbatch_stage_sweep(
-    double* __restrict re, double* __restrict im, std::size_t block_len,
-    std::size_t stage_len, std::size_t g, const double* __restrict w1r,
-    const double* __restrict w1i, const double* __restrict w3r,
-    const double* __restrict w3i) {
-  const std::size_t quarterG = (stage_len / 4) * g;
-  std::size_t ix = 0;
-  std::size_t id = 2 * stage_len;
-  while (ix < block_len) {
-    for (std::size_t p = ix; p < block_len; p += id) {
-      gbatch_combine_body<Inv>(re + p * g, im + p * g, quarterG, w1r, w1i,
-                               w3r, w3i);
-    }
-    ix = 2 * id - stage_len;
-    id *= 4;
-  }
+  split_combine_lanes<Inv>(re, im, re + quarter, im + quarter,
+                           re + 2 * quarter, im + 2 * quarter,
+                           re + 3 * quarter, im + 3 * quarter, quarter, w1re,
+                           w1im, w3re, w3im);
 }
 
 }  // namespace
@@ -755,396 +423,6 @@ void FftPlan::split_passes(double* re, double* im, bool invert) const {
   }
 }
 
-void FftPlan::ensure_batch_tables() const {
-  std::call_once(batch_once_, [this] {
-    batch_stages_.reserve(stages_.size());
-    for (const auto& st : stages_) {
-      SplitStage g;
-      g.len = st.len;
-      const std::size_t quarter = st.len / 4;
-      g.w1re.resize(quarter * kBatchGroup);
-      g.w1im.resize(quarter * kBatchGroup);
-      g.w3re.resize(quarter * kBatchGroup);
-      g.w3im.resize(quarter * kBatchGroup);
-      for (std::size_t k = 0; k < quarter; ++k) {
-        for (std::size_t r = 0; r < kBatchGroup; ++r) {
-          g.w1re[k * kBatchGroup + r] = st.w1re[k];
-          g.w1im[k * kBatchGroup + r] = st.w1im[k];
-          g.w3re[k * kBatchGroup + r] = st.w3re[k];
-          g.w3im[k * kBatchGroup + r] = st.w3im[k];
-        }
-      }
-      batch_stages_.push_back(std::move(g));
-    }
-  });
-}
-
-template <bool Inv>
-void FftPlan::split_passes_batch(double* re, double* im) const {
-  // Precondition: n_ % 4 == 0 — every grouped batch path requires the
-  // packed transform length to be at least 4 (n_ >= 8 at the real-input
-  // entry points), so the (2,4) base pass always applies.
-  gbatch_base_pass<Inv>(re, im, n_, base4_.data());
-  split_stages_batch<Inv>(re, im);
-}
-
-template <bool Inv>
-void FftPlan::split_stages_batch(double* re, double* im) const {
-  split_subtree_batch<Inv>(re, im, n_, 0);
-}
-
-template <bool Inv>
-void FftPlan::split_subtree_batch(double* re, double* im, std::size_t len,
-                                  std::size_t pos) const {
-  constexpr std::size_t G = kBatchGroup;
-  if (len * G <= detail::kBatchLeafElems) {
-    // Stage-major sweep of this block: every length-L combine runs across
-    // the whole group (a valid topological order of the split-radix tree
-    // — children always complete before their parent's combine, so each
-    // row's values match the depth-first single-signal order bit for
-    // bit). The L-combine is the single-signal split_combine arithmetic
-    // on the G-times-larger index space with the group-duplicated
-    // twiddle streams.
-    for (const auto& st : batch_stages_) {
-      if (st.len > len) break;
-      gbatch_stage_sweep<Inv>(re + pos * G, im + pos * G, len, st.len, G,
-                              st.w1re.data(), st.w1im.data(),
-                              st.w3re.data(), st.w3im.data());
-    }
-    return;
-  }
-  const std::size_t half = len / 2;
-  const std::size_t quarter = len / 4;
-  split_subtree_batch<Inv>(re, im, half, pos);
-  split_subtree_batch<Inv>(re, im, quarter, pos + half);
-  split_subtree_batch<Inv>(re, im, quarter, pos + half + quarter);
-  const auto& st =
-      batch_stages_[static_cast<std::size_t>(std::countr_zero(len)) - 3];
-  gbatch_combine<Inv>(re + pos * G, im + pos * G, (len / 4) * G,
-                      st.w1re.data(), st.w1im.data(), st.w3re.data(),
-                      st.w3im.data());
-}
-
-std::size_t FftPlan::batch_tile_rows(bool real_input) const {
-  const std::size_t len = real_input ? n_ / 2 : n_;
-  if (len < 2) return 1;
-  const std::size_t per_row = 2 * len * sizeof(double);
-  const std::size_t rows = detail::kBatchTileBytes / per_row;
-  if (rows < kBatchGroup) return 1;
-  return rows - rows % kBatchGroup;
-}
-
-template <bool Inv>
-void FftPlan::planar_batch_group(std::size_t stride, const double* in_re,
-                                 const double* in_im, double* out_re,
-                                 double* out_im) const {
-  constexpr std::size_t G = kBatchGroup;
-  auto& ws = workspace();
-  double* __restrict sre = ws.bre.data();
-  double* __restrict sim = ws.bim.data();
-  // The base pass runs fused with the bit-reversal gather: operands load
-  // straight from the G source rows, results land sequentially in the
-  // interleaved scratch. The group's entire input is consumed before any
-  // output write, so fully aliased out lanes are safe (other rows are
-  // never touched here).
-  const auto id = [](std::size_t s) { return s; };
-  gbatch_base_gather<Inv>(in_re, in_im, stride, bitrev_.data(), n_,
-                          base4_.data(), sre, sim, id, id);
-  split_stages_batch<Inv>(sre, sim);
-  const double scale = 1.0 / static_cast<double>(n_);
-  for (std::size_t g = 0; g < G; ++g) {
-    double* __restrict orr = out_re + g * stride;
-    double* __restrict ori = out_im + g * stride;
-    const double* __restrict cr = sre + g;
-    const double* __restrict ci = sim + g;
-    if constexpr (Inv) {
-      for (std::size_t k = 0; k < n_; ++k) {
-        orr[k] = cr[k * G] * scale;
-        ori[k] = ci[k * G] * scale;
-      }
-    } else {
-      for (std::size_t k = 0; k < n_; ++k) {
-        orr[k] = cr[k * G];
-        ori[k] = ci[k * G];
-      }
-    }
-  }
-}
-
-void FftPlan::forward_planar_batch(std::size_t batch, std::size_t stride,
-                                   std::span<const double> in_re,
-                                   std::span<const double> in_im,
-                                   std::span<double> out_re,
-                                   std::span<double> out_im) const {
-  if (batch == 0) return;
-  ftio::util::expect(stride >= n_,
-                     "FftPlan::forward_planar_batch: stride < row length");
-  const std::size_t need = (batch - 1) * stride + n_;
-  ftio::util::expect(in_re.size() >= need && in_im.size() >= need &&
-                         out_re.size() >= need && out_im.size() >= need,
-                     "FftPlan::forward_planar_batch: lanes too short");
-  FTIO_CONTRACT(
-      alias_full_or_disjoint(in_re.data(), out_re.data(), need) &&
-          alias_full_or_disjoint(in_im.data(), out_im.data(), need),
-      "batch lanes must fully alias (same bases and stride) or not overlap");
-  const bool grouped =
-      pow2_ && n_ >= 4 && batch >= kBatchGroup && batch_tile_rows(false) > 1;
-  std::size_t b = 0;
-  if (grouped) {
-    ensure_batch_tables();
-    auto& ws = workspace();
-    ws.bre.resize(n_ * kBatchGroup);
-    ws.bim.resize(n_ * kBatchGroup);
-    for (; b + kBatchGroup <= batch; b += kBatchGroup) {
-      planar_batch_group<false>(stride, in_re.data() + b * stride,
-                                in_im.data() + b * stride,
-                                out_re.data() + b * stride,
-                                out_im.data() + b * stride);
-    }
-  }
-  for (; b < batch; ++b) {
-    forward_planar(in_re.subspan(b * stride, n_),
-                   in_im.subspan(b * stride, n_),
-                   out_re.subspan(b * stride, n_),
-                   out_im.subspan(b * stride, n_));
-  }
-}
-
-void FftPlan::inverse_planar_batch(std::size_t batch, std::size_t stride,
-                                   std::span<const double> in_re,
-                                   std::span<const double> in_im,
-                                   std::span<double> out_re,
-                                   std::span<double> out_im) const {
-  if (batch == 0) return;
-  ftio::util::expect(stride >= n_,
-                     "FftPlan::inverse_planar_batch: stride < row length");
-  const std::size_t need = (batch - 1) * stride + n_;
-  ftio::util::expect(in_re.size() >= need && in_im.size() >= need &&
-                         out_re.size() >= need && out_im.size() >= need,
-                     "FftPlan::inverse_planar_batch: lanes too short");
-  FTIO_CONTRACT(
-      alias_full_or_disjoint(in_re.data(), out_re.data(), need) &&
-          alias_full_or_disjoint(in_im.data(), out_im.data(), need),
-      "batch lanes must fully alias (same bases and stride) or not overlap");
-  const bool grouped =
-      pow2_ && n_ >= 4 && batch >= kBatchGroup && batch_tile_rows(false) > 1;
-  std::size_t b = 0;
-  if (grouped) {
-    ensure_batch_tables();
-    auto& ws = workspace();
-    ws.bre.resize(n_ * kBatchGroup);
-    ws.bim.resize(n_ * kBatchGroup);
-    for (; b + kBatchGroup <= batch; b += kBatchGroup) {
-      planar_batch_group<true>(stride, in_re.data() + b * stride,
-                               in_im.data() + b * stride,
-                               out_re.data() + b * stride,
-                               out_im.data() + b * stride);
-    }
-  }
-  for (; b < batch; ++b) {
-    inverse_planar(in_re.subspan(b * stride, n_),
-                   in_im.subspan(b * stride, n_),
-                   out_re.subspan(b * stride, n_),
-                   out_im.subspan(b * stride, n_));
-  }
-}
-
-void FftPlan::rfft_half_batch_group(std::size_t in_stride, const double* in,
-                                    std::size_t out_stride, double* out_re,
-                                    double* out_im) const {
-  constexpr std::size_t G = kBatchGroup;
-  const std::size_t h = n_ / 2;
-  auto& ws = workspace();
-  double* __restrict sre = ws.bre.data();
-  double* __restrict sim = ws.bim.data();
-  // The half plan's base pass runs fused with the deinterleaving pair
-  // gather: operand pair bitrev[k] of each row loads straight from the
-  // packed real source, results land sequentially in the interleaved
-  // scratch.
-  gbatch_base_gather<false>(in, in, in_stride, half_->bitrev_.data(), h,
-                            half_->base4_.data(), sre, sim,
-                            [](std::size_t s) { return 2 * s; },
-                            [](std::size_t s) { return 2 * s + 1; });
-  half_->split_stages_batch<false>(sre, sim);
-  // Single-sided unpack straight into the output rows, bin-major so the
-  // twiddle pair and both source columns load once per bin for all rows.
-  // Formulas verbatim from forward_real_half_planar's unpack.
-  const double* __restrict twr = rtw_re_.data();
-  const double* __restrict twi = rtw_im_.data();
-  for (std::size_t g = 0; g < G; ++g) {
-    const double z0r = sre[g], z0i = sim[g];
-    out_re[g * out_stride] = z0r + z0i;
-    out_im[g * out_stride] = 0.0;
-    out_re[g * out_stride + h] = z0r - z0i;
-    out_im[g * out_stride + h] = 0.0;
-  }
-  for (std::size_t k = 1; k < h; ++k) {
-    const double wr = twr[k];
-    const double wi = twi[k];
-    const double* __restrict zkr = sre + k * G;
-    const double* __restrict zki = sim + k * G;
-    const double* __restrict zhr = sre + (h - k) * G;
-    const double* __restrict zhi = sim + (h - k) * G;
-    double* __restrict orow = out_re + k;
-    double* __restrict irow = out_im + k;
-#pragma omp simd
-    for (std::size_t g = 0; g < G; ++g) {
-      const double zr = zkr[g], zi = zki[g];
-      const double zmr = zhr[g], zmi = -zhi[g];
-      const double er = 0.5 * (zr + zmr);
-      const double ei = 0.5 * (zi + zmi);
-      const double odr = 0.5 * (zi - zmi);
-      const double odi = -0.5 * (zr - zmr);
-      orow[g * out_stride] = er + wr * odr - wi * odi;
-      irow[g * out_stride] = ei + wr * odi + wi * odr;
-    }
-  }
-}
-
-void FftPlan::rfft_half_planar_batch_into(std::size_t batch,
-                                          std::size_t in_stride,
-                                          std::span<const double> in,
-                                          std::size_t out_stride,
-                                          std::span<double> out_re,
-                                          std::span<double> out_im) const {
-  if (batch == 0) return;
-  const std::size_t bins = n_ / 2 + 1;
-  ftio::util::expect(in_stride >= n_ && out_stride >= bins,
-                     "FftPlan::rfft_half_planar_batch_into: stride too small");
-  ftio::util::expect(
-      in.size() >= (batch - 1) * in_stride + n_ &&
-          out_re.size() >= (batch - 1) * out_stride + bins &&
-          out_im.size() >= (batch - 1) * out_stride + bins,
-      "FftPlan::rfft_half_planar_batch_into: lanes too short");
-  bool grouped = n_ >= 8 && n_ % 2 == 0 && batch >= kBatchGroup &&
-                 batch_tile_rows(true) > 1;
-  if (grouped) {
-    ensure_real_tables();
-    grouped = half_->pow2_;
-  }
-  std::size_t b = 0;
-  if (grouped) {
-    half_->ensure_batch_tables();
-    auto& ws = workspace();
-    ws.bre.resize((n_ / 2) * kBatchGroup);
-    ws.bim.resize((n_ / 2) * kBatchGroup);
-    for (; b + kBatchGroup <= batch; b += kBatchGroup) {
-      rfft_half_batch_group(in_stride, in.data() + b * in_stride,
-                            out_stride, out_re.data() + b * out_stride,
-                            out_im.data() + b * out_stride);
-    }
-  }
-  for (; b < batch; ++b) {
-    forward_real_half_planar(in.subspan(b * in_stride, n_),
-                             out_re.subspan(b * out_stride, bins),
-                             out_im.subspan(b * out_stride, bins));
-  }
-}
-
-void FftPlan::irfft_half_batch_group(std::size_t in_stride,
-                                     const double* in_re,
-                                     const double* in_im,
-                                     std::size_t out_stride,
-                                     double* out) const {
-  constexpr std::size_t G = kBatchGroup;
-  const std::size_t h = n_ / 2;
-  auto& ws = workspace();
-  double* __restrict sre = ws.bre.data();
-  double* __restrict sim = ws.bim.data();
-  // Fold the half spectra back into packed half-size signals, scattering
-  // into bit-reversed interleaved columns (bitrev[0] == 0, so the peeled
-  // DC/Nyquist fold lands in column 0). Formulas verbatim from
-  // inverse_real_half_planar's z0/z_at.
-  const std::uint32_t* bp = half_->bitrev_.data();
-  for (std::size_t g = 0; g < G; ++g) {
-    const double dc = in_re[g * in_stride];
-    const double ny = in_re[g * in_stride + h];
-    sre[g] = 0.5 * (dc + ny);
-    sim[g] = 0.5 * (dc - ny);
-  }
-  const double* __restrict rwr = rtw_re_.data();
-  const double* __restrict rwi = rtw_im_.data();
-  for (std::size_t k = 1; k < h; ++k) {
-    const double wr = rwr[k];
-    const double wi = rwi[k];
-    const std::size_t d = bp[k];
-    const double* __restrict akr = in_re + k;
-    const double* __restrict aki = in_im + k;
-    const double* __restrict bkr = in_re + (h - k);
-    const double* __restrict bki = in_im + (h - k);
-    double* __restrict dr = sre + d * G;
-    double* __restrict di = sim + d * G;
-#pragma omp simd
-    for (std::size_t g = 0; g < G; ++g) {
-      const double ar = akr[g * in_stride];
-      const double ai = aki[g * in_stride];
-      const double br = bkr[g * in_stride];
-      const double bi = -bki[g * in_stride];
-      const double er = 0.5 * (ar + br);
-      const double ei = 0.5 * (ai + bi);
-      const double fr = 0.5 * (ar - br);
-      const double fi = 0.5 * (ai - bi);
-      const double odr = wr * fr + wi * fi;
-      const double odi = wr * fi - wi * fr;
-      dr[g] = er - odi;
-      di[g] = ei + odr;
-    }
-  }
-  half_->split_passes_batch<true>(sre, sim);
-  const double scale = 1.0 / static_cast<double>(h);
-  for (std::size_t g = 0; g < G; ++g) {
-    double* __restrict orow = out + g * out_stride;
-    const double* __restrict cr = sre + g;
-    const double* __restrict ci = sim + g;
-#pragma omp simd
-    for (std::size_t j = 0; j < h; ++j) {
-      orow[2 * j] = cr[j * G] * scale;
-      orow[2 * j + 1] = ci[j * G] * scale;
-    }
-  }
-}
-
-void FftPlan::irfft_half_planar_batch_into(std::size_t batch,
-                                           std::size_t in_stride,
-                                           std::span<const double> in_re,
-                                           std::span<const double> in_im,
-                                           std::size_t out_stride,
-                                           std::span<double> out) const {
-  if (batch == 0) return;
-  const std::size_t bins = n_ / 2 + 1;
-  ftio::util::expect(in_stride >= bins && out_stride >= n_,
-                     "FftPlan::irfft_half_planar_batch_into: stride too "
-                     "small");
-  ftio::util::expect(
-      in_re.size() >= (batch - 1) * in_stride + bins &&
-          in_im.size() >= (batch - 1) * in_stride + bins &&
-          out.size() >= (batch - 1) * out_stride + n_,
-      "FftPlan::irfft_half_planar_batch_into: lanes too short");
-  bool grouped = n_ >= 8 && n_ % 2 == 0 && batch >= kBatchGroup &&
-                 batch_tile_rows(true) > 1;
-  if (grouped) {
-    ensure_real_tables();
-    grouped = half_->pow2_;
-  }
-  std::size_t b = 0;
-  if (grouped) {
-    half_->ensure_batch_tables();
-    auto& ws = workspace();
-    ws.bre.resize((n_ / 2) * kBatchGroup);
-    ws.bim.resize((n_ / 2) * kBatchGroup);
-    for (; b + kBatchGroup <= batch; b += kBatchGroup) {
-      irfft_half_batch_group(in_stride, in_re.data() + b * in_stride,
-                             in_im.data() + b * in_stride, out_stride,
-                             out.data() + b * out_stride);
-    }
-  }
-  for (; b < batch; ++b) {
-    inverse_real_half_planar(in_re.subspan(b * in_stride, bins),
-                             in_im.subspan(b * in_stride, bins),
-                             out.subspan(b * out_stride, n_));
-  }
-}
-
 void FftPlan::ensure_bluestein_tables() const {
   std::call_once(bluestein_once_, [this] {
     // Bluestein: chirp, and the FFT of the wrapped conjugate chirp — the
@@ -1179,9 +457,6 @@ void FftPlan::ensure_bluestein_tables() const {
 void FftPlan::ensure_real_tables() const {
   std::call_once(real_once_, [this] {
     half_ = get_plan(n_ / 2);
-    // The packed real path always runs the half plan's complex transform,
-    // so finish its lazy state here rather than on first use.
-    half_->prepare(/*for_real_input=*/false);
     rtw_re_.resize(n_ / 2 + 1);
     rtw_im_.resize(n_ / 2 + 1);
     for (std::size_t k = 0; k <= n_ / 2; ++k) {
@@ -1190,14 +465,6 @@ void FftPlan::ensure_real_tables() const {
       rtw_im_[k] = w.imag();
     }
   });
-}
-
-void FftPlan::prepare(bool for_real_input) const {
-  if (for_real_input && n_ >= 2 && n_ % 2 == 0) {
-    ensure_real_tables();
-    return;
-  }
-  if (!pow2_ && n_ > 1) ensure_bluestein_tables();
 }
 
 template <bool Inv>
@@ -1368,17 +635,35 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
   if (h == 1) {
     re[0] = in[0];
     im[0] = in[1];
-  } else if (half_->pow2_) {
-    // Permute the real pairs straight into the split-radix lanes.
-    detail::bitrev_permute_pairs(half_->bitrev_.data(), h, in.data(), re,
-                                 im);
-    half_->split_passes(re, im, /*invert=*/false);
-  } else {
+  } else if (!half_->pow2_) {
     for (std::size_t j = 0; j < h; ++j) {
       re[j] = in[2 * j];
       im[j] = in[2 * j + 1];
     }
     half_->bluestein<false>(re, im, re, im, h);
+  } else {
+    const std::uint32_t* bp = half_->bitrev_.data();
+    if (h >= detail::kBlockedBitrevMinN) {
+      // Large N: deinterleave in linear order, then run the cache-blocked
+      // permutation — two streaming passes instead of one scattered one
+      // (the mirror of the inverse path's linearised fold).
+      ws.re2.resize(h);
+      ws.im2.resize(h);
+      for (std::size_t j = 0; j < h; ++j) {
+        ws.re2[j] = in[2 * j];
+        ws.im2[j] = in[2 * j + 1];
+      }
+      detail::bitrev_permute_planar(bp, h, ws.re2.data(), ws.im2.data(), re,
+                                    im);
+    } else {
+      // Gather the real pairs straight into bit-reversed split-radix lanes.
+      for (std::size_t i = 0; i < h; ++i) {
+        const std::size_t s = 2 * static_cast<std::size_t>(bp[i]);
+        re[i] = in[s];
+        im[i] = in[s + 1];
+      }
+    }
+    half_->split_passes(re, im, /*invert=*/false);
   }
 
   const double* __restrict twr = rtw_re_.data();

@@ -62,7 +62,8 @@ class FftPlan {
   /// Forward DFT out_k = sum_n in_n exp(-2*pi*i*k*n/N) of a planar
   /// split-complex signal: reads re/im lanes of length size(), writes the
   /// spectrum into the caller-owned out lanes. out may fully alias in
-  /// (in-place); partial overlap is undefined.
+  /// (in-place); partial overlap is a contract violation, rejected by
+  /// FTIO_CONTRACT in contract-checked builds.
   void forward_planar(std::span<const double> in_re,
                       std::span<const double> in_im,
                       std::span<double> out_re,
@@ -74,68 +75,6 @@ class FftPlan {
                       std::span<const double> in_im,
                       std::span<double> out_re,
                       std::span<double> out_im) const;
-
-  // -------------------------------------------------------------------------
-  // Batched planar execution. A batch is B planar signals stored as rows
-  // of one re lane and one im lane: row b's re lane starts at
-  // re[b * stride] (stride >= row length, so rows may be padded apart).
-  // Rows execute in small interleaved groups, stage-major: each
-  // split-radix pass runs across every row of the group before the next
-  // pass starts, so each twiddle stream is loaded once per stage instead
-  // of once per signal, and every butterfly loop — including the short
-  // L=8/16 combines whose 2-4 iteration inner loops run scalar in the
-  // single-signal core — executes as explicit SIMD over the
-  // group-widened index space (with a runtime-dispatched x86-64-v3 clone
-  // on AVX2 hosts). The bit-reversal gather is fused into the (2,4) base
-  // pass, and above detail::kBatchLeafElems the stages recurse
-  // depth-first so sub-blocks stay L1-resident. Row b of a batch call is
-  // bit-identical to the corresponding single-signal call on row b, for
-  // every batch size and group split.
-  // -------------------------------------------------------------------------
-
-  /// Batched forward DFT over `batch` planar rows of length size() spaced
-  /// `stride` doubles apart. The out lanes may fully alias the in lanes
-  /// (same bases and stride); partial overlap is undefined.
-  void forward_planar_batch(std::size_t batch, std::size_t stride,
-                            std::span<const double> in_re,
-                            std::span<const double> in_im,
-                            std::span<double> out_re,
-                            std::span<double> out_im) const;
-
-  /// Batched inverse DFT (1/N normalisation included); layout and aliasing
-  /// rules as forward_planar_batch.
-  void inverse_planar_batch(std::size_t batch, std::size_t stride,
-                            std::span<const double> in_re,
-                            std::span<const double> in_im,
-                            std::span<double> out_re,
-                            std::span<double> out_im) const;
-
-  /// Batched packed single-sided real transform: `batch` real rows of
-  /// length size() spaced `in_stride` apart, producing half-spectrum rows
-  /// of size()/2 + 1 bins spaced `out_stride` apart in the out lanes.
-  /// Row b is bit-identical to forward_real_half_planar on row b.
-  void rfft_half_planar_batch_into(std::size_t batch, std::size_t in_stride,
-                                   std::span<const double> in,
-                                   std::size_t out_stride,
-                                   std::span<double> out_re,
-                                   std::span<double> out_im) const;
-
-  /// Batched inverse of rfft_half_planar_batch_into: half-spectrum rows of
-  /// size()/2 + 1 bins spaced `in_stride` apart reconstruct real rows of
-  /// length size() spaced `out_stride` apart (1/N normalisation included).
-  void irfft_half_planar_batch_into(std::size_t batch, std::size_t in_stride,
-                                    std::span<const double> in_re,
-                                    std::span<const double> in_im,
-                                    std::size_t out_stride,
-                                    std::span<double> out) const;
-
-  /// Rows per cache-resident batch tile for this plan: the largest tile
-  /// whose transposed working set (tile x transform length x two lanes)
-  /// stays within detail::kBatchTileBytes. Callers fanning a large batch
-  /// across threads should split it into chunks of this many rows so each
-  /// worker executes whole tiles. `real_input` selects the packed real
-  /// path, whose internal transform runs at size()/2.
-  std::size_t batch_tile_rows(bool real_input) const;
 
   /// Packed single-sided transform of a real signal into caller-owned
   /// re/im lanes of length size()/2 + 1: only the N/2+1 non-redundant
@@ -155,12 +94,6 @@ class FftPlan {
   void inverse_real_half_planar(std::span<const double> in_re,
                                 std::span<const double> in_im,
                                 std::span<double> out) const;
-
-  /// Forces construction of the lazily built tables so that subsequent
-  /// transforms on worker threads find everything resident: the Bluestein
-  /// state for complex transforms, plus (with for_real_input and even N)
-  /// the half-size sub-plan and unpack twiddles. Thread-safe.
-  void prepare(bool for_real_input) const;
 
  private:
   /// One split-radix combine stage of length L >= 8: a size-L node merges
@@ -190,32 +123,6 @@ class FftPlan {
   template <bool Inv>
   void split_iterative(double* re, double* im, std::size_t len,
                        std::size_t pos) const;
-  /// Runs the whole split-radix schedule stage-major over one interleaved
-  /// batch group: element k of group row g lives at re[k * G + g] (G the
-  /// fixed internal group width). The group working set is cache-resident
-  /// whenever batching is engaged (batch_tile_rows > 1), so every pass
-  /// sweeps all rows before the next with no depth-first recursion.
-  template <bool Inv>
-  void split_passes_batch(double* re, double* im) const;
-  /// The combine stages of split_passes_batch alone (lengths 8..N), for
-  /// callers that already ran the base pass fused with their gather.
-  template <bool Inv>
-  void split_stages_batch(double* re, double* im) const;
-  template <bool Inv>
-  void split_subtree_batch(double* re, double* im, std::size_t len,
-                           std::size_t pos) const;
-  /// Builds the group-duplicated twiddle tables on first batched use.
-  void ensure_batch_tables() const;
-  template <bool Inv>
-  void planar_batch_group(std::size_t stride, const double* in_re,
-                          const double* in_im, double* out_re,
-                          double* out_im) const;
-  void rfft_half_batch_group(std::size_t in_stride, const double* in,
-                             std::size_t out_stride, double* out_re,
-                             double* out_im) const;
-  void irfft_half_batch_group(std::size_t in_stride, const double* in_re,
-                              const double* in_im, std::size_t out_stride,
-                              double* out) const;
   /// Bluestein chirp-z DFT of the length-size() planar signal in_re/in_im
   /// (in_im == nullptr reads an all-zero imaginary lane), writing bins
   /// [0, bins) to out_re/out_im. Inv computes conj(B(conj x)) / N, the
@@ -238,13 +145,6 @@ class FftPlan {
   /// butterflies). Every aligned 4-block is exactly one of the two.
   std::vector<std::uint8_t> base4_;
   std::vector<SplitStage> stages_;  ///< lengths 8, 16, ..., N
-
-  // Batched-execution tables: the combine-stage twiddles duplicated
-  // group-wise (entry k repeated once per group row) so the interleaved
-  // batch kernels keep contiguous twiddle streams. Built lazily on the
-  // first batched call — per-signal transforms never touch them.
-  mutable std::once_flag batch_once_;
-  mutable std::vector<SplitStage> batch_stages_;
 
   // Bluestein tables (non power-of-two N only). Built lazily on the
   // first complex transform: an even non-pow2 plan that only ever serves
@@ -349,20 +249,6 @@ inline constexpr std::size_t kBlockedBitrevMinN = std::size_t{1} << 17;
 /// (2 lanes * 8 B * 2^14 = 256 KiB working set per leaf).
 inline constexpr std::size_t kSplitRadixLeafLen = std::size_t{1} << 14;
 
-/// Working-set budget of one batch execution tile (two double lanes of
-/// tile x N elements). batch_tile_rows derives the advertised tile from
-/// it; plans whose per-row working set alone fills the budget fall back
-/// to per-row execution (tile = 1), which is the cache-blocked recursive
-/// single-signal core.
-inline constexpr std::size_t kBatchTileBytes = std::size_t{1} << 19;
-
-/// Interleaved group subtrees at or below this many elements (transform
-/// length times the internal group width) run as iterative stage sweeps;
-/// larger blocks recurse depth-first so each sub-block's two-lane working
-/// set (16 B per element) finishes L1-resident before the parent combine
-/// streams it once more.
-inline constexpr std::size_t kBatchLeafElems = std::size_t{1} << 11;
-
 /// out[i] = in[bitrev[i]] over planar lanes, cache-blocked above
 /// kBlockedBitrevMinN. in and out must not alias. Because the
 /// permutation is an involution this also implements the scatter
@@ -370,14 +256,6 @@ inline constexpr std::size_t kBatchLeafElems = std::size_t{1} << 11;
 void bitrev_permute_planar(const std::uint32_t* bitrev, std::size_t n,
                            const double* in_re, const double* in_im,
                            double* out_re, double* out_im);
-
-/// Deinterleaving gather: (out_re[i], out_im[i]) = pairs[2*bitrev[i] ..],
-/// cache-blocked above kBlockedBitrevMinN. `pairs` is any array of 2n
-/// doubles holding n (re, im) pairs, such as the even/odd packing of a
-/// real signal.
-void bitrev_permute_pairs(const std::uint32_t* bitrev, std::size_t n,
-                          const double* pairs, double* out_re,
-                          double* out_im);
 
 }  // namespace detail
 

@@ -1,13 +1,10 @@
 #include "signal/spectrum.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <numbers>
 
-#include "signal/batch_util.hpp"
 #include "signal/plan.hpp"
 #include "util/error.hpp"
-#include "util/parallel.hpp"
 
 namespace ftio::signal {
 
@@ -16,15 +13,25 @@ double Spectrum::frequency_step() const {
   return sampling_frequency / static_cast<double>(total_samples);
 }
 
-namespace {
+Spectrum compute_spectrum(std::span<const double> samples, double fs) {
+  ftio::util::expect(!samples.empty(), "compute_spectrum: empty signal");
+  ftio::util::expect(std::isfinite(fs) && fs > 0.0,
+                     "compute_spectrum: fs must be finite and positive");
 
-/// The post-transform half of compute_spectrum: derives the Sec. II-B1
-/// spectrum fields from the packed single-sided bins. One shared function
-/// (not two copies) so the batched and per-signal paths produce the same
-/// instruction sequence — and therefore identical doubles — bit for bit.
-Spectrum finish_spectrum(const double* bin_re, const double* bin_im,
-                         std::size_t n, double fs) {
+  // Plan-cached packed real transform into per-thread planar scratch:
+  // only the single-sided N/2+1 bins the spectrum reads are ever computed
+  // or stored (the conjugate-symmetric upper half no longer exists), the
+  // lanes stay split re[]/im[] end-to-end (no interleaved std::complex
+  // buffer anywhere on the path), and the buffers are reused across calls
+  // instead of reallocated.
+  const std::size_t n = samples.size();
   const std::size_t half = n / 2;  // single-sided: k in [0, N/2]
+  thread_local std::vector<double> bin_re;
+  thread_local std::vector<double> bin_im;
+  bin_re.resize(half + 1);
+  bin_im.resize(half + 1);
+  get_plan(n)->forward_real_half_planar(samples, bin_re, bin_im);
+
   Spectrum s;
   s.sampling_frequency = fs;
   s.total_samples = n;
@@ -47,73 +54,6 @@ Spectrum finish_spectrum(const double* bin_re, const double* bin_im,
     s.normed_power[k] = total_power > 0.0 ? s.power[k] / total_power : 0.0;
   }
   return s;
-}
-
-}  // namespace
-
-Spectrum compute_spectrum(std::span<const double> samples, double fs) {
-  ftio::util::expect(!samples.empty(), "compute_spectrum: empty signal");
-  ftio::util::expect(fs > 0.0, "compute_spectrum: fs must be positive");
-
-  // Plan-cached packed real transform into per-thread planar scratch:
-  // only the single-sided N/2+1 bins the spectrum reads are ever computed
-  // or stored (the conjugate-symmetric upper half no longer exists), the
-  // lanes stay split re[]/im[] end-to-end (no interleaved std::complex
-  // buffer anywhere on the path), and the buffers are reused across calls
-  // instead of reallocated.
-  const std::size_t n = samples.size();
-  const std::size_t half = n / 2;
-  thread_local std::vector<double> bin_re;
-  thread_local std::vector<double> bin_im;
-  bin_re.resize(half + 1);
-  bin_im.resize(half + 1);
-  get_plan(n)->forward_real_half_planar(samples, bin_re, bin_im);
-  return finish_spectrum(bin_re.data(), bin_im.data(), n, fs);
-}
-
-std::vector<Spectrum> compute_spectra(
-    std::span<const std::span<const double>> signals, double fs,
-    unsigned threads) {
-  ftio::util::expect(fs > 0.0, "compute_spectra: fs must be positive");
-  std::vector<Spectrum> out(signals.size());
-  if (signals.empty()) return out;
-  for (const auto& s : signals) {
-    ftio::util::expect(!s.empty(), "compute_spectra: empty signal");
-  }
-
-  // Group the windows by length: every same-length group runs its
-  // forward transforms through the plan's stage-major batched execution,
-  // split over cache-resident batch tiles across workers. Batched rows
-  // are bit-identical to per-signal transforms and finish_spectrum is the
-  // one shared epilogue, so out[i] always equals compute_spectrum
-  // (signals[i], fs) exactly, whatever the grouping.
-  detail::grouped_batch_tiles(
-      signals.size(), threads,
-      [&](std::size_t i) { return signals[i].size(); },
-      [&](std::size_t i) { out[i] = compute_spectrum(signals[i], fs); },
-      [&](const FftPlan& plan, std::span<const std::size_t> tile) {
-        const std::size_t n = plan.size();
-        const std::size_t bins = n / 2 + 1;
-        const std::size_t rows = tile.size();
-        thread_local std::vector<double> in_rows;
-        thread_local std::vector<double> bin_re;
-        thread_local std::vector<double> bin_im;
-        in_rows.resize(rows * n);
-        bin_re.resize(rows * bins);
-        bin_im.resize(rows * bins);
-        for (std::size_t r = 0; r < rows; ++r) {
-          const auto& sig = signals[tile[r]];
-          std::copy(sig.begin(), sig.end(),
-                    in_rows.begin() + static_cast<std::ptrdiff_t>(r * n));
-        }
-        plan.rfft_half_planar_batch_into(rows, n, in_rows, bins, bin_re,
-                                         bin_im);
-        for (std::size_t r = 0; r < rows; ++r) {
-          out[tile[r]] = finish_spectrum(bin_re.data() + r * bins,
-                                         bin_im.data() + r * bins, n, fs);
-        }
-      });
-  return out;
 }
 
 CosineWave wave_for_bin(const Spectrum& spectrum, std::size_t k) {

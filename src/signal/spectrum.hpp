@@ -35,20 +35,9 @@ struct Spectrum {
 };
 
 /// Computes the single-sided spectrum of `samples` taken at `fs` Hz.
-/// Throws InvalidArgument for empty input or non-positive fs.
+/// Throws InvalidArgument for empty input or an fs that is not finite
+/// and positive.
 Spectrum compute_spectrum(std::span<const double> samples, double fs);
-
-/// Batched compute_spectrum over many windows at once (the engine's
-/// multi-window path): windows of equal length are grouped and their
-/// forward transforms run through the plan's stage-major batched
-/// execution, with cache-resident batch tiles fanned across up to
-/// `threads` workers (0 = hardware concurrency; 1 = serial). Mixed
-/// lengths are allowed — each group batches independently. out[i] is
-/// bit-identical to compute_spectrum(signals[i], fs) for every grouping
-/// and thread count. Throws InvalidArgument if any window is empty.
-std::vector<Spectrum> compute_spectra(
-    std::span<const std::span<const double>> signals, double fs,
-    unsigned threads = 1);
 
 /// One cosine component of the Eq. (1) reconstruction:
 /// a * cos(2*pi*f*t + phase), where a already includes the factor 2 for

@@ -42,11 +42,14 @@ CwtResult morlet_cwt(std::span<const double> samples, double fs,
                      std::span<const double> frequencies, double omega0,
                      unsigned threads) {
   ftio::util::expect(!samples.empty(), "morlet_cwt: empty signal");
-  ftio::util::expect(fs > 0.0, "morlet_cwt: fs must be positive");
+  ftio::util::expect(std::isfinite(fs) && fs > 0.0,
+                     "morlet_cwt: fs must be finite and positive");
   ftio::util::expect(!frequencies.empty(), "morlet_cwt: no frequencies");
-  ftio::util::expect(omega0 > 0.0, "morlet_cwt: omega0 must be positive");
+  ftio::util::expect(std::isfinite(omega0) && omega0 > 0.0,
+                     "morlet_cwt: omega0 must be finite and positive");
   for (double f : frequencies) {
-    ftio::util::expect(f > 0.0, "morlet_cwt: frequencies must be positive");
+    ftio::util::expect(std::isfinite(f) && f > 0.0,
+                       "morlet_cwt: frequencies must be finite and positive");
   }
 
   const std::size_t n = samples.size();
@@ -84,110 +87,81 @@ CwtResult morlet_cwt(std::span<const double> samples, double fs,
                static_cast<double>(padded);
   }
 
-  // Rows are independent, and every row runs the same padded-size inverse
-  // transform: fan cache-resident batch tiles (not single rows) across
-  // workers, and run each tile's inverses through one stage-major batched
-  // plan execution — the twiddle streams load once per stage for the
-  // whole tile instead of once per scale. Tile boundaries depend only on
-  // the row index and batch rows are bit-identical to per-row calls, so
-  // the result does not depend on the thread count or the tile split.
-  // The product/coefficient buffers are per-thread scratch reused across
-  // tiles (and across calls), so the hot loop does no allocation.
-  const std::size_t tile_rows =
-      std::max<std::size_t>(std::size_t{1}, plan->batch_tile_rows(false));
-  const std::size_t tiles =
-      (frequencies.size() + tile_rows - 1) / tile_rows;
+  // Rows are independent: each runs one padded-size inverse transform
+  // through the shared plan, fanned across workers. The product and
+  // coefficient lanes are per-thread scratch reused across rows (and
+  // across calls), so the hot loop does no allocation, and the result
+  // does not depend on the thread count.
   ftio::util::parallel_for(
-      tiles,
-      [&](std::size_t t) {
-        const std::size_t row0 = t * tile_rows;
-        const std::size_t rows =
-            std::min(tile_rows, frequencies.size() - row0);
-
-        // Planar per-thread scratch: the windowed-product rows and the
-        // coefficient rows feed the plan's batched planar inverse
-        // directly (row stride = padded).
+      frequencies.size(),
+      [&](std::size_t fi) {
         thread_local std::vector<double> prod_re;
         thread_local std::vector<double> prod_im;
         thread_local std::vector<double> coef_re;
         thread_local std::vector<double> coef_im;
-        prod_re.assign(rows * padded, 0.0);
-        prod_im.assign(rows * padded, 0.0);
-        coef_re.resize(rows * padded);
-        coef_im.resize(rows * padded);
+        prod_re.assign(padded, 0.0);
+        prod_im.assign(padded, 0.0);
+        coef_re.resize(padded);
+        coef_im.resize(padded);
 
-        for (std::size_t r = 0; r < rows; ++r) {
-          const std::size_t fi = row0 + r;
-          // Morlet: psi_hat(s*w) = pi^{-1/4} exp(-(s*w - omega0)^2 / 2),
-          // analytic (zero for negative frequencies). Scale from pseudo-
-          // frequency: f = omega0 / (2*pi*s) => s = omega0 / (2*pi*f).
-          const double scale =
-              omega0 / (2.0 * std::numbers::pi * frequencies[fi]);
-          // L2 normalisation (Torrence & Compo 1998, Eq. 6): the factor
-          // sqrt(2*pi*scale*fs) gives every daughter wavelet unit
-          // discrete energy, sum_k |psi_hat(s*w_k)|^2 = padded.
-          const double norm =
-              std::pow(std::numbers::pi, -0.25) *
-              std::sqrt(2.0 * std::numbers::pi * scale * fs);
+        // Morlet: psi_hat(s*w) = pi^{-1/4} exp(-(s*w - omega0)^2 / 2),
+        // analytic (zero for negative frequencies). Scale from pseudo-
+        // frequency: f = omega0 / (2*pi*s) => s = omega0 / (2*pi*f).
+        const double scale =
+            omega0 / (2.0 * std::numbers::pi * frequencies[fi]);
+        // L2 normalisation (Torrence & Compo 1998, Eq. 6): the factor
+        // sqrt(2*pi*scale*fs) gives every daughter wavelet unit
+        // discrete energy, sum_k |psi_hat(s*w_k)|^2 = padded.
+        const double norm = std::pow(std::numbers::pi, -0.25) *
+                            std::sqrt(2.0 * std::numbers::pi * scale * fs);
 
-          // The analytic wavelet lives on the positive-frequency bins
-          // k in [1, padded/2], and the Gaussian underflows to exactly 0
-          // once |scale*w - omega0| exceeds ~39 (exp(-745) is the
-          // smallest positive double), so only the bins inside that band
-          // need the exp at all — for low pseudo-frequencies that is a
-          // small fraction of the spectrum.
-          constexpr double kGaussianCut = 40.0;
-          const double bins_per_omega =
-              static_cast<double>(padded) / (2.0 * std::numbers::pi * fs);
-          const std::size_t half = padded / 2;
-          // Clamp in double before narrowing: extreme pseudo-frequencies
-          // make these bin counts overflow size_t otherwise.
-          const double half_bins = static_cast<double>(half);
-          std::size_t k_lo = 1;
-          if (omega0 > kGaussianCut) {
-            const double lo_bins =
-                std::ceil((omega0 - kGaussianCut) / scale * bins_per_omega);
-            k_lo = lo_bins <= 1.0
-                       ? 1
-                       : static_cast<std::size_t>(
-                             std::min(lo_bins, half_bins + 1.0));
-          }
-          const double hi_bins =
-              std::floor((omega0 + kGaussianCut) / scale * bins_per_omega);
-          const std::size_t k_hi =
-              hi_bins <= 0.0 ? 0
-                             : static_cast<std::size_t>(
-                                   std::min(hi_bins, half_bins));
-          double* pr = prod_re.data() + r * padded;
-          double* pi = prod_im.data() + r * padded;
-          for (std::size_t k = k_lo; k <= k_hi; ++k) {
-            const double arg = scale * omega[k] - omega0;
-            const double window = norm * std::exp(-0.5 * arg * arg);
-            pr[k] = xh_re[k] * window;
-            pi[k] = xh_im[k] * window;
-          }
+        // The analytic wavelet lives on the positive-frequency bins
+        // k in [1, padded/2], and the Gaussian underflows to exactly 0
+        // once |scale*w - omega0| exceeds ~39 (exp(-745) is the smallest
+        // positive double), so only the bins inside that band need the
+        // exp at all — for low pseudo-frequencies that is a small
+        // fraction of the spectrum.
+        constexpr double kGaussianCut = 40.0;
+        const double bins_per_omega =
+            static_cast<double>(padded) / (2.0 * std::numbers::pi * fs);
+        const std::size_t half = padded / 2;
+        // Clamp in double before narrowing: extreme pseudo-frequencies
+        // make these bin counts overflow size_t otherwise.
+        const double half_bins = static_cast<double>(half);
+        std::size_t k_lo = 1;
+        if (omega0 > kGaussianCut) {
+          const double lo_bins =
+              std::ceil((omega0 - kGaussianCut) / scale * bins_per_omega);
+          k_lo = lo_bins <= 1.0 ? 1
+                                : static_cast<std::size_t>(
+                                      std::min(lo_bins, half_bins + 1.0));
+        }
+        const double hi_bins =
+            std::floor((omega0 + kGaussianCut) / scale * bins_per_omega);
+        const std::size_t k_hi =
+            hi_bins <= 0.0
+                ? 0
+                : static_cast<std::size_t>(std::min(hi_bins, half_bins));
+        for (std::size_t k = k_lo; k <= k_hi; ++k) {
+          const double arg = scale * omega[k] - omega0;
+          const double window = norm * std::exp(-0.5 * arg * arg);
+          prod_re[k] = xh_re[k] * window;
+          prod_im[k] = xh_im[k] * window;
         }
 
-        plan->inverse_planar_batch(rows, padded, prod_re, prod_im, coef_re,
-                                   coef_im);
+        plan->inverse_planar(prod_re, prod_im, coef_re, coef_im);
 
-        for (std::size_t r = 0; r < rows; ++r) {
-          const std::size_t fi = row0 + r;
-          const double scale =
-              omega0 / (2.0 * std::numbers::pi * frequencies[fi]);
-          // Scalogram power, rectified by 1/scale (Liu et al. 2007):
-          // under the L2 normalisation alone |W|^2 of a pure tone grows
-          // with the matched scale, biasing every row comparison toward
-          // low frequencies; dividing by the scale makes equal-amplitude
-          // tones produce equal power whichever row they match.
-          auto& row = result.power[fi];
-          row.resize(n);
-          const double rectify = 1.0 / scale;
-          const double* cr = coef_re.data() + r * padded;
-          const double* ci = coef_im.data() + r * padded;
-          for (std::size_t i = 0; i < n; ++i) {
-            row[i] = (cr[i] * cr[i] + ci[i] * ci[i]) * rectify;
-          }
+        // Scalogram power, rectified by 1/scale (Liu et al. 2007): under
+        // the L2 normalisation alone |W|^2 of a pure tone grows with the
+        // matched scale, biasing every row comparison toward low
+        // frequencies; dividing by the scale makes equal-amplitude tones
+        // produce equal power whichever row they match.
+        auto& row = result.power[fi];
+        row.resize(n);
+        const double rectify = 1.0 / scale;
+        for (std::size_t i = 0; i < n; ++i) {
+          row[i] = (coef_re[i] * coef_re[i] + coef_im[i] * coef_im[i]) *
+                   rectify;
         }
       },
       threads);

@@ -45,6 +45,8 @@ struct CwtResult {
 /// fan across util::parallel_for (`threads` workers, 0 = all cores; the
 /// result does not depend on the thread count). The signal mean is
 /// removed first (the DC offset otherwise bleeds into every scale).
+/// Throws InvalidArgument for an empty signal or frequency list, or when
+/// fs, omega0 or any frequency is not finite and positive.
 CwtResult morlet_cwt(std::span<const double> samples, double fs,
                      std::span<const double> frequencies,
                      double omega0 = 6.0, unsigned threads = 0);

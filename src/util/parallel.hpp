@@ -4,10 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <exception>
-#include <functional>
 #include <limits>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -58,12 +56,28 @@ class FirstErrorChannel {
   std::atomic<bool> failed_{false};
 };
 
-/// Shared implementation behind both parallel_for overloads. Templated on
-/// the callable so hot batch loops (engine fan-out, wavelet rows, forest
-/// trees) invoke the body directly — inlined into the worker loop —
-/// instead of through a std::function's type-erased indirection per index.
+}  // namespace detail
+
+/// Runs body(i) for i in [0, count) across up to `threads` worker threads
+/// (0 = hardware concurrency). Used for the embarrassingly parallel
+/// experiment sweeps (100 traces per parameter point in Sec. III-A) and
+/// the engine/wavelet/forest batch loops. `body` must be safe to call
+/// concurrently for distinct indices.
+///
+/// The callable is taken as a template parameter, so lambdas run inlined
+/// into the worker loop without any std::function allocation or
+/// per-index virtual-call indirection.
+///
+/// If a body throws, the exception of the lowest failing index is
+/// captured as a std::exception_ptr and rethrown intact on the calling
+/// thread after all workers join (an exception escaping a std::thread
+/// would std::terminate the process); remaining indices may be skipped
+/// once an exception is pending. The lowest-index rule makes the
+/// propagated exception deterministic when one index fails, and
+/// schedule-independent-as-possible when several do.
 template <class Body>
-void parallel_for_impl(std::size_t count, Body&& body, unsigned threads) {
+inline void parallel_for(std::size_t count, Body&& body,
+                         unsigned threads = 0) {
   if (count == 0) return;
   if (count == 1) {  // skip the (surprisingly costly) concurrency probe
     body(0);
@@ -83,7 +97,7 @@ void parallel_for_impl(std::size_t count, Body&& body, unsigned threads) {
   std::vector<std::thread> workers;
   workers.reserve(n);
   std::atomic<std::size_t> next{0};
-  FirstErrorChannel errors;
+  detail::FirstErrorChannel errors;
   for (unsigned t = 0; t < n; ++t) {
     workers.emplace_back([&] {
       while (!errors.failed()) {
@@ -99,39 +113,6 @@ void parallel_for_impl(std::size_t count, Body&& body, unsigned threads) {
   }
   for (auto& w : workers) w.join();
   errors.rethrow_if_failed();
-}
-
-}  // namespace detail
-
-/// Runs body(i) for i in [0, count) across up to `threads` worker threads
-/// (0 = hardware concurrency). Used for the embarrassingly parallel
-/// experiment sweeps (100 traces per parameter point in Sec. III-A) and
-/// the engine/wavelet/forest batch loops. `body` must be safe to call
-/// concurrently for distinct indices.
-///
-/// The callable is taken as a template parameter, so lambdas run without
-/// any std::function allocation or per-index virtual-call indirection.
-///
-/// If a body throws, the exception of the lowest failing index is
-/// captured as a std::exception_ptr and rethrown intact on the calling
-/// thread after all workers join (an exception escaping a std::thread
-/// would std::terminate the process); remaining indices may be skipped
-/// once an exception is pending. The lowest-index rule makes the
-/// propagated exception deterministic when one index fails, and
-/// schedule-independent-as-possible when several do.
-template <class Body,
-          class = std::enable_if_t<std::is_invocable_v<Body&, std::size_t>>>
-inline void parallel_for(std::size_t count, Body&& body,
-                         unsigned threads = 0) {
-  detail::parallel_for_impl(count, std::forward<Body>(body), threads);
-}
-
-/// Forwarding wrapper keeping the original std::function signature for
-/// callers that already hold one (type-erased callbacks, stored bodies).
-inline void parallel_for(std::size_t count,
-                         const std::function<void(std::size_t)>& body,
-                         unsigned threads = 0) {
-  detail::parallel_for_impl(count, body, threads);
 }
 
 }  // namespace ftio::util

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/ftio.hpp"
-#include "signal/plan.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -65,9 +64,9 @@ TEST(Engine, AnalyzeManyMatchesLoopedAnalyzeSamples) {
   signals.push_back(tone(1024, 0.02, fs, 3));  // pow2 N
   signals.push_back(tone(600, 0.25, fs, 4));
   signals.push_back(std::vector<double>(300, 1.0));  // constant, aperiodic
-  // Equal-length views (the ensemble fan-out shape): these land in one
-  // group and run the batched transform stage + analyze_samples_prepared
-  // path, which must stay bit-identical to looped analyze_samples.
+  // Equal-length views (the ensemble fan-out shape): several workers run
+  // the same-size plan concurrently, which must stay bit-identical to
+  // looped analyze_samples.
   signals.push_back(tone(400, 0.08, fs, 5));
   signals.push_back(tone(400, 0.12, fs, 6));
   signals.push_back(tone(1024, 0.06, fs, 7));
@@ -166,16 +165,4 @@ TEST(Engine, WorkerExceptionPropagatesToCaller) {
   engine.threads = 4;
   EXPECT_THROW(eng::analyze_many(views, opts, engine),
                ftio::util::InvalidArgument);
-}
-
-TEST(Engine, PlanCacheCapacityOptionGrowsCache) {
-  const std::size_t before = ftio::signal::plan_cache().capacity();
-  std::vector<double> x = tone(256, 0.05, 1.0, 7);
-  const eng::TraceView views[] = {eng::TraceView::of_samples(x)};
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-  eng::EngineOptions engine;
-  engine.plan_cache_capacity = before + 16;
-  (void)eng::analyze_many(views, opts, engine);
-  EXPECT_GE(ftio::signal::plan_cache().capacity(), before + 16);
 }

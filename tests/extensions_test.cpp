@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <numbers>
 #include <vector>
 
@@ -174,6 +175,22 @@ TEST(Wavelet, RejectsBadArguments) {
   EXPECT_THROW(sig::morlet_cwt(x, 1.0, {}), ftio::util::InvalidArgument);
   std::vector<double> bad{-0.1};
   EXPECT_THROW(sig::morlet_cwt(x, 1.0, bad), ftio::util::InvalidArgument);
+  // Non-finite fs, omega0 and frequencies: +inf used to pass and yield
+  // NaN power rows (inf frequency or omega0) or an all-zero scalogram
+  // (inf fs).
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double v : {inf, nan}) {
+    EXPECT_THROW(sig::morlet_cwt(x, v, freqs), ftio::util::InvalidArgument)
+        << "fs=" << v;
+    EXPECT_THROW(sig::morlet_cwt(x, 1.0, freqs, v),
+                 ftio::util::InvalidArgument)
+        << "omega0=" << v;
+    const std::vector<double> non_finite{0.1, v};
+    EXPECT_THROW(sig::morlet_cwt(x, 1.0, non_finite),
+                 ftio::util::InvalidArgument)
+        << "frequency=" << v;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -379,172 +379,6 @@ TEST(FftPlan, InverseRealHalfRoundTrips) {
   }
 }
 
-TEST(FftPlanBatch, MatchesLoopedSingleSignalBitForBit) {
-  // The contract of the batch entry points: row b of a batch call is
-  // bit-identical to the corresponding single-signal call on row b, for
-  // every batch size (covering grouped rows, the per-row tail, and the
-  // per-row fallback) on every power-of-two N — including sizes where the
-  // batch working set crosses the tile budget back to per-row execution.
-  // Strides are deliberately padded past the row length.
-  for (std::size_t n = 2; n <= (std::size_t{1} << 16); n <<= 1) {
-    for (const std::size_t batch : {1u, 2u, 3u, 7u, 32u}) {
-      const auto plan = sig::get_plan(n);
-      const std::size_t stride = n + 3;
-      const auto seed = 11000 + 31 * batch + n;
-      const auto lane = random_real(2 * batch * stride, seed);
-      std::span<const double> in_re(lane.data(), batch * stride);
-      std::span<const double> in_im(lane.data() + batch * stride,
-                                    batch * stride);
-      std::vector<double> got_re(batch * stride, -1.0);
-      std::vector<double> got_im(batch * stride, -1.0);
-      std::vector<double> want_re(batch * stride, -1.0);
-      std::vector<double> want_im(batch * stride, -1.0);
-
-      plan->forward_planar_batch(batch, stride, in_re, in_im, got_re,
-                                 got_im);
-      for (std::size_t b = 0; b < batch; ++b) {
-        plan->forward_planar(in_re.subspan(b * stride, n),
-                             in_im.subspan(b * stride, n),
-                             std::span<double>(want_re).subspan(b * stride, n),
-                             std::span<double>(want_im).subspan(b * stride, n));
-      }
-      ASSERT_EQ(std::memcmp(got_re.data(), want_re.data(),
-                            got_re.size() * sizeof(double)), 0)
-          << "fwd re n=" << n << " B=" << batch;
-      ASSERT_EQ(std::memcmp(got_im.data(), want_im.data(),
-                            got_im.size() * sizeof(double)), 0)
-          << "fwd im n=" << n << " B=" << batch;
-
-      plan->inverse_planar_batch(batch, stride, in_re, in_im, got_re,
-                                 got_im);
-      for (std::size_t b = 0; b < batch; ++b) {
-        plan->inverse_planar(in_re.subspan(b * stride, n),
-                             in_im.subspan(b * stride, n),
-                             std::span<double>(want_re).subspan(b * stride, n),
-                             std::span<double>(want_im).subspan(b * stride, n));
-      }
-      ASSERT_EQ(std::memcmp(got_re.data(), want_re.data(),
-                            got_re.size() * sizeof(double)), 0)
-          << "inv re n=" << n << " B=" << batch;
-      ASSERT_EQ(std::memcmp(got_im.data(), want_im.data(),
-                            got_im.size() * sizeof(double)), 0)
-          << "inv im n=" << n << " B=" << batch;
-
-      // Packed real forward + inverse, output rows padded independently.
-      const std::size_t bins = n / 2 + 1;
-      const std::size_t hstride = bins + 2;
-      std::vector<double> hre(batch * hstride, -1.0);
-      std::vector<double> him(batch * hstride, -1.0);
-      std::vector<double> whre(batch * hstride, -1.0);
-      std::vector<double> whim(batch * hstride, -1.0);
-      plan->rfft_half_planar_batch_into(batch, stride, in_re, hstride, hre,
-                                        him);
-      for (std::size_t b = 0; b < batch; ++b) {
-        plan->forward_real_half_planar(
-            in_re.subspan(b * stride, n),
-            std::span<double>(whre).subspan(b * hstride, bins),
-            std::span<double>(whim).subspan(b * hstride, bins));
-      }
-      ASSERT_EQ(std::memcmp(hre.data(), whre.data(),
-                            hre.size() * sizeof(double)), 0)
-          << "rfft re n=" << n << " B=" << batch;
-      ASSERT_EQ(std::memcmp(him.data(), whim.data(),
-                            him.size() * sizeof(double)), 0)
-          << "rfft im n=" << n << " B=" << batch;
-
-      std::vector<double> back(batch * stride, -1.0);
-      std::vector<double> wback(batch * stride, -1.0);
-      plan->irfft_half_planar_batch_into(batch, hstride, hre, him, stride,
-                                         back);
-      for (std::size_t b = 0; b < batch; ++b) {
-        plan->inverse_real_half_planar(
-            std::span<const double>(hre).subspan(b * hstride, bins),
-            std::span<const double>(him).subspan(b * hstride, bins),
-            std::span<double>(wback).subspan(b * stride, n));
-      }
-      ASSERT_EQ(std::memcmp(back.data(), wback.data(),
-                            back.size() * sizeof(double)), 0)
-          << "irfft n=" << n << " B=" << batch;
-    }
-  }
-}
-
-TEST(FftPlanBatch, InPlaceAliasingMatchesOutOfPlace) {
-  // The documented full-aliasing form: out lanes == in lanes, same
-  // stride. Covers both the grouped rows and the per-row tail.
-  for (const std::size_t n : {8u, 64u, 1024u, 4096u}) {
-    for (const std::size_t batch : {2u, 7u, 32u}) {
-      const auto plan = sig::get_plan(n);
-      const std::size_t stride = n + 1;
-      const auto re0 = random_real(batch * stride, 12000 + n + batch);
-      const auto im0 = random_real(batch * stride, 12500 + n + batch);
-
-      // Compare the row regions only: the inter-row padding is untouched
-      // by the in-place call but zero-initialised in the fresh buffers.
-      const auto rows_equal = [&](const std::vector<double>& a,
-                                  const std::vector<double>& b) {
-        for (std::size_t b2 = 0; b2 < batch; ++b2) {
-          if (std::memcmp(a.data() + b2 * stride, b.data() + b2 * stride,
-                          n * sizeof(double)) != 0) {
-            return false;
-          }
-        }
-        return true;
-      };
-      std::vector<double> out_re(batch * stride), out_im(batch * stride);
-      plan->forward_planar_batch(batch, stride, re0, im0, out_re, out_im);
-      std::vector<double> io_re(re0), io_im(im0);
-      plan->forward_planar_batch(batch, stride, io_re, io_im, io_re, io_im);
-      EXPECT_TRUE(rows_equal(io_re, out_re))
-          << "fwd in-place re n=" << n << " B=" << batch;
-      EXPECT_TRUE(rows_equal(io_im, out_im))
-          << "fwd in-place im n=" << n << " B=" << batch;
-
-      plan->inverse_planar_batch(batch, stride, re0, im0, out_re, out_im);
-      io_re = re0;
-      io_im = im0;
-      plan->inverse_planar_batch(batch, stride, io_re, io_im, io_re, io_im);
-      EXPECT_TRUE(rows_equal(io_re, out_re))
-          << "inv in-place re n=" << n << " B=" << batch;
-      EXPECT_TRUE(rows_equal(io_im, out_im))
-          << "inv in-place im n=" << n << " B=" << batch;
-    }
-  }
-}
-
-TEST(FftPlanBatch, ParsevalHoldsPerRow) {
-  // sum |x|^2 == sum |X|^2 / N for every row of a batched forward
-  // transform (each row is an independent DFT of its own signal).
-  const std::size_t n = 2048;
-  const std::size_t batch = 11;
-  const auto plan = sig::get_plan(n);
-  const auto re = random_real(batch * n, 13000);
-  const auto im = random_real(batch * n, 13001);
-  std::vector<double> out_re(batch * n), out_im(batch * n);
-  plan->forward_planar_batch(batch, n, re, im, out_re, out_im);
-  for (std::size_t b = 0; b < batch; ++b) {
-    double time_energy = 0.0;
-    double freq_energy = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t j = b * n + i;
-      time_energy += re[j] * re[j] + im[j] * im[j];
-      freq_energy += out_re[j] * out_re[j] + out_im[j] * out_im[j];
-    }
-    freq_energy /= static_cast<double>(n);
-    EXPECT_NEAR(freq_energy, time_energy, 1e-6 * time_energy)
-        << "row " << b;
-  }
-}
-
-TEST(FftPlanBatch, TileRowsIsUsableChunkSize) {
-  // batch_tile_rows must always be a positive row count, and small plans
-  // must advertise multi-row tiles (otherwise no caller ever batches).
-  EXPECT_GE(sig::get_plan(4096)->batch_tile_rows(false), 2u);
-  EXPECT_GE(sig::get_plan(4096)->batch_tile_rows(true), 2u);
-  EXPECT_GE(sig::get_plan(1 << 16)->batch_tile_rows(false), 1u);
-  EXPECT_GE(sig::get_plan(97)->batch_tile_rows(false), 1u);
-}
-
 TEST(PlanCache, HitsAndMisses) {
   auto& cache = sig::plan_cache();
   cache.clear();
