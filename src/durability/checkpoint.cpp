@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <utility>
 
 #include "durability/request_codec.hpp"
@@ -28,6 +29,25 @@ std::size_t tenant_payload_bytes(const TenantFrameView& tenant) {
   return 8 + tenant.name.size() + 1 + 8 +
          detail::request_array_bytes(tenant.pending.size()) + 1 + 8 +
          tenant.session_state.size();
+}
+
+/// Bytes of the whole checkpoint file.
+std::size_t checkpoint_bytes(std::span<const TenantFrameView> tenants) {
+  std::size_t total = kHeaderBytes + sizeof(std::uint32_t);
+  for (const auto& tenant : tenants) {
+    total += BinWriter::kFrameHeaderBytes + tenant_payload_bytes(tenant);
+  }
+  return total;
+}
+
+void encode_header(BinWriter& out, std::uint64_t floor_seq,
+                   std::size_t tenant_count) {
+  const std::size_t start = out.size();
+  for (char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
+  out.u32(kVersion);
+  out.u64(floor_seq);
+  out.u64(tenant_count);
+  out.u32(ftio::util::crc32c(out.bytes().data() + start, kHeaderBytes));
 }
 
 void encode_tenant(BinWriter& out, const TenantFrameView& tenant) {
@@ -77,21 +97,29 @@ bool parse_checkpoint_name(const std::string& name, std::uint64_t& seq) {
   return true;
 }
 
+/// `checkpoint-<seq>.ckpt` files under `directory`, oldest first.
+std::vector<std::pair<std::uint64_t, std::filesystem::path>> list_checkpoints(
+    const std::filesystem::path& directory) {
+  std::error_code ec;
+  std::vector<std::pair<std::uint64_t, std::filesystem::path>> checkpoints;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(directory, ec)) {
+    std::uint64_t seq = 0;
+    if (parse_checkpoint_name(entry.path().filename().string(), seq)) {
+      checkpoints.emplace_back(seq, entry.path());
+    }
+  }
+  std::sort(checkpoints.begin(), checkpoints.end());
+  return checkpoints;
+}
+
 }  // namespace
 
 std::vector<std::uint8_t> encode_checkpoint(
     std::uint64_t floor_seq, std::span<const TenantFrameView> tenants) {
-  std::size_t total = kHeaderBytes + sizeof(std::uint32_t);
-  for (const auto& tenant : tenants) {
-    total += BinWriter::kFrameHeaderBytes + tenant_payload_bytes(tenant);
-  }
   BinWriter out;
-  out.reserve(total);
-  for (char c : kMagic) out.u8(static_cast<std::uint8_t>(c));
-  out.u32(kVersion);
-  out.u64(floor_seq);
-  out.u64(tenants.size());
-  out.u32(ftio::util::crc32c(out.bytes().data(), kHeaderBytes));
+  out.reserve(checkpoint_bytes(tenants));
+  encode_header(out, floor_seq, tenants.size());
   for (const auto& tenant : tenants) encode_tenant(out, tenant);
   return out.take();
 }
@@ -166,47 +194,68 @@ CheckpointData parse_checkpoint(std::span<const std::uint8_t> bytes,
 }
 
 void write_checkpoint_file(const std::filesystem::path& directory,
-                           std::uint64_t seq,
-                           std::span<const std::uint8_t> bytes,
+                           std::uint64_t seq, std::uint64_t floor_seq,
+                           std::span<const TenantFrameView> tenants,
                            const DurabilityOptions& options) {
   std::filesystem::create_directories(directory);
   const std::filesystem::path path = directory / checkpoint_name(seq);
-  if (FTIO_FAILPOINT("durability.checkpoint_write")) {
-    // Simulated crash mid-write: leave a garbage temp file behind (the
-    // final path is untouched — that is the point of the atomic path).
-    std::filesystem::path tmp = path;
-    tmp += ".tmp";
-    const std::size_t partial = std::max<std::size_t>(1, bytes.size() / 3);
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(partial));
-    throw ftio::util::IoError("failpoint: durability.checkpoint_write");
-  }
-  if (FTIO_FAILPOINT("durability.checkpoint_fsync")) {
+  // Simulated crash mid-write: the temp file stops after the first third
+  // of the checkpoint (the final path is untouched — that is the point of
+  // the atomic path).
+  const bool torn = FTIO_FAILPOINT("durability.checkpoint_write");
+  if (!torn && FTIO_FAILPOINT("durability.checkpoint_fsync")) {
     throw ftio::util::IoError("failpoint: durability.checkpoint_fsync");
   }
-  if (FTIO_FAILPOINT("durability.checkpoint_rename")) {
+  if (!torn && FTIO_FAILPOINT("durability.checkpoint_rename")) {
     throw ftio::util::IoError("failpoint: durability.checkpoint_rename");
   }
-  ftio::util::write_file_atomic(path, bytes);
-
-  // Prune beyond the retention count, oldest first. Best-effort: a
-  // leftover old checkpoint is only disk, never a correctness problem.
-  std::error_code ec;
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> checkpoints;
-  for (const auto& entry : std::filesystem::directory_iterator(directory,
-                                                               ec)) {
-    std::uint64_t s = 0;
-    if (parse_checkpoint_name(entry.path().filename().string(), s)) {
-      checkpoints.emplace_back(s, entry.path());
+  std::size_t budget =
+      torn ? std::max<std::size_t>(1, checkpoint_bytes(tenants) / 3)
+           : std::numeric_limits<std::size_t>::max();
+  ftio::util::write_file_atomic_streamed(path, [&](auto&& append) {
+    BinWriter frame;
+    const auto flush = [&] {
+      const std::span<const std::uint8_t> bytes = frame.bytes();
+      if (bytes.size() >= budget) {
+        append(bytes.first(budget));
+        throw ftio::util::IoError("failpoint: durability.checkpoint_write");
+      }
+      budget -= bytes.size();
+      append(bytes);
+      frame.clear();
+    };
+    encode_header(frame, floor_seq, tenants.size());
+    flush();
+    for (const auto& tenant : tenants) {
+      encode_tenant(frame, tenant);
+      flush();
     }
-  }
-  std::sort(checkpoints.begin(), checkpoints.end());
+  });
+
+  // Prune beyond the retention count, oldest first, and sweep what
+  // earlier writes that died mid-file left behind. Best-effort: a
+  // leftover file is only disk, never a correctness problem.
+  std::error_code ec;
+  auto checkpoints = list_checkpoints(directory);
   const std::size_t keep = std::max<std::size_t>(1, options.keep_checkpoints);
-  while (checkpoints.size() > keep) {
-    std::filesystem::remove(checkpoints.front().second, ec);
-    checkpoints.erase(checkpoints.begin());
+  for (std::size_t i = 0; i + keep < checkpoints.size(); ++i) {
+    std::filesystem::remove(checkpoints[i].second, ec);
   }
+  remove_checkpoint_temps(directory);
+}
+
+void remove_checkpoint_temps(const std::filesystem::path& directory) {
+  std::error_code ec;
+  std::vector<std::filesystem::path> temps;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(directory, ec)) {
+    std::string name = entry.path().filename().string();
+    std::uint64_t seq = 0;
+    if (!name.ends_with(".tmp")) continue;
+    name.resize(name.size() - 4);
+    if (parse_checkpoint_name(name, seq)) temps.push_back(entry.path());
+  }
+  for (const auto& temp : temps) std::filesystem::remove(temp, ec);
 }
 
 std::optional<LoadedCheckpoint> load_newest_checkpoint(
@@ -214,16 +263,8 @@ std::optional<LoadedCheckpoint> load_newest_checkpoint(
     RecoveryStats& stats) {
   (void)options;
   std::error_code ec;
-  std::vector<std::pair<std::uint64_t, std::filesystem::path>> checkpoints;
-  for (const auto& entry : std::filesystem::directory_iterator(directory,
-                                                               ec)) {
-    std::uint64_t seq = 0;
-    if (parse_checkpoint_name(entry.path().filename().string(), seq)) {
-      checkpoints.emplace_back(seq, entry.path());
-    }
-  }
-  std::sort(checkpoints.begin(), checkpoints.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
+  auto checkpoints = list_checkpoints(directory);
+  std::reverse(checkpoints.begin(), checkpoints.end());  // newest first
   for (const auto& [seq, path] : checkpoints) {
     try {
       const std::vector<std::uint8_t> bytes =

@@ -54,7 +54,8 @@ struct TenantFrameView {
 /// floor, tenant count) followed by one CRC32C frame per tenant —
 /// [u32 len][u32 crc][payload] — so a single flipped bit costs one
 /// tenant, not the file. The output is sized once up front and every
-/// frame is encoded in place.
+/// frame is encoded in place. write_checkpoint_file streams the same
+/// bytes to disk through the same header and frame encoders.
 std::vector<std::uint8_t> encode_checkpoint(
     std::uint64_t floor_seq, std::span<const TenantFrameView> tenants);
 
@@ -69,15 +70,25 @@ std::vector<std::uint8_t> encode_checkpoint(const CheckpointData& data);
 CheckpointData parse_checkpoint(std::span<const std::uint8_t> bytes,
                                 RecoveryStats& stats);
 
-/// Writes `checkpoint-<seq>.ckpt` under `directory` via the atomic
-/// temp + fsync + rename + directory-fsync path, then prunes all but
-/// the newest `options.keep_checkpoints` files. Throws util::IoError on
-/// failure (the previous checkpoint file stays valid). Failpoints:
-/// durability.checkpoint_write / checkpoint_fsync / checkpoint_rename.
+/// Writes `checkpoint-<seq>.ckpt` under `directory`, byte-identical to
+/// encode_checkpoint(floor_seq, tenants): the header and then each
+/// tenant frame are encoded into one reused frame buffer and streamed
+/// into the temp file of the atomic temp + fsync + rename +
+/// directory-fsync path, so the whole checkpoint is never held in
+/// memory. Then prunes all but the newest `options.keep_checkpoints`
+/// files and every stale `checkpoint-*.ckpt.tmp`. Throws util::IoError
+/// on failure (the previous checkpoint file stays valid). Failpoints:
+/// durability.checkpoint_write (leaves the first third of the file as a
+/// temp file, then throws) / checkpoint_fsync / checkpoint_rename.
 void write_checkpoint_file(const std::filesystem::path& directory,
-                           std::uint64_t seq,
-                           std::span<const std::uint8_t> bytes,
+                           std::uint64_t seq, std::uint64_t floor_seq,
+                           std::span<const TenantFrameView> tenants,
                            const DurabilityOptions& options);
+
+/// Deletes every `checkpoint-<seq>.ckpt.tmp` under `directory`: the
+/// remains of writes that died mid-file. Call only while no checkpoint
+/// write into `directory` is in flight. Best-effort.
+void remove_checkpoint_temps(const std::filesystem::path& directory);
 
 struct LoadedCheckpoint {
   CheckpointData data;

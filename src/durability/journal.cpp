@@ -243,11 +243,13 @@ void JournalWriter::sync() {
   unsynced_records_ = 0;
 }
 
-void JournalWriter::truncate_through(std::uint64_t floor_seq) {
+void truncate_journal(const std::filesystem::path& directory,
+                      std::uint64_t floor_seq,
+                      const std::filesystem::path& open_segment) {
   std::error_code ec;
   std::vector<std::pair<std::uint64_t, std::filesystem::path>> segments;
   for (const auto& entry :
-       std::filesystem::directory_iterator(directory_, ec)) {
+       std::filesystem::directory_iterator(directory, ec)) {
     std::uint64_t first = 0;
     if (parse_segment_name(entry.path().filename().string(), first)) {
       segments.emplace_back(first, entry.path());
@@ -259,7 +261,7 @@ void JournalWriter::truncate_through(std::uint64_t floor_seq) {
   // never deleted.
   for (std::size_t i = 0; i + 1 < segments.size(); ++i) {
     if (segments[i + 1].first <= floor_seq + 1 &&
-        segments[i].second != segment_path_) {
+        segments[i].second != open_segment) {
       std::filesystem::remove(segments[i].second, ec);
     }
   }

@@ -87,11 +87,12 @@ class JournalWriter {
   /// fsyncs the current segment regardless of policy.
   void sync();
 
-  /// Deletes every segment all of whose records have seq <= floor (the
-  /// checkpoint made them redundant). Best-effort: IO errors are
-  /// swallowed — a leftover segment only costs disk.
-  void truncate_through(std::uint64_t floor_seq);
-
+  /// The segment appends currently go to: the one truncate_journal must
+  /// keep. After a rotation it names the just-closed segment until the
+  /// next append opens a new one (keeping it is harmless).
+  [[nodiscard]] std::filesystem::path segment_path() const {
+    return segment_path_;
+  }
   [[nodiscard]] std::uint64_t next_seq() const { return next_seq_; }
   [[nodiscard]] std::size_t rotations() const { return rotations_; }
 
@@ -109,6 +110,18 @@ class JournalWriter {
   std::size_t rotations_ = 0;
   ftio::util::BinWriter frame_;  ///< reused encode buffer, one frame
 };
+
+/// Deletes every segment under `directory` all of whose records have
+/// seq <= floor_seq (a checkpoint on disk made them redundant), except
+/// `open_segment`. Needs no writer lock: the caller reads
+/// JournalWriter::segment_path under its lock and lists and unlinks
+/// here without it. A segment opened after that read starts beyond
+/// every record the floor covers (the floor lies below the writer's
+/// next sequence), so it is never deleted here. Best-effort: IO errors
+/// are swallowed — a leftover segment only costs disk.
+void truncate_journal(const std::filesystem::path& directory,
+                      std::uint64_t floor_seq,
+                      const std::filesystem::path& open_segment);
 
 /// Everything journal recovery hands back to the shard.
 struct JournalRecovery {

@@ -85,6 +85,7 @@ void IngestDaemon::drain() {
   if (!options_.background) {
     while (pump() > 0) {
     }
+    for (auto& shard : shards_) shard->await_checkpoint();
     return;
   }
   for (;;) {

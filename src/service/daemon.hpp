@@ -75,13 +75,16 @@ class IngestDaemon {
   std::size_t pump();
 
   /// Blocks until every shard is quiesced (empty mailbox, no item mid-
-  /// cycle). Callable only while no other thread keeps submitting —
-  /// with concurrent producers "drained" is not a stable state. In
-  /// foreground mode this pumps; in background mode it polls.
+  /// cycle, no checkpoint write in flight), so counters read afterwards
+  /// include every checkpoint the drained work started. Callable only
+  /// while no other thread keeps submitting — with concurrent producers
+  /// "drained" is not a stable state. In foreground mode this pumps and
+  /// then waits for the writers; in background mode it polls.
   void drain();
 
-  /// Stops accepting work, drains what was already admitted, and joins
-  /// the workers. Idempotent.
+  /// Stops accepting work, drains what was already admitted, joins the
+  /// workers, writes the final checkpoints (checkpoint_on_stop), and
+  /// waits for every checkpoint write in flight. Idempotent.
   void stop();
 
   DaemonStats stats() const;

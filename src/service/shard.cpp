@@ -51,7 +51,11 @@ Shard::Shard(std::size_t index, const ServiceOptions& options)
   }
 }
 
-Shard::~Shard() { stop(); }
+Shard::~Shard() {
+  stop();
+  // The writer touches the journal, the stats and this directory.
+  await_checkpoint();
+}
 
 Admission Shard::submit(std::string_view tenant,
                         std::vector<ftio::trace::IoRequest>&& requests) {
@@ -135,17 +139,22 @@ void Shard::stop() {
 }
 
 void Shard::final_checkpoint() {
-  if (!durability_on() || !options_.durability.checkpoint_on_stop ||
-      final_checkpoint_done_) {
-    return;
+  if (durability_on() && options_.durability.checkpoint_on_stop &&
+      !final_checkpoint_done_) {
+    final_checkpoint_done_ = true;
+    CycleDelta delta;
+    write_checkpoint(delta);
+    delta.counters.tenants = tenants_.size();
+    delta.counters.live_sessions = live_sessions_;
+    const ftio::util::LockGuard lock(stats_mutex_);
+    delta.fold_into(stats_);
   }
-  final_checkpoint_done_ = true;
-  CycleDelta delta;
-  write_checkpoint(delta);
-  delta.counters.tenants = tenants_.size();
-  delta.counters.live_sessions = live_sessions_;
-  const ftio::util::LockGuard lock(stats_mutex_);
-  delta.fold_into(stats_);
+  await_checkpoint();
+}
+
+void Shard::await_checkpoint() {
+  // The job catches everything itself, so get() only synchronises.
+  if (checkpoint_write_.valid()) checkpoint_write_.get();
 }
 
 std::size_t Shard::pump() {
@@ -518,6 +527,10 @@ void Shard::recover_state() {
   ftio::durability::RecoveryStats rs;
   std::uint64_t max_restored_seq = 0;
 
+  // Before the lock: the writer takes it to truncate the journal. After
+  // this no write is in flight, so the directory holds only finished
+  // files and the remains of writes that died mid-file.
+  await_checkpoint();
   const ftio::util::LockGuard journal_lock(journal_mutex_);
   journal_.reset();  // close the writer before scanning its segments
   checkpoint_floors_.clear();
@@ -526,12 +539,13 @@ void Shard::recover_state() {
   // inside load_newest_checkpoint and the next-older file is tried).
   std::error_code ec;
   std::filesystem::create_directories(durability_dir_, ec);
-  const auto loaded = ftio::durability::load_newest_checkpoint(
+  ftio::durability::remove_checkpoint_temps(durability_dir_);
+  auto loaded = ftio::durability::load_newest_checkpoint(
       durability_dir_, options_.durability, rs);
   if (loaded.has_value()) {
-    for (const ftio::durability::TenantSnapshot& snap : loaded->data.tenants) {
+    for (ftio::durability::TenantSnapshot& snap : loaded->data.tenants) {
       Tenant& tenant = touch(snap.name);
-      tenant.pending = snap.pending;
+      tenant.pending = std::move(snap.pending);
       tenant.last_applied_seq = snap.last_applied_seq;
       if (snap.poisoned) {
         tenant.poisoned = true;
@@ -546,9 +560,10 @@ void Shard::recover_state() {
           ++live_sessions_;
           ++rs.sessions_restored;
           // The restored blob doubles as the first checkpoint cache.
-          tenant.snapshot_blob = snap.session_state;
+          tenant.snapshot_blob =
+              std::make_shared<const std::vector<std::uint8_t>>(
+                  std::move(snap.session_state));
           tenant.snapshot_seq = snap.last_applied_seq;
-          tenant.snapshot_valid = true;
         } catch (const std::exception&) {
           // Rejected snapshot: start the tenant fresh and replay as far
           // back as the journal still reaches (floor truncation bounds
@@ -609,21 +624,20 @@ void Shard::recover_state() {
   recovery_.merge(rs);
 }
 
-bool Shard::write_checkpoint(CycleDelta& delta) {
+void Shard::write_checkpoint(CycleDelta& delta) {
+  await_checkpoint();  // at most one write in flight
   try {
-    // Frames borrow each tenant's pending requests and cached blob; the
-    // tenant map is not touched again until the file is written.
-    std::vector<ftio::durability::TenantFrameView> frames;
-    frames.reserve(tenants_.size());
+    CheckpointJob job;
+    job.tenants.reserve(tenants_.size());
     std::uint64_t floor = std::numeric_limits<std::uint64_t>::max();
     for (auto& [name, tenant] : tenants_) {
-      ftio::durability::TenantFrameView snap;
+      CheckpointJob::Frame& snap = job.tenants.emplace_back();
       snap.name = name;
       snap.poisoned = tenant.poisoned;
       snap.pending = tenant.pending;
       snap.last_applied_seq = tenant.last_applied_seq;
       if (tenant.session != nullptr) {
-        const bool stale = !tenant.snapshot_valid ||
+        const bool stale = tenant.snapshot_blob == nullptr ||
                            tenant.snapshot_seq != tenant.last_applied_seq;
         if (stale) {
           // A fresh serialization is budgeted like a fraction of an
@@ -631,22 +645,21 @@ bool Shard::write_checkpoint(CycleDelta& delta) {
           // skip it (correctness first: without any blob, skipping
           // would checkpoint a sequence the journal no longer covers
           // after truncation).
-          if (!tenant.snapshot_valid || take_snapshot_token(tenant)) {
-            tenant.snapshot_blob = tenant.session->serialize_state();
+          if (tenant.snapshot_blob == nullptr || take_snapshot_token(tenant)) {
+            tenant.snapshot_blob =
+                std::make_shared<const std::vector<std::uint8_t>>(
+                    tenant.session->serialize_state());
             tenant.snapshot_seq = tenant.last_applied_seq;
-            tenant.snapshot_valid = true;
           } else {
             ++delta.counters.snapshot_reuses;
           }
         }
-        snap.has_session = true;
         snap.session_state = tenant.snapshot_blob;
         // A stale blob reflects state at snapshot_seq; declaring that
         // sequence makes replay re-apply the gap.
         snap.last_applied_seq = tenant.snapshot_seq;
       }
       floor = std::min(floor, snap.last_applied_seq);
-      frames.push_back(snap);
     }
     // The floor must also stay below every queued-but-unprocessed
     // sequence: those flushes exist only in the journal and the mailbox.
@@ -654,42 +667,75 @@ bool Shard::write_checkpoint(CycleDelta& delta) {
     if (queued_min != std::numeric_limits<std::uint64_t>::max()) {
       floor = std::min(floor, queued_min - 1);
     }
-    std::uint64_t name_seq = 0;
     {
       const ftio::util::LockGuard journal_lock(journal_mutex_);
-      if (journal_ == nullptr) return false;
-      name_seq = journal_->next_seq();
+      if (journal_ == nullptr) return;
+      job.name_seq = journal_->next_seq();
     }
     if (floor == std::numeric_limits<std::uint64_t>::max()) {
-      floor = name_seq == 0 ? 0 : name_seq - 1;
+      floor = job.name_seq == 0 ? 0 : job.name_seq - 1;
     }
-    const std::vector<std::uint8_t> bytes =
-        ftio::durability::encode_checkpoint(floor, frames);
-    ftio::durability::write_checkpoint_file(durability_dir_, name_seq, bytes,
+    job.floor = floor;
+    checkpoint_in_flight_.store(true, std::memory_order_relaxed);
+    try {
+      auto write = [this, job = std::move(job)] { run_checkpoint_job(job); };
+      checkpoint_write_ = std::async(std::launch::async, std::move(write));
+    } catch (...) {
+      checkpoint_in_flight_.store(false, std::memory_order_relaxed);
+      throw;
+    }
+  } catch (const std::exception&) {
+    // A failed checkpoint costs nothing but the attempt: the previous
+    // checkpoint file is still intact and the journal keeps every
+    // record the failed one would have covered.
+    ++delta.counters.checkpoint_failures;
+  }
+}
+
+void Shard::run_checkpoint_job(const CheckpointJob& job) {
+  bool written = false;
+  try {
+    std::vector<ftio::durability::TenantFrameView> frames;
+    frames.reserve(job.tenants.size());
+    for (const CheckpointJob::Frame& t : job.tenants) {
+      ftio::durability::TenantFrameView& frame = frames.emplace_back();
+      frame.name = t.name;
+      frame.poisoned = t.poisoned;
+      frame.last_applied_seq = t.last_applied_seq;
+      frame.pending = t.pending;
+      frame.has_session = t.session_state != nullptr;
+      if (frame.has_session) frame.session_state = *t.session_state;
+    }
+    ftio::durability::write_checkpoint_file(durability_dir_, job.name_seq,
+                                            job.floor, frames,
                                             options_.durability);
-    // Truncate through the oldest *retained* floor, not this one: an
-    // older checkpoint kept as corruption fallback is only useful while
-    // the records above its floor still exist.
-    checkpoint_floors_.push_back(floor);
+    // The file and its directory entry are on disk: only now may the
+    // journal lose what it covers. Truncate through the oldest
+    // *retained* floor, not this one: an older checkpoint kept as
+    // corruption fallback is only useful while the records above its
+    // floor still exist.
+    checkpoint_floors_.push_back(job.floor);
     while (checkpoint_floors_.size() >
            std::max<std::size_t>(1, options_.durability.keep_checkpoints)) {
       checkpoint_floors_.pop_front();
     }
+    std::filesystem::path open_segment;
     {
       const ftio::util::LockGuard journal_lock(journal_mutex_);
-      if (journal_ != nullptr) {
-        journal_->truncate_through(checkpoint_floors_.front());
-      }
+      if (journal_ != nullptr) open_segment = journal_->segment_path();
     }
-    ++delta.counters.checkpoints_written;
-    return true;
-  } catch (const std::exception&) {
-    // A failed checkpoint costs nothing but the attempt: the previous
-    // checkpoint file is still intact (atomic write) and the journal
-    // keeps every record the failed one would have covered.
-    ++delta.counters.checkpoint_failures;
-    return false;
+    ftio::durability::truncate_journal(durability_dir_ / "journal",
+                                       checkpoint_floors_.front(),
+                                       open_segment);
+    written = true;
+  } catch (...) {
+    // A failed write costs nothing but the attempt (see write_checkpoint).
   }
+  {
+    const ftio::util::LockGuard lock(stats_mutex_);
+    ++(written ? stats_.checkpoints_written : stats_.checkpoint_failures);
+  }
+  checkpoint_in_flight_.store(false, std::memory_order_release);
 }
 
 ShardStats Shard::stats() const {

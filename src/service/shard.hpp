@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <deque>
 #include <filesystem>
+#include <future>
 #include <list>
 #include <memory>
 #include <optional>
@@ -40,7 +41,8 @@ struct StringHash {
 /// map, LRU list, and sessions are touched exclusively by the shard
 /// thread (or by pump() in foreground mode — same exclusivity, caller-
 /// side), so the only shared state is the mailbox, the stats block, and
-/// the results board, each behind its own mutex.
+/// the results board, each behind its own mutex, plus the checkpoint
+/// writer (see write_checkpoint).
 ///
 /// Robustness behaviours owned by this class:
 ///  - the degradation ladder: drain cycles sample the mailbox backlog
@@ -82,14 +84,17 @@ class Shard {
   /// degraded shard. Must not be mixed with a started worker.
   std::size_t pump();
 
-  /// True when nothing is queued and every popped item finished its
-  /// drain cycle. Exact only while no producer is submitting (the
-  /// documented IngestDaemon::drain contract); both counters are
-  /// monotone, so once producers stop this converges and sticks.
+  /// True when nothing is queued, every popped item finished its drain
+  /// cycle, and no checkpoint write is in flight. Exact only while no
+  /// producer is submitting (the documented IngestDaemon::drain
+  /// contract); both counters are monotone, so once producers stop this
+  /// converges and sticks (an idle cycle that starts a checkpoint makes
+  /// it false until that write finishes).
   bool quiesced() const {
     const std::size_t completed =
         completed_items_.load(std::memory_order_acquire);
-    return mailbox_.empty() && completed >= mailbox_.popped_total();
+    return mailbox_.empty() && completed >= mailbox_.popped_total() &&
+           !checkpoint_in_flight_.load(std::memory_order_acquire);
   }
 
   /// Eventually-consistent counter snapshot: processing counters are
@@ -108,10 +113,17 @@ class Shard {
   std::size_t index() const { return index_; }
 
   /// Writes one final checkpoint (durability enabled + checkpoint_on_stop
-  /// only; idempotent, best-effort). Callable only when the shard is
-  /// quiescent: after the worker joined (background) or after the owner
-  /// finished pumping (foreground) — IngestDaemon::stop sequences this.
+  /// only; idempotent, best-effort), then waits for it like
+  /// await_checkpoint. Callable only when the shard is quiescent: after
+  /// the worker joined (background) or after the owner finished pumping
+  /// (foreground) — IngestDaemon::stop sequences this.
   void final_checkpoint();
+
+  /// Blocks until the checkpoint write in flight, if any, has finished:
+  /// its file renamed, the journal truncated, and its outcome counted in
+  /// stats(). Shard-thread only: the pump owner in foreground mode, or
+  /// the stopping thread once the worker joined.
+  void await_checkpoint();
 
  private:
   /// Per-tenant shard-thread state. `session` stays null while the
@@ -130,12 +142,13 @@ class Shard {
     bool poisoned = false;
     // Durability. last_applied_seq is the highest journal sequence
     // reflected in this tenant's state (session + pending); the cached
-    // snapshot blob lets a checkpoint reuse the last serialization when
-    // the token bucket cannot afford a fresh one.
+    // snapshot blob (null until the first serialization) lets a
+    // checkpoint reuse the last serialization when the token bucket
+    // cannot afford a fresh one. It is immutable and shared with the
+    // checkpoint writer, which may still be streaming it to disk.
     std::uint64_t last_applied_seq = 0;
-    std::vector<std::uint8_t> snapshot_blob;
+    std::shared_ptr<const std::vector<std::uint8_t>> snapshot_blob;
     std::uint64_t snapshot_seq = 0;
-    bool snapshot_valid = false;
     // Token bucket (BudgetOptions).
     double tokens = 0.0;
     Clock::time_point last_refill;
@@ -197,10 +210,31 @@ class Shard {
   /// Runs in the constructor and inside restart(); throws only when the
   /// journal writer cannot be constructed at all.
   void recover_state();
-  /// Serializes every tenant (reusing cached blobs for token-broke
-  /// ones), writes checkpoint-<seq>.ckpt atomically, and truncates the
-  /// journal to the floor. Returns false (and counts) on failure.
-  bool write_checkpoint(CycleDelta& delta);
+  /// Everything a checkpoint write needs, owned by the write: pending
+  /// requests are copied and session blobs shared, so the drain cycle
+  /// goes on mutating tenants while the writer streams.
+  struct CheckpointJob {
+    struct Frame {
+      std::string name;
+      bool poisoned = false;
+      std::uint64_t last_applied_seq = 0;
+      std::vector<ftio::trace::IoRequest> pending;
+      std::shared_ptr<const std::vector<std::uint8_t>> session_state;
+    };
+    std::uint64_t name_seq = 0;
+    std::uint64_t floor = 0;
+    std::vector<Frame> tenants;
+  };
+
+  /// The drain-cycle half of a checkpoint: waits for the previous write,
+  /// serializes stale sessions (reusing cached blobs for token-broke
+  /// ones), computes the floor, and hands the job to a writer started
+  /// with std::async. A failure here is counted in `delta`.
+  void write_checkpoint(CycleDelta& delta);
+  /// The writer half, off the drain cycle: streams checkpoint-<seq>.ckpt
+  /// atomically, prunes, then records the floor and truncates the
+  /// journal, and counts the outcome into stats_.
+  void run_checkpoint_job(const CheckpointJob& job);
 
   const std::size_t index_;
   const ServiceOptions& options_;
@@ -227,7 +261,8 @@ class Shard {
   /// Floors of the retained checkpoints, oldest first. The journal is
   /// truncated through the *oldest* retained floor, so falling back from
   /// a quarantined newest checkpoint to an older one still finds every
-  /// record the older snapshot needs replayed.
+  /// record the older snapshot needs replayed. Written by the checkpoint
+  /// writer; recover_state touches it only after await_checkpoint.
   std::deque<std::uint64_t> checkpoint_floors_;
 
   /// Admission-order serialization of the durability path: held across
@@ -255,6 +290,13 @@ class Shard {
       board_ FTIO_GUARDED_BY(board_mutex_);
   std::unordered_set<std::string, StringHash, std::equal_to<>> poisoned_board_
       FTIO_GUARDED_BY(board_mutex_);
+
+  /// The one checkpoint write in flight (invalid when none), declared
+  /// after everything the writer uses. Shard-thread owned; the flag
+  /// mirrors it for quiesced() and is cleared by the writer as its last
+  /// act.
+  std::future<void> checkpoint_write_;
+  std::atomic<bool> checkpoint_in_flight_{false};
 };
 
 }  // namespace ftio::service

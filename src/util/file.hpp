@@ -115,24 +115,38 @@ inline void fsync_parent_dir(const std::filesystem::path& path) {
 
 }  // namespace file_detail
 
-/// Atomically replaces `path` with `bytes`: write to `path.tmp`, fsync the
-/// file, rename over `path`, fsync the parent directory. Readers either see
-/// the old complete file or the new complete file — never a torn mix — and
-/// on return the new content has been pushed to stable storage. Throws
-/// IoError on any failure; a failed attempt leaves `path` untouched (a
-/// stale `.tmp` may remain and is safe to overwrite or delete).
-inline void write_file_atomic(const std::filesystem::path& path,
-                              std::span<const std::uint8_t> bytes) {
+/// Atomically replaces `path` with content written in pieces: write to
+/// `path.tmp`, fsync the file, rename over `path`, fsync the parent
+/// directory. `produce(append)` is called once; every
+/// `append(std::span<const std::uint8_t>)` goes straight to the temp file,
+/// so the content never has to exist in memory as a whole. Readers either
+/// see the old complete file or the new complete file — never a torn mix —
+/// and on return the new content has been pushed to stable storage. Throws
+/// IoError on any failure, and lets an exception from `produce` through; a
+/// failed attempt leaves `path` untouched (a stale `.tmp` may remain and is
+/// safe to overwrite or delete).
+template <typename Produce>
+void write_file_atomic_streamed(const std::filesystem::path& path,
+                                Produce&& produce) {
   namespace fd = file_detail;
   std::filesystem::path tmp = path;
   tmp += ".tmp";
   fd::Fd out(::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644));
   if (out.get() < 0) fd::fail("cannot open temp file", tmp);
-  fd::write_all(out.get(), bytes.data(), bytes.size(), tmp);
+  produce([&](std::span<const std::uint8_t> chunk) {
+    fd::write_all(out.get(), chunk.data(), chunk.size(), tmp);
+  });
   if (::fsync(out.get()) != 0) fd::fail("fsync failed", tmp);
   if (out.close_checked() != 0) fd::fail("close failed", tmp);
   if (::rename(tmp.c_str(), path.c_str()) != 0) fd::fail("rename failed", tmp);
   fd::fsync_parent_dir(path);
+}
+
+/// Atomically replaces `path` with `bytes`: the one-chunk case of
+/// write_file_atomic_streamed, with the same guarantees.
+inline void write_file_atomic(const std::filesystem::path& path,
+                              std::span<const std::uint8_t> bytes) {
+  write_file_atomic_streamed(path, [&](auto&& append) { append(bytes); });
 }
 
 /// Text overload of write_file_atomic.

@@ -76,9 +76,17 @@ svc::ServiceOptions durable_options(const fs::path& dir) {
   return options;
 }
 
-void pump_all(svc::IngestDaemon& daemon) {
-  while (daemon.pump() > 0) {
-  }
+/// Pumps until idle and waits for the checkpoint writers, so the
+/// counters read afterwards include every checkpoint the pumps started.
+void pump_all(svc::IngestDaemon& daemon) { daemon.drain(); }
+
+/// Submits one flush and runs exactly one drain cycle: the cycle count,
+/// and with it the checkpoint cadence, is then one per flush.
+void submit_and_pump_once(svc::IngestDaemon& daemon, const std::string& tenant,
+                          const std::vector<tr::IoRequest>& chunk) {
+  EXPECT_TRUE(svc::admitted(
+      daemon.submit(tenant, std::vector<tr::IoRequest>(chunk))));
+  EXPECT_EQ(daemon.pump(), 1u);
 }
 
 void expect_identical(const core::Prediction& a, const core::Prediction& b) {
@@ -144,6 +152,10 @@ fs::path newest_matching(const fs::path& dir, const std::string& prefix,
     }
   }
   return newest;
+}
+
+bool has_checkpoint_temp(const fs::path& dir) {
+  return !newest_matching(dir, "checkpoint-", ".ckpt.tmp").empty();
 }
 
 class DurabilityChaosTest : public ::testing::Test {
@@ -526,4 +538,102 @@ TEST_F(DurabilityChaosTest, RandomKillAndRestartMatrixNeverLosesAckedFlushes) {
     svc::IngestDaemon survivor(options);
     expect_tenant_recovered(survivor, "lammps", acked, phase(24 * 27.4, 2.0));
   }
+}
+
+TEST_F(DurabilityChaosTest, DestroyAfterCheckpointPumpLosesNoAckedFlush) {
+  TempDir dir("inflight_destroy");
+  auto options = durable_options(dir.path());
+  options.durability.checkpoint_interval_cycles = 3;
+
+  std::vector<std::vector<tr::IoRequest>> chunks;
+  {
+    svc::IngestDaemon daemon(options);
+    for (int i = 0; i < 6; ++i) {
+      chunks.push_back(phase(i * 27.4, 2.0));
+      submit_and_pump_once(daemon, "lammps", chunks.back());
+    }
+    // The sixth cycle just handed a checkpoint to its writer. Destroy
+    // the daemon at once: teardown must wait for that write, not pull
+    // the shard out from under it.
+  }
+  svc::IngestDaemon restarted(options);
+  const auto recovery = restarted.stats().total().recovery;
+  EXPECT_EQ(recovery.tenants_restored, 1u);
+  EXPECT_EQ(recovery.sessions_restored, 1u);
+  EXPECT_EQ(recovery.records_replayed, 0u);  // the in-flight one covers all
+  expect_tenant_recovered(restarted, "lammps", chunks, phase(6 * 27.4, 2.0));
+}
+
+TEST_F(DurabilityChaosTest, CrashAfterCheckpointPumpWaitsForTheWriter) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
+  TempDir dir("inflight_crash");
+  auto options = durable_options(dir.path());
+  options.durability.checkpoint_interval_cycles = 3;
+  svc::IngestDaemon daemon(options);
+
+  std::vector<std::vector<tr::IoRequest>> chunks;
+  for (int i = 0; i < 3; ++i) {
+    chunks.push_back(phase(i * 27.4, 2.0));
+    submit_and_pump_once(daemon, "lammps", chunks.back());
+  }
+  // Cycle 3 started a checkpoint; the very next cycle crashes. The
+  // restart must wait for the writer before it reads the directory:
+  // then it restores the checkpoint and replays only the queued flush.
+  // Reading too early finds no checkpoint and replays all four.
+  chunks.push_back(phase(3 * 27.4, 2.0));
+  ASSERT_TRUE(svc::admitted(
+      daemon.submit("lammps", std::vector<tr::IoRequest>(chunks.back()))));
+  fp::arm("service.shard_crash", 1.0, 42);
+  daemon.pump();
+  fp::disarm_all();
+  pump_all(daemon);
+
+  const auto stats = daemon.stats().total();
+  EXPECT_EQ(stats.shard_restarts, 1u);
+  EXPECT_EQ(stats.checkpoints_written, 1u);
+  EXPECT_EQ(stats.checkpoint_failures, 0u);
+  EXPECT_EQ(stats.recovery.tenants_restored, 1u);
+  EXPECT_EQ(stats.recovery.sessions_restored, 1u);
+  EXPECT_EQ(stats.recovery.records_replayed, 1u);
+  expect_tenant_recovered(daemon, "lammps", chunks, phase(4 * 27.4, 2.0));
+}
+
+TEST_F(DurabilityChaosTest, TempFilesOfFailedCheckpointWritesAreSwept) {
+  if (!fp::compiled_in()) GTEST_SKIP() << "failpoints not compiled in";
+  TempDir dir("stale_temp");
+  auto options = durable_options(dir.path());
+  // pump_all runs two cycles per flush (the flush, then an empty one),
+  // so every fed flush starts exactly one checkpoint.
+  options.durability.checkpoint_interval_cycles = 2;
+  const fs::path shard_dir = dir.path() / "shard-0";
+
+  std::vector<std::vector<tr::IoRequest>> chunks;
+  {
+    svc::IngestDaemon daemon(options);
+    fp::arm("durability.checkpoint_write", 1.0, 7);
+    chunks = feed(daemon, "lammps", 1, 27.4);
+    fp::disarm_all();
+    EXPECT_EQ(daemon.stats().total().checkpoint_failures, 1u);
+    EXPECT_TRUE(has_checkpoint_temp(shard_dir));
+
+    // The next write succeeds, and its prune pass sweeps the remains.
+    auto more = feed(daemon, "lammps", 1, 27.4, 27.4);
+    chunks.insert(chunks.end(), more.begin(), more.end());
+    EXPECT_EQ(daemon.stats().total().checkpoints_written, 1u);
+    EXPECT_FALSE(has_checkpoint_temp(shard_dir));
+
+    // A last failed write is left for recovery to sweep.
+    fp::arm("durability.checkpoint_write", 1.0, 7);
+    more = feed(daemon, "lammps", 1, 27.4, 2 * 27.4);
+    chunks.insert(chunks.end(), more.begin(), more.end());
+    fp::disarm_all();
+    EXPECT_EQ(daemon.stats().total().checkpoint_failures, 2u);
+    EXPECT_TRUE(has_checkpoint_temp(shard_dir));
+  }
+  svc::IngestDaemon restarted(options);
+  EXPECT_FALSE(has_checkpoint_temp(shard_dir));
+  const auto recovery = restarted.stats().total().recovery;
+  EXPECT_EQ(recovery.sessions_restored, 1u);
+  EXPECT_EQ(recovery.records_replayed, 1u);  // the flush after checkpoint 1
+  expect_tenant_recovered(restarted, "lammps", chunks, phase(3 * 27.4, 2.0));
 }

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -116,6 +117,30 @@ dur::DurabilityOptions journal_options() {
   dur::DurabilityOptions options;
   options.fsync_every_records = 0;
   return options;
+}
+
+std::vector<dur::TenantFrameView> frame_views(const dur::CheckpointData& data) {
+  std::vector<dur::TenantFrameView> views;
+  for (const auto& t : data.tenants) {
+    views.push_back({t.name, t.poisoned, t.last_applied_seq, t.pending,
+                     t.has_session, t.session_state});
+  }
+  return views;
+}
+
+fs::path checkpoint_path(const fs::path& dir, std::uint64_t seq) {
+  std::string digits = std::to_string(seq);
+  digits.insert(0, 20 - digits.size(), '0');
+  return dir / ("checkpoint-" + digits + ".ckpt");
+}
+
+std::vector<std::string> file_names(const fs::path& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
 }
 
 /// The single segment a JournalWriter left under `dir`.
@@ -519,5 +544,105 @@ TEST(DurabilityCodec, OversizedRecordIsRefusedBeforeAnythingIsWritten) {
       dur::scan_journal_bytes(bytes, options.max_record_bytes, scanned);
   EXPECT_TRUE(scan.clean);
   EXPECT_EQ(scanned.size(), 2u);
+  fs::remove_all(dir);
+}
+
+TEST(DurabilityCodec, StreamedCheckpointFileEqualsEncodeCheckpoint) {
+  const fs::path dir = temp_file("streamed_checkpoint");
+  fs::remove_all(dir);
+  std::mt19937_64 rng(9);
+
+  dur::CheckpointData none;
+  none.floor_seq = 3;
+
+  dur::CheckpointData pending_only;
+  pending_only.floor_seq = 11;
+  auto& waiting = pending_only.tenants.emplace_back();
+  waiting.name = "pending-only";
+  waiting.last_applied_seq = 11;
+  waiting.pending = seeded_requests(rng, 37);
+
+  dur::CheckpointData poisoned;
+  poisoned.floor_seq = 0;
+  auto& bad = poisoned.tenants.emplace_back();
+  bad.name = "poisoned";
+  bad.poisoned = true;
+  bad.last_applied_seq = 4;
+
+  dur::CheckpointData sessions;
+  sessions.floor_seq = 1000;
+  sessions.tenants.resize(64);
+  for (std::size_t i = 0; i < sessions.tenants.size(); ++i) {
+    auto& t = sessions.tenants[i];
+    t.name = "tenant-" + std::to_string(i);
+    t.last_applied_seq = 1000 + i;
+    t.has_session = true;
+    // Sizes straddle the frame buffer's earlier capacity both ways.
+    t.session_state = seeded_bytes(1 + rng() % 40'000, rng());
+  }
+
+  dur::DurabilityOptions options;
+  options.keep_checkpoints = 8;
+  std::uint64_t seq = 0;
+  for (const auto* data : {&none, &pending_only, &poisoned, &sessions}) {
+    ++seq;
+    SCOPED_TRACE(seq);
+    const auto views = frame_views(*data);
+    dur::write_checkpoint_file(dir, seq, data->floor_seq, views, options);
+    const auto on_disk = util::read_binary_file(checkpoint_path(dir, seq));
+    ASSERT_EQ(on_disk, dur::encode_checkpoint(data->floor_seq, views));
+    dur::RecoveryStats stats;
+    EXPECT_EQ(dur::parse_checkpoint(on_disk, stats).tenants.size(),
+              data->tenants.size());
+    EXPECT_EQ(stats.tenant_frames_skipped, 0u);
+  }
+  fs::remove_all(dir);
+}
+
+TEST(DurabilityCodec, CheckpointPruneSweepsStaleTempFiles) {
+  const fs::path dir = temp_file("checkpoint_temps");
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  // The remains of a write that died mid-file, plus files that only look
+  // similar: neither a foreign .tmp nor a finished checkpoint may go.
+  util::write_binary_file(fs::path(checkpoint_path(dir, 1)) += ".tmp",
+                          seeded_bytes(100, 1));
+  util::write_binary_file(dir / "notes.tmp", seeded_bytes(4, 2));
+  dur::DurabilityOptions options;
+  options.keep_checkpoints = 2;
+  dur::write_checkpoint_file(dir, 2, 0, {}, options);
+  EXPECT_EQ(file_names(dir),
+            (std::vector<std::string>{"checkpoint-00000000000000000002.ckpt",
+                                      "notes.tmp"}));
+
+  util::write_binary_file(fs::path(checkpoint_path(dir, 3)) += ".tmp",
+                          seeded_bytes(100, 3));
+  dur::remove_checkpoint_temps(dir);
+  EXPECT_EQ(file_names(dir).size(), 2u);
+  fs::remove_all(dir);
+}
+
+TEST(DurabilityCodec, TruncateJournalKeepsOpenSegmentAndAboveFloor) {
+  const fs::path dir = temp_file("journal_truncate");
+  fs::remove_all(dir);
+  auto options = journal_options();
+  options.max_segment_bytes = 1;  // one record per segment
+  dur::JournalWriter writer(dir, options, 1);
+  for (int i = 0; i < 5; ++i) {
+    writer.append(dur::JournalRecordType::kFlush, "t", {});
+  }
+  // seg-1 .. seg-5; the last append rotated, so segment_path still names
+  // the closed seg-5, as a reader racing the rotation would see it.
+  const fs::path stale_open = writer.segment_path();
+  writer.append(dur::JournalRecordType::kFlush, "t", {});  // opens seg-6
+
+  dur::truncate_journal(dir, 3, stale_open);  // records 1..3 are covered
+  EXPECT_EQ(file_names(dir).size(), 3u);      // seg-4, seg-5, seg-6
+  dur::truncate_journal(dir, 100, stale_open);
+  // seg-4 goes; seg-5 is kept as the named open segment, seg-6 as the
+  // newest (it has no successor to prove it redundant).
+  EXPECT_EQ(file_names(dir),
+            (std::vector<std::string>{"seg-00000000000000000005.wal",
+                                      "seg-00000000000000000006.wal"}));
   fs::remove_all(dir);
 }
