@@ -31,7 +31,7 @@ struct MeasuredCosts {
 
 /// Measures the tracer's per-call costs with live concurrent ranks.
 MeasuredCosts measure(ftio::tmio::Mode mode, int live_ranks, int per_rank) {
-  ftio::tmio::Tracer tracer(live_ranks, {.mode = mode});
+  ftio::tmio::Tracer tracer(live_ranks, {.mode = mode, .path = {}});
   std::vector<std::thread> threads;
   threads.reserve(live_ranks);
   for (int rank = 0; rank < live_ranks; ++rank) {

@@ -169,7 +169,7 @@ BENCHMARK(BM_RfftSeedColdPath)->Arg(4096)->Arg(7817);
 
 // --- the CWT's per-row inverse transforms --------------------------------
 
-void BM_BatchCwt(benchmark::State& state) {
+void BM_CwtRowsSingleThread(benchmark::State& state) {
   // morlet_cwt over 32 scale rows, each one padded-size inverse_planar
   // through the shared plan (single-threaded here — the bench isolates
   // the per-row transform cost, not the thread fan-out).
@@ -180,7 +180,7 @@ void BM_BatchCwt(benchmark::State& state) {
         ftio::signal::morlet_cwt(x, 10.0, freqs, 6.0, /*threads=*/1));
   }
 }
-BENCHMARK(BM_BatchCwt)->Arg(2048)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CwtRowsSingleThread)->Arg(2048)->Unit(benchmark::kMillisecond);
 
 // --- cold plan construction ------------------------------------------------
 // Tracks the table-building cost per fresh plan (bit-reversal, leaf

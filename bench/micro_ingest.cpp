@@ -261,7 +261,6 @@ void BM_DurabilitySnapshotRoundTrip(benchmark::State& state) {
   options.online.base.with_metrics = false;
   options.compaction.enabled = true;
   options.triage.enabled = true;
-  options.engine.threads = 1;
   ftio::engine::StreamingSession session(options);
   for (int f = 0; f < 32; ++f) {
     const auto chunk = phase(f * 30.0, 2.0, 8);

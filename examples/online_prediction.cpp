@@ -6,10 +6,9 @@
 //
 // Demonstrates: mpisim::VirtualCluster + tmio::Tracer in online mode +
 // engine::StreamingSession — incremental, plan-cached online prediction
-// (bit-identical to core::detect over the accumulated trace, ~O(window)
-// per flush) with an ensemble of window strategies evaluated in the same
-// batch, and the DBSCAN merging of predictions into probability-weighted
-// intervals.
+// with the adaptive window strategy (bit-identical to core::detect over
+// the accumulated trace, ~O(window) per flush), and the DBSCAN merging of
+// predictions into probability-weighted intervals.
 // Compaction bounds the session's memory to the analysis window, and the
 // triage filter bank answers steady flushes without the full spectral
 // pipeline; both report their stats at the end.
@@ -27,6 +26,7 @@ int main() {
   ftio::mpisim::FileSystemModel fs{32e9, 32e9, 2e9};
   ftio::mpisim::VirtualCluster cluster(kRanks, fs);
   ftio::tmio::Tracer tracer(kRanks, {.mode = ftio::tmio::Mode::kOnline,
+                                     .path = {},
                                      .app_name = "hacc-io-like"});
   cluster.attach_tracer(&tracer);
 
@@ -35,11 +35,6 @@ int main() {
   streaming.online.base.with_metrics = false;
   streaming.online.strategy = ftio::core::WindowStrategy::kAdaptive;
   streaming.online.adaptive_hits = 3;
-  // Evaluate the fixed look-back rule next to the adaptive one; all
-  // windows of a flush share one analyze_many batch. (A kGrowing member
-  // would look back over the whole stream and pin eviction off.)
-  streaming.ensemble = {ftio::core::WindowStrategy::kFixedLength};
-  streaming.online.fixed_window = 30.0;
   // Bound session memory to the reachable look-back, and let the triage
   // filter bank skip the spectral pipeline while the period holds steady.
   streaming.compaction.enabled = true;
@@ -92,8 +87,7 @@ int main() {
   }
 
   // Per-detector votes behind the last full analysis: each selected
-  // method's verdict, the triage bank's corroborate-only vote when it
-  // held a stable estimate, and the weighted fusion over all of them.
+  // method's verdict and the weighted fusion over them.
   const auto& last_full = session.last_result();
   std::printf("\ndetector votes (last full analysis):\n");
   for (const auto& v : last_full.detector_verdicts) {
@@ -120,29 +114,6 @@ int main() {
                 "probability %.0f%%\n",
                 iv.low, iv.high, iv.center, 1.0 / iv.center,
                 100.0 * iv.probability);
-  }
-
-  auto strategy_name = [](ftio::core::WindowStrategy s) {
-    switch (s) {
-      case ftio::core::WindowStrategy::kGrowing: return "growing";
-      case ftio::core::WindowStrategy::kAdaptive: return "adaptive";
-      case ftio::core::WindowStrategy::kFixedLength: return "fixed-length";
-    }
-    return "unknown";
-  };
-  std::printf("\nensemble view (last prediction per window strategy):\n");
-  for (std::size_t i = 0; i < streaming.ensemble.size(); ++i) {
-    const auto& history = session.ensemble_history(i);
-    if (history.empty()) continue;
-    const auto& last = history.back();
-    if (last.found()) {
-      std::printf("  %-12s period %.2f s (conf %.0f%%)\n",
-                  strategy_name(streaming.ensemble[i]), last.period(),
-                  100.0 * last.refined_confidence);
-    } else {
-      std::printf("  %-12s no dominant frequency\n",
-                  strategy_name(streaming.ensemble[i]));
-    }
   }
 
   const auto& cs = session.compaction_stats();

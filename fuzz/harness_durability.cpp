@@ -23,7 +23,7 @@ namespace {
 }
 
 /// The session posture recovery restores into: the stateful tiers on,
-/// tiny engine, so the decoder walks every section of the format.
+/// so the decoder walks every section of the format.
 ftio::engine::StreamingOptions session_options() {
   ftio::engine::StreamingOptions options;
   options.online.base.sampling_frequency = 2.0;
@@ -31,7 +31,6 @@ ftio::engine::StreamingOptions session_options() {
   options.compaction.enabled = true;
   options.compaction.max_history = 8;
   options.triage.enabled = true;
-  options.engine.threads = 1;
   return options;
 }
 

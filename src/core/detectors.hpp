@@ -208,7 +208,7 @@ double corroborated_confidence(std::span<const DetectorVerdict> verdicts);
 /// non-corroborate-only verdicts may seed a cluster, so e.g. the ACF
 /// refinement alone can never flip an aperiodic default verdict to
 /// periodic; corroborate-only verdicts still join clusters and add
-/// mass. Streaming re-fuses after appending the triage-bank vote.
+/// mass. Called once per analysis, over the selected detectors only.
 FusedPrediction fuse_verdicts(std::span<const DetectorVerdict> verdicts,
                               const FusionOptions& options);
 

@@ -48,10 +48,14 @@ AboveThreshold measure_above(const ftio::signal::StepFunction& f, double a,
   return {length, volume};
 }
 
-}  // namespace
+/// The io-ratio metrics together with the full-curve scan S they rest
+/// on, so compute_metrics reuses S instead of scanning the curve again.
+struct IoRatio {
+  PeriodicityMetrics metrics;
+  AboveThreshold above;
+};
 
-PeriodicityMetrics compute_io_ratio(
-    const ftio::signal::StepFunction& bandwidth) {
+IoRatio io_ratio_with_scan(const ftio::signal::StepFunction& bandwidth) {
   ftio::util::expect(!bandwidth.empty(), "compute_io_ratio: empty bandwidth");
   PeriodicityMetrics m;
   const double length = bandwidth.duration();
@@ -64,14 +68,22 @@ PeriodicityMetrics compute_io_ratio(
                                bandwidth.end_time(), m.noise_threshold);
   m.time_ratio_io = s.length / length;
   m.substantial_bandwidth = s.length > 0.0 ? s.volume / s.length : 0.0;
-  return m;
+  return {m, s};
+}
+
+}  // namespace
+
+PeriodicityMetrics compute_io_ratio(
+    const ftio::signal::StepFunction& bandwidth) {
+  return io_ratio_with_scan(bandwidth).metrics;
 }
 
 PeriodicityMetrics compute_metrics(const ftio::signal::StepFunction& bandwidth,
                                    double dominant_frequency) {
   ftio::util::expect(dominant_frequency > 0.0,
                      "compute_metrics: dominant frequency must be positive");
-  PeriodicityMetrics m = compute_io_ratio(bandwidth);
+  const IoRatio io = io_ratio_with_scan(bandwidth);
+  PeriodicityMetrics m = io.metrics;
 
   const double length = bandwidth.duration();
   const double period = 1.0 / dominant_frequency;
@@ -105,9 +117,7 @@ PeriodicityMetrics compute_metrics(const ftio::signal::StepFunction& bandwidth,
   m.sigma_time = std::sqrt(acc / static_cast<double>(count));
 
   // Average data per period: V(S) / (L(T) * f_d) — Sec. II-C b).
-  const auto s_total = measure_above(bandwidth, bandwidth.start_time(),
-                                     bandwidth.end_time(), m.noise_threshold);
-  m.bytes_per_period = s_total.volume / (length * dominant_frequency);
+  m.bytes_per_period = io.above.volume / (length * dominant_frequency);
   return m;
 }
 

@@ -15,13 +15,10 @@ std::vector<ftio::core::FtioResult> analyze_many(
         const TraceView& v = views[i];
         if (v.trace != nullptr) {
           results[i] = ftio::core::detect(*v.trace, options);
-        } else if (v.bandwidth != nullptr) {
-          results[i] = ftio::core::analyze_bandwidth(*v.bandwidth, options);
         } else {
-          ftio::util::expect(!v.samples.empty(),
+          ftio::util::expect(v.bandwidth != nullptr,
                              "analyze_many: view without a source");
-          results[i] =
-              ftio::core::analyze_samples(v.samples, options, v.origin);
+          results[i] = ftio::core::analyze_bandwidth(*v.bandwidth, options);
         }
       },
       engine.threads);

@@ -11,15 +11,11 @@
 namespace ftio::engine {
 
 /// One unit of batched analysis work: a non-owning view of either a raw
-/// request trace, an already-built bandwidth curve, or a pre-discretised
-/// sample vector. Exactly one source is set; the referenced object must
-/// outlive the analyze_many call.
+/// request trace or an already-built bandwidth curve. Exactly one source
+/// is set; the referenced object must outlive the analyze_many call.
 struct TraceView {
   const ftio::trace::Trace* trace = nullptr;
   const ftio::signal::StepFunction* bandwidth = nullptr;
-  std::span<const double> samples;
-  /// Absolute time of samples[0] (sample views only; reporting context).
-  double origin = 0.0;
 
   static TraceView of(const ftio::trace::Trace& t) {
     TraceView v;
@@ -31,13 +27,6 @@ struct TraceView {
     v.bandwidth = &bw;
     return v;
   }
-  static TraceView of_samples(std::span<const double> s,
-                              double origin = 0.0) {
-    TraceView v;
-    v.samples = s;
-    v.origin = origin;
-    return v;
-  }
 };
 
 /// Execution knobs for the batched engine.
@@ -47,11 +36,11 @@ struct EngineOptions {
 };
 
 /// Runs the full FTIO pipeline on every view, fanned across worker
-/// threads with util::parallel_for: trace views run core::detect,
-/// bandwidth views core::analyze_bandwidth, and sample views
-/// core::analyze_samples. Results are index-aligned with `views` and
-/// identical to calling those functions on each view in a loop; the
-/// shared FFT plan cache builds each concurrently requested plan once.
+/// threads with util::parallel_for: trace views run core::detect and
+/// bandwidth views core::analyze_bandwidth. Results are index-aligned
+/// with `views` and identical to calling those functions on each view in
+/// a loop; the shared FFT plan cache builds each concurrently requested
+/// plan once.
 /// A view with no source throws InvalidArgument; when several views
 /// throw, the lowest index's exception reaches the caller.
 std::vector<ftio::core::FtioResult> analyze_many(

@@ -23,6 +23,9 @@ namespace {
 /// Bump when the payload layout changes. Old payloads are rejected, not
 /// migrated: a checkpoint is a cache of recoverable state, and the WAL +
 /// source streams can always rebuild a session from scratch.
+/// Version 1 carries two reserved count fields (once the sizes of a
+/// multi-strategy session's extra histories and caches), always 0; the
+/// next version bump drops them.
 constexpr std::uint16_t kStateVersion = 1;
 
 /// Minimum encoded bytes of one Prediction, for allocation-bounding
@@ -101,29 +104,20 @@ std::vector<std::uint8_t> StreamingSession::serialize_state() const {
   // The incremental curve + sweep (the state compaction retains).
   bandwidth_.save_state(out);
 
-  // Window-selection state and prediction histories.
+  // Window-selection state and prediction history.
   write_window_state(out, state_);
   write_predictions(out, history_);
-  out.u64(members_.size());
-  for (const auto& member : members_) {
-    write_window_state(out, member.state);
-    write_predictions(out, member.history);
-    write_prediction(out, member.last_full);
-  }
+  out.u64(0);  // Reserved count.
 
-  // Discretisation prefixes.
-  const auto write_cache = [&out](const SampleCache& cache) {
-    out.f64_vec(cache.samples);
-    out.f64(cache.start);
-    out.f64(cache.fs);
-    out.f64(cache.end);
-    out.u64(cache.count);
-    out.u8(static_cast<std::uint8_t>(cache.mode));
-    out.boolean(cache.valid);
-  };
-  write_cache(primary_cache_);
-  out.u64(member_caches_.size());
-  for (const auto& cache : member_caches_) write_cache(cache);
+  // Discretisation prefix.
+  out.f64_vec(sample_cache_.samples);
+  out.f64(sample_cache_.start);
+  out.f64(sample_cache_.fs);
+  out.f64(sample_cache_.end);
+  out.u64(sample_cache_.count);
+  out.u8(static_cast<std::uint8_t>(sample_cache_.mode));
+  out.boolean(sample_cache_.valid);
+  out.u64(0);  // Reserved count.
   out.f64(dirty_since_);
 
   // Triage tier.
@@ -132,7 +126,7 @@ std::vector<std::uint8_t> StreamingSession::serialize_state() const {
   out.f64(triage_reference_.frequency);
   out.f64(triage_reference_.confidence);
   out.u64(triage_reference_.observations);
-  write_prediction(out, last_full_primary_);
+  write_prediction(out, last_full_);
   out.u64(skipped_since_full_);
   out.u64(triage_stats_.full_analyses);
   out.u64(triage_stats_.skipped);
@@ -176,41 +170,28 @@ void StreamingSession::restore_state(std::span<const std::uint8_t> payload) {
 
     ftio::core::OnlineWindowState state = read_window_state(in);
     std::vector<ftio::core::Prediction> history = read_predictions(in);
-    const std::size_t member_count = in.count(kPredictionBytes);
-    if (member_count != members_.size()) {
-      throw ftio::util::ParseError(
-          "StreamingSession: ensemble size does not match this session");
-    }
-    std::vector<Member> members = members_;
-    for (auto& member : members) {
-      member.state = read_window_state(in);
-      member.history = read_predictions(in);
-      member.last_full = read_prediction(in);
-    }
-
-    const auto read_cache = [&in](SampleCache& cache) {
-      cache.samples = in.f64_vec();
-      cache.start = in.f64();
-      cache.fs = in.f64();
-      cache.end = in.f64();
-      cache.count = static_cast<std::size_t>(in.u64());
-      const std::uint8_t mode = in.u8();
-      if (mode > 1) {
+    const auto read_reserved_count = [&in] {
+      if (in.u64() != 0) {
         throw ftio::util::ParseError(
-            "StreamingSession: sampling mode out of range");
+            "StreamingSession: reserved count field is not 0");
       }
-      cache.mode = static_cast<ftio::signal::SamplingMode>(mode);
-      cache.valid = in.boolean();
     };
-    SampleCache primary_cache;
-    read_cache(primary_cache);
-    const std::size_t cache_count = in.count(5 * sizeof(double) + 2);
-    if (cache_count != member_caches_.size()) {
+    read_reserved_count();
+
+    SampleCache cache;
+    cache.samples = in.f64_vec();
+    cache.start = in.f64();
+    cache.fs = in.f64();
+    cache.end = in.f64();
+    cache.count = static_cast<std::size_t>(in.u64());
+    const std::uint8_t mode = in.u8();
+    if (mode > 1) {
       throw ftio::util::ParseError(
-          "StreamingSession: cache count does not match this session");
+          "StreamingSession: sampling mode out of range");
     }
-    std::vector<SampleCache> member_caches(cache_count);
-    for (auto& cache : member_caches) read_cache(cache);
+    cache.mode = static_cast<ftio::signal::SamplingMode>(mode);
+    cache.valid = in.boolean();
+    read_reserved_count();
     const double dirty_since = in.f64();
 
     ftio::core::TriageFilterBank bank = triage_bank_;
@@ -220,7 +201,7 @@ void StreamingSession::restore_state(std::span<const std::uint8_t> payload) {
     reference.frequency = in.f64();
     reference.confidence = in.f64();
     reference.observations = static_cast<std::size_t>(in.u64());
-    ftio::core::Prediction last_full_primary = read_prediction(in);
+    ftio::core::Prediction last_full = read_prediction(in);
     const std::uint64_t skipped_since_full = in.u64();
     TriageStats triage_stats;
     triage_stats.full_analyses = static_cast<std::size_t>(in.u64());
@@ -251,13 +232,11 @@ void StreamingSession::restore_state(std::span<const std::uint8_t> payload) {
     bandwidth_ = std::move(bandwidth);
     state_ = state;
     history_ = std::move(history);
-    members_ = std::move(members);
-    primary_cache_ = std::move(primary_cache);
-    member_caches_ = std::move(member_caches);
+    sample_cache_ = std::move(cache);
     dirty_since_ = dirty_since;
     triage_bank_ = std::move(bank);
     triage_reference_ = reference;
-    last_full_primary_ = last_full_primary;
+    last_full_ = last_full;
     skipped_since_full_ = static_cast<std::size_t>(skipped_since_full);
     triage_stats_ = triage_stats;
     compaction_stats_ = compaction_stats;

@@ -15,17 +15,6 @@ namespace {
 
 constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
-void validate_strategy(const ftio::core::OnlineOptions& options,
-                       ftio::core::WindowStrategy strategy) {
-  ftio::util::expect(strategy != ftio::core::WindowStrategy::kFixedLength ||
-                         options.fixed_window > 0.0,
-                     "StreamingSession: fixed_window must be positive");
-}
-
-std::size_t cache_bytes(const std::vector<double>& samples) {
-  return samples.capacity() * sizeof(double);
-}
-
 }  // namespace
 
 StreamingSession::StreamingSession(StreamingOptions options)
@@ -37,18 +26,15 @@ StreamingSession::StreamingSession(StreamingOptions options)
       triage_bank_(options_.triage.bank) {
   ftio::util::expect(options_.online.adaptive_hits >= 1,
                      "StreamingSession: adaptive_hits must be >= 1");
-  validate_strategy(options_.online, options_.online.strategy);
+  ftio::util::expect(
+      options_.online.strategy != ftio::core::WindowStrategy::kFixedLength ||
+          options_.online.fixed_window > 0.0,
+      "StreamingSession: fixed_window must be positive");
   ftio::util::expect(!options_.online.auto_sampling_frequency ||
                          (options_.online.min_auto_fs > 0.0 &&
                           options_.online.max_auto_fs >=
                               options_.online.min_auto_fs),
                      "StreamingSession: bad auto-fs clamp range");
-  members_.reserve(options_.ensemble.size());
-  for (const auto strategy : options_.ensemble) {
-    validate_strategy(options_.online, strategy);
-    members_.push_back(Member{strategy, {}, {}, {}});
-  }
-  member_caches_.resize(members_.size());
   dirty_since_ = kInfinity;
   ftio::util::expect(!options_.compaction.enabled ||
                          options_.compaction.lookback_slack >= 1.0,
@@ -170,7 +156,7 @@ bool StreamingSession::should_skip_analysis() {
   const TriageOptions& triage = options_.triage;
   if (!triage.enabled) return false;
   if (triage_stats_.full_analyses < triage.warmup_analyses) return false;
-  if (!last_full_primary_.found()) return false;
+  if (!last_full_.found()) return false;
   if (!triage_reference_.valid()) return false;
   if (skipped_since_full_ >= triage.max_skipped) {
     ++triage_stats_.cadence_retriggers;
@@ -198,21 +184,10 @@ ftio::core::Prediction StreamingSession::skipped_prediction(double now) {
   // The synthesized prediction feeds the window-adaptation state exactly
   // like a real one, so a steady-period adaptive session evolves as if
   // every flush had been analysed.
-  ftio::core::Prediction p = last_full_primary_;
+  ftio::core::Prediction p = last_full_;
   p.at_time = now;
   p.from_triage = true;
-  history_.push_back(p);
-  trim_history(history_);
-  ftio::core::record_online_result(state_, p);
-  for (auto& member : members_) {
-    ftio::core::Prediction mp = member.last_full;
-    mp.at_time = now;
-    mp.from_triage = true;
-    member.history.push_back(mp);
-    trim_history(member.history);
-    ftio::core::record_online_result(member.state, mp);
-  }
-  intervals_stale_ = true;
+  record(p);
   ++triage_stats_.skipped;
   ++skipped_since_full_;
   return p;
@@ -244,89 +219,28 @@ ftio::core::Prediction StreamingSession::predict() {
   base.window_end = now;
   base.sampling_frequency = derived_sampling_frequency();
 
-  // Primary window: shared selection logic, then extend the cached sample
-  // vector — a full re-read of the window only happens when the grid
-  // moved (adaptive/fixed look-back) or the sampling setup changed.
-  const double primary_start =
+  // Shared window selection, then extend the cached sample vector — a
+  // full re-read of the window only happens when the grid moved
+  // (adaptive/fixed look-back) or the sampling setup changed.
+  const double start =
       select_online_window(options_.online, state_, begin, now);
-  note_clamped(primary_start);
-  ftio::core::FtioOptions primary_opts = base;
-  primary_opts.window_start = primary_start;
-  const ftio::core::AnalysisWindow primary_window =
-      ftio::core::select_analysis_window(curve, primary_opts);
-  discretize_into_cache(primary_cache_, primary_window, base);
+  note_clamped(start);
+  ftio::core::FtioOptions window_opts = base;
+  window_opts.window_start = start;
+  const ftio::core::AnalysisWindow window =
+      ftio::core::select_analysis_window(curve, window_opts);
+  discretize_into_cache(sample_cache_, window, base);
 
-  // Ensemble windows: each member advances its own adaptive state and
-  // extends its own sample cache (growing members keep a stable grid
-  // anchor and reuse their clean prefix; moving look-back grids rebuild).
-  std::vector<ftio::core::AnalysisWindow> member_windows(members_.size());
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    ftio::core::OnlineOptions member_options = options_.online;
-    member_options.strategy = members_[i].strategy;
-    const double member_start = select_online_window(
-        member_options, members_[i].state, begin, now);
-    note_clamped(member_start);
-    ftio::core::FtioOptions member_opts = base;
-    member_opts.window_start = member_start;
-    member_windows[i] =
-        ftio::core::select_analysis_window(curve, member_opts);
-    discretize_into_cache(member_caches_[i], member_windows[i], base);
-  }
-
-  // One analyze_many call: the primary and ensemble windows fan across
-  // the worker pool and share the plan cache, so members whose windows
-  // landed on the same sample count (growing-window strategies converge
-  // there) reuse one plan.
-  std::vector<TraceView> views;
-  views.reserve(1 + members_.size());
-  views.push_back(
-      TraceView::of_samples(primary_cache_.samples, primary_window.start));
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    views.push_back(TraceView::of_samples(member_caches_[i].samples,
-                                          member_windows[i].start));
-  }
-  auto results = analyze_many(views, base, options_.engine);
-
-  ftio::core::finish_bandwidth_result(curve, primary_window,
-                                      primary_cache_.samples, base,
-                                      results[0]);
-  // Feed the cheap tier's inter-arrival estimate into the fused verdict
-  // as a corroborate-only vote: it can back (or dilute) a spectral
-  // period but never flip an aperiodic verdict on its own. The
-  // Prediction stream and refined_confidence stay untouched.
-  if (options_.triage.enabled && options_.triage.bank_vote_weight > 0.0) {
-    const ftio::core::TriageEstimate estimate = triage_bank_.estimate();
-    if (estimate.valid()) {
-      ftio::core::DetectorVerdict vote;
-      vote.name = "triage-bank";
-      vote.capabilities = ftio::core::kCapCorroborateOnly;
-      vote.weight = options_.triage.bank_vote_weight;
-      vote.found = true;
-      vote.period = estimate.period;
-      vote.frequency = estimate.frequency;
-      vote.confidence = estimate.confidence;
-      results[0].detector_verdicts.push_back(std::move(vote));
-      results[0].fused = ftio::core::fuse_verdicts(
-          results[0].detector_verdicts, base.detectors.fusion);
-    }
-  }
+  ftio::core::FtioResult result =
+      ftio::core::analyze_samples(sample_cache_.samples, base, window.start);
+  ftio::core::finish_bandwidth_result(curve, window, sample_cache_.samples,
+                                      base, result);
   const ftio::core::Prediction p =
-      ftio::core::prediction_from_result(results[0], now);
-  history_.push_back(p);
-  trim_history(history_);
-  ftio::core::record_online_result(state_, p);
-  last_full_primary_ = p;
-  for (std::size_t i = 0; i < members_.size(); ++i) {
-    const ftio::core::Prediction mp =
-        ftio::core::prediction_from_result(results[1 + i], now);
-    members_[i].history.push_back(mp);
-    trim_history(members_[i].history);
-    ftio::core::record_online_result(members_[i].state, mp);
-    members_[i].last_full = mp;
-  }
-  last_result_ = std::move(results[0]);
-  intervals_stale_ = true;
-  // Every cache consumed the dirty range above; fresh ingests restart it.
+      ftio::core::prediction_from_result(result, now);
+  record(p);
+  last_full_ = p;
+  last_result_ = std::move(result);
+  // The cache consumed the dirty range above; fresh ingests restart it.
   dirty_since_ = kInfinity;
   if (options_.triage.enabled) {
     triage_reference_ = triage_bank_.estimate();
@@ -339,28 +253,19 @@ ftio::core::Prediction StreamingSession::predict() {
 
 void StreamingSession::maybe_compact(double now) {
   if (!options_.compaction.enabled) return;
-  // The earliest window start any strategy could select for its next
+  // The earliest window start the strategy could select for its next
   // evaluation. A kGrowing strategy (or an adaptive one that has not
   // shrunk yet) pins this to the trace begin, which disables eviction —
-  // their look-back genuinely spans the stream.
-  double reach =
-      ftio::core::peek_online_window(options_.online, state_, begin_time_,
-                                     now);
-  for (const auto& member : members_) {
-    ftio::core::OnlineOptions member_options = options_.online;
-    member_options.strategy = member.strategy;
-    reach = std::min(reach,
-                     ftio::core::peek_online_window(member_options,
-                                                    member.state, begin_time_,
-                                                    now));
-  }
+  // its look-back genuinely spans the stream.
+  const double reach = ftio::core::peek_online_window(
+      options_.online, state_, begin_time_, now);
   const double lookback = now - reach;
   const double keep =
       std::max(lookback * options_.compaction.lookback_slack,
                options_.compaction.min_keep_seconds);
   const double horizon = now - keep;
   // The retained-span guarantee the whole O(window) tier rests on:
-  // eviction never reaches past the earliest window any strategy could
+  // eviction never reaches past the earliest window the strategy could
   // select next (keep >= lookback because lookback_slack >= 1), so the
   // next predict() always finds its data intact.
   FTIO_ASSERT(horizon <= reach);
@@ -381,50 +286,34 @@ void StreamingSession::maybe_compact(double now) {
   FTIO_ASSERT(bandwidth_.curve().start_time() >= start_before);
   compaction_stats_.retained_start = bandwidth_.curve().start_time();
 
-  // Discretisation caches rebuild when their anchor moves (the retained
-  // support start advanced past it); what compaction adds is releasing
-  // the over-sized buffers a once-long window left behind.
-  const auto shrink = [](SampleCache& cache) {
-    if (cache.samples.capacity() > 2 * cache.samples.size()) {
-      cache.samples.shrink_to_fit();
-    }
-  };
-  shrink(primary_cache_);
-  for (auto& cache : member_caches_) shrink(cache);
+  // The discretisation cache rebuilds when its anchor moves (the
+  // retained support start advanced past it); what compaction adds is
+  // releasing the over-sized buffer a once-long window left behind.
+  std::vector<double>& samples = sample_cache_.samples;
+  if (samples.capacity() > 2 * samples.size()) samples.shrink_to_fit();
 }
 
-void StreamingSession::trim_history(
-    std::vector<ftio::core::Prediction>& history) const {
+void StreamingSession::record(const ftio::core::Prediction& p) {
+  history_.push_back(p);
   const std::size_t cap = options_.compaction.max_history;
-  if (cap == 0 || history.size() <= cap) return;
-  history.erase(history.begin(),
-                history.end() - static_cast<std::ptrdiff_t>(cap));
+  if (cap != 0 && history_.size() > cap) {
+    history_.erase(history_.begin(),
+                   history_.end() - static_cast<std::ptrdiff_t>(cap));
+  }
+  ftio::core::record_online_result(state_, p);
+  intervals_stale_ = true;
 }
 
 std::size_t StreamingSession::memory_bytes() const {
   const ftio::util::LockGuard lock(mutex_);
   std::size_t total = sizeof(*this);
   total += bandwidth_.memory_bytes();
-  total += cache_bytes(primary_cache_.samples);
-  for (const auto& cache : member_caches_) total += cache_bytes(cache.samples);
+  total += sample_cache_.samples.capacity() * sizeof(double);
   total += history_.capacity() * sizeof(ftio::core::Prediction);
-  total += members_.capacity() * sizeof(Member);
-  for (const auto& member : members_) {
-    total += member.history.capacity() * sizeof(ftio::core::Prediction);
-  }
-  total += member_caches_.capacity() * sizeof(SampleCache);
   total += intervals_.capacity() * sizeof(ftio::core::FrequencyInterval);
   total += triage_bank_.memory_bytes();
   total += app_.capacity();
   return total;
-}
-
-const std::vector<ftio::core::Prediction>& StreamingSession::ensemble_history(
-    std::size_t i) const {
-  const ftio::util::LockGuard lock(mutex_);
-  ftio::util::expect(i < members_.size(),
-                     "StreamingSession: ensemble index out of range");
-  return members_[i].history;
 }
 
 const std::vector<ftio::core::FrequencyInterval>&

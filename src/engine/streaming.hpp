@@ -9,15 +9,14 @@
 #include "core/ftio.hpp"
 #include "core/online.hpp"
 #include "core/triage.hpp"
-#include "engine/engine.hpp"
 #include "trace/model.hpp"
 #include "util/annotated.hpp"
 
 namespace ftio::engine {
 
 /// Bounds per-session memory to O(analysis window). After every predict()
-/// the session computes the earliest window start any of its strategies
-/// could select next (via core::peek_online_window) and evicts sweep
+/// the session computes the earliest window start its strategy could
+/// select next (via core::peek_online_window) and evicts sweep
 /// events, bandwidth-curve segments, and over-sized discretisation
 /// buffers older than `lookback_slack` times that look-back. Inside the
 /// retained span everything is bit-identical to the uncompacted path.
@@ -37,9 +36,9 @@ struct CompactionOptions {
   double lookback_slack = 2.0;
   /// Never retain less than this many seconds of curve.
   double min_keep_seconds = 0.0;
-  /// Keep at most this many predictions per history (primary and each
-  /// ensemble member); 0 keeps everything. merged_intervals() then works
-  /// over the retained tail, with probabilities relative to it.
+  /// Keep at most this many predictions in history(); 0 keeps
+  /// everything. merged_intervals() then works over the retained tail,
+  /// with probabilities relative to it.
   std::size_t max_history = 0;
 };
 
@@ -81,14 +80,6 @@ struct TriageOptions {
   std::size_t warmup_analyses = 3;
   /// Force a full analysis after this many consecutive skips.
   std::size_t max_skipped = 63;
-  /// Weight of the filter bank's vote in the fused prediction: whenever
-  /// a full analysis runs and the bank holds a valid estimate, a
-  /// corroborate-only "triage-bank" verdict with this weight is appended
-  /// to the result and the fused confidence is recomputed — the cheap
-  /// tier's inter-arrival evidence then backs (or dilutes) the spectral
-  /// verdict. 0 disables; refined_confidence and the Prediction stream
-  /// are never affected.
-  double bank_vote_weight = 0.5;
 };
 
 struct TriageStats {
@@ -101,17 +92,9 @@ struct TriageStats {
 
 /// Configuration of a StreamingSession.
 struct StreamingOptions {
-  /// The primary prediction loop (strategy, adaptation knobs, base FTIO
+  /// The prediction loop (window strategy, adaptation knobs, base FTIO
   /// options; Sec. II-D).
   ftio::core::OnlineOptions online;
-  /// Additional window strategies evaluated next to the primary one on
-  /// every predict(). Each member keeps its own adaptive state and
-  /// history; all windows of one flush are discretised once and fanned
-  /// through analyze_many, so the whole ensemble shares the plan cache
-  /// and the worker pool.
-  std::vector<ftio::core::WindowStrategy> ensemble;
-  /// Worker threads for the per-flush analyze_many call.
-  EngineOptions engine;
   /// O(window) state eviction (off by default: exact O(requests) mode).
   CompactionOptions compaction;
   /// Cheap skip-the-pipeline tier (off by default: always analyse).
@@ -119,7 +102,10 @@ struct StreamingOptions {
 };
 
 /// Streaming online predictor: the paper's online loop (Sec. II-D,
-/// Fig. 5). Every Prediction is bit-identical to core::detect over all
+/// Fig. 5). A session runs exactly one window strategy and keeps one
+/// window, one history and one verdict; each full analysis is one
+/// core::analyze_samples call. Every Prediction is bit-identical to
+/// core::detect over all
 /// requests ingested so far, windowed by core::select_online_window —
 /// enforced by sharing the window-selection, discretisation, and merge
 /// code with core — but the session keeps incremental state across
@@ -152,11 +138,10 @@ struct StreamingOptions {
 /// serialises on an internal mutex, so any number of threads may feed
 /// and evaluate one session concurrently. Accessors that return
 /// *references* into session state (history(), last_result(),
-/// bandwidth(), merged_intervals(), ensemble_history(), app(),
-/// detectors()) take the lock for their own bookkeeping but hand out a
-/// reference the lock no longer covers: call them only while no other
-/// thread is mutating the session, exactly the single-threaded reading
-/// pattern they always had.
+/// bandwidth(), merged_intervals(), app(), detectors()) take the lock
+/// for their own bookkeeping but hand out a reference the lock no longer
+/// covers: call them only while no other thread is mutating the
+/// session, exactly the single-threaded reading pattern they always had.
 class StreamingSession {
  public:
   explicit StreamingSession(StreamingOptions options);
@@ -181,32 +166,27 @@ class StreamingSession {
     return options_.online.base.detectors;
   }
 
-  /// Runs one evaluation of the primary strategy (plus every ensemble
-  /// member) over the current windows and records it. Returns the primary
-  /// Prediction — bit-identical to core::detect over the accumulated
+  /// Runs one evaluation of the window strategy over the current window
+  /// and records it. Returns the Prediction — bit-identical to
+  /// core::detect over the accumulated
   /// requests, windowed by core::select_online_window (see TriageOptions
   /// / CompactionOptions for the scope of that promise when the cheap
   /// tiers are enabled). Throws InvalidArgument when no data was
   /// ingested yet.
   ftio::core::Prediction predict() FTIO_EXCLUDES(mutex_);
 
-  /// Primary predictions made so far, in order (the retained tail when
+  /// Predictions made so far, in order (the retained tail when
   /// CompactionOptions::max_history is set).
   const std::vector<ftio::core::Prediction>& history() const {
     return history_;
   }
 
-  /// History of ensemble member `i`, index-aligned with
-  /// StreamingOptions::ensemble.
-  const std::vector<ftio::core::Prediction>& ensemble_history(
-      std::size_t i) const FTIO_EXCLUDES(mutex_);
-
-  /// Full result of the latest primary evaluation (abstraction error and
+  /// Full result of the latest evaluation (abstraction error and
   /// metrics included, like the offline detect()). Unchanged by skipped
   /// flushes: always the latest *full* analysis.
   const ftio::core::FtioResult& last_result() const { return last_result_; }
 
-  /// Merged frequency intervals of the primary history (Sec. II-D);
+  /// Merged frequency intervals of the history (Sec. II-D);
   /// cached between predictions.
   const std::vector<ftio::core::FrequencyInterval>& merged_intervals() const
       FTIO_EXCLUDES(mutex_);
@@ -218,7 +198,7 @@ class StreamingSession {
     return bandwidth_.curve();
   }
 
-  /// The data window the *next* primary evaluation would use.
+  /// The data window the *next* evaluation would use.
   double current_window_start() const FTIO_EXCLUDES(mutex_) {
     const ftio::util::LockGuard lock(mutex_);
     return state_.window_start;
@@ -261,11 +241,14 @@ class StreamingSession {
   }
   /// Serializes everything a later restore needs to continue the stream
   /// bit-identically: sweep events, curve segments, discretisation
-  /// prefixes (sample caches), window-selection state, prediction
-  /// histories, triage-bank accumulators, and the running aggregates —
+  /// prefix (sample cache), window-selection state, prediction history,
+  /// triage filter-bank accumulators, and the running aggregates —
   /// exactly the state compaction retains. The payload is a versioned
   /// raw byte stream (doubles as IEEE bit patterns); framing (magic,
-  /// CRC) is the durability layer's job. Not serialized: last_result()
+  /// CRC) is the durability layer's job. Version 1 still carries two
+  /// count fields from the removed multi-strategy session, always
+  /// written as 0; they stay reserved until the next version bump drops
+  /// them. Not serialized: last_result()
   /// (diagnostic only — empty after restore until the next full
   /// analysis) and merged_intervals() (a pure function of history,
   /// recomputed lazily).
@@ -275,10 +258,10 @@ class StreamingSession {
   /// with the *same* StreamingOptions: subsequent ingest()/predict()
   /// calls then produce byte-identical predictions, CompactionStats, and
   /// TriageStats to the uninterrupted original. Throws util::ParseError
-  /// on truncated or corrupt payloads and when the payload's shape does
-  /// not match this session's options (ensemble size, triage grid);
-  /// the session is unchanged on throw — recover-or-reject, never a
-  /// half-restored hybrid.
+  /// on truncated or corrupt payloads, on a non-zero reserved count
+  /// field, and when the payload's shape does not match this session's
+  /// options (triage grid); the session is unchanged on throw —
+  /// recover-or-reject, never a half-restored hybrid.
   void restore_state(std::span<const std::uint8_t> payload)
       FTIO_EXCLUDES(mutex_);
 
@@ -289,15 +272,7 @@ class StreamingSession {
   std::size_t memory_bytes() const FTIO_EXCLUDES(mutex_);
 
  private:
-  struct Member {
-    ftio::core::WindowStrategy strategy;
-    ftio::core::OnlineWindowState state;
-    std::vector<ftio::core::Prediction> history;
-    /// Latest full-analysis prediction (the triage skip template).
-    ftio::core::Prediction last_full;
-  };
-
-  /// Incrementally extended discretisation of one evaluation window.
+  /// Incrementally extended discretisation of the evaluation window.
   /// Reused whenever the grid (anchor, fs, mode) is unchanged — stable
   /// for growing windows, where a full re-read would be O(total trace) —
   /// and rebuilt from scratch when the look-back anchor moved.
@@ -331,12 +306,12 @@ class StreamingSession {
   /// True when the triage tier may satisfy this flush without the full
   /// pipeline (stable estimate, warmed up, within the skip cadence).
   bool should_skip_analysis() FTIO_REQUIRES(mutex_);
-  /// The skipped-flush path: re-stamps the last full predictions.
+  /// The skipped-flush path: re-stamps the last full prediction.
   ftio::core::Prediction skipped_prediction(double now) FTIO_REQUIRES(mutex_);
-  /// Evicts state behind the largest reachable look-back window.
+  /// Evicts state behind the reachable look-back window.
   void maybe_compact(double now) FTIO_REQUIRES(mutex_);
-  void trim_history(std::vector<ftio::core::Prediction>& history) const
-      FTIO_REQUIRES(mutex_);
+  /// Records a prediction in the history and the window-adaptation state.
+  void record(const ftio::core::Prediction& p) FTIO_REQUIRES(mutex_);
 
   /// Serialises every mutating entry point and by-value accessor. The
   /// members below split into two groups: FTIO_GUARDED_BY members never
@@ -351,7 +326,6 @@ class StreamingSession {
   trace::IncrementalBandwidth bandwidth_;
   ftio::core::OnlineWindowState state_ FTIO_GUARDED_BY(mutex_);
   std::vector<ftio::core::Prediction> history_;
-  std::vector<Member> members_;
   ftio::core::FtioResult last_result_;
 
   // Running aggregates over every ingested request (pre-filter, matching
@@ -363,14 +337,13 @@ class StreamingSession {
   std::string app_;
   int rank_count_ FTIO_GUARDED_BY(mutex_) = 0;
 
-  // Incremental discretisation caches: primary window + one per member.
-  SampleCache primary_cache_ FTIO_GUARDED_BY(mutex_);
-  std::vector<SampleCache> member_caches_ FTIO_GUARDED_BY(mutex_);
+  // Incremental discretisation cache of the analysis window.
+  SampleCache sample_cache_ FTIO_GUARDED_BY(mutex_);
   /// Earliest curve time changed by ingests since the last full
   /// analysis (skipped flushes leave it accumulating).
   double dirty_since_ FTIO_GUARDED_BY(mutex_) = 0.0;
 
-  // Cached DBSCAN merge of the primary history.
+  // Cached DBSCAN merge of the history.
   mutable std::vector<ftio::core::FrequencyInterval> intervals_;
   mutable bool intervals_stale_ = false;
 
@@ -378,7 +351,8 @@ class StreamingSession {
   ftio::core::TriageFilterBank triage_bank_ FTIO_GUARDED_BY(mutex_);
   /// Bank estimate @ last full run.
   ftio::core::TriageEstimate triage_reference_ FTIO_GUARDED_BY(mutex_);
-  ftio::core::Prediction last_full_primary_ FTIO_GUARDED_BY(mutex_);
+  /// Latest full-analysis prediction (the triage skip template).
+  ftio::core::Prediction last_full_ FTIO_GUARDED_BY(mutex_);
   std::size_t skipped_since_full_ FTIO_GUARDED_BY(mutex_) = 0;
   TriageStats triage_stats_ FTIO_GUARDED_BY(mutex_);
 

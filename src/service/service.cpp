@@ -35,7 +35,6 @@ ftio::engine::StreamingOptions default_session_template() {
   session.compaction.enabled = true;
   session.compaction.max_history = 64;
   session.triage.enabled = true;
-  session.engine.threads = 1;
   return session;
 }
 

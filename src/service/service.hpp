@@ -86,7 +86,7 @@ struct LadderOptions {
   std::size_t triage_stride = 4;
   /// Detector selection applied at kReduced and kTriageOnly; the empty
   /// default resolves to the registry's {dft, acf} pair, already far
-  /// cheaper than a wide ensemble.
+  /// cheaper than the full detector set.
   ftio::core::DetectorSetOptions reduced_detectors;
 };
 

@@ -6,6 +6,7 @@
 #include <numbers>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/acf_analysis.hpp"
@@ -13,6 +14,7 @@
 #include "core/ftio.hpp"
 #include "engine/engine.hpp"
 #include "signal/spectrum.hpp"
+#include "signal/step_function.hpp"
 #include "util/error.hpp"
 
 namespace core = ftio::core;
@@ -324,21 +326,29 @@ TEST(Engine, BatchMatchesLoopedAnalysesWithRegistrySelection) {
   opts.detectors.detectors = {
       {"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}};
 
-  // Three equal-length windows (the batched transform path) plus one odd
-  // size (the per-view fallback).
+  // Three equal-length windows plus one odd size, as bandwidth curves
+  // holding one sample per second.
   std::vector<std::vector<double>> signals;
   signals.push_back(burst_train(256, 16.0, 3.0, 10.0));
   signals.push_back(burst_train(256, 32.0, 5.0, 4.0));
   signals.push_back(trending_sine(256, 0.5, 6.0, 20.0));
   signals.push_back(burst_train(200, 25.0, 4.0, 8.0));
+  std::vector<sig::StepFunction> curves;
+  for (const auto& s : signals) {
+    std::vector<double> times(s.size() + 1);
+    for (std::size_t i = 0; i < times.size(); ++i) {
+      times[i] = static_cast<double>(i);
+    }
+    curves.emplace_back(std::move(times), s);
+  }
 
   std::vector<eng::TraceView> views;
-  for (const auto& s : signals) views.push_back(eng::TraceView::of_samples(s));
+  for (const auto& c : curves) views.push_back(eng::TraceView::of(c));
   const auto batched = eng::analyze_many(views, opts);
 
-  ASSERT_EQ(batched.size(), signals.size());
-  for (std::size_t i = 0; i < signals.size(); ++i) {
-    const core::FtioResult loop = core::analyze_samples(signals[i], opts);
+  ASSERT_EQ(batched.size(), curves.size());
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    const core::FtioResult loop = core::analyze_bandwidth(curves[i], opts);
     EXPECT_EQ(batched[i].periodic(), loop.periodic()) << i;
     EXPECT_EQ(batched[i].refined_confidence, loop.refined_confidence) << i;
     EXPECT_EQ(batched[i].fused.found(), loop.fused.found()) << i;

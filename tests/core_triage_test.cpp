@@ -65,7 +65,9 @@ TEST(TriageFilterBank, InvalidBeforeWarmup) {
   // except possibly very short ones that the bursts do not excite.
   bank.observe(10.0, 1.0);
   const auto est = bank.estimate();
-  if (est.valid()) EXPECT_LE(est.period, 10.0);
+  if (est.valid()) {
+    EXPECT_LE(est.period, 10.0);
+  }
 }
 
 TEST(TriageFilterBank, DetectsSteadyPeriod) {
@@ -127,7 +129,9 @@ TEST(TriageFilterBank, AperiodicTimesHaveLowCoherence) {
   }
   const auto est = bank.estimate();
   // Whatever band wins, it must not look like a confident detection.
-  if (est.valid()) EXPECT_LT(est.confidence, 0.6);
+  if (est.valid()) {
+    EXPECT_LT(est.confidence, 0.6);
+  }
 }
 
 TEST(TriageFilterBank, JitteredPeriodStaysConfident) {

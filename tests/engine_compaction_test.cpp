@@ -63,17 +63,13 @@ std::vector<std::vector<tr::IoRequest>> periodic_chunks(int count,
 /// session's final stats for further assertions.
 eng::CompactionStats expect_compacted_identical(
     const core::OnlineOptions& options,
-    const std::vector<std::vector<tr::IoRequest>>& chunks,
-    const std::vector<core::WindowStrategy>& ensemble = {},
-    double lookback_slack = 2.0) {
+    const std::vector<std::vector<tr::IoRequest>>& chunks) {
   eng::StreamingOptions plain;
   plain.online = options;
-  plain.ensemble = ensemble;
   eng::StreamingSession reference(plain);
 
   eng::StreamingOptions compacted = plain;
   compacted.compaction.enabled = true;
-  compacted.compaction.lookback_slack = lookback_slack;
   eng::StreamingSession session(compacted);
 
   for (std::size_t i = 0; i < chunks.size(); ++i) {
@@ -82,11 +78,6 @@ eng::CompactionStats expect_compacted_identical(
     const auto expected = reference.predict();
     const auto got = session.predict();
     expect_identical(expected, got, static_cast<int>(i));
-    for (std::size_t m = 0; m < ensemble.size(); ++m) {
-      expect_identical(reference.ensemble_history(m).back(),
-                       session.ensemble_history(m).back(),
-                       static_cast<int>(i));
-    }
   }
   return session.compaction_stats();
 }
@@ -129,28 +120,32 @@ TEST(SessionCompaction, BitIdenticalAdaptiveSteadyPeriod) {
   EXPECT_EQ(stats.clamped_windows, 0u);
 }
 
-TEST(SessionCompaction, BitIdenticalEnsembleMixedLookbacks) {
-  // Fixed 35 s primary with an adaptive member: the compaction horizon
-  // follows the *largest* reachable look-back across strategies, so both
-  // histories must stay bit-identical.
-  const auto stats = expect_compacted_identical(
-      online_options(core::WindowStrategy::kFixedLength),
-      periodic_chunks(30, 10.0), {core::WindowStrategy::kAdaptive});
-  EXPECT_GT(stats.compactions, 0u);
-  EXPECT_EQ(stats.clamped_windows, 0u);
+TEST(SessionCompaction, BitIdenticalEveryLookbackStrategy) {
+  // The compaction horizon follows whichever look-back the session's
+  // strategy reaches next, so every strategy stays bit-identical to its
+  // uncompacted twin; the growing one simply never evicts.
+  for (const auto strategy : {core::WindowStrategy::kGrowing,
+                              core::WindowStrategy::kAdaptive,
+                              core::WindowStrategy::kFixedLength}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    const auto stats = expect_compacted_identical(online_options(strategy),
+                                                  periodic_chunks(30, 10.0));
+    EXPECT_EQ(stats.compactions > 0,
+              strategy != core::WindowStrategy::kGrowing);
+    EXPECT_EQ(stats.clamped_windows, 0u);
+  }
 }
 
 TEST(SessionCompaction, GrowingStrategyPinsEvictionOff) {
   eng::StreamingOptions o;
-  o.online = online_options(core::WindowStrategy::kFixedLength);
-  o.ensemble = {core::WindowStrategy::kGrowing};
+  o.online = online_options(core::WindowStrategy::kGrowing);
   o.compaction.enabled = true;
   eng::StreamingSession session(o);
   for (const auto& chunk : periodic_chunks(25, 10.0)) {
     session.ingest(std::span<const tr::IoRequest>(chunk));
     session.predict();
   }
-  // A growing member's next window always starts at the trace begin, so
+  // A growing session's next window always starts at the trace begin, so
   // nothing may ever be evicted.
   EXPECT_EQ(session.compaction_stats().compactions, 0u);
   EXPECT_EQ(session.compaction_stats().evicted_events, 0u);

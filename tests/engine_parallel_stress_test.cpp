@@ -94,7 +94,6 @@ TEST(EngineParallelStress, ConcurrentFlushesOnOneSession) {
   eng::StreamingOptions options;
   options.online.base = base_options();
   options.online.strategy = core::WindowStrategy::kGrowing;
-  options.engine.threads = 2;
   eng::StreamingSession session(options);
 
   constexpr int kThreads = 4;
@@ -145,7 +144,6 @@ TEST(EngineParallelStress, ConcurrentIndependentSessionsStayDeterministic) {
     eng::StreamingOptions options;
     options.online.base = base_options();
     options.online.strategy = core::WindowStrategy::kAdaptive;
-    options.engine.threads = 2;
     eng::StreamingSession session(options);
     std::vector<core::Prediction> history;
     for (std::size_t i = 0; i < trace.requests.size(); i += kChunk) {

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "engine/streaming.hpp"
@@ -30,19 +32,46 @@ std::vector<std::vector<tr::IoRequest>> chunk_trace(const tr::Trace& trace,
 }
 
 /// The session posture the snapshot must round-trip exactly: compaction
-/// and triage on (the stateful tiers), a bounded history, and an
-/// ensemble member next to the primary strategy.
+/// and triage on (the stateful tiers), a bounded history, and the
+/// fixed-length strategy, whose look-back moves the sample-cache anchor.
 eng::StreamingOptions snapshot_options() {
   eng::StreamingOptions options;
   options.online.base.sampling_frequency = 2.0;
   options.online.base.with_metrics = false;
-  options.ensemble = {core::WindowStrategy::kFixedLength};
+  options.online.strategy = core::WindowStrategy::kFixedLength;
   options.online.fixed_window = 40.0;
   options.compaction.enabled = true;
   options.compaction.max_history = 16;
   options.triage.enabled = true;
-  options.engine.threads = 1;
   return options;
+}
+
+std::uint64_t read_u64(const std::vector<std::uint8_t>& bytes,
+                       std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    v |= static_cast<std::uint64_t>(bytes[at + i]) << (8 * i);
+  }
+  return v;
+}
+
+/// Byte offsets of the two reserved count fields of a version-1 payload:
+/// the one ahead of the sample cache and the one right after it. Located
+/// by the cache's own shape — [0][n][n samples][start][fs][end][n]
+/// [mode][valid][0] — with n the cache's sample count.
+std::pair<std::size_t, std::size_t> reserved_count_offsets(
+    const std::vector<std::uint8_t>& payload, std::uint64_t n) {
+  const std::size_t cache_bytes = 8 + 8 * n + 3 * 8 + 8 + 2;
+  for (std::size_t at = 0; at + 8 + cache_bytes + 8 <= payload.size();
+       ++at) {
+    const std::size_t after = at + 8 + cache_bytes;
+    if (read_u64(payload, at) == 0 && read_u64(payload, at + 8) == n &&
+        read_u64(payload, after - 10) == n && read_u64(payload, after) == 0) {
+      return {at, after};
+    }
+  }
+  ADD_FAILURE() << "reserved count fields not found";
+  return {0, 0};
 }
 
 void expect_identical(const core::Prediction& a, const core::Prediction& b,
@@ -50,7 +79,9 @@ void expect_identical(const core::Prediction& a, const core::Prediction& b,
   EXPECT_EQ(a.at_time, b.at_time) << "flush " << flush;
   ASSERT_EQ(a.frequency.has_value(), b.frequency.has_value())
       << "flush " << flush;
-  if (a.frequency) EXPECT_EQ(*a.frequency, *b.frequency) << "flush " << flush;
+  if (a.frequency) {
+    EXPECT_EQ(*a.frequency, *b.frequency) << "flush " << flush;
+  }
   EXPECT_EQ(a.confidence, b.confidence) << "flush " << flush;
   EXPECT_EQ(a.refined_confidence, b.refined_confidence) << "flush " << flush;
   EXPECT_EQ(a.window_start, b.window_start) << "flush " << flush;
@@ -176,6 +207,19 @@ TEST(EngineSnapshotTest, CorruptStateIsRejectedAndSessionUnchanged) {
   std::vector<std::uint8_t> garbage(64, 0xAB);
   EXPECT_THROW(session.restore_state(garbage), ftio::util::ParseError);
   EXPECT_EQ(session.serialize_state(), before);
+
+  // The reserved count fields (sizes of a removed multi-strategy
+  // session's extra state) must read 0: a payload that claims one extra
+  // strategy is rejected, not half-read.
+  const auto [members, caches] =
+      reserved_count_offsets(before, session.history().back().sample_count);
+  ASSERT_LT(members, caches);
+  for (const std::size_t at : {members, caches}) {
+    std::vector<std::uint8_t> extra = before;
+    extra[at] = 1;
+    EXPECT_THROW(session.restore_state(extra), ftio::util::ParseError);
+    EXPECT_EQ(session.serialize_state(), before);
+  }
 
   std::vector<std::uint8_t> flipped = before;
   flipped[flipped.size() / 3] ^= 0x40;

@@ -150,12 +150,6 @@ TEST(StreamingSession, RejectsInvalidOptions) {
   o.online = online_options(core::WindowStrategy::kFixedLength);
   o.online.fixed_window = 0.0;
   rejects(o);
-  // The same bad length on an ensemble member behind a valid primary.
-  o.online.strategy = core::WindowStrategy::kAdaptive;
-  o.ensemble = {core::WindowStrategy::kFixedLength};
-  o.online.fixed_window = -1.0;
-  rejects(o);
-  o.ensemble.clear();
 
   // A bad auto-fs clamp range fails at build time, not on every predict.
   o.online = online_options(core::WindowStrategy::kGrowing);
@@ -416,39 +410,18 @@ TEST(StreamingSession, MergedIntervalsMatchReference) {
   }
 }
 
-TEST(StreamingSession, EnsembleMatchesDedicatedReferences) {
-  // Every ensemble member must evolve exactly like a dedicated reference
-  // loop running that strategy over the same stream.
-  eng::StreamingOptions streaming;
-  streaming.online = online_options(core::WindowStrategy::kAdaptive);
-  streaming.ensemble = {core::WindowStrategy::kGrowing,
-                        core::WindowStrategy::kFixedLength};
-  eng::StreamingSession session(streaming);
-
-  auto growing_options = streaming.online;
-  growing_options.strategy = core::WindowStrategy::kGrowing;
-  ReferenceLoop growing(growing_options);
-  auto fixed_options = streaming.online;
-  fixed_options.strategy = core::WindowStrategy::kFixedLength;
-  ReferenceLoop fixed(fixed_options);
-
+TEST(StreamingSession, StrategiesMatchDedicatedReferences) {
+  // A session running each look-back rule must evolve exactly like a
+  // reference loop running that strategy over the same stream.
   auto chunks = periodic_chunks(12, 10.0);
-  // Straggler reaching back into swept time: the growing member's sample
+  // Straggler reaching back into swept time: the growing session's sample
   // cache must drop its dirty suffix and still match the reference.
   chunks[9].push_back({1, 73.0, 76.5, 60'000'000, tr::IoKind::kWrite});
-  for (std::size_t i = 0; i < chunks.size(); ++i) {
-    const std::span<const tr::IoRequest> chunk(chunks[i]);
-    session.ingest(chunk);
-    session.predict();
-    const auto expected_growing = growing.flush(chunk);
-    const auto expected_fixed = fixed.flush(chunk);
-    expect_identical(expected_growing, session.ensemble_history(0).back(),
-                     static_cast<int>(i));
-    expect_identical(expected_fixed, session.ensemble_history(1).back(),
-                     static_cast<int>(i));
+  for (const auto strategy : {core::WindowStrategy::kGrowing,
+                              core::WindowStrategy::kFixedLength}) {
+    SCOPED_TRACE(static_cast<int>(strategy));
+    expect_stream_identical(online_options(strategy), chunks);
   }
-  EXPECT_EQ(session.ensemble_history(0).size(), chunks.size());
-  EXPECT_THROW(session.ensemble_history(2), ftio::util::InvalidArgument);
 }
 
 TEST(StreamingSession, TraceAggregatesMatch) {

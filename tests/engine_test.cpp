@@ -4,9 +4,11 @@
 
 #include <cmath>
 #include <numbers>
+#include <utility>
 #include <vector>
 
 #include "core/ftio.hpp"
+#include "signal/step_function.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -27,6 +29,16 @@ std::vector<double> tone(std::size_t n, double freq, double fs,
            rng.uniform(-0.5, 0.5);
   }
   return x;
+}
+
+/// The step curve holding x[i] on [origin + i/fs, origin + (i+1)/fs).
+ftio::signal::StepFunction step_curve(const std::vector<double>& x,
+                                      double fs, double origin = 0.0) {
+  std::vector<double> times(x.size() + 1);
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    times[i] = origin + static_cast<double>(i) / fs;
+  }
+  return {std::move(times), x};
 }
 
 /// Field-by-field exact comparison: the batched path must run the very
@@ -56,7 +68,7 @@ void expect_identical(const core::FtioResult& a, const core::FtioResult& b) {
 
 }  // namespace
 
-TEST(Engine, AnalyzeManyMatchesLoopedAnalyzeSamples) {
+TEST(Engine, AnalyzeManyMatchesLoopedAnalyzeBandwidth) {
   const double fs = 2.0;
   std::vector<std::vector<double>> signals;
   signals.push_back(tone(400, 0.05, fs, 1));
@@ -64,9 +76,9 @@ TEST(Engine, AnalyzeManyMatchesLoopedAnalyzeSamples) {
   signals.push_back(tone(1024, 0.02, fs, 3));  // pow2 N
   signals.push_back(tone(600, 0.25, fs, 4));
   signals.push_back(std::vector<double>(300, 1.0));  // constant, aperiodic
-  // Equal-length views (the ensemble fan-out shape): several workers run
-  // the same-size plan concurrently, which must stay bit-identical to
-  // looped analyze_samples.
+  // Equal-length views: several workers run the same-size plan
+  // concurrently, which must stay bit-identical to looped
+  // analyze_bandwidth.
   signals.push_back(tone(400, 0.08, fs, 5));
   signals.push_back(tone(400, 0.12, fs, 6));
   signals.push_back(tone(1024, 0.06, fs, 7));
@@ -74,18 +86,19 @@ TEST(Engine, AnalyzeManyMatchesLoopedAnalyzeSamples) {
   core::FtioOptions opts;
   opts.sampling_frequency = fs;
 
-  std::vector<eng::TraceView> views;
+  std::vector<ftio::signal::StepFunction> curves;
   for (const auto& s : signals) {
-    views.push_back(eng::TraceView::of_samples(s, /*origin=*/10.0));
+    curves.push_back(step_curve(s, fs, /*origin=*/10.0));
   }
+  std::vector<eng::TraceView> views;
+  for (const auto& c : curves) views.push_back(eng::TraceView::of(c));
   eng::EngineOptions engine;
   engine.threads = 4;
   const auto batch = eng::analyze_many(views, opts, engine);
 
-  ASSERT_EQ(batch.size(), signals.size());
-  for (std::size_t i = 0; i < signals.size(); ++i) {
-    const auto want = core::analyze_samples(signals[i], opts, 10.0);
-    expect_identical(batch[i], want);
+  ASSERT_EQ(batch.size(), curves.size());
+  for (std::size_t i = 0; i < curves.size(); ++i) {
+    expect_identical(batch[i], core::analyze_bandwidth(curves[i], opts));
   }
 }
 
@@ -127,15 +140,15 @@ TEST(Engine, BandwidthViewMatchesAnalyzeBandwidth) {
 
 TEST(Engine, ThreadCountDoesNotChangeResults) {
   const double fs = 1.0;
-  std::vector<std::vector<double>> signals;
+  std::vector<ftio::signal::StepFunction> curves;
   for (std::uint64_t s = 0; s < 12; ++s) {
-    signals.push_back(tone(200 + 37 * s, 0.04, fs, 100 + s));
+    curves.push_back(step_curve(tone(200 + 37 * s, 0.04, fs, 100 + s), fs));
   }
   core::FtioOptions opts;
   opts.sampling_frequency = fs;
 
   std::vector<eng::TraceView> views;
-  for (const auto& s : signals) views.push_back(eng::TraceView::of_samples(s));
+  for (const auto& c : curves) views.push_back(eng::TraceView::of(c));
 
   eng::EngineOptions serial;
   serial.threads = 1;
@@ -155,8 +168,8 @@ TEST(Engine, EmptyBatchReturnsEmpty) {
 TEST(Engine, WorkerExceptionPropagatesToCaller) {
   // A bad view in a multi-threaded batch must surface as a catchable
   // exception on the calling thread, not std::terminate the process.
-  const auto good = tone(128, 0.05, 1.0, 11);
-  std::vector<eng::TraceView> views(4, eng::TraceView::of_samples(good));
+  const auto good = step_curve(tone(128, 0.05, 1.0, 11), 1.0);
+  std::vector<eng::TraceView> views(4, eng::TraceView::of(good));
   views[2] = eng::TraceView{};  // no source set
 
   core::FtioOptions opts;

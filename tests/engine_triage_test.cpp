@@ -188,7 +188,6 @@ TEST(SessionTriage, MaxSkippedForcesCadence) {
 
 TEST(SessionTriage, SkippedPredictionsCarryLastFullValues) {
   eng::StreamingOptions o = triage_options(core::WindowStrategy::kFixedLength);
-  o.ensemble = {core::WindowStrategy::kGrowing};
   eng::StreamingSession session(o);
   core::Prediction last_full;
   bool saw_skip = false;
@@ -203,10 +202,6 @@ TEST(SessionTriage, SkippedPredictionsCarryLastFullValues) {
       EXPECT_EQ(p.confidence, last_full.confidence) << "flush " << flush;
       EXPECT_EQ(p.window_start, last_full.window_start) << "flush " << flush;
       EXPECT_EQ(p.at_time, session.end_time()) << "flush " << flush;
-      // Ensemble members are re-stamped from their own last full run.
-      const auto& mp = session.ensemble_history(0).back();
-      EXPECT_TRUE(mp.from_triage) << "flush " << flush;
-      EXPECT_EQ(mp.at_time, session.end_time()) << "flush " << flush;
     } else {
       last_full = p;
     }
@@ -215,7 +210,6 @@ TEST(SessionTriage, SkippedPredictionsCarryLastFullValues) {
   EXPECT_TRUE(saw_skip);
   // History records every flush, skipped or not.
   EXPECT_EQ(session.history().size(), 50u);
-  EXPECT_EQ(session.ensemble_history(0).size(), 50u);
 }
 
 TEST(SessionTriage, WarmupBlocksEarlySkips) {

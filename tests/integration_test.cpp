@@ -29,7 +29,8 @@ ftio::trace::Trace traced_bsp_run(ftio::tmio::Format format,
                                   std::vector<std::uint8_t>* sink = nullptr) {
   ftio::mpisim::FileSystemModel fs{8e9, 8e9, 2e9};
   ftio::mpisim::VirtualCluster cluster(8, fs);
-  ftio::tmio::Tracer tracer(8, {.format = format, .app_name = "bsp"});
+  ftio::tmio::Tracer tracer(
+      8, {.format = format, .path = {}, .app_name = "bsp"});
   cluster.attach_tracer(&tracer);
   cluster.run([](ftio::mpisim::RankEnv& env) {
     for (int iter = 0; iter < 14; ++iter) {
@@ -132,7 +133,8 @@ TEST(Integration, PerRankViewOfTracedRun) {
 TEST(Integration, OnlinePredictionFromTracerChunks) {
   ftio::mpisim::FileSystemModel fs{8e9, 8e9, 2e9};
   ftio::mpisim::VirtualCluster cluster(4, fs);
-  ftio::tmio::Tracer tracer(4, {.mode = ftio::tmio::Mode::kOnline});
+  ftio::tmio::Tracer tracer(
+      4, {.mode = ftio::tmio::Mode::kOnline, .path = {}});
   cluster.attach_tracer(&tracer);
 
   ftio::engine::StreamingOptions options;

@@ -353,7 +353,9 @@ TEST(Autocorrelation, PeriodicSignalPeaksAtPeriod) {
   // 0.25 Hz tone at fs = 8 Hz -> period of 32 samples.
   const auto x = cosine(0.25, 8.0, 64.0);
   const auto acf = sig::autocorrelation(x);
-  const auto peaks = sig::find_peaks(acf, {.min_height = 0.5});
+  sig::PeakOptions options;
+  options.min_height = 0.5;
+  const auto peaks = sig::find_peaks(acf, options);
   ASSERT_FALSE(peaks.empty());
   EXPECT_NEAR(static_cast<double>(peaks.front().index), 32.0, 1.0);
 }
@@ -412,7 +414,9 @@ TEST(FindPeaks, PlateauReportsMiddle) {
 
 TEST(FindPeaks, HeightFilter) {
   const std::vector<double> v{0, 1, 0, 5, 0};
-  const auto peaks = sig::find_peaks(v, {.min_height = 2.0});
+  sig::PeakOptions options;
+  options.min_height = 2.0;
+  const auto peaks = sig::find_peaks(v, options);
   ASSERT_EQ(peaks.size(), 1u);
   EXPECT_EQ(peaks[0].index, 3u);
 }
@@ -420,7 +424,9 @@ TEST(FindPeaks, HeightFilter) {
 TEST(FindPeaks, ThresholdFilter) {
   // Peak at 3 rises only 0.5 above its neighbours.
   const std::vector<double> v{0, 2.0, 1.5, 2.0, 0, 5, 0};
-  const auto peaks = sig::find_peaks(v, {.min_threshold = 1.0});
+  sig::PeakOptions options;
+  options.min_threshold = 1.0;
+  const auto peaks = sig::find_peaks(v, options);
   ASSERT_EQ(peaks.size(), 1u);
   EXPECT_EQ(peaks[0].index, 5u);
 }
@@ -429,14 +435,18 @@ TEST(FindPeaks, DistanceFilterKeepsHighest) {
   // Peaks at 1 (h=3), 3 (h=5), 5 (h=4); distance 3 removes both neighbours
   // of the tallest peak (gaps of 2 samples).
   const std::vector<double> v{0, 3, 0, 5, 0, 4, 0};
-  const auto peaks = sig::find_peaks(v, {.min_distance = 3});
+  sig::PeakOptions options;
+  options.min_distance = 3;
+  const auto peaks = sig::find_peaks(v, options);
   ASSERT_EQ(peaks.size(), 1u);
   EXPECT_EQ(peaks[0].index, 3u);
 }
 
 TEST(FindPeaks, DistanceFilterKeepsFarApartPeaks) {
   const std::vector<double> v{0, 3, 0, 0, 0, 4, 0};
-  const auto peaks = sig::find_peaks(v, {.min_distance = 3});
+  sig::PeakOptions options;
+  options.min_distance = 3;
+  const auto peaks = sig::find_peaks(v, options);
   ASSERT_EQ(peaks.size(), 2u);
   EXPECT_EQ(peaks[0].index, 1u);
   EXPECT_EQ(peaks[1].index, 5u);
@@ -449,7 +459,9 @@ TEST(FindPeaks, ProminenceComputedAgainstHigherGround) {
   ASSERT_EQ(peaks.size(), 2u);
   EXPECT_DOUBLE_EQ(peaks[0].prominence, 10.0);
   EXPECT_DOUBLE_EQ(peaks[1].prominence, 1.0);
-  const auto prominent = sig::find_peaks(v, {.min_prominence = 2.0});
+  sig::PeakOptions options;
+  options.min_prominence = 2.0;
+  const auto prominent = sig::find_peaks(v, options);
   ASSERT_EQ(prominent.size(), 1u);
   EXPECT_EQ(prominent[0].index, 1u);
 }

@@ -88,7 +88,9 @@ TEST(Fft, SingleToneLandsInCorrectBin) {
   EXPECT_NEAR(std::abs(y[5]), static_cast<double>(n) / 2.0, 1e-9);
   EXPECT_NEAR(std::abs(y[59]), static_cast<double>(n) / 2.0, 1e-9);
   for (std::size_t k = 0; k < n; ++k) {
-    if (k != 5 && k != 59) EXPECT_NEAR(std::abs(y[k]), 0.0, 1e-9);
+    if (k != 5 && k != 59) {
+      EXPECT_NEAR(std::abs(y[k]), 0.0, 1e-9);
+    }
   }
 }
 

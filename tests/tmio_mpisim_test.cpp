@@ -55,7 +55,7 @@ TEST(FileSystemModel, Presets) {
 // ---------------------------------------------------------------------------
 
 TEST(Tracer, RecordsAndSnapshots) {
-  tmio::Tracer tracer(4, {.app_name = "t"});
+  tmio::Tracer tracer(4, {.path = {}, .app_name = "t"});
   tracer.record(0, tr::IoKind::kWrite, 0.0, 1.0, 100);
   tracer.record(3, tr::IoKind::kRead, 0.5, 2.0, 200);
   const auto snap = tracer.snapshot();
@@ -76,7 +76,8 @@ TEST(Tracer, RejectsBadInput) {
 }
 
 TEST(Tracer, OnlineFlushShipsOnlyNewRecords) {
-  tmio::Tracer tracer(1, {.mode = tmio::Mode::kOnline, .app_name = "x"});
+  tmio::Tracer tracer(
+      1, {.mode = tmio::Mode::kOnline, .path = {}, .app_name = "x"});
   tracer.record(0, tr::IoKind::kWrite, 0.0, 1.0, 10);
   tracer.flush(1.0);
   const auto size_after_first = tracer.sink().size();
@@ -92,7 +93,7 @@ TEST(Tracer, OnlineFlushShipsOnlyNewRecords) {
 }
 
 TEST(Tracer, UnflushedChunkFeedsOnlinePrediction) {
-  tmio::Tracer tracer(2, {.mode = tmio::Mode::kOnline});
+  tmio::Tracer tracer(2, {.mode = tmio::Mode::kOnline, .path = {}});
   tracer.record(0, tr::IoKind::kWrite, 0.0, 1.0, 10);
   tracer.record(1, tr::IoKind::kWrite, 0.2, 1.2, 10);
   auto chunk = tracer.unflushed_chunk();
@@ -105,7 +106,8 @@ TEST(Tracer, UnflushedChunkFeedsOnlinePrediction) {
 }
 
 TEST(Tracer, MsgpackSinkDecodes) {
-  tmio::Tracer tracer(1, {.format = tmio::Format::kMsgpack, .app_name = "mp"});
+  tmio::Tracer tracer(
+      1, {.format = tmio::Format::kMsgpack, .path = {}, .app_name = "mp"});
   tracer.record(0, tr::IoKind::kWrite, 0.0, 1.5, 42);
   tracer.finalize();
   const auto parsed = tr::from_msgpack(tracer.sink());
@@ -231,7 +233,7 @@ TEST(VirtualCluster, PeriodicProgramYieldsDetectablePeriod) {
   // End-to-end: a BSP loop traced through TMIO and analysed by FTIO.
   mp::FileSystemModel fs{8e9, 8e9, 4e9};
   mp::VirtualCluster cluster(8, fs);
-  tmio::Tracer tracer(8, {.app_name = "bsp"});
+  tmio::Tracer tracer(8, {.path = {}, .app_name = "bsp"});
   cluster.attach_tracer(&tracer);
   cluster.run([](mp::RankEnv& env) {
     for (int iter = 0; iter < 12; ++iter) {
@@ -250,7 +252,8 @@ TEST(VirtualCluster, PeriodicProgramYieldsDetectablePeriod) {
 
 TEST(VirtualCluster, OnlineFlushProducesMarkers) {
   mp::VirtualCluster cluster(4, mp::FileSystemModel::lichtenberg());
-  tmio::Tracer tracer(4, {.mode = tmio::Mode::kOnline, .app_name = "loop"});
+  tmio::Tracer tracer(
+      4, {.mode = tmio::Mode::kOnline, .path = {}, .app_name = "loop"});
   cluster.attach_tracer(&tracer);
   cluster.run([](mp::RankEnv& env) {
     for (int iter = 0; iter < 3; ++iter) {

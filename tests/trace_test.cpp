@@ -130,9 +130,12 @@ TEST(Bandwidth, KindFilterSelectsDirection) {
   tr::Trace t;
   t.requests.push_back({0, 0.0, 1.0, 1'000'000, tr::IoKind::kWrite});
   t.requests.push_back({0, 0.0, 1.0, 9'000'000, tr::IoKind::kRead});
-  const auto writes = tr::bandwidth_signal(t, {.kind = tr::IoKind::kWrite});
+  tr::BandwidthOptions options;
+  options.kind = tr::IoKind::kWrite;
+  const auto writes = tr::bandwidth_signal(t, options);
   EXPECT_DOUBLE_EQ(writes.value_at(0.5), 1e6);
-  const auto reads = tr::bandwidth_signal(t, {.kind = tr::IoKind::kRead});
+  options.kind = tr::IoKind::kRead;
+  const auto reads = tr::bandwidth_signal(t, options);
   EXPECT_DOUBLE_EQ(reads.value_at(0.5), 9e6);
 }
 

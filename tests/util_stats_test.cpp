@@ -166,7 +166,9 @@ TEST(Stats, ZScoresDetectSingleSpike) {
   const auto z = u::z_scores(v);
   EXPECT_GT(z[42], 3.0);
   for (std::size_t i = 0; i < v.size(); ++i) {
-    if (i != 42) EXPECT_LT(z[i], 3.0);
+    if (i != 42) {
+      EXPECT_LT(z[i], 3.0);
+    }
   }
 }
 
