@@ -1,16 +1,16 @@
-// Microbenchmark: per-detector cost of the period-detector registry.
-// Each registered method runs directly (DetectorRegistry detect() calls
-// over precomputed artefacts), so the numbers isolate what one detector
-// adds on top of the shared spectrum/ACF work; BM_DetectorPipeline
-// prices the full three-detector analysis next to the seed {dft, acf}
-// default.
+// Microbenchmark: per-stage cost of the detection pipeline. The DFT
+// verdict (Sec. II-B) and the ACF refinement (Sec. II-C) run directly
+// over precomputed artefacts, so their numbers isolate what each stage
+// adds on top of the shared spectrum/ACF transforms; BM_DetectorPipeline
+// prices one full analyze_samples call.
 
 #include <benchmark/benchmark.h>
 
 #include <cmath>
 #include <vector>
 
-#include "core/detectors.hpp"
+#include "core/acf_analysis.hpp"
+#include "core/candidates.hpp"
 #include "core/ftio.hpp"
 #include "signal/autocorrelation.hpp"
 #include "signal/spectrum.hpp"
@@ -31,17 +31,7 @@ std::vector<double> burst_fixture(std::size_t n) {
   return x;
 }
 
-/// Trending fixture (the cfd-autoperiod target): ramp + sine.
-std::vector<double> trend_fixture(std::size_t n) {
-  std::vector<double> x(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = static_cast<double>(i);
-    x[i] = 2.0e6 * t + 2.0e7 * std::sin(2.0 * M_PI * t / 27.0);
-  }
-  return x;
-}
-
-/// Precomputed artefact bundle a DetectorInput points into.
+/// Precomputed artefacts the stage benchmarks read.
 struct Fixture {
   std::vector<double> samples;
   sig::Spectrum spectrum;
@@ -53,76 +43,52 @@ struct Fixture {
     spectrum = sig::compute_spectrum(samples, 1.0);
     acf = sig::autocorrelation(samples);
   }
-
-  core::DetectorInput input() const {
-    core::DetectorInput in;
-    in.samples = samples;
-    in.sampling_frequency = 1.0;
-    in.spectrum = &spectrum;
-    in.acf = &acf;
-    in.options = &options;
-    return in;
-  }
 };
-
-void run_detector(benchmark::State& state, const char* name,
-                  const Fixture& fixture) {
-  const core::PeriodDetector* detector =
-      core::DetectorRegistry::global().find(name);
-  if (detector == nullptr) {
-    state.SkipWithError("detector not registered");
-    return;
-  }
-  const core::DetectorInput input = fixture.input();
-  std::size_t found = 0;
-  double period = 0.0;
-  for (auto _ : state) {
-    core::DetectorVerdict v = detector->detect(input);
-    found += v.found ? 1 : 0;
-    period = v.period;
-    benchmark::DoNotOptimize(v);
-  }
-  state.counters["found"] =
-      static_cast<double>(found) / static_cast<double>(state.iterations());
-  state.counters["period_s"] = period;
-}
 
 const Fixture& bursts() {
   static const Fixture f(burst_fixture(1024));
   return f;
 }
 
-const Fixture& trending() {
-  static const Fixture f(trend_fixture(1024));
-  return f;
-}
-
 void BM_DetectorDft(benchmark::State& state) {
-  run_detector(state, "dft", bursts());
+  const Fixture& fixture = bursts();
+  std::size_t found = 0;
+  double period = 0.0;
+  for (auto _ : state) {
+    core::DftAnalysis dft =
+        core::analyze_spectrum(fixture.spectrum, fixture.options.candidates);
+    found += dft.dominant_frequency ? 1 : 0;
+    period = dft.period();
+    benchmark::DoNotOptimize(dft);
+  }
+  state.counters["found"] =
+      static_cast<double>(found) / static_cast<double>(state.iterations());
+  state.counters["period_s"] = period;
 }
 BENCHMARK(BM_DetectorDft);
 
 void BM_DetectorAcf(benchmark::State& state) {
-  run_detector(state, "acf", bursts());
+  const Fixture& fixture = bursts();
+  std::size_t found = 0;
+  double period = 0.0;
+  for (auto _ : state) {
+    core::AcfAnalysis acf = core::analyze_autocorrelation_prepared(
+        fixture.acf, fixture.options.sampling_frequency, fixture.options.acf);
+    found += acf.found() ? 1 : 0;
+    period = acf.period;
+    benchmark::DoNotOptimize(acf);
+  }
+  state.counters["found"] =
+      static_cast<double>(found) / static_cast<double>(state.iterations());
+  state.counters["period_s"] = period;
 }
 BENCHMARK(BM_DetectorAcf);
 
-void BM_DetectorCfdAutoperiod(benchmark::State& state) {
-  run_detector(state, "cfd-autoperiod", trending());
-}
-BENCHMARK(BM_DetectorCfdAutoperiod);
-
 void BM_DetectorPipeline(benchmark::State& state) {
-  // End-to-end analyze_samples: Arg 0 = the seed {dft, acf} default,
-  // Arg 1 = all three built-ins fused. The gap between the two is the
-  // full price of the extended registry on one window.
+  // End-to-end analyze_samples with the paper defaults (DFT + ACF).
   const std::vector<double> x = burst_fixture(1024);
   core::FtioOptions opts;
   opts.sampling_frequency = 1.0;
-  if (state.range(0) != 0) {
-    opts.detectors.detectors = {
-        {"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}};
-  }
   std::size_t fused_found = 0;
   for (auto _ : state) {
     const core::FtioResult r = core::analyze_samples(x, opts);
@@ -133,7 +99,8 @@ void BM_DetectorPipeline(benchmark::State& state) {
       static_cast<double>(fused_found) /
       static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_DetectorPipeline)->Arg(0)->Arg(1);
+// Arg 0 keeps the name the committed baseline and history gate on.
+BENCHMARK(BM_DetectorPipeline)->Arg(0);
 
 }  // namespace
 

@@ -58,20 +58,6 @@ int main() {
     // previous flush, ship them to the trace sink, and feed the same
     // chunk to the session (flushing first would mark them as already
     // consumed and unflushed_chunk would come back empty).
-    // A few flushes in, widen the detector set: cfd-autoperiod validates
-    // spectral hints of the detrended window on its ACF, alongside the
-    // default {dft, acf} pair, from the next full analysis on. Swapping
-    // detectors is free at any flush boundary — the incremental curve
-    // and sample caches carry over.
-    // (Once the triage bank answers steady flushes, full analyses — and
-    // with them the registry — only rerun on drift or cadence checks.)
-    if (loop == 3) {
-      ftio::core::DetectorSetOptions detectors;
-      detectors.detectors = {{"dft", 1.0}, {"acf", 1.0},
-                             {"cfd-autoperiod", 1.0}};
-      session.set_detectors(std::move(detectors));
-    }
-
     const auto chunk = tracer.unflushed_chunk();
     tracer.flush(chunk.end_time());
     session.ingest(chunk);
@@ -86,26 +72,23 @@ int main() {
     }
   }
 
-  // Per-detector votes behind the last full analysis: each selected
-  // method's verdict and the weighted fusion over them.
+  // The two stages behind the last full analysis: the DFT verdict, its
+  // ACF refinement, and the prediction fused from both.
   const auto& last_full = session.last_result();
-  std::printf("\ndetector votes (last full analysis):\n");
-  for (const auto& v : last_full.detector_verdicts) {
-    const bool corroborate =
-        (v.capabilities & ftio::core::kCapCorroborateOnly) != 0;
-    if (v.found) {
-      std::printf("  %-14s period %6.2f s  confidence %3.0f%%%s\n",
-                  v.name.c_str(), v.period, 100.0 * v.confidence,
-                  corroborate ? "  (corroborate-only)" : "");
-    } else {
-      std::printf("  %-14s no period\n", v.name.c_str());
-    }
+  std::printf("\nlast full analysis:\n");
+  if (last_full.periodic()) {
+    std::printf("  dft: period %6.2f s  confidence %3.0f%%\n",
+                last_full.period(), 100.0 * last_full.dft.confidence);
+  } else {
+    std::printf("  dft: no period\n");
+  }
+  if (last_full.acf && last_full.acf->found()) {
+    std::printf("  acf: period %6.2f s  confidence %3.0f%%\n",
+                last_full.acf->period, 100.0 * last_full.acf->confidence);
   }
   if (last_full.fused.found()) {
-    std::printf("  fused: period %.2f s, confidence %.0f%%, agreement "
-                "%.0f%% over %zu votes\n",
-                last_full.fused.period, 100.0 * last_full.fused.confidence,
-                100.0 * last_full.fused.agreement, last_full.fused.supporting);
+    std::printf("  fused: period %.2f s, confidence %.0f%%\n",
+                last_full.fused.period, 100.0 * last_full.fused.confidence);
   }
 
   std::printf("\nmerged frequency intervals (DBSCAN over predictions):\n");

@@ -92,30 +92,16 @@ int main() {
   std::printf("\n(the checkpoint cadence dominates; the logger is noise "
               "below the V/L threshold)\n");
 
-  // Detector registry view: the same aggregate through all three
-  // built-ins — one verdict per method, then the weighted fusion the
-  // default {dft, acf} pair is a special case of.
-  ftio::core::FtioOptions reg_opts = opts;
-  reg_opts.detectors.detectors = {
-      {"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}};
-  const auto full = ftio::core::detect(t, reg_opts);
-  std::printf("\ndetector votes on the aggregate:\n");
-  for (const auto& v : full.detector_verdicts) {
-    const bool corroborate =
-        (v.capabilities & ftio::core::kCapCorroborateOnly) != 0;
-    if (v.found) {
-      std::printf("  %-15s period %6.2f s  confidence %3.0f%%%s\n",
-                  v.name.c_str(), v.period, 100.0 * v.confidence,
-                  corroborate ? "  (corroborate-only)" : "");
-    } else {
-      std::printf("  %-15s no period\n", v.name.c_str());
-    }
+  // The two pipeline stages behind the aggregate verdict: the ACF
+  // refinement of the DFT period, and the prediction fused from both.
+  std::printf("\npipeline stages on the aggregate:\n");
+  if (aggregate.acf && aggregate.acf->found()) {
+    std::printf("  acf refinement: period %.2f s (confidence %.0f%%)\n",
+                aggregate.acf->period, 100.0 * aggregate.acf->confidence);
   }
-  if (full.fused.found()) {
-    std::printf("  fused: period %.2f s, confidence %.0f%%, "
-                "agreement %.0f%% over %zu votes\n",
-                full.fused.period, 100.0 * full.fused.confidence,
-                100.0 * full.fused.agreement, full.fused.supporting);
+  if (aggregate.fused.found()) {
+    std::printf("  fused: period %.2f s, confidence %.0f%%\n",
+                aggregate.fused.period, 100.0 * aggregate.fused.confidence);
   } else {
     std::printf("  fused: no periodic verdict\n");
   }

@@ -9,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "core/detectors.hpp"
 #include "core/ftio.hpp"
 #include "engine/streaming.hpp"
 #include "trace/model.hpp"
@@ -69,20 +68,9 @@ ftio::core::FtioOptions decode_options(ByteReader& reader) {
   options.sampling_mode = (reader.u8() & 1) != 0
                               ? ftio::signal::SamplingMode::kBinAverage
                               : ftio::signal::SamplingMode::kPointSample;
-  // Rotate through detector selections so every registered method sees
-  // fuzzed windows, not just the default {dft, acf} pair.
-  switch (reader.u8() % 3) {
-    case 0:
-      break;  // paper default
-    case 1:
-      options.detectors.detectors = {{"dft", 1.0}, {"cfd-autoperiod", 0.5}};
-      break;
-    default:
-      options.detectors.detectors = {{"dft", 1.0},
-                                     {"cfd-autoperiod", 1.0},
-                                     {"acf", 1.0}};
-      break;
-  }
+  // Reserved byte: still consumed so the committed corpus seeds decode
+  // to the same programs.
+  static_cast<void>(reader.u8());
   return options;
 }
 

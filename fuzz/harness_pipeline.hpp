@@ -9,7 +9,7 @@ namespace ftio::fuzz {
 /// streaming session.
 ///
 /// The input bytes are decoded as a bounded event program: a small
-/// option header (sampling mode, detector set, triage/compaction
+/// option header (sampling mode, ACF pass, triage/compaction
 /// switches) followed by up to a few hundred I/O requests whose gaps,
 /// durations, byte counts, and ranks are folded into sane finite
 /// ranges. The harness then runs the offline core::detect pipeline and

@@ -107,18 +107,12 @@ AcfAnalysis analyze_autocorrelation_prepared(std::span<const double> acf,
   return out;
 }
 
-double period_similarity(std::span<const double> candidate_periods,
-                         double period) {
-  if (candidate_periods.empty() || period <= 0.0) return 0.0;
-  std::vector<double> merged(candidate_periods.begin(),
-                             candidate_periods.end());
-  merged.push_back(period);
+double dft_acf_similarity(const AcfAnalysis& acf, double dft_period) {
+  if (acf.candidate_periods.empty() || dft_period <= 0.0) return 0.0;
+  std::vector<double> merged = acf.candidate_periods;
+  merged.push_back(dft_period);
   return std::clamp(1.0 - ftio::util::coefficient_of_variation(merged), 0.0,
                     1.0);
-}
-
-double dft_acf_similarity(const AcfAnalysis& acf, double dft_period) {
-  return period_similarity(acf.candidate_periods, dft_period);
 }
 
 double merged_confidence(double dft_confidence, const AcfAnalysis& acf,

@@ -42,25 +42,17 @@ AcfAnalysis analyze_autocorrelation(std::span<const double> samples, double fs,
 /// The peak/period/confidence stages of analyze_autocorrelation on an
 /// already-computed, lag-0-normalised ACF (lags 0..N-1 of an N-sample
 /// signal), for callers that already computed signal::autocorrelation
-/// (the acf detector reads AnalysisArtifacts::acf through it). Results
+/// (analyze_samples reads AnalysisArtifacts::acf through it). Results
 /// are identical to analyze_autocorrelation on the original samples.
 AcfAnalysis analyze_autocorrelation_prepared(std::span<const double> acf,
                                              double fs,
                                              const AcfOptions& options = {});
 
-/// Similarity of a reference period to a set of candidate periods:
-/// 1 minus the coefficient of variation of {candidates..., period},
-/// clamped to [0, 1]. Returns 0 when there are no candidates or the
-/// period is non-positive. This is the c_s of Sec. II-C generalised to
-/// any detector's candidate list; the confidence fusion scores every
-/// secondary detector's agreement with the primary period through it.
-double period_similarity(std::span<const double> candidate_periods,
-                         double period);
-
 /// Similarity c_s of the DFT period to the ACF candidates: 1 minus the
-/// coefficient of variation of {candidates..., dft_period} (Sec. II-C
-/// "we find the similarity ... using the coefficient of variation").
-/// Returns 0 when there are no candidates.
+/// coefficient of variation of {candidates..., dft_period}, clamped to
+/// [0, 1] (Sec. II-C "we find the similarity ... using the coefficient
+/// of variation"). Returns 0 when there are no candidates or the period
+/// is non-positive.
 double dft_acf_similarity(const AcfAnalysis& acf, double dft_period);
 
 /// Refined confidence (c_d + c_a + c_s) / 3 as in the Sec. II-C example.

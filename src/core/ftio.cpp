@@ -3,10 +3,43 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/contracts.hpp"
 #include "util/error.hpp"
 
 namespace ftio::core {
+
+namespace {
+
+/// Periods within this relative factor (log scale) agree in the fused
+/// prediction.
+constexpr double kFusionPeriodTolerance = 0.15;
+
+FusedPrediction fuse(const DftAnalysis& dft,
+                     const std::optional<AcfAnalysis>& acf) {
+  FusedPrediction out;
+  const double period = dft.period();
+  if (period <= 0.0) return out;
+  // Each stage that ran counts once in the denominator; the ACF adds its
+  // confidence only when its period agrees with the DFT period. The sum
+  // runs from 0.0 in stage order and must stay so: the golden-bits test
+  // in core_detectors_test pins the result, and perfbench's same_result
+  // checks that its staged path and core::detect agree on it.
+  double mass = 0.0;
+  mass += dft.confidence;
+  double stages = 1.0;
+  if (acf) {
+    stages += 1.0;
+    const double tolerance = std::log1p(kFusionPeriodTolerance);
+    if (acf->found() && std::abs(std::log(acf->period / period)) <= tolerance) {
+      mass += acf->confidence;
+    }
+  }
+  out.frequency = 1.0 / period;
+  out.period = period;
+  out.confidence = std::clamp(mass / stages, 0.0, 1.0);
+  return out;
+}
+
+}  // namespace
 
 FtioResult analyze_samples(std::span<const double> samples,
                            const FtioOptions& options, double origin,
@@ -36,62 +69,22 @@ FtioResult analyze_samples_prepared(std::span<const double> samples,
       origin + static_cast<double>(samples.size()) / options.sampling_frequency;
   result.sample_count = samples.size();
 
-  // Registry pipeline: run the selected detectors over the shared
-  // artefacts, in selection order (the first is the fusion primary).
-  // With the default selection this executes exactly the seed pipeline —
-  // analyze_spectrum, then the ACF refinement and (c_d + c_a + c_s)/3.
-  const std::span<const DetectorSelection> selections =
-      effective_selections(options.detectors, options.with_autocorrelation);
-  DetectorInput input;
-  input.samples = samples;
-  input.sampling_frequency = options.sampling_frequency;
-  input.origin = origin;
-  input.spectrum = &spectrum;
-  input.acf = artifacts.acf;
-  input.source_curve = artifacts.source_curve;
-  input.options = &options;
-
-  DetectorRegistry& registry = DetectorRegistry::global();
-  result.detector_verdicts.reserve(selections.size());
-  for (const DetectorSelection& selection : selections) {
-    const PeriodDetector* detector = registry.find(selection.name);
-    ftio::util::expect(detector != nullptr,
-                       "analyze_samples: unknown detector in selection");
-    ftio::util::expect(std::isfinite(selection.weight) &&
-                           selection.weight >= 0.0,
-                       "analyze_samples: detector weight must be finite "
-                       "and >= 0");
-    DetectorVerdict verdict = detector->detect(input);
-    // The verdict invariants every registered detector (built-in or
-    // plugged-in) must uphold — fusion and the confidence merge divide
-    // by and cluster on these fields, so a malformed verdict corrupts
-    // every downstream consumer silently.
-    FTIO_CONTRACT(verdict.name == selection.name,
-                  "detector verdict must carry the registry name");
-    FTIO_CONTRACT(verdict.confidence >= 0.0 && verdict.confidence <= 1.0,
-                  "detector confidence must be in [0, 1]");
-    FTIO_CONTRACT(!verdict.found ||
-                      (verdict.period > 0.0 && std::isfinite(verdict.period) &&
-                       verdict.frequency > 0.0),
-                  "a found verdict must name a positive finite period");
-    FTIO_CONTRACT(verdict.found ||
-                      (verdict.period == 0.0 && verdict.frequency == 0.0),
-                  "a not-found verdict must leave period and frequency 0");
-    verdict.weight = selection.weight;
-    if (verdict.dft) {
-      result.dft = std::move(*verdict.dft);
-      verdict.dft.reset();
-    }
-    if (verdict.acf) {
-      result.acf = std::move(*verdict.acf);
-      verdict.acf.reset();
-    }
-    result.detector_verdicts.push_back(std::move(verdict));
+  // The paper pipeline: the DFT verdict (Sec. II-B), then the ACF
+  // refinement and (c_d + c_a + c_s)/3 (Sec. II-C).
+  result.dft = analyze_spectrum(spectrum, options.candidates);
+  if (options.with_autocorrelation && artifacts.acf != nullptr) {
+    result.acf = analyze_autocorrelation_prepared(
+        *artifacts.acf, options.sampling_frequency, options.acf);
+  } else if (options.with_autocorrelation) {
+    result.acf = analyze_autocorrelation(samples, options.sampling_frequency,
+                                         options.acf);
   }
+  const double period = result.dft.period();
   result.refined_confidence =
-      corroborated_confidence(result.detector_verdicts);
-  result.fused =
-      fuse_verdicts(result.detector_verdicts, options.detectors.fusion);
+      result.acf && period > 0.0
+          ? merged_confidence(result.dft.confidence, *result.acf, period)
+          : result.dft.confidence;
+  result.fused = fuse(result.dft, result.acf);
 
   if (options.keep_spectrum) result.spectrum = std::move(spectrum);
   return result;
@@ -174,10 +167,7 @@ FtioResult analyze_bandwidth(const ftio::signal::StepFunction& bandwidth,
   const AnalysisWindow window = select_analysis_window(bandwidth, options);
   std::vector<double> samples;
   discretize_window(bandwidth, window, options, 0, samples);
-  AnalysisArtifacts artifacts;
-  artifacts.source_curve = &bandwidth;
-  FtioResult result =
-      analyze_samples(samples, options, window.start, artifacts);
+  FtioResult result = analyze_samples(samples, options, window.start);
   finish_bandwidth_result(bandwidth, window, samples, options, result);
   return result;
 }

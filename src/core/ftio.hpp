@@ -6,7 +6,6 @@
 
 #include "core/acf_analysis.hpp"
 #include "core/candidates.hpp"
-#include "core/detectors.hpp"
 #include "core/metrics.hpp"
 #include "signal/spectrum.hpp"
 #include "signal/step_function.hpp"
@@ -34,6 +33,8 @@ struct FtioOptions {
   /// Candidate extraction knobs (Z-score threshold, tolerance, method).
   CandidateOptions candidates;
   /// Run the autocorrelation refinement (Sec. II-C). Costs one extra FFT.
+  /// The only switch in the detection pipeline: the DFT stage always
+  /// runs, the ACF pass runs when this is set.
   bool with_autocorrelation = true;
   AcfOptions acf;
   /// Compute sigma_vol / R_IO / sigma_time when a period was found.
@@ -44,30 +45,32 @@ struct FtioOptions {
   /// Discretisation mode (point sampling matches the paper's definition).
   ftio::signal::SamplingMode sampling_mode =
       ftio::signal::SamplingMode::kPointSample;
-  /// Which period detectors run and how their verdicts fuse. The default
-  /// (empty selection) is the paper pipeline — dft plus acf when
-  /// with_autocorrelation is set — bit-identical to the pre-registry
-  /// code; an explicit selection overrides it (see DetectorSetOptions).
-  DetectorSetOptions detectors;
+};
+
+/// The DFT verdict and its ACF refinement folded into one prediction.
+/// Found exactly when the DFT stage found a period, which it names; the
+/// confidence is c_d, plus c_a when the ACF period lies within 15%
+/// (log scale) of the DFT period, over the number of stages that ran.
+/// perfbench's offline bit-identity check reads it.
+struct FusedPrediction {
+  std::optional<double> frequency;  ///< Hz, unset when aperiodic
+  double period = 0.0;              ///< seconds, 0 when aperiodic
+  double confidence = 0.0;          ///< in [0, 1]
+
+  bool found() const { return frequency.has_value(); }
 };
 
 /// Complete result of one FTIO evaluation.
 struct FtioResult {
   /// DFT stage (Sec. II-B): verdict, dominant frequency, candidates, c_d.
   DftAnalysis dft;
-  /// Autocorrelation refinement (Sec. II-C), empty when the acf detector
-  /// did not run.
+  /// Autocorrelation refinement (Sec. II-C), empty when
+  /// with_autocorrelation was off.
   std::optional<AcfAnalysis> acf;
-  /// Primary-anchored confidence merge over every detector that ran:
-  /// (c_d + c_a + c_s)/3 with the default selection when the ACF found a
-  /// period, c_d alone otherwise (see corroborated_confidence).
+  /// (c_d + c_a + c_s)/3 (merged_confidence) when both the DFT stage and
+  /// the ACF found a period, c_d alone otherwise.
   double refined_confidence = 0.0;
-  /// Per-detector verdicts, in selection order (the first entry is the
-  /// fusion primary; stage payloads are moved into `dft`/`acf` above).
-  std::vector<DetectorVerdict> detector_verdicts;
-  /// Weighted vote over the verdicts — the surface where non-default
-  /// detectors (cfd-autoperiod, plug-ins, the streaming triage vote) can
-  /// report a period the primary DFT stage missed.
+  /// The DFT verdict and its ACF refinement as one prediction.
   FusedPrediction fused;
   /// Characterization metrics, present when a period was found and
   /// with_metrics was set.
@@ -87,25 +90,22 @@ struct FtioResult {
   double frequency() const { return dft.dominant_frequency.value_or(0.0); }
   double period() const { return dft.period(); }
   /// The analysis confidence: refined_confidence, which equals the bare
-  /// c_d whenever no secondary detector corroborated. (The pre-registry
-  /// accessor reported the unrefined c_d even when the ACF pass ran,
-  /// diverging from what merge_predictions consumed; callers that want
-  /// the pure DFT figure read dft.confidence.)
+  /// c_d whenever the ACF did not corroborate. Callers that want the
+  /// pure DFT figure read dft.confidence.
   double confidence() const { return refined_confidence; }
 };
 
-/// Precomputed artefacts and auxiliary sources for one analysis. All
-/// fields are optional: a detector that needs a missing artefact computes
-/// it from the samples. Pointed-to objects must outlive the call.
-/// analyze_bandwidth sets source_curve; a caller that already holds the
+/// Precomputed artefacts for one analysis. All fields are optional: the
+/// pipeline computes a missing artefact from the samples. Pointed-to
+/// objects must outlive the call. A caller that already holds the
 /// window's ACF (perfbench/src/offline.cpp times the transform stages
 /// separately) passes it through `acf`.
 struct AnalysisArtifacts {
-  /// signal::autocorrelation(samples); read by the acf detector.
+  /// signal::autocorrelation(samples); read by the ACF refinement.
   const std::vector<double>* acf = nullptr;
-  /// The continuous bandwidth curve the samples were discretised from;
-  /// no built-in reads it, plug-ins registered through
-  /// DetectorRegistry::add may (forwarded as DetectorInput::source_curve).
+  /// The continuous bandwidth curve the samples were discretised from.
+  /// Nothing reads it: it stays only because perfbench/src/offline.cpp
+  /// sets it.
   const ftio::signal::StepFunction* source_curve = nullptr;
 };
 
@@ -117,7 +117,7 @@ FtioResult analyze_samples(std::span<const double> samples,
 
 /// analyze_samples with the spectrum supplied by the caller, for callers
 /// that compute the transform stages themselves (perfbench/src/offline.cpp
-/// does, to time them apart from the detectors). `spectrum` must
+/// does, to time them apart from the DFT and ACF stages). `spectrum` must
 /// be compute_spectrum(samples, fs); artefacts follow the
 /// AnalysisArtifacts contract. Results are identical to analyze_samples.
 FtioResult analyze_samples_prepared(std::span<const double> samples,

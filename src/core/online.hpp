@@ -52,7 +52,11 @@ struct Prediction {
   std::optional<double> frequency;  ///< dominant frequency, if any
   double confidence = 0.0;          ///< c_d
   double refined_confidence = 0.0;  ///< merged with ACF when enabled
-  double window_start = 0.0;        ///< data window the evaluation used
+  /// Data window the evaluation used. A from_triage prediction carries
+  /// the window of the last full analysis, whose data compaction may
+  /// already have evicted; merge_predictions reads these bounds, so
+  /// they stay those of the analysis that produced the period.
+  double window_start = 0.0;
   double window_end = 0.0;
   std::size_t sample_count = 0;
   /// True when the streaming triage tier synthesized this prediction from

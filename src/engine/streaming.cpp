@@ -48,12 +48,6 @@ StreamingSession::StreamingSession(StreamingOptions options)
   ftio::util::expect(!options_.triage.enabled ||
                          options_.triage.warmup_analyses >= 1,
                      "StreamingSession: warmup_analyses must be >= 1");
-  for (const auto& selection : options_.online.base.detectors.detectors) {
-    ftio::util::expect(std::isfinite(selection.weight) &&
-                           selection.weight >= 0.0,
-                       "StreamingSession: detector weight must be finite "
-                       "and >= 0");
-  }
 }
 
 void StreamingSession::ingest(

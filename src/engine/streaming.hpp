@@ -134,14 +134,14 @@ struct StreamingOptions {
 ///
 /// Concurrency contract (the sharded-daemon posture, compiler-checked
 /// via the util::annotated primitives): every mutating entry point —
-/// ingest(), predict(), set_detectors() — and every by-value accessor
-/// serialises on an internal mutex, so any number of threads may feed
-/// and evaluate one session concurrently. Accessors that return
-/// *references* into session state (history(), last_result(),
-/// bandwidth(), merged_intervals(), app(), detectors()) take the lock
-/// for their own bookkeeping but hand out a reference the lock no longer
-/// covers: call them only while no other thread is mutating the
-/// session, exactly the single-threaded reading pattern they always had.
+/// ingest(), predict() — and every by-value accessor serialises on an
+/// internal mutex, so any number of threads may feed and evaluate one
+/// session concurrently. Accessors that return *references* into
+/// session state (history(), last_result(), bandwidth(),
+/// merged_intervals(), app()) take the lock for their own bookkeeping
+/// but hand out a reference the lock no longer covers: call them only
+/// while no other thread is mutating the session, exactly the
+/// single-threaded reading pattern they always had.
 class StreamingSession {
  public:
   explicit StreamingSession(StreamingOptions options);
@@ -151,20 +151,6 @@ class StreamingSession {
   void ingest(std::span<const ftio::trace::IoRequest> requests)
       FTIO_EXCLUDES(mutex_);
   void ingest(const ftio::trace::Trace& chunk) FTIO_EXCLUDES(mutex_);
-
-  /// Swaps the detector set used by subsequent predict() evaluations —
-  /// the per-flush registry surface. Safe at any flush boundary: the
-  /// incremental curve, sample caches, and window state are
-  /// detector-agnostic, so switching costs nothing and the next full
-  /// analysis simply runs (and fuses) the new selection.
-  void set_detectors(ftio::core::DetectorSetOptions detectors)
-      FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    options_.online.base.detectors = std::move(detectors);
-  }
-  const ftio::core::DetectorSetOptions& detectors() const {
-    return options_.online.base.detectors;
-  }
 
   /// Runs one evaluation of the window strategy over the current window
   /// and records it. Returns the Prediction — bit-identical to

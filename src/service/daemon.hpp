@@ -30,8 +30,8 @@ namespace ftio::service {
 ///    * max_tenants_per_shard) resident sessions (bench/load_ingest.cpp
 ///    is the proof harness);
 ///  - graceful degradation, never collapse: overload moves shards down
-///    the DegradationLevel ladder (full -> reduced detectors ->
-///    triage-stride -> ingest-only) and admission starts coalescing,
+///    the DegradationLevel ladder (full -> triage-stride -> ingest-only)
+///    and admission starts coalescing,
 ///    then rejecting — quality and latency are shed, tenants are not;
 ///  - fault isolation: malformed records cost themselves
 ///    (ParsePolicy::kSkipBad), a throwing session costs its tenant

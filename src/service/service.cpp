@@ -23,7 +23,6 @@ const char* admission_name(Admission admission) {
 const char* degradation_level_name(DegradationLevel level) {
   switch (level) {
     case DegradationLevel::kFull: return "full";
-    case DegradationLevel::kReduced: return "reduced";
     case DegradationLevel::kTriageOnly: return "triage-only";
     case DegradationLevel::kIngestOnly: return "ingest-only";
   }

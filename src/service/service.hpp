@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/detectors.hpp"
 #include "durability/durability.hpp"
 #include "engine/streaming.hpp"
 #include "trace/formats.hpp"
@@ -55,20 +54,17 @@ inline bool admitted(Admission a) {
 /// `recovery_cycles` consecutive calm cycles, so quality degrades fast
 /// and restores hysteretically.
 enum class DegradationLevel : std::uint8_t {
-  /// Every flush analysed with the session's full detector selection.
+  /// Every flush analysed.
   kFull = 0,
-  /// Every flush analysed, reduced detector selection
-  /// (LadderOptions::reduced_detectors via StreamingSession::set_detectors).
-  kReduced = 1,
   /// Analysis cadence stretched to every `triage_stride`-th flush; the
   /// session's triage filter bank answers the flushes in between.
-  kTriageOnly = 2,
+  kTriageOnly = 1,
   /// Ingest only: the incremental curve keeps extending (compaction
   /// bounds it to O(window)), no analysis runs at all.
-  kIngestOnly = 3,
+  kIngestOnly = 2,
 };
 
-inline constexpr std::size_t kDegradationLevels = 4;
+inline constexpr std::size_t kDegradationLevels = 3;
 const char* degradation_level_name(DegradationLevel level);
 
 /// Degradation-ladder knobs, watermarks as fractions of the mailbox
@@ -84,10 +80,6 @@ struct LadderOptions {
   /// Analysis stride at kTriageOnly: predict() runs on every Nth flush
   /// per tenant (must be >= 1).
   std::size_t triage_stride = 4;
-  /// Detector selection applied at kReduced and kTriageOnly; the empty
-  /// default resolves to the registry's {dft, acf} pair, already far
-  /// cheaper than the full detector set.
-  ftio::core::DetectorSetOptions reduced_detectors;
 };
 
 /// Per-tenant token-bucket analysis budget. Refilled in wall-clock time;
@@ -101,9 +93,9 @@ struct BudgetOptions {
 
 /// The tenant-session template a multi-tenant daemon wants by default:
 /// compaction and triage on (bounded memory, cheap steady-state
-/// flushes), bounded prediction history, and a single engine thread —
-/// the shard event loop is the parallelism axis, so per-session fan-out
-/// would oversubscribe.
+/// flushes) and a bounded prediction history. Each session analyses on
+/// the shard thread that owns it; the shard event loop is the
+/// parallelism axis.
 ftio::engine::StreamingOptions default_session_template();
 
 /// Configuration of the daemon. The embedded StreamingOptions is the

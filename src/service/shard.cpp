@@ -388,7 +388,6 @@ void Shard::analyze(Tenant& tenant, DegradationLevel level,
     ++delta.counters.budget_skips;
     return;
   }
-  apply_level(tenant, level);
   try {
     if (FTIO_FAILPOINT("service.session_throw")) {
       throw std::runtime_error("failpoint: service.session_throw");
@@ -407,16 +406,6 @@ void Shard::analyze(Tenant& tenant, DegradationLevel level,
   } catch (const std::exception&) {
     poison(tenant, delta);
   }
-}
-
-void Shard::apply_level(Tenant& tenant, DegradationLevel level) {
-  const bool reduced = level == DegradationLevel::kReduced ||
-                       level == DegradationLevel::kTriageOnly;
-  if (reduced == tenant.reduced_detectors) return;
-  tenant.session->set_detectors(reduced
-                                    ? options_.ladder.reduced_detectors
-                                    : options_.session.online.base.detectors);
-  tenant.reduced_detectors = reduced;
 }
 
 void Shard::refill_bucket(Tenant& tenant) {

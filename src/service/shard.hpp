@@ -138,7 +138,6 @@ class Shard {
     std::size_t flushes_since_analysis = 0;
     /// Sample count of the last analysis — the warm-plan grouping key.
     std::size_t last_sample_count = 0;
-    bool reduced_detectors = false;  ///< ladder detector set applied
     bool poisoned = false;
     // Durability. last_applied_seq is the highest journal sequence
     // reflected in this tenant's state (session + pending); the cached
@@ -186,7 +185,6 @@ class Shard {
   /// Analyses every due tenant once, grouped by last sample count.
   void run_due_analyses(DegradationLevel level, CycleDelta& delta);
   void analyze(Tenant& tenant, DegradationLevel level, CycleDelta& delta);
-  void apply_level(Tenant& tenant, DegradationLevel level);
   void refill_bucket(Tenant& tenant);
   bool take_token(Tenant& tenant);
   bool take_snapshot_token(Tenant& tenant);

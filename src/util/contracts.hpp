@@ -11,8 +11,9 @@
 /// violated condition with its source location and aborts, so Debug and
 /// sanitizer CI legs turn latent corruption (a planar lane shorter than
 /// the plan, a step function whose boundaries stopped increasing, a
-/// detector verdict claiming a period of zero) into an immediate,
-/// attributable failure instead of a downstream miscomputation.
+/// compaction that evicts past the next reachable window) into an
+/// immediate, attributable failure instead of a downstream
+/// miscomputation.
 ///
 ///  - FTIO_ASSERT(cond): internal invariant, condition text is the
 ///    message.

@@ -105,39 +105,6 @@ std::vector<double> z_scores(std::span<const double> values) {
   return scores;
 }
 
-LinearFit linear_fit(std::span<const double> values) {
-  LinearFit fit;
-  const std::size_t n = values.size();
-  if (n == 0) return fit;
-  if (n == 1) {
-    fit.intercept = values[0];
-    return fit;
-  }
-  // Closed-form least squares over x = 0..n-1: the x statistics are
-  // analytic (mean (n-1)/2, variance (n^2-1)/12).
-  const double nd = static_cast<double>(n);
-  const double x_mean = (nd - 1.0) / 2.0;
-  const double x_var = (nd * nd - 1.0) / 12.0;
-  const double y_mean = mean(values);
-  double cov = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    cov += (static_cast<double>(i) - x_mean) * (values[i] - y_mean);
-  }
-  cov /= nd;
-  fit.slope = cov / x_var;
-  fit.intercept = y_mean - fit.slope * x_mean;
-  return fit;
-}
-
-std::vector<double> detrend(std::span<const double> values) {
-  const LinearFit fit = linear_fit(values);
-  std::vector<double> out(values.size());
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    out[i] = values[i] - (fit.intercept + fit.slope * static_cast<double>(i));
-  }
-  return out;
-}
-
 BoxplotSummary boxplot_summary(std::span<const double> values) {
   expect(!values.empty(), "boxplot_summary: empty input");
   std::vector<double> sorted(values.begin(), values.end());

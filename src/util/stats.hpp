@@ -45,24 +45,6 @@ double max_value(std::span<const double> values);
 /// population sigma. A zero standard deviation yields all-zero scores.
 std::vector<double> z_scores(std::span<const double> values);
 
-/// Least-squares line y ~= intercept + slope * i over sample indices
-/// i = 0..N-1.
-struct LinearFit {
-  double intercept = 0.0;
-  double slope = 0.0;
-};
-
-/// Fits the least-squares line through `values` against their indices.
-/// A span of size < 2 yields slope 0 (intercept = the single value, or 0
-/// when empty).
-LinearFit linear_fit(std::span<const double> values);
-
-/// Removes the least-squares linear trend: returns
-/// values[i] - (intercept + slope * i). The CFD-autoperiod detector runs
-/// the spectral pipeline on this residual so a drifting baseline cannot
-/// bury the periodic component in low-frequency leakage.
-std::vector<double> detrend(std::span<const double> values);
-
 /// Five-number summary with 1.5*IQR whiskers, as used by the paper's
 /// boxplots (Figs. 8, 9, 17).
 struct BoxplotSummary {

@@ -1,25 +1,27 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cinttypes>
 #include <cmath>
-#include <limits>
-#include <memory>
+#include <cstdint>
+#include <cstdio>
 #include <numbers>
+#include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 #include "core/acf_analysis.hpp"
-#include "core/detectors.hpp"
 #include "core/ftio.hpp"
-#include "engine/engine.hpp"
 #include "signal/spectrum.hpp"
-#include "signal/step_function.hpp"
-#include "util/error.hpp"
+#include "workloads/apps.hpp"
+#include "workloads/phase_library.hpp"
+#include "workloads/semisynthetic.hpp"
 
 namespace core = ftio::core;
 namespace sig = ftio::signal;
-namespace eng = ftio::engine;
+namespace wl = ftio::workloads;
 
 namespace {
 
@@ -35,86 +37,6 @@ std::vector<double> burst_train(std::size_t n, double period, double duty,
   return x;
 }
 
-core::DetectorVerdict make_verdict(std::string_view name, bool found,
-                                   double period, double confidence,
-                                   double weight = 1.0,
-                                   unsigned capabilities = 0) {
-  core::DetectorVerdict v;
-  v.name = std::string(name);
-  v.capabilities = capabilities;
-  v.weight = weight;
-  v.found = found;
-  v.period = period;
-  v.frequency = period > 0.0 ? 1.0 / period : 0.0;
-  v.confidence = confidence;
-  return v;
-}
-
-}  // namespace
-
-// ---------------------------------------------------------------------------
-// Registry default = seed pipeline, bit for bit
-// ---------------------------------------------------------------------------
-
-TEST(DetectorRegistry, DefaultSelectionBitIdenticalToSeedPipeline) {
-  const auto x = burst_train(400, 20.0, 3.0, 10.0);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-  const core::FtioResult r = core::analyze_samples(x, opts);
-
-  // Hand-rolled seed pipeline: spectrum -> analyze_spectrum -> ACF
-  // refinement -> (c_d + c_a + c_s) / 3.
-  const sig::Spectrum spectrum = sig::compute_spectrum(x, 1.0);
-  const core::DftAnalysis dft = core::analyze_spectrum(spectrum,
-                                                       opts.candidates);
-  const core::AcfAnalysis acf = core::analyze_autocorrelation(x, 1.0,
-                                                              opts.acf);
-  const double refined =
-      dft.dominant_frequency
-          ? core::merged_confidence(dft.confidence, acf, dft.period())
-          : dft.confidence;
-
-  ASSERT_TRUE(r.dft.dominant_frequency.has_value());
-  ASSERT_TRUE(dft.dominant_frequency.has_value());
-  // EXPECT_EQ on doubles is exact equality: the registry default must be
-  // bit-identical to the seed, not merely close.
-  EXPECT_EQ(*r.dft.dominant_frequency, *dft.dominant_frequency);
-  EXPECT_EQ(r.dft.confidence, dft.confidence);
-  ASSERT_TRUE(r.acf.has_value());
-  EXPECT_EQ(r.acf->period, acf.period);
-  EXPECT_EQ(r.acf->confidence, acf.confidence);
-  EXPECT_EQ(r.refined_confidence, refined);
-  EXPECT_EQ(r.confidence(), r.refined_confidence);
-
-  // The verdicts mirror the selection: dft primary, acf corroborating.
-  ASSERT_EQ(r.detector_verdicts.size(), 2u);
-  EXPECT_EQ(r.detector_verdicts[0].name, "dft");
-  EXPECT_EQ(r.detector_verdicts[1].name, "acf");
-  EXPECT_NE(r.detector_verdicts[1].capabilities & core::kCapCorroborateOnly,
-            0u);
-  ASSERT_TRUE(r.fused.found());
-  EXPECT_EQ(r.fused.period, r.period());
-  EXPECT_EQ(r.fused.supporting, 2u);
-}
-
-TEST(DetectorRegistry, WithoutAutocorrelationOnlyDftRuns) {
-  const auto x = burst_train(400, 20.0, 3.0, 10.0);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-  opts.with_autocorrelation = false;
-  const core::FtioResult r = core::analyze_samples(x, opts);
-  ASSERT_EQ(r.detector_verdicts.size(), 1u);
-  EXPECT_EQ(r.detector_verdicts[0].name, "dft");
-  EXPECT_FALSE(r.acf.has_value());
-  EXPECT_EQ(r.refined_confidence, r.dft.confidence);
-}
-
-// ---------------------------------------------------------------------------
-// Trend robustness: cfd-autoperiod on a fixture the paper pipeline misses
-// ---------------------------------------------------------------------------
-
-namespace {
-
 /// Linear ramp + sine: the trend's 1/f^2 spectral skirt dominates the
 /// z-scores, so the Eq. (3) candidate rule never isolates the sine.
 std::vector<double> trending_sine(std::size_t n, double slope,
@@ -129,244 +51,338 @@ std::vector<double> trending_sine(std::size_t n, double slope,
 
 }  // namespace
 
-TEST(DetectorRegistry, TrendingFixtureNeedsCfdAutoperiod) {
-  const auto x = trending_sine(240, 0.8, 8.0, 20.0);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-
-  const core::FtioResult seed = core::analyze_samples(x, opts);
-  EXPECT_FALSE(seed.periodic());
-  EXPECT_FALSE(seed.fused.found());
-
-  core::FtioOptions with_cfd = opts;
-  with_cfd.detectors.detectors = {{"dft", 1.0}, {"cfd-autoperiod", 1.0}};
-  const core::FtioResult r = core::analyze_samples(x, with_cfd);
-  ASSERT_EQ(r.detector_verdicts.size(), 2u);
-  const core::DetectorVerdict& cfd = r.detector_verdicts[1];
-  EXPECT_EQ(cfd.name, "cfd-autoperiod");
-  ASSERT_TRUE(cfd.found);
-  EXPECT_NEAR(cfd.period, 20.0, 1.0);
-  ASSERT_TRUE(r.fused.found());
-  EXPECT_NEAR(r.fused.period, 20.0, 1.0);
-}
-
-TEST(DetectorRegistry, AutoperiodValidatesSpectralHintOnAcf) {
-  // On a clean burst train cfd-autoperiod agrees with the DFT.
-  const auto x = burst_train(400, 20.0, 3.0, 10.0);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-  opts.detectors.detectors = {{"dft", 1.0}, {"cfd-autoperiod", 1.0}};
-  const core::FtioResult r = core::analyze_samples(x, opts);
-  ASSERT_EQ(r.detector_verdicts.size(), 2u);
-  const core::DetectorVerdict& ap = r.detector_verdicts[1];
-  ASSERT_TRUE(ap.found);
-  EXPECT_NEAR(ap.period, 20.0, 1.0);
-  EXPECT_GT(ap.confidence, 0.5);
-  ASSERT_TRUE(r.fused.found());
-  EXPECT_EQ(r.fused.supporting, 2u);
-}
-
 // ---------------------------------------------------------------------------
-// Fusion semantics
-// ---------------------------------------------------------------------------
-
-TEST(Fusion, CorroborateOnlyVerdictCannotSeedPrediction) {
-  std::vector<core::DetectorVerdict> verdicts;
-  verdicts.push_back(make_verdict("dft", false, 0.0, 0.0));
-  verdicts.push_back(make_verdict("acf", true, 20.0, 0.9, 1.0,
-                                  core::kCapCorroborateOnly));
-  const core::FusedPrediction fused =
-      core::fuse_verdicts(verdicts, core::FusionOptions{});
-  EXPECT_FALSE(fused.found());
-}
-
-TEST(Fusion, CorroborateOnlyVerdictAddsMassToCluster) {
-  std::vector<core::DetectorVerdict> verdicts;
-  verdicts.push_back(make_verdict("dft", true, 20.0, 0.6));
-  verdicts.push_back(make_verdict("acf", true, 20.4, 0.8, 1.0,
-                                  core::kCapCorroborateOnly));
-  const core::FusedPrediction fused =
-      core::fuse_verdicts(verdicts, core::FusionOptions{});
-  ASSERT_TRUE(fused.found());
-  EXPECT_DOUBLE_EQ(fused.period, 20.0);  // the seed names the period
-  EXPECT_EQ(fused.supporting, 2u);
-  EXPECT_DOUBLE_EQ(fused.agreement, 1.0);
-  EXPECT_DOUBLE_EQ(fused.confidence, (0.6 + 0.8) / 2.0);
-}
-
-TEST(Fusion, HeaviestClusterWinsWeightedVote) {
-  std::vector<core::DetectorVerdict> verdicts;
-  verdicts.push_back(make_verdict("dft", true, 20.0, 0.9));
-  verdicts.push_back(make_verdict("cfd-autoperiod", true, 20.4, 0.2));
-  verdicts.push_back(make_verdict("plugin", true, 40.0, 0.5, 3.0));
-  const core::FusedPrediction fused =
-      core::fuse_verdicts(verdicts, core::FusionOptions{});
-  ASSERT_TRUE(fused.found());
-  EXPECT_DOUBLE_EQ(fused.period, 40.0);  // mass 1.5 beats 1.1
-  EXPECT_EQ(fused.supporting, 1u);
-  EXPECT_DOUBLE_EQ(fused.confidence, 1.5 / 5.0);
-  EXPECT_DOUBLE_EQ(fused.agreement, 3.0 / 5.0);
-}
-
-TEST(Fusion, CorroboratedConfidenceMatchesSeedMerge) {
-  // Primary found + corroborator found: exactly (c_d + c_a + c_s) / 3.
-  core::AcfAnalysis acf;
-  acf.candidate_periods = {19.5, 20.0, 20.5};
-  acf.period = 20.0;
-  acf.confidence = 0.7;
-  std::vector<core::DetectorVerdict> verdicts;
-  verdicts.push_back(make_verdict("dft", true, 20.0, 0.5));
-  auto acf_verdict = make_verdict("acf", true, 20.0, acf.confidence, 1.0,
-                                  core::kCapCorroborateOnly);
-  acf_verdict.candidate_periods = acf.candidate_periods;
-  verdicts.push_back(acf_verdict);
-  EXPECT_EQ(core::corroborated_confidence(verdicts),
-            core::merged_confidence(0.5, acf, 20.0));
-
-  // Primary not found: its own confidence passes through.
-  verdicts[0] = make_verdict("dft", false, 0.0, 0.25);
-  EXPECT_EQ(core::corroborated_confidence(verdicts), 0.25);
-}
-
-// ---------------------------------------------------------------------------
-// Registry surface
+// Golden bits: the paper pipeline's outputs on seeded workload traces,
+// pinned as IEEE-754 bit patterns. Any change to the DFT stage, the ACF
+// refinement, the confidence merge, the fused prediction, the
+// discretisation or the metrics shows up here as a changed hex string.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-class ConstantDetector final : public core::PeriodDetector {
- public:
-  std::string_view name() const override { return "constant-7"; }
-  unsigned capabilities() const override { return 0; }
-  core::DetectorVerdict detect(const core::DetectorInput&) const override {
-    core::DetectorVerdict v;
-    v.name = "constant-7";
-    v.found = true;
-    v.period = 7.0;
-    v.frequency = 1.0 / 7.0;
-    v.confidence = 1.0;
-    return v;
-  }
+std::string hex_bits(double x) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64,
+                std::bit_cast<std::uint64_t>(x));
+  return buf;
+}
+
+std::string hex_bits(const std::optional<double>& x) {
+  return x ? hex_bits(*x) : std::string("none");
+}
+
+/// Every pinned output of one analysis, one "field=bits" entry each.
+std::string golden_fingerprint(const core::FtioResult& r) {
+  std::string out;
+  auto field = [&out](const char* name, const std::string& bits) {
+    if (!out.empty()) out += ' ';
+    out += name;
+    out += '=';
+    out += bits;
+  };
+  field("f_d", hex_bits(r.dft.dominant_frequency));
+  field("c_d", hex_bits(r.dft.confidence));
+  field("acf", r.acf ? hex_bits(r.acf->period) : "none");
+  field("refined", hex_bits(r.refined_confidence));
+  field("fused_f", hex_bits(r.fused.frequency));
+  field("fused_c", hex_bits(r.fused.confidence));
+  field("abs_err", hex_bits(r.abstraction_error));
+  field("sigma_vol", r.metrics ? hex_bits(r.metrics->sigma_vol) : "none");
+  return out;
+}
+
+struct GoldenCase {
+  const char* name;
+  bool with_autocorrelation;
+  const char* expected;
 };
+
+/// The analyses the golden table pins, by case name: fig07's three
+/// semi-synthetic regimes (seeds 1-3, as `fig07_semisynthetic --seed=1`
+/// builds them), LAMMPS and HACC-IO through core::detect, and the
+/// Nek5000 heatmap (a bandwidth curve, not a request trace) through
+/// core::analyze_bandwidth on its full and reduced windows.
+core::FtioResult run_golden(std::string_view name, bool with_acf) {
+  core::FtioOptions opts;
+  opts.with_autocorrelation = with_acf;
+  if (name.starts_with("fig07")) {
+    static const std::vector<wl::PhaseTrace> library = [] {
+      wl::PhaseLibraryConfig c;
+      c.phase_count = 20;
+      return wl::make_phase_library(c);
+    }();
+    wl::SemiSyntheticConfig c;
+    if (name == "fig07a") {
+      c.tcpu_mean = 10.4 / 4.0;
+      c.seed = 1;
+    } else if (name == "fig07b") {
+      c.tcpu_sigma = 22.0;
+      c.seed = 2;
+    } else {
+      c.phi = 22.0;
+      c.seed = 3;
+    }
+    opts.sampling_frequency = 1.0;
+    return core::detect(wl::generate_semisynthetic(c, library).trace, opts);
+  }
+  if (name == "lammps") {
+    wl::LammpsConfig c;
+    c.ranks = 64;
+    return core::detect(wl::generate_lammps_trace(c), opts);
+  }
+  if (name == "haccio") {
+    wl::HaccIoConfig c;
+    c.ranks = 32;
+    opts.candidates.tolerance = 0.55;  // fig12_haccio_offline's setting
+    return core::detect(wl::generate_haccio_trace(c), opts);
+  }
+  const auto heatmap = wl::generate_nek5000_heatmap();
+  opts.sampling_frequency = heatmap.implied_sampling_frequency();
+  opts.sampling_mode = sig::SamplingMode::kBinAverage;
+  if (name == "nek5000_reduced") opts.window_end = 56'000.0;
+  return core::analyze_bandwidth(heatmap.bandwidth(), opts);
+}
+
+/// The expected fingerprints. The x86-64-v3 build (FTIO_X86_64_V3=ON)
+/// defines __FMA__, and GCC then contracts `a * b + c` into fused
+/// multiply-adds everywhere but signal/plan.cpp, e.g. in
+/// util::variance. The statistics and the discretised curves then
+/// carry different last bits, and HACC-IO's dominant frequency moves
+/// (0.129937 Hz portable, 0.130086 Hz there), so that build has its own
+/// table. Both tables are exact: a change to either build's arithmetic
+/// shows up.
+#ifdef __FMA__
+constexpr GoldenCase kGoldenCases[] = {
+    {"fig07a", true,
+     "f_d=3fb3fbc6d664fd67 c_d=3feb77c0dc249ce4 "
+     "acf=406b800000000000 refined=3fe4ff1923c42bdc "
+     "fused_f=3fb3fbc6d664fd67 fused_c=3fdb77c0dc249ce4 "
+     "abs_err=3f8258561e16d575 sigma_vol=3cf91a27232b4613"},
+    {"fig07a", false,
+     "f_d=3fb3fbc6d664fd67 c_d=3feb77c0dc249ce4 "
+     "acf=none refined=3feb77c0dc249ce4 "
+     "fused_f=3fb3fbc6d664fd67 fused_c=3feb77c0dc249ce4 "
+     "abs_err=3f8258561e16d575 sigma_vol=3cf91a27232b4613"},
+    {"fig07b", true,
+     "f_d=none c_d=0000000000000000 "
+     "acf=4033f33333333333 refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f61a1567ef7d6ee sigma_vol=none"},
+    {"fig07b", false,
+     "f_d=none c_d=0000000000000000 "
+     "acf=none refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f61a1567ef7d6ee sigma_vol=none"},
+    {"fig07c", true,
+     "f_d=none c_d=0000000000000000 "
+     "acf=0000000000000000 refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f2f0a44c00a4e7a sigma_vol=none"},
+    {"fig07c", false,
+     "f_d=none c_d=0000000000000000 "
+     "acf=none refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f2f0a44c00a4e7a sigma_vol=none"},
+    {"lammps", true,
+     "f_d=3fa2b35799f74763 c_d=3fe22657129627e6 "
+     "acf=403b99999999999a refined=3feb572153b01520 "
+     "fused_f=3fa2b35799f74763 fused_c=3fe9132b894b13f3 "
+     "abs_err=3fa2c37ff31b8a9f sigma_vol=3fce590ef26b1b82"},
+    {"lammps", false,
+     "f_d=3fa2b35799f74763 c_d=3fe22657129627e6 "
+     "acf=none refined=3fe22657129627e6 "
+     "fused_f=3fa2b35799f74763 fused_c=3fe22657129627e6 "
+     "abs_err=3fa2c37ff31b8a9f sigma_vol=3fce590ef26b1b82"},
+    {"haccio", true,
+     "f_d=3fc0a6a50ea1c1d6 c_d=3fe1ec641a5aa5a4 "
+     "acf=401f800000000000 refined=3feb0d459a7ebc37 "
+     "fused_f=3fc0a6a50ea1c1d6 fused_c=3fe8cb11a0f6138a "
+     "abs_err=3f8cccccccbcae90 sigma_vol=3fc9a7e2166420d6"},
+    {"haccio", false,
+     "f_d=3fc0a6a50ea1c1d6 c_d=3fe1ec641a5aa5a4 "
+     "acf=none refined=3fe1ec641a5aa5a4 "
+     "fused_f=3fc0a6a50ea1c1d6 fused_c=3fe1ec641a5aa5a4 "
+     "abs_err=3f8cccccccbcae90 sigma_vol=3fc9a7e2166420d6"},
+    {"nek5000_full", true,
+     "f_d=none c_d=0000000000000000 "
+     "acf=0000000000000000 refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=0000000000000000 sigma_vol=none"},
+    {"nek5000_full", false,
+     "f_d=none c_d=0000000000000000 "
+     "acf=none refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=0000000000000000 sigma_vol=none"},
+    {"nek5000_reduced", true,
+     "f_d=3f2bec3a8488c786 c_d=3febd639535a1c0e "
+     "acf=40e5f40000000000 refined=3fe5f65dc641112c "
+     "fused_f=3f2bec3a8488c786 fused_c=3fdbd639535a1c0e "
+     "abs_err=0000000000000000 sigma_vol=3fc43340a1260a2e"},
+    {"nek5000_reduced", false,
+     "f_d=3f2bec3a8488c786 c_d=3febd639535a1c0e "
+     "acf=none refined=3febd639535a1c0e "
+     "fused_f=3f2bec3a8488c786 fused_c=3febd639535a1c0e "
+     "abs_err=0000000000000000 sigma_vol=3fc43340a1260a2e"},
+};
+#else
+constexpr GoldenCase kGoldenCases[] = {
+    {"fig07a", true,
+     "f_d=3fb3fbc6d664fd67 c_d=3feb77c0dc249ce6 "
+     "acf=406b800000000000 refined=3fe4ff1923c42bdc "
+     "fused_f=3fb3fbc6d664fd67 fused_c=3fdb77c0dc249ce6 "
+     "abs_err=3f8258561e16d673 sigma_vol=3cf9c465a886321c"},
+    {"fig07a", false,
+     "f_d=3fb3fbc6d664fd67 c_d=3feb77c0dc249ce6 "
+     "acf=none refined=3feb77c0dc249ce6 "
+     "fused_f=3fb3fbc6d664fd67 fused_c=3feb77c0dc249ce6 "
+     "abs_err=3f8258561e16d673 sigma_vol=3cf9c465a886321c"},
+    {"fig07b", true,
+     "f_d=none c_d=0000000000000000 "
+     "acf=4033f33333333333 refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f61a1567ef7d8de sigma_vol=none"},
+    {"fig07b", false,
+     "f_d=none c_d=0000000000000000 "
+     "acf=none refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f61a1567ef7d8de sigma_vol=none"},
+    {"fig07c", true,
+     "f_d=none c_d=0000000000000000 "
+     "acf=0000000000000000 refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f2f0a44c00a6db3 sigma_vol=none"},
+    {"fig07c", false,
+     "f_d=none c_d=0000000000000000 "
+     "acf=none refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=3f2f0a44c00a6db3 sigma_vol=none"},
+    {"lammps", true,
+     "f_d=3fa2b35799f74763 c_d=3fe22657129627e6 "
+     "acf=403b99999999999a refined=3feb572153b01520 "
+     "fused_f=3fa2b35799f74763 fused_c=3fe9132b894b13f3 "
+     "abs_err=3fa2c37ff31b8a9f sigma_vol=3fce590ef26b1b82"},
+    {"lammps", false,
+     "f_d=3fa2b35799f74763 c_d=3fe22657129627e6 "
+     "acf=none refined=3fe22657129627e6 "
+     "fused_f=3fa2b35799f74763 fused_c=3fe22657129627e6 "
+     "abs_err=3fa2c37ff31b8a9f sigma_vol=3fce590ef26b1b82"},
+    {"haccio", true,
+     "f_d=3fc0a1c3f1d5456d c_d=3fe191959f7db781 "
+     "acf=401f47ae147ae148 refined=3feabb22754255d7 "
+     "fused_f=3fc0a1c3f1d5456d fused_c=3fe86ead4467f692 "
+     "abs_err=3f95b6db6daab4f5 sigma_vol=3fc9a90ba26560a3"},
+    {"haccio", false,
+     "f_d=3fc0a1c3f1d5456d c_d=3fe191959f7db781 "
+     "acf=none refined=3fe191959f7db781 "
+     "fused_f=3fc0a1c3f1d5456d fused_c=3fe191959f7db781 "
+     "abs_err=3f95b6db6daab4f5 sigma_vol=3fc9a90ba26560a3"},
+    {"nek5000_full", true,
+     "f_d=none c_d=0000000000000000 "
+     "acf=0000000000000000 refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=0000000000000000 sigma_vol=none"},
+    {"nek5000_full", false,
+     "f_d=none c_d=0000000000000000 "
+     "acf=none refined=0000000000000000 "
+     "fused_f=none fused_c=0000000000000000 "
+     "abs_err=0000000000000000 sigma_vol=none"},
+    {"nek5000_reduced", true,
+     "f_d=3f2bec3a8488c786 c_d=3febd639535a1c0d "
+     "acf=40e5f40000000000 refined=3fe5f65dc641112b "
+     "fused_f=3f2bec3a8488c786 fused_c=3fdbd639535a1c0d "
+     "abs_err=0000000000000000 sigma_vol=3fc43340a1260a2e"},
+    {"nek5000_reduced", false,
+     "f_d=3f2bec3a8488c786 c_d=3febd639535a1c0d "
+     "acf=none refined=3febd639535a1c0d "
+     "fused_f=3f2bec3a8488c786 fused_c=3febd639535a1c0d "
+     "abs_err=0000000000000000 sigma_vol=3fc43340a1260a2e"},
+};
+#endif
 
 }  // namespace
 
-TEST(DetectorRegistry, BuiltInsAreRegistered) {
-  // Exactly the three built-ins, in registration order. CustomDetector-
-  // Pluggable appends to the global registry, so compare the prefix.
-  const auto names = core::DetectorRegistry::global().names();
-  const std::vector<std::string> builtins = {
-      std::string(core::detector_names::kDft),
-      std::string(core::detector_names::kAcf),
-      std::string(core::detector_names::kCfdAutoperiod)};
-  ASSERT_GE(names.size(), builtins.size());
-  EXPECT_EQ(std::vector<std::string>(names.begin(),
-                                     names.begin() + builtins.size()),
-            builtins);
-  for (std::size_t i = builtins.size(); i < names.size(); ++i) {
-    EXPECT_EQ(names[i], "constant-7");
+TEST(GoldenBits, PaperPipelineOutputsOnSeededWorkloads) {
+  for (const GoldenCase& c : kGoldenCases) {
+    EXPECT_EQ(golden_fingerprint(run_golden(c.name, c.with_autocorrelation)),
+              c.expected)
+        << c.name << (c.with_autocorrelation ? " (acf on)" : " (acf off)");
   }
-  EXPECT_EQ(core::DetectorRegistry::global().find("lomb-scargle"), nullptr);
-  EXPECT_EQ(core::DetectorRegistry::global().find("autoperiod"), nullptr);
-  EXPECT_EQ(core::DetectorRegistry::global().find("no-such-detector"),
-            nullptr);
 }
 
-TEST(DetectorRegistry, UnknownSelectionThrows) {
-  const auto x = burst_train(64, 8.0, 2.0, 1.0);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-  opts.detectors.detectors = {{"no-such-detector", 1.0}};
-  EXPECT_THROW(core::analyze_samples(x, opts), ftio::util::InvalidArgument);
-}
+// ---------------------------------------------------------------------------
+// The pipeline equals its stages composed by hand, bit for bit
+// ---------------------------------------------------------------------------
 
-TEST(DetectorRegistry, InvalidWeightThrows) {
-  // Weights scale fusion mass and the confidence merge: a negative or
-  // non-finite one would push refined_confidence outside [0, 1].
+TEST(DetectionPipeline, BitIdenticalToHandRolledStages) {
   const auto x = burst_train(400, 20.0, 3.0, 10.0);
   core::FtioOptions opts;
   opts.sampling_frequency = 1.0;
-  for (const double bad : {-1.0, std::numeric_limits<double>::quiet_NaN(),
-                           std::numeric_limits<double>::infinity()}) {
-    opts.detectors.detectors = {{"dft", bad}, {"acf", 1.0}};
-    EXPECT_THROW(core::analyze_samples(x, opts), ftio::util::InvalidArgument)
-        << bad;
-    opts.detectors.detectors = {{"dft", 1.0}, {"acf", bad}};
-    EXPECT_THROW(core::analyze_samples(x, opts), ftio::util::InvalidArgument)
-        << bad;
-  }
-  // Weight 0 stays legal: the verdict is reported but never seeds.
-  opts.detectors.detectors = {{"dft", 1.0}, {"acf", 0.0}};
   const core::FtioResult r = core::analyze_samples(x, opts);
-  EXPECT_GE(r.refined_confidence, 0.0);
-  EXPECT_LE(r.refined_confidence, 1.0);
+
+  // Hand-rolled paper pipeline: spectrum -> analyze_spectrum -> ACF
+  // refinement -> (c_d + c_a + c_s) / 3.
+  const sig::Spectrum spectrum = sig::compute_spectrum(x, 1.0);
+  const core::DftAnalysis dft = core::analyze_spectrum(spectrum,
+                                                       opts.candidates);
+  const core::AcfAnalysis acf = core::analyze_autocorrelation(x, 1.0,
+                                                              opts.acf);
+  const double refined =
+      dft.dominant_frequency
+          ? core::merged_confidence(dft.confidence, acf, dft.period())
+          : dft.confidence;
+
+  ASSERT_TRUE(r.dft.dominant_frequency.has_value());
+  ASSERT_TRUE(dft.dominant_frequency.has_value());
+  // EXPECT_EQ on doubles is exact equality: the pipeline must be
+  // bit-identical to its stages, not merely close.
+  EXPECT_EQ(*r.dft.dominant_frequency, *dft.dominant_frequency);
+  EXPECT_EQ(r.dft.confidence, dft.confidence);
+  ASSERT_TRUE(r.acf.has_value());
+  EXPECT_EQ(r.acf->period, acf.period);
+  EXPECT_EQ(r.acf->confidence, acf.confidence);
+  EXPECT_EQ(r.refined_confidence, refined);
+  EXPECT_EQ(r.confidence(), r.refined_confidence);
+  ASSERT_TRUE(r.fused.found());
+  EXPECT_EQ(r.fused.period, r.period());
 }
 
-TEST(DetectorRegistry, CustomDetectorPluggable) {
-  core::DetectorRegistry::global().add(std::make_unique<ConstantDetector>());
-  const auto x = burst_train(64, 8.0, 2.0, 1.0);
+TEST(DetectionPipeline, WithoutAutocorrelationOnlyDftRuns) {
+  const auto x = burst_train(400, 20.0, 3.0, 10.0);
   core::FtioOptions opts;
   opts.sampling_frequency = 1.0;
-  opts.detectors.detectors = {{"dft", 1.0}, {"constant-7", 0.5}};
+  opts.with_autocorrelation = false;
   const core::FtioResult r = core::analyze_samples(x, opts);
-  ASSERT_EQ(r.detector_verdicts.size(), 2u);
-  EXPECT_EQ(r.detector_verdicts[1].name, "constant-7");
-  EXPECT_DOUBLE_EQ(r.detector_verdicts[1].weight, 0.5);
-  ASSERT_TRUE(r.detector_verdicts[1].found);
-  EXPECT_DOUBLE_EQ(r.detector_verdicts[1].period, 7.0);
+  EXPECT_FALSE(r.acf.has_value());
+  EXPECT_EQ(r.refined_confidence, r.dft.confidence);
+  ASSERT_TRUE(r.fused.found());
+  EXPECT_EQ(r.fused.confidence, r.dft.confidence);
 }
 
 // ---------------------------------------------------------------------------
-// Engine: registry selections stay batched and loop-identical
+// The fused prediction
 // ---------------------------------------------------------------------------
 
-TEST(Engine, BatchMatchesLoopedAnalysesWithRegistrySelection) {
+TEST(DetectionPipeline, FusedPredictionFollowsTheDftVerdict) {
+  // The ACF refines a period but never claims one: on the trending
+  // fixture the DFT stage finds nothing, so nothing is fused.
   core::FtioOptions opts;
   opts.sampling_frequency = 1.0;
-  opts.detectors.detectors = {
-      {"dft", 1.0}, {"acf", 1.0}, {"cfd-autoperiod", 1.0}};
+  const core::FtioResult trend =
+      core::analyze_samples(trending_sine(240, 0.8, 8.0, 20.0), opts);
+  EXPECT_FALSE(trend.periodic());
+  EXPECT_FALSE(trend.fused.found());
+  EXPECT_EQ(trend.fused.period, 0.0);
+  EXPECT_EQ(trend.fused.confidence, 0.0);
 
-  // Three equal-length windows plus one odd size, as bandwidth curves
-  // holding one sample per second.
-  std::vector<std::vector<double>> signals;
-  signals.push_back(burst_train(256, 16.0, 3.0, 10.0));
-  signals.push_back(burst_train(256, 32.0, 5.0, 4.0));
-  signals.push_back(trending_sine(256, 0.5, 6.0, 20.0));
-  signals.push_back(burst_train(200, 25.0, 4.0, 8.0));
-  std::vector<sig::StepFunction> curves;
-  for (const auto& s : signals) {
-    std::vector<double> times(s.size() + 1);
-    for (std::size_t i = 0; i < times.size(); ++i) {
-      times[i] = static_cast<double>(i);
-    }
-    curves.emplace_back(std::move(times), s);
-  }
-
-  std::vector<eng::TraceView> views;
-  for (const auto& c : curves) views.push_back(eng::TraceView::of(c));
-  const auto batched = eng::analyze_many(views, opts);
-
-  ASSERT_EQ(batched.size(), curves.size());
-  for (std::size_t i = 0; i < curves.size(); ++i) {
-    const core::FtioResult loop = core::analyze_bandwidth(curves[i], opts);
-    EXPECT_EQ(batched[i].periodic(), loop.periodic()) << i;
-    EXPECT_EQ(batched[i].refined_confidence, loop.refined_confidence) << i;
-    EXPECT_EQ(batched[i].fused.found(), loop.fused.found()) << i;
-    EXPECT_EQ(batched[i].fused.period, loop.fused.period) << i;
-    EXPECT_EQ(batched[i].fused.confidence, loop.fused.confidence) << i;
-    ASSERT_EQ(batched[i].detector_verdicts.size(),
-              loop.detector_verdicts.size())
-        << i;
-    for (std::size_t d = 0; d < loop.detector_verdicts.size(); ++d) {
-      EXPECT_EQ(batched[i].detector_verdicts[d].found,
-                loop.detector_verdicts[d].found)
-          << i << ":" << d;
-      EXPECT_EQ(batched[i].detector_verdicts[d].period,
-                loop.detector_verdicts[d].period)
-          << i << ":" << d;
-      EXPECT_EQ(batched[i].detector_verdicts[d].confidence,
-                loop.detector_verdicts[d].confidence)
-          << i << ":" << d;
-    }
-  }
+  // On a clean burst train the ACF agrees with the DFT period, and the
+  // fused confidence averages the two stage confidences.
+  const core::FtioResult r =
+      core::analyze_samples(burst_train(400, 20.0, 3.0, 10.0), opts);
+  ASSERT_TRUE(r.fused.found());
+  ASSERT_TRUE(r.acf.has_value() && r.acf->found());
+  EXPECT_NEAR(r.acf->period, r.period(), 0.15 * r.period());
+  EXPECT_EQ(*r.fused.frequency, 1.0 / r.period());
+  EXPECT_EQ(r.fused.confidence,
+            std::clamp((r.dft.confidence + r.acf->confidence) / 2.0, 0.0,
+                       1.0));
 }

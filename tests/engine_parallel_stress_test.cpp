@@ -135,8 +135,7 @@ TEST(EngineParallelStress, ConcurrentFlushesOnOneSession) {
 TEST(EngineParallelStress, ConcurrentIndependentSessionsStayDeterministic) {
   // N threads each run their own session over the same chunk sequence;
   // every thread must produce the identical prediction history (the
-  // shared state they exercise together is the global plan cache and
-  // detector registry).
+  // shared state they exercise together is the global plan cache).
   const tr::Trace trace = periodic_trace(48, 7.0, 0.6, 3);
   constexpr std::size_t kChunk = 24;
 

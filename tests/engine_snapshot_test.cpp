@@ -221,13 +221,16 @@ TEST(EngineSnapshotTest, CorruptStateIsRejectedAndSessionUnchanged) {
     EXPECT_EQ(session.serialize_state(), before);
   }
 
-  std::vector<std::uint8_t> flipped = before;
-  flipped[flipped.size() / 3] ^= 0x40;
-  try {
-    session.restore_state(flipped);
-  } catch (const ftio::util::ParseError&) {
-    // A flip may land in raw numeric data and still parse; but when it
-    // is rejected, the live session must be untouched.
-    EXPECT_EQ(session.serialize_state(), before);
+  // Bit flips in validated fields: the u16 payload version at byte 0,
+  // and the most significant byte of the app-name length (the u64 at
+  // bytes 2..9), which then claims far more bytes than the payload holds.
+  // (A flip in raw numeric data may still parse, so these two positions
+  // are chosen where a flip must be caught.)
+  for (const std::size_t at : {std::size_t{0}, std::size_t{9}}) {
+    std::vector<std::uint8_t> flipped = before;
+    flipped[at] ^= 0x40;
+    EXPECT_THROW(session.restore_state(flipped), ftio::util::ParseError)
+        << at;
+    EXPECT_EQ(session.serialize_state(), before) << at;
   }
 }

@@ -62,14 +62,14 @@ TEST(ServiceTest, PredictsForSingleTenant) {
   EXPECT_EQ(total.level, svc::DegradationLevel::kFull);
 }
 
-TEST(ServiceTest, BadDetectorWeightFailsAtSessionBuild) {
-  // A negative selection weight in the template is rejected when the
-  // tenant's session is built, and counted there; the tenant is
+TEST(ServiceTest, BadSessionTemplateFailsAtSessionBuild) {
+  // A fixed-length template without a positive window is rejected when
+  // the tenant's session is built, and counted there; the tenant is
   // quarantined after max_build_failures attempts.
   svc::ServiceOptions options = foreground_options();
   options.max_build_failures = 2;
-  options.session.online.base.detectors.detectors = {{"dft", 1.0},
-                                                     {"acf", -1.0}};
+  options.session.online.strategy = ftio::core::WindowStrategy::kFixedLength;
+  options.session.online.fixed_window = 0.0;
   svc::IngestDaemon daemon(options);
   for (int i = 0; i < 2; ++i) {
     ASSERT_EQ(daemon.submit("bad", phase(8.0 * i, 2.0)),
@@ -157,21 +157,21 @@ TEST(ServiceTest, LadderStepsDownMonotonicallyUnderOverload) {
               svc::Admission::kAccepted);
   }
 
-  // Backlogs seen by the first three cycles: 8, 7, 6 — all at or above
-  // the high watermark, so the ladder walks every rung down in order.
+  // Backlogs seen by the first two cycles: 8, 7 — both at or above the
+  // high watermark, so the ladder walks every rung down in order.
   const svc::DegradationLevel expected[] = {
-      svc::DegradationLevel::kReduced, svc::DegradationLevel::kTriageOnly,
-      svc::DegradationLevel::kIngestOnly};
+      svc::DegradationLevel::kTriageOnly, svc::DegradationLevel::kIngestOnly};
   for (const svc::DegradationLevel level : expected) {
     ASSERT_EQ(daemon.pump(), 1u);
     EXPECT_EQ(daemon.stats().total().level, level);
   }
-  // Saturated: more overloaded cycles cannot step below the last rung.
+  // Saturated: a third overloaded cycle (backlog 6) cannot step below the
+  // last rung.
   ASSERT_EQ(daemon.pump(), 1u);
   EXPECT_EQ(daemon.stats().total().level, svc::DegradationLevel::kIngestOnly);
 
   svc::ShardStats total = daemon.stats().total();
-  EXPECT_EQ(total.ladder_step_downs, 3u);
+  EXPECT_EQ(total.ladder_step_downs, 2u);
   EXPECT_GE(total.dropped_ingest_only, 1u);
 }
 
@@ -186,7 +186,7 @@ TEST(ServiceTest, LadderRecoversHystereticallyWhenCalm) {
     ASSERT_EQ(daemon.submit("t" + std::to_string(i), phase(0.0, 1.0)),
               svc::Admission::kAccepted);
   }
-  // Cycles 1-3 see backlogs 8, 7, 6: bottom of the ladder. Cycles 4-8
+  // Cycles 1-2 see backlogs 8, 7: bottom of the ladder. Cycles 3-8
   // drain the rest; only the last two (backlogs 2, 1) are calm — not
   // enough for recovery_cycles = 3, so the level must still hold.
   for (int i = 0; i < 8; ++i) daemon.pump();
@@ -196,11 +196,11 @@ TEST(ServiceTest, LadderRecoversHystereticallyWhenCalm) {
   daemon.pump();
   EXPECT_EQ(daemon.stats().total().level, svc::DegradationLevel::kTriageOnly);
 
-  // Six more calm cycles walk it all the way back to full quality.
-  for (int i = 0; i < 6; ++i) daemon.pump();
+  // Three more calm cycles walk it all the way back to full quality.
+  for (int i = 0; i < 3; ++i) daemon.pump();
   const svc::ShardStats total = daemon.stats().total();
   EXPECT_EQ(total.level, svc::DegradationLevel::kFull);
-  EXPECT_EQ(total.ladder_step_ups, 3u);
+  EXPECT_EQ(total.ladder_step_ups, 2u);
 }
 
 TEST(ServiceTest, PreMaterializationBuffersSmallTenants) {
