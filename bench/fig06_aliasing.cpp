@@ -29,7 +29,6 @@ int main(int argc, char** argv) {
   for (double fs : {10.0, 100.0, 1000.0, 5000.0, 20000.0}) {
     ftio::core::FtioOptions opts;
     opts.sampling_frequency = fs;
-    opts.with_metrics = false;
     opts.with_autocorrelation = false;
     const auto r = ftio::core::detect(trace, opts);
     table.add_row({ftio::util::ConsoleTable::num(fs, 0),

@@ -209,7 +209,6 @@ int main(int argc, char** argv) {
   options.max_tenants_per_shard = config.max_tenants_per_shard;
   options.materialize_after_requests = config.materialize_after;
   options.session.online.base.sampling_frequency = 2.0;
-  options.session.online.base.with_metrics = false;
 
   ftio::service::IngestDaemon daemon(options);
   ZipfSampler sample(config.tenants, config.zipf, config.seed);

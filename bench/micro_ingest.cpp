@@ -75,7 +75,6 @@ ftio::service::ServiceOptions foreground_options() {
   options.background = false;
   options.shards = 1;
   options.session.online.base.sampling_frequency = 2.0;
-  options.session.online.base.with_metrics = false;
   return options;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/stats.hpp"
 
@@ -227,6 +228,11 @@ DftAnalysis analyze_spectrum(const ftio::signal::Spectrum& spectrum,
             freq += delta * spectrum.frequency_step();
           }
         }
+        // compute_metrics also rejects a non-positive frequency, but
+        // sessions with with_metrics off never call it.
+        FTIO_CONTRACT(std::isfinite(freq) && freq > 0.0,
+                      "analyze_spectrum: dominant frequency must be a "
+                      "positive finite number");
         out.dominant_frequency = freq;
         out.confidence = c.confidence;
         break;

@@ -144,7 +144,9 @@ void finish_bandwidth_result(const ftio::signal::StepFunction& bandwidth,
                              const AnalysisWindow& window,
                              std::span<const double> samples,
                              const FtioOptions& options, FtioResult& result) {
-  // Abstraction error over the analysed window (Sec. II-E / Fig. 6).
+  // The abstraction error (Sec. II-E / Fig. 6) and the Sec. II-C metrics
+  // are report diagnostics; one flag gates both.
+  if (!options.with_metrics) return;
   const double start = window.start;
   const double end = window.end;
   const double dt = 1.0 / options.sampling_frequency;
@@ -157,7 +159,7 @@ void finish_bandwidth_result(const ftio::signal::StepFunction& bandwidth,
   result.abstraction_error =
       original > 0.0 ? std::abs(discrete - original) / original : 0.0;
 
-  if (options.with_metrics && result.periodic()) {
+  if (result.periodic()) {
     result.metrics = compute_metrics(bandwidth, result.frequency());
   }
 }

@@ -37,7 +37,9 @@ struct FtioOptions {
   /// runs, the ACF pass runs when this is set.
   bool with_autocorrelation = true;
   AcfOptions acf;
-  /// Compute sigma_vol / R_IO / sigma_time when a period was found.
+  /// Compute the report diagnostics: the Sec. II-E abstraction error,
+  /// and sigma_vol / R_IO / sigma_time when a period was found. No
+  /// prediction field reads either; off, both stay at their defaults.
   bool with_metrics = true;
   /// Keep the full spectrum in the result (needed to plot/synthesize the
   /// Figs. 12-14 style output; costs O(N) memory).
@@ -83,7 +85,9 @@ struct FtioResult {
   double window_start = 0.0;        ///< analysed window [s]
   double window_end = 0.0;
   std::size_t sample_count = 0;     ///< N
-  double abstraction_error = 0.0;   ///< discrete-vs-original volume error
+  /// Discrete-vs-original volume error over the window (Sec. II-E);
+  /// 0 unless with_metrics was set.
+  double abstraction_error = 0.0;
 
   /// Convenience accessors.
   bool periodic() const { return dft.dominant_frequency.has_value(); }
@@ -159,7 +163,8 @@ void discretize_window(const ftio::signal::StepFunction& bandwidth,
 
 /// Fills the bandwidth-derived fields of a result computed from `samples`
 /// over `window`: the Sec. II-E abstraction error, and the
-/// characterization metrics when enabled and a period was found.
+/// characterization metrics when a period was found. Both only under
+/// FtioOptions::with_metrics; without it the call leaves `result` as is.
 void finish_bandwidth_result(const ftio::signal::StepFunction& bandwidth,
                              const AnalysisWindow& window,
                              std::span<const double> samples,

@@ -167,9 +167,11 @@ class StreamingSession {
     return history_;
   }
 
-  /// Full result of the latest evaluation (abstraction error and
-  /// metrics included, like the offline detect()). Unchanged by skipped
-  /// flushes: always the latest *full* analysis.
+  /// Full result of the latest evaluation. Like the offline detect(),
+  /// it carries the abstraction error and metrics only when
+  /// options.online.base.with_metrics asks for them (the daemon's
+  /// template does not). Unchanged by skipped flushes: always the latest
+  /// *full* analysis.
   const ftio::core::FtioResult& last_result() const { return last_result_; }
 
   /// Merged frequency intervals of the history (Sec. II-D);

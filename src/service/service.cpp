@@ -34,6 +34,7 @@ ftio::engine::StreamingOptions default_session_template() {
   session.compaction.enabled = true;
   session.compaction.max_history = 64;
   session.triage.enabled = true;
+  session.online.base.with_metrics = false;
   return session;
 }
 

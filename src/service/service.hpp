@@ -93,7 +93,9 @@ struct BudgetOptions {
 
 /// The tenant-session template a multi-tenant daemon wants by default:
 /// compaction and triage on (bounded memory, cheap steady-state
-/// flushes) and a bounded prediction history. Each session analyses on
+/// flushes), a bounded prediction history, and no report diagnostics
+/// (with_metrics off: no Sec. II-C metrics, no abstraction error, which
+/// no prediction reads). Each session analyses on
 /// the shard thread that owns it; the shard event loop is the
 /// parallelism axis.
 ftio::engine::StreamingOptions default_session_template();

@@ -66,7 +66,6 @@ svc::ServiceOptions durable_options(const fs::path& dir) {
   options.shards = 1;
   options.session.online.strategy = core::WindowStrategy::kGrowing;
   options.session.online.base.sampling_frequency = 2.0;
-  options.session.online.base.with_metrics = false;
   options.session.compaction.enabled = false;
   options.session.triage.enabled = false;
   options.durability.enabled = true;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -11,10 +12,13 @@
 #include "trace/model.hpp"
 #include "util/error.hpp"
 #include "workloads/apps.hpp"
+#include "workloads/phase_library.hpp"
+#include "workloads/semisynthetic.hpp"
 
 namespace core = ftio::core;
 namespace eng = ftio::engine;
 namespace tr = ftio::trace;
+namespace wl = ftio::workloads;
 
 namespace {
 
@@ -462,7 +466,9 @@ TEST(StreamingSession, LammpsSecondFlushHasPositiveFrequency) {
   // Regression: the daemon's session template on a 256-rank LAMMPS run.
   // At its second flush (window of ~280 samples) the winning bin is bin
   // 1 under a larger DC bin, and the unguarded peak refinement reported
-  // a negative dominant frequency, which compute_metrics rejects.
+  // a negative dominant frequency. The template skips compute_metrics,
+  // so analyze_spectrum's positive-frequency contract (Debug and
+  // sanitizer builds) and the assertions below are the checks left.
   ftio::workloads::LammpsConfig config;
   config.ranks = 256;
   auto trace = ftio::workloads::generate_lammps_trace(config);
@@ -486,4 +492,73 @@ TEST(StreamingSession, LammpsSecondFlushHasPositiveFrequency) {
   ASSERT_TRUE(second.frequency.has_value());
   EXPECT_GT(*second.frequency, 0.0);
   EXPECT_GT(second.sample_count, 200u);
+}
+
+TEST(StreamingSession, DaemonTemplateMatchesMetricsOnTemplate) {
+  // The daemon's template turns with_metrics off: no prediction field
+  // reads the metrics or the abstraction error, so predictions and
+  // history must equal those of the same template with them on, bit for
+  // bit, through compaction and triage. Semi-synthetic streams, one
+  // flush per I/O phase; sigma = 22 s varies the compute phases.
+  wl::PhaseLibraryConfig library_config;
+  library_config.phase_count = 20;
+  library_config.processes = 8;
+  const auto library = wl::make_phase_library(library_config);
+  const eng::StreamingOptions daemon =
+      ftio::service::default_session_template();
+  ASSERT_FALSE(daemon.online.base.with_metrics);
+  eng::StreamingOptions with_metrics = daemon;
+  with_metrics.online.base.with_metrics = true;
+
+  std::size_t skipped = 0;
+  std::size_t evicted = 0;
+  for (const double sigma : {0.0, 22.0}) {
+    SCOPED_TRACE(sigma);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE(seed);
+      wl::SemiSyntheticConfig config;
+      config.iterations = 40;
+      config.tcpu_sigma = sigma;
+      config.seed = seed;
+      auto trace = wl::generate_semisynthetic(config, library).trace;
+      trace.sort_by_start();
+      eng::StreamingSession lean(daemon);
+      eng::StreamingSession full(with_metrics);
+      const std::span<const tr::IoRequest> all(trace.requests);
+      std::size_t begin = 0;
+      double last_end = all.front().end;
+      int flush = 0;
+      for (std::size_t i = 1; i <= all.size(); ++i) {
+        if (i < all.size() && all[i].start - last_end < 1.0) {
+          last_end = std::max(last_end, all[i].end);
+          continue;
+        }
+        const auto chunk = all.subspan(begin, i - begin);
+        lean.ingest(chunk);
+        full.ingest(chunk);
+        const auto a = lean.predict();
+        const auto b = full.predict();
+        expect_identical(a, b, flush);
+        EXPECT_EQ(a.from_triage, b.from_triage) << "flush " << flush;
+        ++flush;
+        begin = i;
+        if (i < all.size()) last_end = all[i].end;
+      }
+      ASSERT_GE(flush, 30);
+      ASSERT_EQ(lean.history().size(), full.history().size());
+      for (std::size_t k = 0; k < lean.history().size(); ++k) {
+        expect_identical(lean.history()[k], full.history()[k],
+                         static_cast<int>(k));
+      }
+      EXPECT_FALSE(lean.last_result().metrics.has_value());
+      EXPECT_EQ(lean.last_result().abstraction_error, 0.0);
+      ASSERT_TRUE(full.last_result().periodic());
+      EXPECT_TRUE(full.last_result().metrics.has_value());
+      skipped += lean.triage_stats().skipped;
+      evicted += lean.compaction_stats().evicted_events;
+    }
+  }
+  // Both tiers the template enables did work.
+  EXPECT_GT(skipped, 0u);
+  EXPECT_GT(evicted, 0u);
 }

@@ -32,7 +32,6 @@ svc::ServiceOptions foreground_options() {
   options.background = false;
   options.shards = 1;
   options.session.online.base.sampling_frequency = 2.0;
-  options.session.online.base.with_metrics = false;
   return options;
 }
 
@@ -306,7 +305,6 @@ TEST_F(ServiceChaosTest, AllFailpointsArmedBackgroundStorm) {
   options.mailbox_capacity = 16;
   options.max_tenants_per_shard = 8;
   options.session.online.base.sampling_frequency = 2.0;
-  options.session.online.base.with_metrics = false;
   svc::IngestDaemon daemon(options);
 
   std::vector<std::thread> producers;

@@ -33,7 +33,6 @@ svc::ServiceOptions foreground_options() {
   options.background = false;
   options.shards = 1;
   options.session.online.base.sampling_frequency = 2.0;
-  options.session.online.base.with_metrics = false;
   return options;
 }
 
@@ -353,7 +352,6 @@ TEST(ServiceTest, BackgroundDaemonDrainsConcurrentProducers) {
   options.shards = 2;
   options.mailbox_capacity = 64;
   options.session.online.base.sampling_frequency = 2.0;
-  options.session.online.base.with_metrics = false;
   svc::IngestDaemon daemon(options);
 
   constexpr int kProducers = 4;
