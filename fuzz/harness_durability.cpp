@@ -22,21 +22,9 @@ namespace {
   std::abort();
 }
 
-/// The session posture recovery restores into: the stateful tiers on,
-/// so the decoder walks every section of the format.
-ftio::engine::StreamingOptions session_options() {
-  ftio::engine::StreamingOptions options;
-  options.online.base.sampling_frequency = 2.0;
-  options.online.base.with_metrics = false;
-  options.compaction.enabled = true;
-  options.compaction.max_history = 8;
-  options.triage.enabled = true;
-  return options;
-}
-
 /// restore_state over arbitrary bytes: ParseError or a working session.
 void fuzz_session_restore(std::span<const std::uint8_t> bytes) {
-  ftio::engine::StreamingSession session(session_options());
+  ftio::engine::StreamingSession session(durability_session_options());
   try {
     session.restore_state(bytes);
   } catch (const ftio::util::ParseError&) {
@@ -45,7 +33,7 @@ void fuzz_session_restore(std::span<const std::uint8_t> bytes) {
   // Accepted: the image must be stable (serialize -> restore ->
   // serialize is a fixed point) and the session must still work.
   const std::vector<std::uint8_t> image = session.serialize_state();
-  ftio::engine::StreamingSession again(session_options());
+  ftio::engine::StreamingSession again(durability_session_options());
   try {
     again.restore_state(image);
   } catch (const ftio::util::ParseError&) {

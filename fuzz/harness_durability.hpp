@@ -3,7 +3,22 @@
 #include <cstddef>
 #include <cstdint>
 
+#include "engine/streaming.hpp"
+
 namespace ftio::fuzz {
+
+/// The session posture target 0 restores into: the stateful tiers on, so
+/// the decoder walks every section of the format. The committed
+/// `seed_session_valid` seed restores under it (util_durability_io_test).
+inline ftio::engine::StreamingOptions durability_session_options() {
+  ftio::engine::StreamingOptions options;
+  options.online.base.sampling_frequency = 2.0;
+  options.online.base.with_metrics = false;
+  options.compaction.enabled = true;
+  options.compaction.max_history = 8;
+  options.triage.enabled = true;
+  return options;
+}
 
 /// Fuzz entry point over the durability decoders — every parser that
 /// crash recovery feeds with bytes it must assume are damaged.

@@ -21,8 +21,7 @@ struct TenantSnapshot {
   std::string name;
   bool poisoned = false;
   /// Highest journal sequence whose flush is reflected in this
-  /// snapshot. Replay applies only records beyond it, so a stale
-  /// (budget-reused) snapshot simply replays a longer tail.
+  /// snapshot. Replay applies only records beyond it.
   std::uint64_t last_applied_seq = 0;
   std::vector<ftio::trace::IoRequest> pending;
   bool has_session = false;

@@ -44,13 +44,11 @@ struct DurabilityOptions {
   std::size_t fsync_every_records = 1;
   /// Take a checkpoint every N drain cycles. The effective cadence is
   /// stretched by the degradation ladder (doubled per level), so
-  /// durability work sheds under overload like any other analysis.
+  /// durability work sheds under overload like any other analysis. A
+  /// checkpoint is not metered by the tenants' analysis budget: it holds
+  /// every session at its last applied journal sequence, serializing
+  /// only sessions that changed since the previous checkpoint.
   std::size_t checkpoint_interval_cycles = 64;
-  /// Re-serializing a tenant's session during a checkpoint costs this
-  /// many tokens from the tenant's analysis budget; a broke tenant's
-  /// previous snapshot blob is reused instead (still correct — the
-  /// journal replays the gap). 0 disables metering.
-  double snapshot_token_cost = 0.25;
   /// Take a final checkpoint when the daemon stops cleanly.
   bool checkpoint_on_stop = true;
   /// Hard cap on one decoded journal record / checkpoint tenant frame;

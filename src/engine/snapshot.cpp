@@ -1,4 +1,5 @@
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -23,10 +24,11 @@ namespace {
 /// Bump when the payload layout changes. Old payloads are rejected, not
 /// migrated: a checkpoint is a cache of recoverable state, and the WAL +
 /// source streams can always rebuild a session from scratch.
-/// Version 1 carries two reserved count fields (once the sizes of a
-/// multi-strategy session's extra histories and caches), always 0; the
-/// next version bump drops them.
-constexpr std::uint16_t kStateVersion = 1;
+/// Version 2 stores only what the session cannot re-derive: the curve is
+/// re-swept from the retained events, and the discretisation cache
+/// starts invalid (the next analysis discretises its window cold, which
+/// the cache's warm path matches bit for bit).
+constexpr std::uint16_t kStateVersion = 2;
 
 /// Minimum encoded bytes of one Prediction, for allocation-bounding
 /// count reads.
@@ -101,24 +103,12 @@ std::vector<std::uint8_t> StreamingSession::serialize_state() const {
   out.f64(end_time_);
   out.f64(min_request_duration_);
 
-  // The incremental curve + sweep (the state compaction retains).
+  // The retained sweep events (the state compaction retains).
   bandwidth_.save_state(out);
 
   // Window-selection state and prediction history.
   write_window_state(out, state_);
   write_predictions(out, history_);
-  out.u64(0);  // Reserved count.
-
-  // Discretisation prefix.
-  out.f64_vec(sample_cache_.samples);
-  out.f64(sample_cache_.start);
-  out.f64(sample_cache_.fs);
-  out.f64(sample_cache_.end);
-  out.u64(sample_cache_.count);
-  out.u8(static_cast<std::uint8_t>(sample_cache_.mode));
-  out.boolean(sample_cache_.valid);
-  out.u64(0);  // Reserved count.
-  out.f64(dirty_since_);
 
   // Triage tier.
   triage_bank_.save_state(out);
@@ -170,29 +160,6 @@ void StreamingSession::restore_state(std::span<const std::uint8_t> payload) {
 
     ftio::core::OnlineWindowState state = read_window_state(in);
     std::vector<ftio::core::Prediction> history = read_predictions(in);
-    const auto read_reserved_count = [&in] {
-      if (in.u64() != 0) {
-        throw ftio::util::ParseError(
-            "StreamingSession: reserved count field is not 0");
-      }
-    };
-    read_reserved_count();
-
-    SampleCache cache;
-    cache.samples = in.f64_vec();
-    cache.start = in.f64();
-    cache.fs = in.f64();
-    cache.end = in.f64();
-    cache.count = static_cast<std::size_t>(in.u64());
-    const std::uint8_t mode = in.u8();
-    if (mode > 1) {
-      throw ftio::util::ParseError(
-          "StreamingSession: sampling mode out of range");
-    }
-    cache.mode = static_cast<ftio::signal::SamplingMode>(mode);
-    cache.valid = in.boolean();
-    read_reserved_count();
-    const double dirty_since = in.f64();
 
     ftio::core::TriageFilterBank bank = triage_bank_;
     bank.load_state(in);
@@ -232,17 +199,18 @@ void StreamingSession::restore_state(std::span<const std::uint8_t> payload) {
     bandwidth_ = std::move(bandwidth);
     state_ = state;
     history_ = std::move(history);
-    sample_cache_ = std::move(cache);
-    dirty_since_ = dirty_since;
+    sample_cache_ = {};
+    dirty_since_ = std::numeric_limits<double>::infinity();
     triage_bank_ = std::move(bank);
     triage_reference_ = reference;
     last_full_ = last_full;
     skipped_since_full_ = static_cast<std::size_t>(skipped_since_full);
     triage_stats_ = triage_stats;
     compaction_stats_ = compaction_stats;
-    // Derived/diagnostic state: the merge cache is a pure function of
-    // history (recomputed lazily); the full last result is not part of
-    // the bit-identity contract and stays empty until the next full
+    // Derived/diagnostic state: the sample cache and the merge cache are
+    // rebuilt on demand (the next analysis discretises cold, the merge
+    // from history); the full last result is not part of the
+    // bit-identity contract and stays empty until the next full
     // analysis.
     last_result_ = {};
     intervals_.clear();

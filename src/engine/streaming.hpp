@@ -227,29 +227,29 @@ class StreamingSession {
     const ftio::util::LockGuard lock(mutex_);
     return triage_bank_.estimate();
   }
-  /// Serializes everything a later restore needs to continue the stream
-  /// bit-identically: sweep events, curve segments, discretisation
-  /// prefix (sample cache), window-selection state, prediction history,
-  /// triage filter-bank accumulators, and the running aggregates —
-  /// exactly the state compaction retains. The payload is a versioned
-  /// raw byte stream (doubles as IEEE bit patterns); framing (magic,
-  /// CRC) is the durability layer's job. Version 1 still carries two
-  /// count fields from the removed multi-strategy session, always
-  /// written as 0; they stay reserved until the next version bump drops
-  /// them. Not serialized: last_result()
+  /// Serializes what a later restore needs to continue the stream
+  /// bit-identically and cannot re-derive: the retained sweep events,
+  /// window-selection state, prediction history, triage filter-bank
+  /// accumulators, and the running aggregates. The payload is a
+  /// versioned raw byte stream (doubles as IEEE bit patterns); framing
+  /// (magic, CRC) is the durability layer's job. Not serialized, because
+  /// a restore re-derives it: the curve and its sweep levels (re-swept
+  /// from the events), the discretisation cache (the first analysis after
+  /// a restore discretises its window cold), merged_intervals() (a pure
+  /// function of history, recomputed lazily), and last_result()
   /// (diagnostic only — empty after restore until the next full
-  /// analysis) and merged_intervals() (a pure function of history,
-  /// recomputed lazily).
+  /// analysis).
   std::vector<std::uint8_t> serialize_state() const FTIO_EXCLUDES(mutex_);
 
   /// Restores state written by serialize_state into a session constructed
   /// with the *same* StreamingOptions: subsequent ingest()/predict()
   /// calls then produce byte-identical predictions, CompactionStats, and
   /// TriageStats to the uninterrupted original. Throws util::ParseError
-  /// on truncated or corrupt payloads, on a non-zero reserved count
-  /// field, and when the payload's shape does not match this session's
-  /// options (triage grid); the session is unchanged on throw —
-  /// recover-or-reject, never a half-restored hybrid.
+  /// on truncated or corrupt payloads, on a payload of another version
+  /// (older payloads are rejected, not migrated), and when the payload's
+  /// shape does not match this session's options (triage grid); the
+  /// session is unchanged on throw — recover-or-reject, never a
+  /// half-restored hybrid.
   void restore_state(std::span<const std::uint8_t> payload)
       FTIO_EXCLUDES(mutex_);
 

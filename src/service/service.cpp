@@ -104,7 +104,6 @@ void ShardStats::merge(const ShardStats& other) {
   journal_rotations += other.journal_rotations;
   checkpoints_written += other.checkpoints_written;
   checkpoint_failures += other.checkpoint_failures;
-  snapshot_reuses += other.snapshot_reuses;
   replay_skipped_duplicates += other.replay_skipped_duplicates;
   recovery.merge(other.recovery);
   level = std::max(level, other.level);

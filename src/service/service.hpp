@@ -217,7 +217,6 @@ struct ShardStats {
   std::size_t journal_rotations = 0;
   std::size_t checkpoints_written = 0;
   std::size_t checkpoint_failures = 0;
-  std::size_t snapshot_reuses = 0;  ///< stale blob reused (token-broke tenant)
   /// Flushes skipped at processing because the journal already replayed
   /// them (mailbox items surviving an in-process restart).
   std::size_t replay_skipped_duplicates = 0;

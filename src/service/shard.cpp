@@ -430,15 +430,6 @@ bool Shard::take_token(Tenant& tenant) {
   return true;
 }
 
-bool Shard::take_snapshot_token(Tenant& tenant) {
-  const double cost = options_.durability.snapshot_token_cost;
-  if (cost <= 0.0 || options_.budget.burst <= 0.0) return true;
-  refill_bucket(tenant);
-  if (tenant.tokens < cost) return false;
-  tenant.tokens -= cost;
-  return true;
-}
-
 Shard::Tenant& Shard::touch(const std::string& name) {
   auto it = tenants_.find(name);
   if (it == tenants_.end()) {
@@ -626,27 +617,16 @@ void Shard::write_checkpoint(CycleDelta& delta) {
       snap.pending = tenant.pending;
       snap.last_applied_seq = tenant.last_applied_seq;
       if (tenant.session != nullptr) {
-        const bool stale = tenant.snapshot_blob == nullptr ||
-                           tenant.snapshot_seq != tenant.last_applied_seq;
-        if (stale) {
-          // A fresh serialization is budgeted like a fraction of an
-          // analysis — but only a tenant that *has* a reusable blob may
-          // skip it (correctness first: without any blob, skipping
-          // would checkpoint a sequence the journal no longer covers
-          // after truncation).
-          if (tenant.snapshot_blob == nullptr || take_snapshot_token(tenant)) {
-            tenant.snapshot_blob =
-                std::make_shared<const std::vector<std::uint8_t>>(
-                    tenant.session->serialize_state());
-            tenant.snapshot_seq = tenant.last_applied_seq;
-          } else {
-            ++delta.counters.snapshot_reuses;
-          }
+        // An idle tenant's session is unchanged since its last blob:
+        // reuse it instead of serializing again.
+        if (tenant.snapshot_blob == nullptr ||
+            tenant.snapshot_seq != tenant.last_applied_seq) {
+          tenant.snapshot_blob =
+              std::make_shared<const std::vector<std::uint8_t>>(
+                  tenant.session->serialize_state());
+          tenant.snapshot_seq = tenant.last_applied_seq;
         }
         snap.session_state = tenant.snapshot_blob;
-        // A stale blob reflects state at snapshot_seq; declaring that
-        // sequence makes replay re-apply the gap.
-        snap.last_applied_seq = tenant.snapshot_seq;
       }
       floor = std::min(floor, snap.last_applied_seq);
     }
@@ -782,7 +762,6 @@ void Shard::CycleDelta::fold_into(ShardStats& stats) const {
   stats.shard_restarts += counters.shard_restarts;
   stats.checkpoints_written += counters.checkpoints_written;
   stats.checkpoint_failures += counters.checkpoint_failures;
-  stats.snapshot_reuses += counters.snapshot_reuses;
   stats.replay_skipped_duplicates += counters.replay_skipped_duplicates;
   stats.ladder_step_downs += counters.ladder_step_downs;
   stats.ladder_step_ups += counters.ladder_step_ups;

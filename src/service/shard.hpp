@@ -141,10 +141,10 @@ class Shard {
     bool poisoned = false;
     // Durability. last_applied_seq is the highest journal sequence
     // reflected in this tenant's state (session + pending); the cached
-    // snapshot blob (null until the first serialization) lets a
-    // checkpoint reuse the last serialization when the token bucket
-    // cannot afford a fresh one. It is immutable and shared with the
-    // checkpoint writer, which may still be streaming it to disk.
+    // snapshot blob (null until the first serialization) is the session
+    // serialized at snapshot_seq, reused while the tenant stays idle. It
+    // is immutable and shared with the checkpoint writer, which may
+    // still be streaming it to disk.
     std::uint64_t last_applied_seq = 0;
     std::shared_ptr<const std::vector<std::uint8_t>> snapshot_blob;
     std::uint64_t snapshot_seq = 0;
@@ -187,7 +187,6 @@ class Shard {
   void analyze(Tenant& tenant, DegradationLevel level, CycleDelta& delta);
   void refill_bucket(Tenant& tenant);
   bool take_token(Tenant& tenant);
-  bool take_snapshot_token(Tenant& tenant);
   /// Finds or creates the tenant entry and moves it to the LRU tail.
   Tenant& touch(const std::string& name);
   void evict_idle(CycleDelta& delta);
@@ -225,9 +224,9 @@ class Shard {
   };
 
   /// The drain-cycle half of a checkpoint: waits for the previous write,
-  /// serializes stale sessions (reusing cached blobs for token-broke
-  /// ones), computes the floor, and hands the job to a writer started
-  /// with std::async. A failure here is counted in `delta`.
+  /// serializes the sessions that changed since their cached blob,
+  /// computes the floor, and hands the job to a writer started with
+  /// std::async. A failure here is counted in `delta`.
   void write_checkpoint(CycleDelta& delta);
   /// The writer half, off the drain cycle: streams checkpoint-<seq>.ckpt
   /// atomically, prunes, then records the floor and truncates the

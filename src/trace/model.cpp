@@ -342,9 +342,6 @@ void IncrementalBandwidth::save_state(ftio::util::BinWriter& out) const {
   out.u64(events_.size());
   out.append({reinterpret_cast<const std::uint8_t*>(events_.data()),
               events_.size() * sizeof(BandwidthEvent)});
-  out.f64_vec(raw_levels_);
-  out.f64_vec(curve_.times());
-  out.f64_vec(curve_.values());
   out.f64(base_level_);
   out.f64_opt(floor_);
 }
@@ -357,30 +354,34 @@ void IncrementalBandwidth::load_state(ftio::util::BinReader& in) {
   if (event_count > 0) {
     std::memcpy(events.data(), event_bytes.data(), event_bytes.size());
   }
-  std::vector<double> raw_levels = in.f64_vec();
-  std::vector<double> times = in.f64_vec();
-  std::vector<double> values = in.f64_vec();
   const double base_level = in.f64();
   const std::optional<double> floor = in.f64_opt();
 
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    if (bandwidth_event_less(events[i], events[i - 1])) {
+  // Every comparison with a NaN time is false, so the order check alone
+  // would let one through; a non-finite delta or base level would
+  // poison every later level of the re-sweep.
+  if (!std::isfinite(base_level)) {
+    throw ftio::util::ParseError("IncrementalBandwidth: non-finite base level");
+  }
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (!std::isfinite(events[i].time) || !std::isfinite(events[i].delta)) {
+      throw ftio::util::ParseError("IncrementalBandwidth: non-finite event");
+    }
+    if (i > 0 && bandwidth_event_less(events[i], events[i - 1])) {
       throw ftio::util::ParseError("IncrementalBandwidth: events not sorted");
     }
   }
-  if (times.empty()) {
-    if (!values.empty() || !raw_levels.empty() || event_count != 0) {
-      throw ftio::util::ParseError(
-          "IncrementalBandwidth: empty curve with residual state");
-    }
-  } else if (times.size() != values.size() + 1 ||
-             raw_levels.size() != times.size()) {
-    throw ftio::util::ParseError(
-        "IncrementalBandwidth: curve/level size mismatch");
-  }
-  // The StepFunction constructor re-validates monotonicity; a corrupt
-  // snapshot surfaces as InvalidArgument, which durability decoders
-  // translate into a rejection like any other parse failure.
+
+  // The curve and the per-boundary levels are one left-to-right sweep of
+  // the retained events from the folded base level: the summation order
+  // extend() continues, so the rebuilt state matches the saved instance
+  // bit for bit.
+  std::vector<double> times;
+  std::vector<double> values;
+  times.reserve(events.size());
+  values.reserve(events.size());
+  ftio::util::SlidingBuffer<double> raw_levels;
+  sweep_tail(events, 0, base_level, times, values, &raw_levels);
   ftio::signal::StepFunction curve =
       times.empty() ? ftio::signal::StepFunction{}
                     : ftio::signal::StepFunction(std::move(times),
@@ -388,7 +389,7 @@ void IncrementalBandwidth::load_state(ftio::util::BinReader& in) {
 
   options_.window_start = window_start;
   events_ = ftio::util::SlidingBuffer<BandwidthEvent>(std::move(events));
-  raw_levels_ = ftio::util::SlidingBuffer<double>(std::move(raw_levels));
+  raw_levels_ = std::move(raw_levels);
   curve_ = std::move(curve);
   base_level_ = base_level;
   floor_ = floor;

@@ -148,17 +148,21 @@ class IncrementalBandwidth {
   /// Resident bytes of events, level cache, and curve (capacities).
   std::size_t memory_bytes() const;
 
-  /// Appends the complete mutable state — sweep events, per-boundary
-  /// levels, curve boundaries/values, folded base level, eviction floor,
+  /// Appends the state the curve cannot be re-derived from — the
+  /// retained sweep events, the folded base level, the eviction floor,
   /// and the window_start clip compact() commits into the options — to
-  /// `out`. load_state on an instance constructed with the *same*
-  /// BandwidthOptions restores a bit-identical curve and sweep: every
-  /// later extend()/compact() then evolves exactly like the original.
+  /// `out`. The curve and the per-boundary levels are not written:
+  /// load_state re-sweeps them. load_state on an instance constructed
+  /// with the *same* BandwidthOptions restores a bit-identical curve and
+  /// sweep: every later extend()/compact() then evolves exactly like the
+  /// original.
   void save_state(ftio::util::BinWriter& out) const;
-  /// Restores state written by save_state. Throws util::ParseError (or
-  /// util::InvalidArgument from the curve invariants) on truncated,
-  /// corrupt, or invariant-violating input; the instance is unchanged on
-  /// throw.
+  /// Restores state written by save_state and rebuilds the curve and the
+  /// per-boundary levels with one left-to-right sweep of the events from
+  /// the base level (the summation order extend() continues). Throws
+  /// util::ParseError on truncated or corrupt input: unsorted events, a
+  /// non-finite event time or delta, or a non-finite base level. The
+  /// instance is unchanged on throw.
   void load_state(ftio::util::BinReader& in);
 
  private:

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
 #include <limits>
 #include <optional>
 #include <random>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -556,6 +558,14 @@ std::vector<std::uint8_t> saved_state(const tr::IncrementalBandwidth& inc) {
   return out.take();
 }
 
+/// The bit patterns of `values`, so that EXPECT_EQ compares bit for bit.
+std::vector<std::uint64_t> bits(std::span<const double> values) {
+  std::vector<std::uint64_t> out;
+  out.reserve(values.size());
+  for (const double v : values) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
 }  // namespace
 
 TEST(IncrementalCompact, SeededStreamsMatchSweepOfAdmittedEvents) {
@@ -563,7 +573,8 @@ TEST(IncrementalCompact, SeededStreamsMatchSweepOfAdmittedEvents) {
   // every step the curve equals the sweep of the events the instance
   // admitted (each chunk clipped at the floor in force when it arrived),
   // over the retained support, and the state survives a save/load round
-  // trip that then evolves identically.
+  // trip that then evolves identically. The saved bytes do not carry the
+  // curve, so the re-swept curve is checked against the original's.
   for (std::uint64_t seed = 0; seed < 40; ++seed) {
     SCOPED_TRACE(seed);
     const auto stream = compaction_stream(seed, 90, 24);
@@ -586,6 +597,8 @@ TEST(IncrementalCompact, SeededStreamsMatchSweepOfAdmittedEvents) {
     ftio::util::BinReader in(bytes);
     restored.load_state(in);
     EXPECT_TRUE(in.done());
+    EXPECT_EQ(bits(restored.curve().times()), bits(inc.curve().times()));
+    EXPECT_EQ(bits(restored.curve().values()), bits(inc.curve().values()));
     EXPECT_EQ(saved_state(restored), bytes);
     const auto more = compaction_stream(seed + 1000, 12, 24);
     for (const auto& step : more) {
@@ -606,8 +619,8 @@ TEST(IncrementalCompact, SeededStreamsMatchSweepOfAdmittedEvents) {
 }
 
 TEST(IncrementalCompact, SavedStateBytesArePinned) {
-  // Bytes written before the buffers moved to O(1) front eviction: the
-  // snapshot holds the live range only, in the same layout.
+  // The version-2 layout: the clip, the live events, the base level and
+  // the floor; no curve.
   tr::IncrementalBandwidth small;
   replay(compaction_stream(7, 16, 6), small);
   const auto bytes = saved_state(small);
@@ -623,9 +636,52 @@ TEST(IncrementalCompact, SavedStateBytesArePinned) {
   replay(compaction_stream(11, 400, 24), large);
   const auto large_bytes = saved_state(large);
   EXPECT_EQ(large.event_count(), 234u);
-  EXPECT_EQ(large_bytes.size(), 9410u);
+  EXPECT_EQ(large_bytes.size(), 3778u);
   EXPECT_EQ(ftio::util::crc32c(large_bytes.data(), large_bytes.size()),
-            0xff8959aeu);
+            0x892f98e8u);
+}
+
+TEST(IncrementalCompact, LoadStateRejectsNonFiniteState) {
+  // A NaN time passes the order check (every comparison with it is
+  // false), and the re-sweep would carry a NaN or infinite delta, or
+  // base level, into every later level: all are rejected, and the
+  // instance keeps its state.
+  tr::IncrementalBandwidth source;
+  replay(compaction_stream(7, 16, 6), source);
+  const auto bytes = saved_state(source);
+  // Layout: window_start (bool + f64), event count, events, base level.
+  const std::size_t events_at = 9 + 8;
+  const std::size_t base_at = events_at + 16 * source.event_count();
+  const auto with_f64 = [&bytes](std::size_t at, double v) {
+    std::vector<std::uint8_t> out = bytes;
+    const auto u = std::bit_cast<std::uint64_t>(v);
+    for (std::size_t i = 0; i < 8; ++i) {
+      out[at + i] = static_cast<std::uint8_t>(u >> (8 * i));
+    }
+    return out;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<std::uint8_t>> corrupt = {
+      with_f64(events_at + 16 * 3, nan),      // event time
+      with_f64(events_at + 16 * 5 + 8, inf),  // event delta
+      with_f64(base_at, nan),                 // base level
+  };
+
+  tr::IncrementalBandwidth target;
+  replay(compaction_stream(3, 16, 6), target);
+  const auto before = saved_state(target);
+  const auto times_before = bits(target.curve().times());
+  for (const auto& payload : corrupt) {
+    ftio::util::BinReader in(payload);
+    EXPECT_THROW(target.load_state(in), ftio::util::ParseError);
+    EXPECT_EQ(saved_state(target), before);
+    EXPECT_EQ(bits(target.curve().times()), times_before);
+  }
+  // The untouched bytes still load.
+  ftio::util::BinReader in(bytes);
+  target.load_state(in);
+  EXPECT_EQ(saved_state(target), bytes);
 }
 
 // ---------------------------------------------------------------------------

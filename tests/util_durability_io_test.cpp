@@ -16,7 +16,9 @@
 
 #include "durability/checkpoint.hpp"
 #include "durability/journal.hpp"
+#include "engine/streaming.hpp"
 #include "fuzz/durability_codec_oracle.hpp"
+#include "fuzz/harness_durability.hpp"
 #include "trace/model.hpp"
 #include "util/binio.hpp"
 #include "util/crc32c.hpp"
@@ -645,4 +647,49 @@ TEST(DurabilityCodec, TruncateJournalKeepsOpenSegmentAndAboveFloor) {
             (std::vector<std::string>{"seg-00000000000000000005.wal",
                                       "seg-00000000000000000006.wal"}));
   fs::remove_all(dir);
+}
+
+// The committed fuzz corpus's "valid" seeds must stay valid: a format
+// bump that turns them into rejection-path inputs would leave the fuzzer
+// exercising only the reject branch of every decoder behind them.
+TEST(DurabilityCorpus, ValidSeedsRestoreAndParse) {
+  const fs::path corpus = fs::path(FTIO_SOURCE_DIR) / "fuzz/corpus/durability";
+
+  // The first byte selects the harness target (0: session restore).
+  const auto session = util::read_binary_file(corpus / "seed_session_valid");
+  ASSERT_FALSE(session.empty());
+  ASSERT_EQ(session[0], 0);
+  const std::span<const std::uint8_t> payload =
+      std::span<const std::uint8_t>(session).subspan(1);
+  ftio::engine::StreamingSession restored(
+      ftio::fuzz::durability_session_options());
+  ASSERT_NO_THROW(restored.restore_state(payload));
+  EXPECT_GT(restored.request_count(), 0u);
+  const std::vector<std::uint8_t> image = restored.serialize_state();
+  EXPECT_TRUE(std::equal(image.begin(), image.end(), payload.begin(),
+                         payload.end()));
+
+  // Target 1: checkpoint parse, with every tenant frame intact and every
+  // embedded session blob restoring.
+  const auto checkpoint =
+      util::read_binary_file(corpus / "seed_checkpoint_valid");
+  ASSERT_FALSE(checkpoint.empty());
+  ASSERT_EQ(checkpoint[0], 1);
+  const std::span<const std::uint8_t> frames =
+      std::span<const std::uint8_t>(checkpoint).subspan(1);
+  dur::RecoveryStats stats;
+  dur::CheckpointData data;
+  ASSERT_NO_THROW(data = dur::parse_checkpoint(frames, stats));
+  EXPECT_EQ(stats.tenant_frames_skipped, 0u);
+  ASSERT_FALSE(data.tenants.empty());
+  std::size_t sessions = 0;
+  for (const dur::TenantSnapshot& tenant : data.tenants) {
+    if (!tenant.has_session) continue;
+    ++sessions;
+    ftio::engine::StreamingSession tenant_session(
+        ftio::fuzz::durability_session_options());
+    EXPECT_NO_THROW(tenant_session.restore_state(tenant.session_state))
+        << tenant.name;
+  }
+  EXPECT_GT(sessions, 0u);
 }
