@@ -5,6 +5,7 @@
 // global answer, while the Morlet scalogram localises the change in time.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "core/ftio.hpp"
@@ -43,9 +44,11 @@ int main(int argc, char** argv) {
 
   // Wavelet view.
   const auto bandwidth = ftio::trace::bandwidth_signal(t);
-  const auto d = ftio::signal::discretize(bandwidth, 1.0);
+  const auto window = ftio::core::select_analysis_window(bandwidth, opts);
+  std::vector<double> samples;
+  ftio::core::discretize_window(bandwidth, window, opts, 0, samples);
   const auto freqs = ftio::signal::log_spaced_frequencies(0.02, 0.3, 32);
-  const auto cwt = ftio::signal::morlet_cwt(d.samples, 1.0, freqs);
+  const auto cwt = ftio::signal::morlet_cwt(samples, 1.0, freqs);
   const auto dominant = cwt.dominant_frequency_over_time();
 
   std::printf("instantaneous dominant period (median over 50 s blocks):\n");

@@ -117,9 +117,11 @@ int main() {
                                  20'000'000, ftio::trace::IoKind::kWrite});
   }
   const auto rank2 = ftio::trace::rank_bandwidth_signal(switched, 2);
-  const auto d = ftio::signal::discretize(rank2, 2.0);
+  const auto window = ftio::core::select_analysis_window(rank2, opts);
+  std::vector<double> samples;
+  ftio::core::discretize_window(rank2, window, opts, 0, samples);
   const auto freqs = ftio::signal::log_spaced_frequencies(0.02, 0.5, 24);
-  const auto cwt = ftio::signal::morlet_cwt(d.samples, 2.0, freqs);
+  const auto cwt = ftio::signal::morlet_cwt(samples, 2.0, freqs);
   const auto change = ftio::signal::strongest_change_point(cwt, 120);
   if (change) {
     std::printf("\nwavelet view of rank 2 (cadence halves at 400 s): "

@@ -39,6 +39,28 @@ FusedPrediction fuse(const DftAnalysis& dft,
   return out;
 }
 
+/// std::upper_bound(times, t) for a t no smaller than the previous
+/// query's, whose answer was `from`: every boundary below `from` is <= t.
+/// Gallops forward from `from` (steps 1, 2, 4, ...) to bracket the answer,
+/// then binary-searches the bracket, so the index is the one a search over
+/// the whole span finds, at O(log distance) instead of O(log size).
+std::size_t upper_bound_from(std::span<const double> times, std::size_t from,
+                             double t) {
+  std::size_t lo = from;
+  std::size_t hi = from;
+  std::size_t step = 1;
+  while (hi < times.size() && !(t < times[hi])) {
+    lo = hi + 1;
+    hi = lo + step;
+    step *= 2;
+  }
+  hi = std::min(hi, times.size());
+  return static_cast<std::size_t>(
+      std::upper_bound(times.begin() + static_cast<std::ptrdiff_t>(lo),
+                       times.begin() + static_cast<std::ptrdiff_t>(hi), t) -
+      times.begin());
+}
+
 }  // namespace
 
 FtioResult analyze_samples(std::span<const double> samples,
@@ -93,6 +115,9 @@ FtioResult analyze_samples_prepared(std::span<const double> samples,
 AnalysisWindow select_analysis_window(
     const ftio::signal::StepFunction& bandwidth, const FtioOptions& options) {
   ftio::util::expect(!bandwidth.empty(), "analyze_bandwidth: empty signal");
+  // A non-positive fs would size the grid from a negative or zero count.
+  ftio::util::expect(options.sampling_frequency > 0.0,
+                     "analyze_bandwidth: fs must be positive");
 
   // Clip to the requested window by re-sampling only inside it.
   double start = bandwidth.start_time();
@@ -127,15 +152,47 @@ void discretize_window(const ftio::signal::StepFunction& bandwidth,
   const double start = window.start;
   samples.resize(n);
   const double dt = 1.0 / options.sampling_frequency;
+  const auto times = bandwidth.times();
+  const auto values = bandwidth.values();
+  // Sample times only grow, so upper_bound(times, t) only moves forward:
+  // `next` keeps the previous answer and each search gallops from it.
+  std::size_t next = 0;
   if (options.sampling_mode == ftio::signal::SamplingMode::kPointSample) {
+    // StepFunction::value_at(t), sample by sample.
     for (std::size_t i = first; i < n; ++i) {
-      samples[i] = bandwidth.value_at(start + static_cast<double>(i) * dt);
+      const double t = start + static_cast<double>(i) * dt;
+      if (times.size() < 2 || t < times.front() || t >= times.back()) {
+        samples[i] = 0.0;
+        continue;
+      }
+      next = upper_bound_from(times, next, t);
+      samples[i] = values[next - 1];
     }
   } else {
+    // StepFunction::integral(a, b) / (b - a): the same clipped terms,
+    // summed in the same order.
     for (std::size_t i = first; i < n; ++i) {
       const double a = start + static_cast<double>(i) * dt;
       const double b = std::min(a + dt, window.end);
-      samples[i] = b > a ? bandwidth.integral(a, b) / (b - a) : 0.0;
+      if (!(b > a)) {
+        samples[i] = 0.0;
+        continue;
+      }
+      double acc = 0.0;
+      if (!values.empty()) {
+        const double lo = std::max(a, times.front());
+        const double hi = std::min(b, times.back());
+        if (hi > lo) {
+          next = upper_bound_from(times, next, lo);
+          for (std::size_t j = next - 1; j < values.size() && times[j] < hi;
+               ++j) {
+            const double seg_lo = std::max(lo, times[j]);
+            const double seg_hi = std::min(hi, times[j + 1]);
+            if (seg_hi > seg_lo) acc += values[j] * (seg_hi - seg_lo);
+          }
+        }
+      }
+      samples[i] = acc / (b - a);
     }
   }
 }

@@ -133,8 +133,9 @@ FtioResult analyze_samples_prepared(std::span<const double> samples,
 // Bandwidth-analysis building blocks. analyze_bandwidth is exactly the
 // composition select_analysis_window -> discretize_window ->
 // analyze_samples -> finish_bandwidth_result; they are exposed so the
-// streaming engine can run the identical pipeline while reusing its
-// incrementally maintained curve and cached sample prefix.
+// streaming engine can run the identical pipeline over its incrementally
+// maintained curve, and so callers that only need the samples (a wavelet
+// view, say) discretise exactly as the pipeline does.
 // ---------------------------------------------------------------------------
 
 /// The sampling grid of one bandwidth evaluation: N = `samples` points at
@@ -147,15 +148,19 @@ struct AnalysisWindow {
 
 /// Window-selection step of analyze_bandwidth: clips the curve support to
 /// the option window (and past the first phase when skip_first_phase is
-/// set) and sizes the grid. Throws InvalidArgument when the window is
-/// empty or shorter than one sample.
+/// set) and sizes the grid. Throws InvalidArgument when the curve is
+/// empty, when options.sampling_frequency is not positive, or when the
+/// window is empty or shorter than one sample.
 AnalysisWindow select_analysis_window(
     const ftio::signal::StepFunction& bandwidth, const FtioOptions& options);
 
-/// Discretises `bandwidth` over `window` into samples[first, N); entries
-/// below `first` are left untouched (the streaming engine reuses the
-/// still-clean prefix of its cached vector — passing 0 fills everything).
-/// `samples` is resized to window.samples.
+/// The one discretiser (Sec. II-B1 / II-E): fills samples[first, N) with
+/// x_i = bandwidth.value_at(t_i) at t_i = start + i / fs, or under
+/// SamplingMode::kBinAverage with integral(t_i, b_i) / (b_i - t_i), where
+/// b_i = min(t_i + 1/fs, window.end) — bit for bit, in one forward pass
+/// over the curve. `samples` is resized to window.samples; entries below
+/// `first` are left untouched. Every caller in the tree passes 0; the
+/// parameter stays because perfbench/src/offline.cpp passes it.
 void discretize_window(const ftio::signal::StepFunction& bandwidth,
                        const AnalysisWindow& window,
                        const FtioOptions& options, std::size_t first,

@@ -1,5 +1,4 @@
 #include <cstdint>
-#include <limits>
 #include <span>
 #include <utility>
 #include <vector>
@@ -25,9 +24,8 @@ namespace {
 /// migrated: a checkpoint is a cache of recoverable state, and the WAL +
 /// source streams can always rebuild a session from scratch.
 /// Version 2 stores only what the session cannot re-derive: the curve is
-/// re-swept from the retained events, and the discretisation cache
-/// starts invalid (the next analysis discretises its window cold, which
-/// the cache's warm path matches bit for bit).
+/// re-swept from the retained events. No sample state is saved because
+/// none is kept: every analysis discretises its window cold.
 constexpr std::uint16_t kStateVersion = 2;
 
 /// Minimum encoded bytes of one Prediction, for allocation-bounding
@@ -199,19 +197,17 @@ void StreamingSession::restore_state(std::span<const std::uint8_t> payload) {
     bandwidth_ = std::move(bandwidth);
     state_ = state;
     history_ = std::move(history);
-    sample_cache_ = {};
-    dirty_since_ = std::numeric_limits<double>::infinity();
     triage_bank_ = std::move(bank);
     triage_reference_ = reference;
     last_full_ = last_full;
     skipped_since_full_ = static_cast<std::size_t>(skipped_since_full);
     triage_stats_ = triage_stats;
     compaction_stats_ = compaction_stats;
-    // Derived/diagnostic state: the sample cache and the merge cache are
-    // rebuilt on demand (the next analysis discretises cold, the merge
-    // from history); the full last result is not part of the
-    // bit-identity contract and stays empty until the next full
-    // analysis.
+    // Derived/diagnostic state: the merge cache is rebuilt on demand
+    // from history; the full last result is not part of the bit-identity
+    // contract and stays empty until the next full analysis. Every
+    // analysis discretises its window cold, so a restored session needs
+    // no sample state to predict the same bits.
     last_result_ = {};
     intervals_.clear();
     intervals_stale_ = true;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <utility>
 
 #include "util/annotated.hpp"
@@ -10,12 +9,6 @@
 #include "util/error.hpp"
 
 namespace ftio::engine {
-
-namespace {
-
-constexpr double kInfinity = std::numeric_limits<double>::infinity();
-
-}  // namespace
 
 StreamingSession::StreamingSession(StreamingOptions options)
     : options_(std::move(options)), bandwidth_([this] {
@@ -35,7 +28,6 @@ StreamingSession::StreamingSession(StreamingOptions options)
                           options_.online.max_auto_fs >=
                               options_.online.min_auto_fs),
                      "StreamingSession: bad auto-fs clamp range");
-  dirty_since_ = kInfinity;
   ftio::util::expect(!options_.compaction.enabled ||
                          options_.compaction.lookback_slack >= 1.0,
                      "StreamingSession: lookback_slack must be >= 1");
@@ -94,7 +86,7 @@ void StreamingSession::ingest_locked(
   if (options_.triage.enabled && chunk_bytes > 0.0) {
     triage_bank_.observe(chunk_byte_time / chunk_bytes, chunk_bytes);
   }
-  dirty_since_ = std::min(dirty_since_, bandwidth_.extend(requests));
+  bandwidth_.extend(requests);
 }
 
 double StreamingSession::derived_sampling_frequency() const {
@@ -104,46 +96,6 @@ double StreamingSession::derived_sampling_frequency() const {
   return ftio::core::suggest_sampling_frequency(min_request_duration_,
                                                 options_.online.min_auto_fs,
                                                 options_.online.max_auto_fs);
-}
-
-std::size_t StreamingSession::clean_sample_prefix(
-    const SampleCache& cache, const ftio::core::AnalysisWindow& window) const {
-  // A cached sample is still valid when nothing it reads from the curve
-  // changed: point samples read value_at(t_i), bin averages additionally
-  // read one step ahead and clip the trailing bin at the previous window
-  // end. Everything strictly before that horizon is clean; one extra
-  // sample of slack absorbs the index arithmetic rounding.
-  double horizon = dirty_since_;
-  if (cache.mode == ftio::signal::SamplingMode::kBinAverage) {
-    horizon = std::min(horizon, cache.end);
-  }
-  if (horizon == kInfinity) return cache.count;
-  const double steps =
-      (horizon - window.start) * cache.fs -
-      (cache.mode == ftio::signal::SamplingMode::kBinAverage ? 2.0 : 1.0);
-  if (steps <= 0.0) return 0;
-  const auto clean = static_cast<std::size_t>(steps);
-  return std::min(clean, cache.count);
-}
-
-void StreamingSession::discretize_into_cache(
-    SampleCache& cache, const ftio::core::AnalysisWindow& window,
-    const ftio::core::FtioOptions& base) {
-  const double fs = base.sampling_frequency;
-  const auto mode = base.sampling_mode;
-  std::size_t first = 0;
-  if (cache.valid && cache.start == window.start && cache.fs == fs &&
-      cache.mode == mode && window.samples >= cache.count) {
-    first = clean_sample_prefix(cache, window);
-  }
-  ftio::core::discretize_window(bandwidth_.curve(), window, base, first,
-                                cache.samples);
-  cache.start = window.start;
-  cache.fs = fs;
-  cache.mode = mode;
-  cache.end = window.end;
-  cache.count = window.samples;
-  cache.valid = true;
 }
 
 bool StreamingSession::should_skip_analysis() {
@@ -213,9 +165,9 @@ ftio::core::Prediction StreamingSession::predict() {
   base.window_end = now;
   base.sampling_frequency = derived_sampling_frequency();
 
-  // Shared window selection, then extend the cached sample vector — a
-  // full re-read of the window only happens when the grid moved
-  // (adaptive/fixed look-back) or the sampling setup changed.
+  // Shared window selection, then a cold discretisation into per-thread
+  // scratch: one forward pass over the curve, nothing kept between
+  // flushes.
   const double start =
       select_online_window(options_.online, state_, begin, now);
   note_clamped(start);
@@ -223,19 +175,17 @@ ftio::core::Prediction StreamingSession::predict() {
   window_opts.window_start = start;
   const ftio::core::AnalysisWindow window =
       ftio::core::select_analysis_window(curve, window_opts);
-  discretize_into_cache(sample_cache_, window, base);
+  thread_local std::vector<double> samples;
+  ftio::core::discretize_window(curve, window, base, 0, samples);
 
   ftio::core::FtioResult result =
-      ftio::core::analyze_samples(sample_cache_.samples, base, window.start);
-  ftio::core::finish_bandwidth_result(curve, window, sample_cache_.samples,
-                                      base, result);
+      ftio::core::analyze_samples(samples, base, window.start);
+  ftio::core::finish_bandwidth_result(curve, window, samples, base, result);
   const ftio::core::Prediction p =
       ftio::core::prediction_from_result(result, now);
   record(p);
   last_full_ = p;
   last_result_ = std::move(result);
-  // The cache consumed the dirty range above; fresh ingests restart it.
-  dirty_since_ = kInfinity;
   if (options_.triage.enabled) {
     triage_reference_ = triage_bank_.estimate();
   }
@@ -279,12 +229,6 @@ void StreamingSession::maybe_compact(double now) {
   // ... and the retained edge only ever advances.
   FTIO_ASSERT(bandwidth_.curve().start_time() >= start_before);
   compaction_stats_.retained_start = bandwidth_.curve().start_time();
-
-  // The discretisation cache rebuilds when its anchor moves (the
-  // retained support start advanced past it); what compaction adds is
-  // releasing the over-sized buffer a once-long window left behind.
-  std::vector<double>& samples = sample_cache_.samples;
-  if (samples.capacity() > 2 * samples.size()) samples.shrink_to_fit();
 }
 
 void StreamingSession::record(const ftio::core::Prediction& p) {
@@ -302,7 +246,6 @@ std::size_t StreamingSession::memory_bytes() const {
   const ftio::util::LockGuard lock(mutex_);
   std::size_t total = sizeof(*this);
   total += bandwidth_.memory_bytes();
-  total += sample_cache_.samples.capacity() * sizeof(double);
   total += history_.capacity() * sizeof(ftio::core::Prediction);
   total += intervals_.capacity() * sizeof(ftio::core::FrequencyInterval);
   total += triage_bank_.memory_bytes();

@@ -17,9 +17,9 @@ namespace ftio::engine {
 /// Bounds per-session memory to O(analysis window). After every predict()
 /// the session computes the earliest window start its strategy could
 /// select next (via core::peek_online_window) and evicts sweep
-/// events, bandwidth-curve segments, and over-sized discretisation
-/// buffers older than `lookback_slack` times that look-back. Inside the
-/// retained span everything is bit-identical to the uncompacted path.
+/// events and bandwidth-curve segments older than `lookback_slack` times
+/// that look-back. Inside the retained span everything is bit-identical
+/// to the uncompacted path.
 /// Because the horizon is peeked from the exact strategy state the next
 /// predict() will select with, retention always covers the next
 /// reachable window; a window whose start nevertheless lands below the
@@ -114,9 +114,9 @@ struct StreamingOptions {
 ///  - the bandwidth step-function is extended per ingest through
 ///    trace::IncrementalBandwidth (only the curve suffix after the
 ///    earliest new event is re-swept),
-///  - the discretised sample vector is extended per flush when the grid
-///    anchor is stable (growing windows): only samples at or after the
-///    earliest dirty time are re-read from the curve,
+///  - each full analysis discretises its window cold, in one forward
+///    pass over the curve (core::discretize_window); no sample state
+///    survives between flushes,
 ///  - trace aggregates (begin/end time, minimum request duration for the
 ///    automatic fs) are running values instead of per-flush scans,
 ///  - merged_intervals() recomputes the DBSCAN merge only when new
@@ -234,11 +234,10 @@ class StreamingSession {
   /// versioned raw byte stream (doubles as IEEE bit patterns); framing
   /// (magic, CRC) is the durability layer's job. Not serialized, because
   /// a restore re-derives it: the curve and its sweep levels (re-swept
-  /// from the events), the discretisation cache (the first analysis after
-  /// a restore discretises its window cold), merged_intervals() (a pure
-  /// function of history, recomputed lazily), and last_result()
-  /// (diagnostic only — empty after restore until the next full
-  /// analysis).
+  /// from the events), merged_intervals() (a pure function of history,
+  /// recomputed lazily), and last_result() (diagnostic only — empty
+  /// after restore until the next full analysis). No sample state exists
+  /// to save: every analysis discretises its window cold.
   std::vector<std::uint8_t> serialize_state() const FTIO_EXCLUDES(mutex_);
 
   /// Restores state written by serialize_state into a session constructed
@@ -254,40 +253,19 @@ class StreamingSession {
       FTIO_EXCLUDES(mutex_);
 
   /// Approximate resident bytes of all per-session state: sweep events,
-  /// level cache, curve, discretisation caches, histories, intervals,
-  /// and the filter bank. Capacity-based, so eviction without
-  /// shrink-to-fit would not show up as savings.
+  /// level cache, curve, histories, intervals, and the filter bank. The
+  /// per-thread discretisation scratch belongs to no session and is not
+  /// counted. Capacity-based, so eviction without shrink-to-fit would
+  /// not show up as savings.
   std::size_t memory_bytes() const FTIO_EXCLUDES(mutex_);
 
  private:
-  /// Incrementally extended discretisation of the evaluation window.
-  /// Reused whenever the grid (anchor, fs, mode) is unchanged — stable
-  /// for growing windows, where a full re-read would be O(total trace) —
-  /// and rebuilt from scratch when the look-back anchor moved.
-  struct SampleCache {
-    std::vector<double> samples;
-    double start = 0.0;
-    double fs = 0.0;
-    double end = 0.0;
-    std::size_t count = 0;
-    ftio::signal::SamplingMode mode =
-        ftio::signal::SamplingMode::kPointSample;
-    bool valid = false;
-  };
-
   /// Shared ingest body; both public overloads lock and delegate here
   /// (ingest(Trace) could not simply call ingest(span) once the public
   /// surface locks — the mutex is not recursive).
   void ingest_locked(std::span<const ftio::trace::IoRequest> requests)
       FTIO_REQUIRES(mutex_);
   double derived_sampling_frequency() const FTIO_REQUIRES(mutex_);
-  std::size_t clean_sample_prefix(const SampleCache& cache,
-                                  const ftio::core::AnalysisWindow& window)
-      const FTIO_REQUIRES(mutex_);
-  void discretize_into_cache(SampleCache& cache,
-                             const ftio::core::AnalysisWindow& window,
-                             const ftio::core::FtioOptions& base)
-      FTIO_REQUIRES(mutex_);
   /// Counts a window whose requested start fell below the compaction
   /// floor (defensive diagnostic — stays 0 for built-in strategies).
   void note_clamped(double requested) FTIO_REQUIRES(mutex_);
@@ -324,12 +302,6 @@ class StreamingSession {
   double min_request_duration_ FTIO_GUARDED_BY(mutex_) = 0.0;
   std::string app_;
   int rank_count_ FTIO_GUARDED_BY(mutex_) = 0;
-
-  // Incremental discretisation cache of the analysis window.
-  SampleCache sample_cache_ FTIO_GUARDED_BY(mutex_);
-  /// Earliest curve time changed by ingests since the last full
-  /// analysis (skipped flushes leave it accumulating).
-  double dirty_since_ FTIO_GUARDED_BY(mutex_) = 0.0;
 
   // Cached DBSCAN merge of the history.
   mutable std::vector<ftio::core::FrequencyInterval> intervals_;

@@ -1,7 +1,6 @@
 #include "signal/step_function.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 #include "util/contracts.hpp"
@@ -114,52 +113,6 @@ void StepFunction::trim_front(std::size_t drop_boundaries) {
 void StepFunction::shrink_to_fit() {
   times_.release_slack();
   values_.release_slack();
-}
-
-DiscretizedSignal discretize(const StepFunction& f, double fs,
-                             SamplingMode mode) {
-  ftio::util::expect(fs > 0.0, "discretize: fs must be positive");
-  ftio::util::expect(!f.empty(), "discretize: empty signal");
-
-  const double duration = f.duration();
-  // Untrusted-input guard (see core::select_analysis_window): casting a
-  // non-finite or overflowing sample count is undefined behaviour.
-  const double scaled = duration * fs;
-  ftio::util::expect(std::isfinite(scaled) && scaled < 9.0e15,
-                     "discretize: sample count not representable "
-                     "(non-finite or absurd duration * fs)");
-  const auto n = static_cast<std::size_t>(std::ceil(scaled));
-  ftio::util::expect(n > 0, "discretize: signal shorter than one sample");
-
-  DiscretizedSignal d;
-  d.sampling_frequency = fs;
-  d.start_time = f.start_time();
-  d.samples.resize(n);
-
-  const double dt = 1.0 / fs;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = d.start_time + static_cast<double>(i) * dt;
-    if (mode == SamplingMode::kPointSample) {
-      d.samples[i] = f.value_at(t);
-    } else {
-      const double hi = std::min(t + dt, f.end_time());
-      const double width = hi - t;
-      d.samples[i] = width > 0.0 ? f.integral(t, hi) / width : 0.0;
-    }
-  }
-
-  const double original_volume = f.total_integral();
-  double discrete_volume = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double t = d.start_time + static_cast<double>(i) * dt;
-    const double width = std::min(dt, f.end_time() - t);
-    discrete_volume += d.samples[i] * std::max(width, 0.0);
-  }
-  d.abstraction_error =
-      original_volume > 0.0
-          ? std::abs(discrete_volume - original_volume) / original_volume
-          : 0.0;
-  return d;
 }
 
 }  // namespace ftio::signal

@@ -85,25 +85,10 @@ class StepFunction {
   std::size_t segment_index(double t) const;
 };
 
-/// Result of discretising a continuous signal (Sec. II-B1 / II-E).
-struct DiscretizedSignal {
-  std::vector<double> samples;      ///< x_n = x(t0 + n/fs)
-  double sampling_frequency = 0.0;  ///< fs
-  double start_time = 0.0;          ///< t0
-  /// Abstraction error: |volume(discrete) - volume(original)| /
-  /// volume(original), the "volume difference between the two shown
-  /// signals" used to reject under-sampled signals in Fig. 6.
-  double abstraction_error = 0.0;
-};
-
-/// Sampling strategy: point sampling matches the paper's definition
-/// x_n = x(n/fs); bin averaging integrates each 1/fs bin (used for
-/// heatmap-style inputs whose bins already average).
+/// Sampling strategy of core::discretize_window: point sampling matches
+/// the paper's definition x_n = x(t0 + n/fs); bin averaging integrates
+/// each 1/fs bin (used for heatmap-style inputs whose bins already
+/// average).
 enum class SamplingMode { kPointSample, kBinAverage };
-
-/// Discretises `f` over its support at `fs` Hz. The number of samples is
-/// N = ceil(duration * fs); a trailing partial bin is sampled at its start.
-DiscretizedSignal discretize(const StepFunction& f, double fs,
-                             SamplingMode mode = SamplingMode::kPointSample);
 
 }  // namespace ftio::signal

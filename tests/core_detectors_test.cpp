@@ -143,88 +143,10 @@ core::FtioResult run_golden(std::string_view name, bool with_acf) {
   return core::analyze_bandwidth(heatmap.bandwidth(), opts);
 }
 
-/// The expected fingerprints. The x86-64-v3 build (FTIO_X86_64_V3=ON)
-/// defines __FMA__, and GCC then contracts `a * b + c` into fused
-/// multiply-adds everywhere but signal/plan.cpp, e.g. in
-/// util::variance. The statistics and the discretised curves then
-/// carry different last bits, and HACC-IO's dominant frequency moves
-/// (0.129937 Hz portable, 0.130086 Hz there), so that build has its own
-/// table. Both tables are exact: a change to either build's arithmetic
-/// shows up.
-#ifdef __FMA__
-constexpr GoldenCase kGoldenCases[] = {
-    {"fig07a", true,
-     "f_d=3fb3fbc6d664fd67 c_d=3feb77c0dc249ce4 "
-     "acf=406b800000000000 refined=3fe4ff1923c42bdc "
-     "fused_f=3fb3fbc6d664fd67 fused_c=3fdb77c0dc249ce4 "
-     "abs_err=3f8258561e16d575 sigma_vol=3cf91a27232b4613"},
-    {"fig07a", false,
-     "f_d=3fb3fbc6d664fd67 c_d=3feb77c0dc249ce4 "
-     "acf=none refined=3feb77c0dc249ce4 "
-     "fused_f=3fb3fbc6d664fd67 fused_c=3feb77c0dc249ce4 "
-     "abs_err=3f8258561e16d575 sigma_vol=3cf91a27232b4613"},
-    {"fig07b", true,
-     "f_d=none c_d=0000000000000000 "
-     "acf=4033f33333333333 refined=0000000000000000 "
-     "fused_f=none fused_c=0000000000000000 "
-     "abs_err=3f61a1567ef7d6ee sigma_vol=none"},
-    {"fig07b", false,
-     "f_d=none c_d=0000000000000000 "
-     "acf=none refined=0000000000000000 "
-     "fused_f=none fused_c=0000000000000000 "
-     "abs_err=3f61a1567ef7d6ee sigma_vol=none"},
-    {"fig07c", true,
-     "f_d=none c_d=0000000000000000 "
-     "acf=0000000000000000 refined=0000000000000000 "
-     "fused_f=none fused_c=0000000000000000 "
-     "abs_err=3f2f0a44c00a4e7a sigma_vol=none"},
-    {"fig07c", false,
-     "f_d=none c_d=0000000000000000 "
-     "acf=none refined=0000000000000000 "
-     "fused_f=none fused_c=0000000000000000 "
-     "abs_err=3f2f0a44c00a4e7a sigma_vol=none"},
-    {"lammps", true,
-     "f_d=3fa2b35799f74763 c_d=3fe22657129627e6 "
-     "acf=403b99999999999a refined=3feb572153b01520 "
-     "fused_f=3fa2b35799f74763 fused_c=3fe9132b894b13f3 "
-     "abs_err=3fa2c37ff31b8a9f sigma_vol=3fce590ef26b1b82"},
-    {"lammps", false,
-     "f_d=3fa2b35799f74763 c_d=3fe22657129627e6 "
-     "acf=none refined=3fe22657129627e6 "
-     "fused_f=3fa2b35799f74763 fused_c=3fe22657129627e6 "
-     "abs_err=3fa2c37ff31b8a9f sigma_vol=3fce590ef26b1b82"},
-    {"haccio", true,
-     "f_d=3fc0a6a50ea1c1d6 c_d=3fe1ec641a5aa5a4 "
-     "acf=401f800000000000 refined=3feb0d459a7ebc37 "
-     "fused_f=3fc0a6a50ea1c1d6 fused_c=3fe8cb11a0f6138a "
-     "abs_err=3f8cccccccbcae90 sigma_vol=3fc9a7e2166420d6"},
-    {"haccio", false,
-     "f_d=3fc0a6a50ea1c1d6 c_d=3fe1ec641a5aa5a4 "
-     "acf=none refined=3fe1ec641a5aa5a4 "
-     "fused_f=3fc0a6a50ea1c1d6 fused_c=3fe1ec641a5aa5a4 "
-     "abs_err=3f8cccccccbcae90 sigma_vol=3fc9a7e2166420d6"},
-    {"nek5000_full", true,
-     "f_d=none c_d=0000000000000000 "
-     "acf=0000000000000000 refined=0000000000000000 "
-     "fused_f=none fused_c=0000000000000000 "
-     "abs_err=0000000000000000 sigma_vol=none"},
-    {"nek5000_full", false,
-     "f_d=none c_d=0000000000000000 "
-     "acf=none refined=0000000000000000 "
-     "fused_f=none fused_c=0000000000000000 "
-     "abs_err=0000000000000000 sigma_vol=none"},
-    {"nek5000_reduced", true,
-     "f_d=3f2bec3a8488c786 c_d=3febd639535a1c0e "
-     "acf=40e5f40000000000 refined=3fe5f65dc641112c "
-     "fused_f=3f2bec3a8488c786 fused_c=3fdbd639535a1c0e "
-     "abs_err=0000000000000000 sigma_vol=3fc43340a1260a2e"},
-    {"nek5000_reduced", false,
-     "f_d=3f2bec3a8488c786 c_d=3febd639535a1c0e "
-     "acf=none refined=3febd639535a1c0e "
-     "fused_f=3f2bec3a8488c786 fused_c=3febd639535a1c0e "
-     "abs_err=0000000000000000 sigma_vol=3fc43340a1260a2e"},
-};
-#else
+/// The expected fingerprints, exact for both supported builds: the
+/// x86-64-v3 build (FTIO_X86_64_V3=ON) compiles with -ffp-contract=off,
+/// so it computes the portable build's bits. A change to the arithmetic
+/// of either shows up here.
 constexpr GoldenCase kGoldenCases[] = {
     {"fig07a", true,
      "f_d=3fb3fbc6d664fd67 c_d=3feb77c0dc249ce6 "
@@ -297,7 +219,6 @@ constexpr GoldenCase kGoldenCases[] = {
      "fused_f=3f2bec3a8488c786 fused_c=3febd639535a1c0d "
      "abs_err=0000000000000000 sigma_vol=3fc43340a1260a2e"},
 };
-#endif
 
 }  // namespace
 

@@ -1,16 +1,22 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <vector>
 
+#include "core/ftio.hpp"
 #include "signal/autocorrelation.hpp"
 #include "signal/peaks.hpp"
 #include "signal/spectrum.hpp"
 #include "signal/step_function.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
+namespace core = ftio::core;
 namespace sig = ftio::signal;
 
 namespace {
@@ -26,6 +32,37 @@ std::vector<double> cosine(double f, double fs, double seconds,
   }
   return x;
 }
+
+/// One discretisation as the pipeline runs it: the window
+/// core::select_analysis_window picks over the whole curve, sampled by
+/// core::discretize_window.
+struct Discretized {
+  core::AnalysisWindow window;
+  std::vector<double> samples;
+};
+
+Discretized discretize(
+    const sig::StepFunction& f, double fs,
+    sig::SamplingMode mode = sig::SamplingMode::kPointSample) {
+  core::FtioOptions opts;
+  opts.sampling_frequency = fs;
+  opts.sampling_mode = mode;
+  Discretized d;
+  d.window = core::select_analysis_window(f, opts);
+  core::discretize_window(f, d.window, opts, 0, d.samples);
+  return d;
+}
+
+/// The Sec. II-E abstraction error of discretising `f` at `fs`, as
+/// analyze_bandwidth reports it.
+double abstraction_error(const sig::StepFunction& f, double fs) {
+  core::FtioOptions opts;
+  opts.sampling_frequency = fs;
+  opts.with_autocorrelation = false;
+  return core::analyze_bandwidth(f, opts).abstraction_error;
+}
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 }  // namespace
 
@@ -282,19 +319,19 @@ TEST(StepFunction, ShrinkToFitPreservesContents) {
 
 TEST(Discretize, PointSamplingMatchesDefinition) {
   sig::StepFunction f({0.0, 1.0, 2.0}, {4.0, 8.0});
-  const auto d = sig::discretize(f, 2.0);
+  const auto d = discretize(f, 2.0);
   // Samples at t = 0, 0.5, 1.0, 1.5.
   ASSERT_EQ(d.samples.size(), 4u);
   EXPECT_DOUBLE_EQ(d.samples[0], 4.0);
   EXPECT_DOUBLE_EQ(d.samples[1], 4.0);
   EXPECT_DOUBLE_EQ(d.samples[2], 8.0);
   EXPECT_DOUBLE_EQ(d.samples[3], 8.0);
-  EXPECT_NEAR(d.abstraction_error, 0.0, 1e-12);
+  EXPECT_NEAR(abstraction_error(f, 2.0), 0.0, 1e-12);
 }
 
 TEST(Discretize, BinAverageIntegratesBins) {
   sig::StepFunction f({0.0, 0.5, 1.0}, {2.0, 6.0});
-  const auto d = sig::discretize(f, 1.0, sig::SamplingMode::kBinAverage);
+  const auto d = discretize(f, 1.0, sig::SamplingMode::kBinAverage);
   ASSERT_EQ(d.samples.size(), 1u);
   EXPECT_DOUBLE_EQ(d.samples[0], 4.0);
 }
@@ -303,33 +340,128 @@ TEST(Discretize, UnderSamplingInflatesAbstractionError) {
   // A 1 ms burst of 1000 units: sampling at 1 Hz either misses it entirely
   // or wildly overestimates the volume -> abstraction error near 1 or huge.
   sig::StepFunction f({0.0, 0.001, 10.0}, {1000.0, 0.0});
-  const auto coarse = sig::discretize(f, 1.0);
-  EXPECT_GT(coarse.abstraction_error, 0.5);
+  EXPECT_GT(abstraction_error(f, 1.0), 0.5);
   // Sampling well above the burst rate recovers the volume.
-  const auto fine = sig::discretize(f, 10000.0);
-  EXPECT_LT(fine.abstraction_error, 0.05);
+  EXPECT_LT(abstraction_error(f, 10000.0), 0.05);
 }
 
 TEST(Discretize, SampleCountIsCeilOfDurationTimesFs) {
   sig::StepFunction f({0.0, 2.5}, {1.0});
-  EXPECT_EQ(sig::discretize(f, 2.0).samples.size(), 5u);
-  EXPECT_EQ(sig::discretize(f, 1.0).samples.size(), 3u);  // ceil(2.5)
+  EXPECT_EQ(discretize(f, 2.0).samples.size(), 5u);
+  EXPECT_EQ(discretize(f, 1.0).samples.size(), 3u);  // ceil(2.5)
 }
 
 TEST(Discretize, NonZeroStartTimeHandled) {
   sig::StepFunction f({10.0, 11.0, 12.0}, {3.0, 7.0});
-  const auto d = sig::discretize(f, 1.0);
+  const auto d = discretize(f, 1.0);
   ASSERT_EQ(d.samples.size(), 2u);
-  EXPECT_DOUBLE_EQ(d.start_time, 10.0);
+  EXPECT_DOUBLE_EQ(d.window.start, 10.0);
   EXPECT_DOUBLE_EQ(d.samples[0], 3.0);
   EXPECT_DOUBLE_EQ(d.samples[1], 7.0);
 }
 
 TEST(Discretize, RejectsBadArguments) {
   sig::StepFunction f({0.0, 1.0}, {1.0});
-  EXPECT_THROW(sig::discretize(f, 0.0), ftio::util::InvalidArgument);
-  EXPECT_THROW(sig::discretize(sig::StepFunction{}, 1.0),
+  EXPECT_THROW(discretize(f, 0.0), ftio::util::InvalidArgument);
+  // A negative fs once sized the grid from a negative count cast to
+  // size_t (2^64 - 10 samples for fs = -5 over a 2 s curve).
+  sig::StepFunction two_seconds({0.0, 2.0}, {1.0});
+  EXPECT_THROW(discretize(two_seconds, -5.0), ftio::util::InvalidArgument);
+  EXPECT_THROW(discretize(f, std::numeric_limits<double>::quiet_NaN()),
                ftio::util::InvalidArgument);
+  EXPECT_THROW(discretize(sig::StepFunction{}, 1.0),
+               ftio::util::InvalidArgument);
+}
+
+TEST(Discretize, EqualsPerSampleDefinitionBitForBit) {
+  // discretize_window samples in one forward pass; the definition is one
+  // value_at / integral lookup per sample. Seeded random curves and
+  // windows, both modes, against that definition bit for bit. Boundaries
+  // sit on the sample grid a third of the time (at fs = 4 Hz every grid
+  // time is exact, so samples and bin ends land on them), and runs of
+  // sub-sample segments make one sample step cross many boundaries.
+  // Windows may start before the support and end after it; half the
+  // curves are trimmed at the front first.
+  ftio::util::Rng rng(25);
+  std::size_t exact_hits = 0;
+  std::size_t before_support = 0;
+  std::size_t past_support = 0;
+  std::size_t trimmed = 0;
+  for (int iter = 0; iter < 400; ++iter) {
+    const double fs = iter % 2 == 0 ? 4.0 : rng.uniform(0.3, 20.0);
+    const double dt = 1.0 / fs;
+    const double origin = static_cast<double>(rng.uniform_int(-20, 20));
+    const auto segments = rng.uniform_int(1, 300);
+    std::vector<double> times{origin};
+    std::vector<double> values;
+    double grid_pos = 0.0;  // boundary position in sample steps
+    for (std::int64_t k = 0; k < segments; ++k) {
+      switch (rng.uniform_int(0, 2)) {
+        case 0:
+          grid_pos = std::floor(grid_pos) +
+                     static_cast<double>(rng.uniform_int(1, 3));
+          break;
+        case 1:
+          grid_pos += rng.uniform(0.01, 0.3);
+          break;
+        default:
+          grid_pos += rng.uniform(0.3, 3.0);
+      }
+      times.push_back(origin + grid_pos * dt);
+      values.push_back(rng.bernoulli(0.2) ? 0.0 : rng.uniform(0.0, 1e9));
+    }
+    sig::StepFunction f(times, values);
+    if (segments > 1 && rng.bernoulli(0.5)) {
+      f.trim_front(static_cast<std::size_t>(rng.uniform_int(1, segments - 1)));
+      ++trimmed;
+    }
+    const auto boundaries = f.times();
+
+    // Anchored on the grid, from before the support start to past the
+    // retained one.
+    const double start =
+        origin + static_cast<double>(rng.uniform_int(-8, segments)) * dt;
+    const double end =
+        start + dt * rng.uniform(0.5, 2.0 * static_cast<double>(segments));
+    const auto n = static_cast<std::size_t>(std::ceil((end - start) * fs));
+    const core::AnalysisWindow window{start, end, n};
+    if (start < f.start_time()) ++before_support;
+    if (end > f.end_time()) ++past_support;
+
+    for (const auto mode :
+         {sig::SamplingMode::kPointSample, sig::SamplingMode::kBinAverage}) {
+      core::FtioOptions opts;
+      opts.sampling_frequency = fs;
+      opts.sampling_mode = mode;
+      // Entries below `first` must be left as they are.
+      const auto first = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(n) / 4));
+      constexpr double kUntouched = -1.0;
+      std::vector<double> samples(first, kUntouched);
+      core::discretize_window(f, window, opts, first, samples);
+      ASSERT_EQ(samples.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        const double t = start + static_cast<double>(i) * dt;
+        double expected = kUntouched;
+        if (i >= first && mode == sig::SamplingMode::kPointSample) {
+          expected = f.value_at(t);
+        } else if (i >= first) {
+          const double b = std::min(t + dt, end);
+          expected = b > t ? f.integral(t, b) / (b - t) : 0.0;
+        }
+        if (std::binary_search(boundaries.begin(), boundaries.end(), t)) {
+          ++exact_hits;
+        }
+        ASSERT_EQ(bits(samples[i]), bits(expected))
+            << "iter " << iter << " sample " << i << " of " << n;
+      }
+    }
+  }
+  // The seeded draws reach every case the test names.
+  EXPECT_GT(exact_hits, 1000u);
+  EXPECT_GT(before_support, 20u);
+  EXPECT_GT(past_support, 20u);
+  EXPECT_GT(trimmed, 100u);
 }
 
 // ---------------------------------------------------------------------------
