@@ -150,7 +150,8 @@ void BM_IncrementalExtend(benchmark::State& state) {
   for (auto _ : state) {
     ftio::trace::IncrementalBandwidth curve;
     for (const auto& chunk : chunks) {
-      benchmark::DoNotOptimize(curve.extend(chunk));
+      curve.extend(chunk);
+      benchmark::DoNotOptimize(curve.curve());
     }
   }
   const auto flushes = static_cast<std::int64_t>(chunks.size());

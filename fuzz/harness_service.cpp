@@ -54,14 +54,17 @@ ftio::service::ServiceOptions decode_options(ByteReader& reader) {
   options.materialize_after_requests = 1u + reader.u8() % 4;
   options.ladder.recovery_cycles = 1u + reader.u8() % 4;
   options.ladder.triage_stride = 1u + reader.u8() % 4;
-  if ((reader.u8() & 1) != 0) {
-    options.budget.analyses_per_second = 0.0;
-    options.budget.burst = static_cast<double>(reader.u8() % 4);
-  }
+  // Reserved bytes (one, plus one more when it is odd): still consumed
+  // so the committed corpus seeds decode to the same programs.
+  if ((reader.u8() & 1) != 0) static_cast<void>(reader.u8());
   // Tiny sessions: triage warmup 1 so the cheap tier engages quickly.
   options.session.triage.warmup_analyses = 1;
   return options;
 }
+
+const char* const kFailpointNames[] = {
+    "service.alloc", "service.session_throw", "service.slow_shard",
+    "service.shard_crash", "service.queue_overflow", "trace.parse_garbage"};
 
 /// Arms a subset of the service failpoints from input bytes. No-op
 /// payload-wise when the call sites are compiled out — arming is still
@@ -70,12 +73,9 @@ void arm_failpoints(ByteReader& reader) {
   const std::uint8_t mask = reader.u8();
   const std::uint16_t seed = reader.u16();
   const double probability = (1.0 + reader.u8() % 50) / 100.0;
-  const char* kNames[] = {"service.alloc", "service.session_throw",
-                          "service.slow_shard", "service.shard_crash",
-                          "service.queue_overflow", "trace.parse_garbage"};
-  for (std::size_t i = 0; i < std::size(kNames); ++i) {
+  for (std::size_t i = 0; i < std::size(kFailpointNames); ++i) {
     if ((mask & (1u << i)) != 0) {
-      ftio::util::failpoints::arm(kNames[i], probability, seed + i);
+      ftio::util::failpoints::arm(kFailpointNames[i], probability, seed + i);
     }
   }
 }
@@ -158,6 +158,20 @@ int ftio_fuzz_service(const std::uint8_t* data, std::size_t size) {
         total.processed_items != total.accepted) {
       // Without crash injection, stop() drains: conservation is exact.
       fail("accepted items lost without a crash failpoint");
+    }
+    std::size_t fired = 0;
+    for (const char* name : kFailpointNames) {
+      fired += ftio::util::failpoints::fire_count(name);
+    }
+    if (fired == 0 && total.poisoned_sessions == 0 &&
+        total.session_build_failures == 0 && total.shard_restarts == 0 &&
+        total.processed_items !=
+            total.deferred_flushes + total.dropped_ingest_only +
+                total.stride_skips + total.coalesced_analyses +
+                total.analyses + total.empty_window_analyses) {
+      // The ladder is the only shedder: without faults every processed
+      // flush ends in exactly one outcome.
+      fail("a processed flush ended in no outcome or in several");
     }
   }
   ftio::util::failpoints::disarm_all();

@@ -45,9 +45,9 @@ struct DurabilityOptions {
   /// Take a checkpoint every N drain cycles. The effective cadence is
   /// stretched by the degradation ladder (doubled per level), so
   /// durability work sheds under overload like any other analysis. A
-  /// checkpoint is not metered by the tenants' analysis budget: it holds
-  /// every session at its last applied journal sequence, serializing
-  /// only sessions that changed since the previous checkpoint.
+  /// checkpoint holds every session at its last applied journal
+  /// sequence, serializing only sessions that changed since the
+  /// previous checkpoint.
   std::size_t checkpoint_interval_cycles = 64;
   /// Take a final checkpoint when the daemon stops cleanly.
   bool checkpoint_on_stop = true;

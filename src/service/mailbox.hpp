@@ -113,13 +113,6 @@ class Mailbox {
     not_empty_.notify_all();
   }
 
-  /// Wakes a blocked consumer without queueing anything (pump/stop use
-  /// this to bound the worker's wait).
-  void interrupt() FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    not_empty_.notify_all();
-  }
-
   std::size_t depth() const FTIO_EXCLUDES(mutex_) {
     const ftio::util::LockGuard lock(mutex_);
     return queue_.size();

@@ -91,8 +91,6 @@ void ShardStats::merge(const ShardStats& other) {
   grouped_analyses += other.grouped_analyses;
   coalesced_analyses += other.coalesced_analyses;
   stride_skips += other.stride_skips;
-  budget_skips += other.budget_skips;
-  deadline_expired += other.deadline_expired;
   empty_window_analyses += other.empty_window_analyses;
   dropped_ingest_only += other.dropped_ingest_only;
   poisoned_sessions += other.poisoned_sessions;

@@ -20,9 +20,10 @@
 /// reference accessors quiescent) holds by construction — only the shard
 /// thread ever touches its sessions. Robustness is the design driver:
 /// admission control and backpressure at the mailbox, a graceful-
-/// degradation ladder that sheds analysis quality before availability,
-/// and fault isolation (parse containment, session quarantine, work-item
-/// deadlines, crash-only shard restart) at every layer. See
+/// degradation ladder that sheds analysis quality before availability
+/// (the daemon's only analysis shedder, driven by queue depth alone),
+/// and fault isolation (parse containment, session quarantine,
+/// crash-only shard restart) at every layer. See
 /// service/daemon.hpp for the entry point and README "Ingest service"
 /// for the architecture contract.
 namespace ftio::service {
@@ -82,15 +83,6 @@ struct LadderOptions {
   std::size_t triage_stride = 4;
 };
 
-/// Per-tenant token-bucket analysis budget. Refilled in wall-clock time;
-/// a burst of 0 disables metering. Exhausted tenants keep ingesting —
-/// only their analysis cadence degrades (ingest-only is the ladder's
-/// cheapest rung applied per tenant).
-struct BudgetOptions {
-  double analyses_per_second = 0.0;  ///< token refill rate
-  double burst = 0.0;                ///< bucket capacity; 0 = unmetered
-};
-
 /// The tenant-session template a multi-tenant daemon wants by default:
 /// compaction and triage on (bounded memory, cheap steady-state
 /// flushes), a bounded prediction history, and no report diagnostics
@@ -122,9 +114,6 @@ struct ServiceOptions {
   std::size_t max_item_requests = 4096;
   /// Work items drained per shard cycle (the ladder sampling cadence).
   std::size_t drain_batch = 64;
-  /// A work item older than this when dequeued is ingested but not
-  /// analysed (its analysis window has already moved on); 0 disables.
-  double work_deadline_seconds = 0.0;
   /// Live tenants per shard before least-recently-active eviction kicks
   /// in. The second memory backstop: a million-tenant stream runs in
   /// O(max_tenants_per_shard * shards) resident sessions.
@@ -139,7 +128,6 @@ struct ServiceOptions {
   /// Template for every tenant session.
   ftio::engine::StreamingOptions session = default_session_template();
   LadderOptions ladder;
-  BudgetOptions budget;
   /// Checkpoint/WAL layer (see durability/durability.hpp). Disabled by
   /// default: no journal, no checkpoints, no recovery, zero cost.
   ftio::durability::DurabilityOptions durability;
@@ -200,8 +188,6 @@ struct ShardStats {
   /// (drain-cycle dedup — backpressure coalescing at the analysis tier).
   std::size_t coalesced_analyses = 0;
   std::size_t stride_skips = 0;    ///< kTriageOnly cadence skips
-  std::size_t budget_skips = 0;    ///< token bucket empty
-  std::size_t deadline_expired = 0;
   std::size_t empty_window_analyses = 0;  ///< benign InvalidArgument
   std::size_t dropped_ingest_only = 0;    ///< flushes at kIngestOnly
 

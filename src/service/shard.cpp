@@ -274,12 +274,6 @@ void Shard::process_flush(Flush& flush, DegradationLevel level,
   } else if (ingest_into(tenant, flush, delta)) {
     if (level == DegradationLevel::kIngestOnly) {
       ++delta.counters.dropped_ingest_only;
-    } else if (options_.work_deadline_seconds > 0.0 &&
-               seconds_between(flush.enqueued, started) >
-                   options_.work_deadline_seconds) {
-      // Stale work: the data still entered the curve (analysis windows
-      // to come must see it), but its own analysis slot is forfeit.
-      ++delta.counters.deadline_expired;
     } else {
       ++tenant.flushes_since_analysis;
       const std::size_t stride =
@@ -384,10 +378,6 @@ void Shard::run_due_analyses(DegradationLevel level, CycleDelta& delta) {
 void Shard::analyze(Tenant& tenant, DegradationLevel level,
                     CycleDelta& delta) {
   FTIO_ASSERT(tenant.session != nullptr);
-  if (!take_token(tenant)) {
-    ++delta.counters.budget_skips;
-    return;
-  }
   try {
     if (FTIO_FAILPOINT("service.session_throw")) {
       throw std::runtime_error("failpoint: service.session_throw");
@@ -406,28 +396,6 @@ void Shard::analyze(Tenant& tenant, DegradationLevel level,
   } catch (const std::exception&) {
     poison(tenant, delta);
   }
-}
-
-void Shard::refill_bucket(Tenant& tenant) {
-  const BudgetOptions& budget = options_.budget;
-  const auto now = Clock::now();
-  if (!tenant.bucket_primed) {
-    tenant.tokens = budget.burst;
-    tenant.last_refill = now;
-    tenant.bucket_primed = true;
-  }
-  tenant.tokens = std::min(
-      budget.burst, tenant.tokens + seconds_between(tenant.last_refill, now) *
-                                        budget.analyses_per_second);
-  tenant.last_refill = now;
-}
-
-bool Shard::take_token(Tenant& tenant) {
-  if (options_.budget.burst <= 0.0) return true;
-  refill_bucket(tenant);
-  if (tenant.tokens < 1.0) return false;
-  tenant.tokens -= 1.0;
-  return true;
 }
 
 Shard::Tenant& Shard::touch(const std::string& name) {
@@ -752,8 +720,6 @@ void Shard::CycleDelta::fold_into(ShardStats& stats) const {
   stats.grouped_analyses += counters.grouped_analyses;
   stats.coalesced_analyses += counters.coalesced_analyses;
   stats.stride_skips += counters.stride_skips;
-  stats.budget_skips += counters.budget_skips;
-  stats.deadline_expired += counters.deadline_expired;
   stats.empty_window_analyses += counters.empty_window_analyses;
   stats.dropped_ingest_only += counters.dropped_ingest_only;
   stats.poisoned_sessions += counters.poisoned_sessions;

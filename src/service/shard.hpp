@@ -148,10 +148,6 @@ class Shard {
     std::uint64_t last_applied_seq = 0;
     std::shared_ptr<const std::vector<std::uint8_t>> snapshot_blob;
     std::uint64_t snapshot_seq = 0;
-    // Token bucket (BudgetOptions).
-    double tokens = 0.0;
-    Clock::time_point last_refill;
-    bool bucket_primed = false;
     // Drain-cycle bookkeeping.
     std::uint64_t last_cycle = 0;  ///< last cycle that touched the tenant
     std::uint64_t due_cycle = 0;   ///< cycle that marked it due (dedup)
@@ -185,8 +181,6 @@ class Shard {
   /// Analyses every due tenant once, grouped by last sample count.
   void run_due_analyses(DegradationLevel level, CycleDelta& delta);
   void analyze(Tenant& tenant, DegradationLevel level, CycleDelta& delta);
-  void refill_bucket(Tenant& tenant);
-  bool take_token(Tenant& tenant);
   /// Finds or creates the tenant entry and moves it to the LRU tail.
   Tenant& touch(const std::string& name);
   void evict_idle(CycleDelta& delta);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <limits>
 #include <type_traits>
 
 #include "util/binio.hpp"
@@ -238,11 +237,11 @@ ftio::signal::StepFunction bandwidth_from_events(
 IncrementalBandwidth::IncrementalBandwidth(BandwidthOptions options)
     : options_(std::move(options)) {}
 
-double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
+void IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
   thread_local std::vector<BandwidthEvent> fresh;
   fresh.clear();
   append_bandwidth_events(requests, options_, std::nullopt, fresh);
-  if (fresh.empty()) return std::numeric_limits<double>::infinity();
+  if (fresh.empty()) return;
   sort_bandwidth_events(fresh);
   const double dirty = fresh.front().time;
 
@@ -284,7 +283,6 @@ double IncrementalBandwidth::extend(std::span<const IoRequest> requests) {
   }
   sweep_tail(events_, from, level, tail_times, tail_values, &raw_levels_);
   curve_.splice_tail(keep, tail_times, tail_values);
-  return dirty;
 }
 
 std::size_t IncrementalBandwidth::compact(double horizon) {

@@ -116,10 +116,9 @@ class IncrementalBandwidth {
  public:
   explicit IncrementalBandwidth(BandwidthOptions options = {});
 
-  /// Merges the chunk's events into the curve. Returns the earliest time
-  /// whose curve value may have changed, or +infinity when the chunk
-  /// contributed no events (all filtered out).
-  double extend(std::span<const IoRequest> requests);
+  /// Merges the chunk's events into the curve. A chunk that contributes
+  /// no events (all filtered out) leaves the state unchanged.
+  void extend(std::span<const IoRequest> requests);
 
   /// Evicts sweep events and curve segments strictly older than
   /// `horizon`, bounding the retained state to the curve suffix from the

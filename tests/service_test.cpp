@@ -174,6 +174,71 @@ TEST(ServiceTest, LadderStepsDownMonotonicallyUnderOverload) {
   EXPECT_GE(total.dropped_ingest_only, 1u);
 }
 
+TEST(ServiceTest, EveryProcessedFlushEndsInExactlyOneOutcome) {
+  // The ladder is the only analysis shedder, so without faults each
+  // processed flush is deferred, dropped at ingest-only, stride-skipped,
+  // folded into a due analysis, or answered by one analysis (successful
+  // or on an empty window). drain_batch 3 adds drain-cycle coalescing.
+  for (const std::size_t drain_batch : {std::size_t{1}, std::size_t{3}}) {
+    SCOPED_TRACE(drain_batch);
+    svc::ServiceOptions options = foreground_options();
+    options.mailbox_capacity = 8;
+    options.coalesce_depth = 6;  // admission merges only near capacity
+    options.drain_batch = drain_batch;
+    options.ladder.recovery_cycles = 2;
+    options.ladder.triage_stride = 2;
+    options.materialize_after_requests = 3;  // first flush is deferred
+    svc::IngestDaemon daemon(options);
+
+    // Two tenants, so a batch of 3 holds one of them twice.
+    int flush = 0;
+    const auto submit = [&](int count) {
+      for (int k = 0; k < count; ++k, ++flush) {
+        ASSERT_TRUE(svc::admitted(daemon.submit(
+            "t" + std::to_string(flush % 2), phase(8.0 * flush, 2.0))));
+      }
+    };
+    // Overload rounds refill the mailbox after each cycle, so the
+    // backlog stays at the high watermark (6, where admission starts
+    // merging) and the ladder walks down to ingest-only. Light rounds
+    // run at kFull once the idle pumps have restored it.
+    for (int round = 0; round < 8; ++round) {
+      if (round % 2 == 0) {
+        submit(8);
+        for (int cycle = 0; cycle < 3; ++cycle) {
+          daemon.pump();
+          submit(static_cast<int>(drain_batch));
+        }
+      } else {
+        submit(4);
+      }
+      while (daemon.pump() > 0) {
+      }
+      for (int idle = 0; idle < 4; ++idle) daemon.pump();
+    }
+
+    const svc::ShardStats total = daemon.stats().total();
+    ASSERT_EQ(total.poisoned_sessions, 0u);
+    ASSERT_EQ(total.session_build_failures, 0u);
+    ASSERT_EQ(total.shard_restarts, 0u);
+    EXPECT_EQ(total.processed_items, total.accepted);
+    EXPECT_GT(total.coalesced, 0u);
+    // Every rung was visited.
+    const auto full = static_cast<std::size_t>(svc::DegradationLevel::kFull);
+    EXPECT_GT(total.analyses_at_level[full], 0u);
+    EXPECT_GT(total.stride_skips, 0u);
+    EXPECT_GT(total.dropped_ingest_only, 0u);
+    EXPECT_GT(total.deferred_flushes, 0u);
+    if (drain_batch > 1) {
+      EXPECT_GT(total.coalesced_analyses, 0u);
+    }
+    EXPECT_EQ(total.processed_items,
+              total.deferred_flushes + total.dropped_ingest_only +
+                  total.stride_skips + total.coalesced_analyses +
+                  total.analyses + total.empty_window_analyses);
+  }
+}
+
 TEST(ServiceTest, LadderRecoversHystereticallyWhenCalm) {
   svc::ServiceOptions options = foreground_options();
   options.mailbox_capacity = 8;
@@ -253,40 +318,6 @@ TEST(ServiceTest, IdleTenantsAreEvictedBeyondTheCap) {
   EXPECT_FALSE(daemon.poisoned("tenant-0"));
   EXPECT_EQ(daemon.submit("tenant-0", phase(10.0, 2.0)),
             svc::Admission::kAccepted);
-}
-
-TEST(ServiceTest, TokenBucketBoundsAnalysesPerTenant) {
-  svc::ServiceOptions options = foreground_options();
-  options.budget.analyses_per_second = 0.0;  // no refill: burst only
-  options.budget.burst = 2.0;
-  svc::IngestDaemon daemon(options);
-
-  for (int i = 0; i < 5; ++i) {
-    daemon.submit("metered", phase(8.0 * i, 2.0));
-    daemon.pump();
-  }
-  const svc::ShardStats total = daemon.stats().total();
-  EXPECT_EQ(total.analyses + total.empty_window_analyses, 2u);
-  EXPECT_EQ(total.budget_skips, 3u);
-  // Ingest kept flowing: the budget meters analysis, not availability.
-  EXPECT_EQ(total.processed_items, 5u);
-}
-
-TEST(ServiceTest, ExpiredWorkIsIngestedButNotAnalysed) {
-  svc::ServiceOptions options = foreground_options();
-  options.work_deadline_seconds = 1e-9;  // everything is late
-  svc::IngestDaemon daemon(options);
-
-  for (int i = 0; i < 3; ++i) {
-    daemon.submit("late", phase(8.0 * i, 2.0));
-    daemon.pump();
-  }
-  const svc::ShardStats total = daemon.stats().total();
-  EXPECT_EQ(total.deadline_expired, 3u);
-  EXPECT_EQ(total.analyses, 0u);
-  // The data still reached the session (sessions_built proves ingest).
-  EXPECT_EQ(total.sessions_built, 1u);
-  EXPECT_EQ(total.processed_requests, 6u);
 }
 
 TEST(ServiceTest, MalformedRecordsAreContainedPerRecord) {

@@ -427,21 +427,28 @@ TEST(IncrementalCompact, RequestsBelowFloorAreClipped) {
   ASSERT_GT(inc.compact(40.0), 0u);
   const double floor = *inc.floor_time();
   const std::size_t events = inc.event_count();
+  const std::vector<double> times(inc.curve().times().begin(),
+                                  inc.curve().times().end());
+  const std::vector<double> values(inc.curve().values().begin(),
+                                   inc.curve().values().end());
 
-  // Entirely before the floor: dropped, no event added.
+  // Entirely before the floor: dropped, the curve untouched.
   std::vector<tr::IoRequest> ancient{
       {0, 1.0, 3.0, 10'000'000, tr::IoKind::kWrite}};
-  EXPECT_TRUE(std::isinf(inc.extend(ancient)));
+  inc.extend(ancient);
   EXPECT_EQ(inc.event_count(), events);
-  EXPECT_EQ(inc.curve().start_time(), floor);
+  EXPECT_TRUE(std::ranges::equal(inc.curve().times(), times));
+  EXPECT_TRUE(std::ranges::equal(inc.curve().values(), values));
 
   // Spanning the floor: clipped to [floor, end), bandwidth unchanged.
+  const double at_floor = inc.curve().value_at(floor);
   std::vector<tr::IoRequest> spanning{
       {0, floor - 5.0, floor + 5.0, 20'000'000, tr::IoKind::kWrite}};
-  const double dirty = inc.extend(spanning);
-  EXPECT_EQ(dirty, floor);
+  inc.extend(spanning);
   EXPECT_EQ(inc.event_count(), events + 2);
   EXPECT_EQ(inc.curve().start_time(), floor);
+  EXPECT_DOUBLE_EQ(inc.curve().value_at(floor),
+                   at_floor + spanning.front().bandwidth());
 }
 
 TEST(IncrementalCompact, MemoryBytesShrinkAfterEviction) {
