@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace ftio::util {
 
@@ -27,10 +28,17 @@ class IoError : public std::runtime_error {
 };
 
 /// Precondition check helper: throws InvalidArgument with `message` when
-/// `condition` is false. Used at public API boundaries only; internal
-/// invariants use assert().
-inline void expect(bool condition, const std::string& message) {
-  if (!condition) throw InvalidArgument(message);
+/// `condition` is false. It runs in every build, so it also guards
+/// per-boundary loops (StepFunction construction and splicing); internal
+/// invariants that may compile away in Release use FTIO_ASSERT and
+/// FTIO_CONTRACT (util/contracts.hpp).
+///
+/// Cost contract: a check that passes allocates nothing. The message is a
+/// view, copied into a string only when the check fails. A message built
+/// with `+` at the call site is still built on every call, so pass a
+/// literal on any path that runs per request or per boundary.
+inline void expect(bool condition, std::string_view message) {
+  if (!condition) throw InvalidArgument(std::string(message));
 }
 
 }  // namespace ftio::util
