@@ -68,7 +68,8 @@ void StreamingSession::ingest_locked(
       end_time_ = std::max(end_time_, r.end);
     }
     ++request_count_;
-    rank_count_ = std::max(rank_count_, r.rank + 1);
+    rank_count_ =
+        std::max(rank_count_, ftio::trace::rank_count_through(r.rank));
     const double d = r.duration();
     if (d > 0.0 && (min_request_duration_ == 0.0 ||
                     d < min_request_duration_)) {

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <limits>
 
 #include "util/csv.hpp"
 #include "util/error.hpp"
@@ -39,18 +40,34 @@ Json io_record(const IoRequest& r) {
 }
 
 /// The record keys the trace formats read, in FieldCapture slot order.
+/// FieldCapture scans the slots in order for each key, so the order is
+/// that of the keys in an `io` record as to_jsonl and to_msgpack write it.
 enum RecordField : std::size_t {
   kType,
-  kApp,
-  kRanks,
+  kKind,
   kRank,
   kStart,
   kEnd,
   kBytes,
-  kKind,
+  kApp,
+  kRanks,
 };
 constexpr std::array<std::string_view, 8> kRecordFields = {
-    "type", "app", "ranks", "rank", "start", "end", "bytes", "kind"};
+    "type", "kind", "rank", "start", "end", "bytes", "app", "ranks"};
+
+/// The shortest `io` record each format encodes, so that input size over
+/// it bounds the request count and the decoders reserve the request vector
+/// once. `io` needs `type`, `start`, `end` and `kind`; the shortest values
+/// are one-digit integers and an empty kind (which reads as a write):
+///   JSONL, 41 bytes before the newline:
+///     {"type":"io","start":0,"end":0,"kind":""}
+///   MessagePack, 27 bytes: fixmap(4) 1 + "type" 5 + "io" 3 + "start" 6
+///     + fixint 1 + "end" 4 + fixint 1 + "kind" 5 + "" 1.
+/// The reserve is only a hint: a wrong bound costs a regrowth, not a wrong
+/// trace. For a large trace the unwritten capacity is address space, not
+/// resident memory.
+constexpr std::size_t kMinJsonlIoRecord = 41;
+constexpr std::size_t kMinMsgpackIoRecord = 27;
 
 /// Applies one decoded record to the trace under construction. Unknown
 /// record types are skipped for forward compatibility.
@@ -58,11 +75,9 @@ void apply_record(const ftio::util::FieldCapture& record, Trace& out) {
   if (!record.is_object() || !record[kType].present()) {
     throw ftio::util::ParseError("trace record without 'type'");
   }
+  // "io" first: every record but one is a request.
   const std::string_view type = record[kType].as_string();
-  if (type == "meta") {
-    if (record[kApp].present()) out.app = record[kApp].as_string();
-    out.rank_count = static_cast<int>(record.get_int_or(kRanks, 0));
-  } else if (type == "io") {
+  if (type == "io") {
     IoRequest r;
     r.rank = static_cast<int>(record.get_int_or(kRank, 0));
     r.start = record.at(kStart).as_double();
@@ -74,6 +89,9 @@ void apply_record(const ftio::util::FieldCapture& record, Trace& out) {
       throw ftio::util::ParseError("trace record with end < start");
     }
     out.requests.push_back(r);
+  } else if (type == "meta") {
+    if (record[kApp].present()) out.app = record[kApp].as_string();
+    out.rank_count = static_cast<int>(record.get_int_or(kRanks, 0));
   }
   // Other types (e.g. "flush") carry no request data; skip them.
 }
@@ -112,6 +130,7 @@ std::string to_jsonl(const Trace& trace) {
 Trace from_jsonl(std::string_view text, ParsePolicy policy,
                  ParseStats* stats) {
   Trace out;
+  out.requests.reserve(text.size() / kMinJsonlIoRecord);
   ParseStats local;
   ftio::util::FieldCapture record(kRecordFields);
   std::size_t pos = 0;
@@ -149,6 +168,7 @@ std::vector<std::uint8_t> to_msgpack(const Trace& trace) {
 Trace from_msgpack(std::span<const std::uint8_t> bytes, ParsePolicy policy,
                    ParseStats* stats) {
   Trace out;
+  out.requests.reserve(bytes.size() / kMinMsgpackIoRecord);
   ParseStats local;
   ftio::util::FieldCapture record(kRecordFields);
   std::size_t pos = 0;
@@ -185,6 +205,22 @@ double parse_double_field(const std::string& s) {
     throw ftio::util::ParseError("csv: invalid number '" + s + "'");
   }
   return v;
+}
+
+/// A rank column holds a number that truncates to an int ("3", "3.0");
+/// one that does not (NaN, infinite, out of range) is a bad row, not an
+/// undefined conversion.
+int parse_rank_field(const std::string& s) {
+  // Exactly the doubles whose truncation is an int; NaN fails both tests.
+  constexpr double kBelow =
+      static_cast<double>(std::numeric_limits<int>::min()) - 1.0;
+  constexpr double kAbove =
+      static_cast<double>(std::numeric_limits<int>::max()) + 1.0;
+  const double v = parse_double_field(s);
+  if (!(v > kBelow && v < kAbove)) {
+    throw ftio::util::ParseError("csv: rank out of range '" + s + "'");
+  }
+  return static_cast<int>(v);
 }
 
 std::uint64_t parse_u64_field(const std::string& s) {
@@ -236,7 +272,7 @@ Trace from_recorder_csv(std::string_view text, ParsePolicy policy,
         throw ftio::util::ParseError("failpoint: trace.parse_garbage");
       }
       IoRequest r;
-      r.rank = static_cast<int>(parse_double_field(row[c_rank]));
+      r.rank = parse_rank_field(row[c_rank]);
       r.start = parse_double_field(row[c_start]);
       r.end = parse_double_field(row[c_end]);
       r.bytes = parse_u64_field(row[c_bytes]);
@@ -252,7 +288,7 @@ Trace from_recorder_csv(std::string_view text, ParsePolicy policy,
       ++local.skipped;
     }
   }
-  out.rank_count = max_rank + 1;
+  out.rank_count = rank_count_through(max_rank);
   if (stats != nullptr) *stats = local;
   return out;
 }

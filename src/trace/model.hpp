@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -35,6 +36,13 @@ struct IoRequest {
   /// Average bandwidth of this single request in bytes/s.
   double bandwidth() const { return duration() > 0.0 ? static_cast<double>(bytes) / duration() : 0.0; }
 };
+
+/// The rank count that covers ranks 0..`rank`, i.e. `rank + 1` clamped
+/// to INT_MAX: the decoders accept any int rank, and the highest one must
+/// not overflow the count.
+inline int rank_count_through(int rank) {
+  return rank == std::numeric_limits<int>::max() ? rank : rank + 1;
+}
 
 /// A complete application trace: every request of every rank, plus the
 /// metadata TMIO stores in its file header.

@@ -26,6 +26,11 @@ namespace ftio::util {
 // Json document (Json::parse, msgpack::decode) and FieldCapture keeps a
 // few top-level fields of a record without building anything.
 
+/// The accessors below are inline, so applying a record makes no call on
+/// the success path; their failures throw util::ParseError through these.
+[[noreturn]] void throw_field_error(const char* message);
+[[noreturn]] void throw_missing_key(std::string_view key);
+
 /// One top-level field captured by FieldCapture.
 struct FieldValue {
   enum class Kind : std::uint8_t {
@@ -51,9 +56,23 @@ struct FieldValue {
   bool present() const { return kind != Kind::kAbsent; }
   /// Typed accessors with Json's rules: as_double() accepts an integer,
   /// as_int() does not accept a double. Throw ParseError on mismatch.
-  std::int64_t as_int() const;
-  double as_double() const;
-  std::string_view as_string() const;
+  std::int64_t as_int() const {
+    if (kind != Kind::kInt) {
+      throw_field_error("record: field is not an integer");
+    }
+    return int_value;
+  }
+  double as_double() const {
+    if (kind == Kind::kDouble) return double_value;
+    if (kind != Kind::kInt) throw_field_error("record: field is not a number");
+    return static_cast<double>(int_value);
+  }
+  std::string_view as_string() const {
+    if (kind != Kind::kString) {
+      throw_field_error("record: field is not a string");
+    }
+    return string_value;
+  }
 };
 
 /// Walker sink that keeps the *first* occurrence of each of a fixed set of
@@ -66,6 +85,7 @@ class FieldCapture {
   /// `keys` names the slots, in slot order; it must outlive the capture.
   explicit FieldCapture(std::span<const std::string_view> keys)
       : keys_(keys), fields_(keys.size()) {
+    prefixes_.reserve(keys.size());
     for (const auto k : keys) prefixes_.push_back(prefix(k));
   }
 
@@ -84,7 +104,10 @@ class FieldCapture {
   /// Slot `i` (kind kAbsent when the key did not occur).
   const FieldValue& operator[](std::size_t i) const { return fields_[i]; }
   /// Slot `i`; throws ParseError when the key did not occur.
-  const FieldValue& at(std::size_t i) const;
+  const FieldValue& at(std::size_t i) const {
+    if (!fields_[i].present()) throw_missing_key(keys_[i]);
+    return fields_[i];
+  }
   /// Slot `i` as an integer, or `fallback` when the key did not occur.
   std::int64_t get_int_or(std::size_t i, std::int64_t fallback) const {
     return fields_[i].present() ? fields_[i].as_int() : fallback;

@@ -4,11 +4,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
 #include "core/online.hpp"
 #include "service/service.hpp"
+#include "trace/formats.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
 #include "workloads/apps.hpp"
@@ -438,6 +440,28 @@ TEST(StreamingSession, TraceAggregatesMatch) {
   bare.ingest(std::span<const tr::IoRequest>(phase(0.0, 1.0, 8)));
   EXPECT_EQ(bare.rank_count(), 8);
   EXPECT_TRUE(bare.app().empty());
+}
+
+// The decoders accept any int rank, and the highest one reaches the
+// session's rank count, which must not overflow computing rank + 1.
+TEST(StreamingSession, HighestRankCountsWithoutOverflow) {
+  constexpr int kHighest = std::numeric_limits<int>::max();
+  const tr::Trace from_jsonl = tr::from_jsonl(
+      R"({"type":"io","kind":"write","rank":2147483647,"start":0.5,)"
+      R"("end":1.5,"bytes":4096})");
+  tr::Trace written;
+  written.requests.push_back({kHighest, 2.5, 3.5, 4096, tr::IoKind::kRead});
+  const tr::Trace from_msgpack = tr::from_msgpack(tr::to_msgpack(written));
+  for (const tr::Trace* chunk : {&from_jsonl, &from_msgpack}) {
+    ASSERT_EQ(chunk->requests.size(), 1u);
+    ASSERT_EQ(chunk->requests[0].rank, kHighest);
+  }
+  auto session = make_session(online_options(core::WindowStrategy::kGrowing));
+  session.ingest(std::span<const tr::IoRequest>(from_jsonl.requests));
+  EXPECT_EQ(session.rank_count(), kHighest);
+  session.ingest(std::span<const tr::IoRequest>(from_msgpack.requests));
+  EXPECT_EQ(session.rank_count(), kHighest);
+  EXPECT_EQ(session.request_count(), 2u);
 }
 
 TEST(StreamingSession, LastResultCarriesBandwidthFields) {

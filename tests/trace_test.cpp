@@ -751,6 +751,37 @@ TEST(Jsonl, SkipBadDropsAndCountsMalformedRecords) {
   EXPECT_EQ(stats.skipped, 2u);
 }
 
+// The decoders reserve the request vector from the input size over the
+// shortest io record each format encodes: 41 bytes of JSONL, 27 of
+// MessagePack. Records of exactly that size decode, one request each.
+TEST(Jsonl, ShortestIoRecordsDecode) {
+  const std::string line = R"({"type":"io","start":0,"end":0,"kind":""})";
+  ASSERT_EQ(line.size(), 41u);
+  const auto t = tr::from_jsonl(line + "\n" + line + "\n" + line);
+  ASSERT_EQ(t.requests.size(), 3u);
+  EXPECT_EQ(t.requests[2].kind, tr::IoKind::kWrite);
+  EXPECT_EQ(t.requests[2].rank, 0);
+  EXPECT_EQ(t.requests[2].bytes, 0u);
+}
+
+TEST(MsgpackTrace, ShortestIoRecordsDecode) {
+  const std::vector<std::uint8_t> record = {
+      0x84,                                      // fixmap, 4 entries
+      0xa4, 't', 'y', 'p', 'e', 0xa2, 'i', 'o',  // "type": "io"
+      0xa5, 's', 't', 'a', 'r', 't', 0x00,       // "start": 0
+      0xa3, 'e', 'n', 'd', 0x00,                 // "end": 0
+      0xa4, 'k', 'i', 'n', 'd', 0xa0};           // "kind": ""
+  ASSERT_EQ(record.size(), 27u);
+  std::vector<std::uint8_t> bytes;
+  for (int i = 0; i < 3; ++i) {
+    bytes.insert(bytes.end(), record.begin(), record.end());
+  }
+  const auto t = tr::from_msgpack(bytes);
+  ASSERT_EQ(t.requests.size(), 3u);
+  EXPECT_EQ(t.requests[2].kind, tr::IoKind::kWrite);
+  EXPECT_EQ(t.requests[2].end, 0.0);
+}
+
 TEST(MsgpackTrace, SkipBadDropsBufferTailOnFramingError) {
   auto t = overlap_trace();
   auto bytes = tr::to_msgpack(t);
@@ -1147,6 +1178,41 @@ TEST(RecorderCsv, ParsesHandWrittenFile) {
   ASSERT_EQ(t.requests.size(), 2u);
   EXPECT_EQ(t.requests[1].kind, tr::IoKind::kRead);
   EXPECT_EQ(t.requests[1].bytes, 2097152u);
+}
+
+TEST(RecorderCsv, HighestRankCountsWithoutOverflow) {
+  const auto t = tr::from_recorder_csv(
+      "rank,start,end,bytes,op\n2147483647,0.0,1.0,1,write\n");
+  ASSERT_EQ(t.requests.size(), 1u);
+  EXPECT_EQ(t.requests[0].rank, std::numeric_limits<int>::max());
+  EXPECT_EQ(t.rank_count, std::numeric_limits<int>::max());
+}
+
+TEST(RecorderCsv, RankThatIsNoIntIsABadRow) {
+  for (const std::string rank : {"nan", "inf", "-inf", "1e300", "-1e300",
+                                 "2147483648", "-2147483649"}) {
+    const std::string csv = "rank,start,end,bytes,op\n0,0.0,1.0,1,write\n" +
+                            rank + ",0.0,1.0,1,write\n";
+    EXPECT_THROW(static_cast<void>(tr::from_recorder_csv(csv)),
+                 ftio::util::ParseError)
+        << rank;
+    tr::ParseStats stats;
+    const auto t =
+        tr::from_recorder_csv(csv, tr::ParsePolicy::kSkipBad, &stats);
+    EXPECT_EQ(t.requests.size(), 1u) << rank;
+    EXPECT_EQ(stats.skipped, 1u) << rank;
+    EXPECT_EQ(t.rank_count, 1) << rank;
+  }
+  // A rank that truncates to an int stays accepted, as before.
+  const auto t = tr::from_recorder_csv(
+      "rank,start,end,bytes,op\n"
+      "2147483647.5,0.0,1.0,1,write\n"
+      "-2147483648.9,0.0,1.0,1,write\n"
+      "3.7,0.0,1.0,1,write\n");
+  ASSERT_EQ(t.requests.size(), 3u);
+  EXPECT_EQ(t.requests[0].rank, std::numeric_limits<int>::max());
+  EXPECT_EQ(t.requests[1].rank, std::numeric_limits<int>::min());
+  EXPECT_EQ(t.requests[2].rank, 3);
 }
 
 TEST(RecorderCsv, RejectsInvalidNumbers) {

@@ -14,6 +14,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -24,6 +25,7 @@
 #include "service/daemon.hpp"
 #include "service/service.hpp"
 #include "signal/step_function.hpp"
+#include "trace/formats.hpp"
 #include "trace/model.hpp"
 #include "util/error.hpp"
 
@@ -98,6 +100,15 @@ std::vector<tr::IoRequest> phase(double t0,
                         1'000'000, tr::IoKind::kWrite});
   }
   return requests;
+}
+
+/// A trace of one phase with its meta record, as a tracer writes it.
+tr::Trace phase_trace() {
+  tr::Trace trace;
+  trace.app = "alloc";
+  trace.rank_count = kRanks;
+  trace.requests = phase(0.0);
+  return trace;
 }
 
 /// A condition the compiler cannot fold, so the passing check below
@@ -217,6 +228,43 @@ TEST(AllocBudget, DaemonFlushIsNotPerRequest) {
   const double per_flush = static_cast<double>(n) / kCounted;
   EXPECT_LE(per_flush, 16.0) << "over " << kCounted << " flushes of "
                              << kChunkRequests << " requests";
+}
+
+// Decoding a trace allocates its request vector once, sized from the input
+// length, plus the record sink's two slot tables. Growing the vector from
+// empty took 18 allocations for 4,096 records.
+TEST(AllocBudget, JsonlDecodeAllocatesOncePerTrace) {
+  const std::string text = tr::to_jsonl(phase_trace());
+  tr::Trace decoded;
+  const std::size_t n =
+      count_allocations([&] { decoded = tr::from_jsonl(text); });
+  EXPECT_EQ(decoded.requests.size(), kChunkRequests);
+  EXPECT_LE(n, 4u) << "for " << kChunkRequests << " records";
+}
+
+TEST(AllocBudget, MsgpackDecodeAllocatesOncePerTrace) {
+  const std::vector<std::uint8_t> bytes = tr::to_msgpack(phase_trace());
+  tr::Trace decoded;
+  const std::size_t n =
+      count_allocations([&] { decoded = tr::from_msgpack(bytes); });
+  EXPECT_EQ(decoded.requests.size(), kChunkRequests);
+  EXPECT_LE(n, 4u) << "for " << kChunkRequests << " records";
+}
+
+TEST(AllocBudget, DaemonMsgpackSubmitIsNotPerRequest) {
+  svc::ServiceOptions options;
+  options.background = false;
+  options.shards = 1;
+  svc::IngestDaemon daemon(options);
+  const std::vector<std::uint8_t> bytes = tr::to_msgpack(phase_trace());
+  // Warm: the tenant and its mailbox exist before the counted submit.
+  ASSERT_EQ(daemon.submit_msgpack("app", bytes), svc::Admission::kAccepted);
+  daemon.pump();
+  svc::Admission admission = svc::Admission::kRejectedMalformed;
+  const std::size_t n = count_allocations(
+      [&] { admission = daemon.submit_msgpack("app", bytes); });
+  EXPECT_EQ(admission, svc::Admission::kAccepted);
+  EXPECT_LE(n, 8u) << "for " << kChunkRequests << " requests";
 }
 
 }  // namespace
