@@ -4,8 +4,10 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <vector>
 
 #include "core/ftio.hpp"
@@ -75,6 +77,26 @@ void BM_BandwidthSweepSemi(benchmark::State& state) {
   state.counters["requests"] = static_cast<double>(trace.requests.size());
 }
 BENCHMARK(BM_BandwidthSweepSemi)->MinTime(0.5)->Unit(benchmark::kMillisecond);
+
+// The same trace with its requests in a fixed random order: neither event
+// run is nearly sorted, so the sweep spends its insertion budget and then
+// falls back to the bucket sort. This row bounds that worst case.
+void BM_BandwidthSweepShuffled(benchmark::State& state) {
+  auto trace = ftio::workloads::generate_semisynthetic(
+                   {}, ftio::workloads::make_phase_library())
+                   .trace;
+  std::mt19937_64 rng(20240527);
+  std::shuffle(trace.requests.begin(), trace.requests.end(), rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ftio::trace::bandwidth_signal(trace));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trace.requests.size()));
+  state.counters["requests"] = static_cast<double>(trace.requests.size());
+}
+BENCHMARK(BM_BandwidthSweepShuffled)
+    ->MinTime(0.5)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_AutocorrelationRefinement(benchmark::State& state) {
   // The optional ACF pass cost the paper +0.26 s on LAMMPS.

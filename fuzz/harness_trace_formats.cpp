@@ -1,5 +1,6 @@
 #include "fuzz/harness_trace_formats.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -39,10 +40,13 @@ void check_oracle(const char* format, Difference difference) {
   }
 }
 
-/// Sweep property of every parsed trace: bandwidth_signal, built on the
-/// distribution sort, matches the std::sort sweep of fuzz/sweep_oracle.hpp,
-/// and no segment is NaN (every event delta is finite, so the running
-/// level can saturate at +inf but never meet inf - inf).
+/// Sweep property of every parsed trace: bandwidth_signal matches the
+/// std::sort sweep of fuzz/sweep_oracle.hpp, and no segment is NaN (every
+/// event delta is finite, so the running level can saturate at +inf but
+/// never meet inf - inf). Parsed traces are mostly out of order, so their
+/// event runs mostly take the bucket-sort fallback; a start-ordered copy
+/// takes the insertion-sorted runs, through bandwidth_signal and through
+/// IncrementalBandwidth::extend in chunks.
 void check_sweep(const char* format, const ftio::trace::Trace& trace) {
   const auto curve = ftio::trace::bandwidth_signal(trace);
   const std::string diff = sweep_oracle::curve_difference(
@@ -50,6 +54,32 @@ void check_sweep(const char* format, const ftio::trace::Trace& trace) {
   if (!diff.empty()) property_failed(format, diff.c_str(), "sweep oracle");
   for (const double v : curve.values()) {
     if (std::isnan(v)) property_failed(format, "NaN segment", "sweep");
+  }
+
+  // A NaN start has no place in start order; such a request builds no
+  // events, so dropping it leaves the oracle's curve unchanged.
+  ftio::trace::Trace sorted = trace;
+  std::erase_if(sorted.requests, [](const ftio::trace::IoRequest& r) {
+    return std::isnan(r.start);
+  });
+  sorted.sort_by_start();
+  const auto want = sweep_oracle::bandwidth_signal(sorted);
+  const std::string sorted_diff = sweep_oracle::curve_difference(
+      ftio::trace::bandwidth_signal(sorted), want);
+  if (!sorted_diff.empty()) {
+    property_failed(format, sorted_diff.c_str(), "start-ordered sweep");
+  }
+  constexpr std::size_t kChunk = 7;
+  const std::span<const ftio::trace::IoRequest> requests(sorted.requests);
+  ftio::trace::IncrementalBandwidth incremental;
+  for (std::size_t i = 0; i < requests.size(); i += kChunk) {
+    incremental.extend(
+        requests.subspan(i, std::min(kChunk, requests.size() - i)));
+  }
+  const std::string extend_diff =
+      sweep_oracle::curve_difference(incremental.curve(), want);
+  if (!extend_diff.empty()) {
+    property_failed(format, extend_diff.c_str(), "chunked extend");
   }
 }
 

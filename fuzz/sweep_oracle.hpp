@@ -1,8 +1,9 @@
 #pragma once
 
 // The comparison-sort bandwidth sweep, kept as the oracle that
-// trace::sort_bandwidth_events (and through it bandwidth_signal and
-// IncrementalBandwidth) is checked against: the same event list, ordered
+// trace::build_sorted_bandwidth_events, trace::sort_bandwidth_events and
+// through them bandwidth_signal and IncrementalBandwidth are checked
+// against: the event list of append_bandwidth_events, ordered
 // by std::sort under bandwidth_event_less, swept by the shared
 // bandwidth_from_events. Used by tests/trace_test.cpp and the
 // fuzz_trace_formats harness.

@@ -10,6 +10,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <string_view>
@@ -28,16 +29,26 @@ inline void apply_record(const ftio::util::Json& record,
   if (!record.is_object() || !record.contains("type")) {
     throw ftio::util::ParseError("trace record without 'type'");
   }
+  // Integers are narrowed only when the cast keeps the value.
+  const auto to_int = [](std::int64_t v) {
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      throw ftio::util::ParseError("integer field outside int");
+    }
+    return static_cast<int>(v);
+  };
   const std::string& type = record.at("type").as_string();
   if (type == "meta") {
     if (record.contains("app")) out.app = record.at("app").as_string();
-    out.rank_count = static_cast<int>(record.get_int_or("ranks", 0));
+    out.rank_count = to_int(record.get_int_or("ranks", 0));
   } else if (type == "io") {
     ftio::trace::IoRequest r;
-    r.rank = static_cast<int>(record.get_int_or("rank", 0));
+    r.rank = to_int(record.get_int_or("rank", 0));
     r.start = record.at("start").as_double();
     r.end = record.at("end").as_double();
-    r.bytes = static_cast<std::uint64_t>(record.get_int_or("bytes", 0));
+    const std::int64_t bytes = record.get_int_or("bytes", 0);
+    if (bytes < 0) throw ftio::util::ParseError("negative bytes");
+    r.bytes = static_cast<std::uint64_t>(bytes);
     r.kind = record.at("kind").as_string() == "read"
                  ? ftio::trace::IoKind::kRead
                  : ftio::trace::IoKind::kWrite;

@@ -69,6 +69,22 @@ constexpr std::array<std::string_view, 8> kRecordFields = {
 constexpr std::size_t kMinJsonlIoRecord = 41;
 constexpr std::size_t kMinMsgpackIoRecord = 27;
 
+/// An integer field narrowed to int. A value the cast would change is a
+/// bad record: rank 4294967297 must not read as rank 1.
+int int_field(std::int64_t value, const char* what) {
+  if (value < std::numeric_limits<int>::min() ||
+      value > std::numeric_limits<int>::max()) {
+    throw ftio::util::ParseError(what);
+  }
+  return static_cast<int>(value);
+}
+
+/// A byte count: a negative value is a bad record, not 2^64 - 1 bytes.
+std::uint64_t byte_field(std::int64_t value) {
+  if (value < 0) throw ftio::util::ParseError("trace record with bytes < 0");
+  return static_cast<std::uint64_t>(value);
+}
+
 /// Applies one decoded record to the trace under construction. Unknown
 /// record types are skipped for forward compatibility.
 void apply_record(const ftio::util::FieldCapture& record, Trace& out) {
@@ -79,10 +95,11 @@ void apply_record(const ftio::util::FieldCapture& record, Trace& out) {
   const std::string_view type = record[kType].as_string();
   if (type == "io") {
     IoRequest r;
-    r.rank = static_cast<int>(record.get_int_or(kRank, 0));
+    r.rank = int_field(record.get_int_or(kRank, 0),
+                       "trace record with rank outside int");
     r.start = record.at(kStart).as_double();
     r.end = record.at(kEnd).as_double();
-    r.bytes = static_cast<std::uint64_t>(record.get_int_or(kBytes, 0));
+    r.bytes = byte_field(record.get_int_or(kBytes, 0));
     r.kind = record.at(kKind).as_string() == "read" ? IoKind::kRead
                                                     : IoKind::kWrite;
     if (r.end < r.start) {
@@ -91,7 +108,8 @@ void apply_record(const ftio::util::FieldCapture& record, Trace& out) {
     out.requests.push_back(r);
   } else if (type == "meta") {
     if (record[kApp].present()) out.app = record[kApp].as_string();
-    out.rank_count = static_cast<int>(record.get_int_or(kRanks, 0));
+    out.rank_count = int_field(record.get_int_or(kRanks, 0),
+                               "trace meta with ranks outside int");
   }
   // Other types (e.g. "flush") carry no request data; skip them.
 }

@@ -94,8 +94,8 @@ bool bandwidth_event_less(const BandwidthEvent& a, const BandwidthEvent& b);
 /// pass over ~n/4 time buckets, each finished by comparison, falling back
 /// to std::sort for short inputs and degenerate time spans. Equal under
 /// the comparator means equal time and delta, so the result matches
-/// std::sort element-wise under ==. The one sort behind bandwidth_signal
-/// and IncrementalBandwidth::extend.
+/// std::sort element-wise under ==. build_sorted_bandwidth_events falls
+/// back to it for a run that is far from sorted.
 void sort_bandwidth_events(std::span<BandwidthEvent> events);
 
 /// Appends the sweep events of `requests` — filtered and window-clipped
@@ -106,6 +106,22 @@ void append_bandwidth_events(std::span<const IoRequest> requests,
                              const BandwidthOptions& options,
                              std::optional<int> only_rank,
                              std::vector<BandwidthEvent>& events);
+
+/// Replaces `events` with the sweep events append_bandwidth_events would
+/// build for the same arguments, in bandwidth_event_less order. The start
+/// events and the end events are built in one pass as two runs; each run
+/// is insertion-sorted within a fixed move budget (or, once that runs out,
+/// by sort_bandwidth_events), and the two are merged. Start-ordered
+/// requests whose ends are nearly in order therefore cost about one
+/// linear pass, and any other input costs at most the budget's moves and
+/// the merge more than sort_bandwidth_events. Every event time is finite,
+/// no start ties with an end, and tied events are equal (up to the sign
+/// of a zero time), so the result matches std::sort element-wise under
+/// ==. Behind bandwidth_signal and IncrementalBandwidth::extend.
+void build_sorted_bandwidth_events(std::span<const IoRequest> requests,
+                                   const BandwidthOptions& options,
+                                   std::optional<int> only_rank,
+                                   std::vector<BandwidthEvent>& events);
 
 /// Builds the piecewise-constant curve from events sorted by
 /// bandwidth_event_less. Shared by bandwidth_signal and the streaming
@@ -193,8 +209,8 @@ class IncrementalBandwidth {
 /// (i.e., bandwidth at the application level) is evaluated ... with a
 /// linear complexity with the number of I/O requests"). Each request
 /// contributes bytes/duration uniformly over [start, end); contributions
-/// add where requests overlap. The event sort is linear for spread-out
-/// request times and O(R log R) at worst.
+/// add where requests overlap. The event sort is linear for start-ordered
+/// or spread-out requests and O(R log R) at worst.
 ftio::signal::StepFunction bandwidth_signal(const Trace& trace,
                                             const BandwidthOptions& options = {});
 

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <span>
 #include <string>
+#include <system_error>
 #include <unistd.h>
 #include <vector>
 
@@ -15,12 +16,38 @@
 
 namespace ftio::util {
 
-/// Reads an entire text file; throws ParseError when it cannot be opened.
-inline std::string read_text_file(const std::filesystem::path& path) {
+namespace file_detail {
+
+/// Reads all of `path` into `Bytes` (std::string or a byte vector) with
+/// one read of the size the file has when opened, then reads on to end of
+/// file: a file that shrank or grew since, or that reports no size, still
+/// yields exactly the bytes a read to end of file returns. Throws
+/// ParseError when the file cannot be opened.
+template <typename Bytes>
+Bytes read_whole_file(const std::filesystem::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw ParseError("cannot open file: " + path.string());
-  return std::string(std::istreambuf_iterator<char>(in),
-                     std::istreambuf_iterator<char>());
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path, ec);
+  Bytes out;
+  if (!ec && size > 0) {
+    out.resize(static_cast<std::size_t>(size));
+    in.read(reinterpret_cast<char*>(out.data()),
+            static_cast<std::streamsize>(size));
+    out.resize(static_cast<std::size_t>(in.gcount()));
+  }
+  if (in) {
+    out.insert(out.end(), std::istreambuf_iterator<char>(in),
+               std::istreambuf_iterator<char>());
+  }
+  return out;
+}
+
+}  // namespace file_detail
+
+/// Reads an entire text file; throws ParseError when it cannot be opened.
+inline std::string read_text_file(const std::filesystem::path& path) {
+  return file_detail::read_whole_file<std::string>(path);
 }
 
 /// Writes (truncates) a text file. Throws IoError when the file cannot be
@@ -38,13 +65,11 @@ inline void write_text_file(const std::filesystem::path& path,
   if (out.fail()) throw IoError("close failed: " + path.string());
 }
 
-/// Reads an entire binary file.
+/// Reads an entire binary file with one read; throws ParseError when it
+/// cannot be opened.
 inline std::vector<std::uint8_t> read_binary_file(
     const std::filesystem::path& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw ParseError("cannot open file: " + path.string());
-  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in),
-                                   std::istreambuf_iterator<char>());
+  return file_detail::read_whole_file<std::vector<std::uint8_t>>(path);
 }
 
 /// Writes (truncates) a binary file; same error contract (and the same

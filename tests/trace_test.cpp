@@ -327,6 +327,175 @@ TEST(SortBandwidthEvents, SeededRandomTraces) {
 }
 
 // ---------------------------------------------------------------------------
+// Event build: the start/end run merge against the std::sort oracle
+// ---------------------------------------------------------------------------
+
+namespace {
+
+using Requests = std::vector<tr::IoRequest>;
+
+/// `ranks` ranks issuing back-to-back requests of unequal length and rate
+/// from a shared start time, sorted by start: the semi-synthetic shape.
+/// The start run is sorted but for rate ties; the end run is nearly sorted.
+Requests back_to_back(int ranks, int per_rank, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> length(0.1, 2.0);
+  std::uniform_int_distribution<std::uint64_t> bytes(1, 64);
+  tr::Trace trace;
+  for (int r = 0; r < ranks; ++r) {
+    double t = 10.0;
+    for (int i = 0; i < per_rank; ++i) {
+      const double end = t + length(rng);
+      trace.requests.push_back(
+          {r, t, end, bytes(rng) << 20, tr::IoKind::kWrite});
+      t = end;
+    }
+  }
+  trace.sort_by_start();
+  return trace.requests;
+}
+
+/// Every rank writes the same bytes over the same span in each phase:
+/// groups of identical events, the HACC-IO shape.
+Requests identical_groups(int ranks, int phases) {
+  Requests requests;
+  for (int p = 0; p < phases; ++p) {
+    for (int r = 0; r < ranks; ++r) {
+      requests.push_back({r, 30.0 * p, 30.0 * p + 4.5, 1u << 24,
+                          p % 2 ? tr::IoKind::kRead : tr::IoKind::kWrite});
+    }
+  }
+  return requests;
+}
+
+/// Ranks start together with rates that fall with the rank, so start
+/// order (by rank) is the reverse of the delta tie-break.
+Requests equal_starts_unequal_rates(int ranks, int phases) {
+  Requests requests;
+  for (int p = 0; p < phases; ++p) {
+    for (int r = 0; r < ranks; ++r) {
+      const double start = 8.0 * p;
+      requests.push_back({r, start, start + 1.0 + 0.25 * (r % 3),
+                          static_cast<std::uint64_t>(ranks - r) << 16,
+                          tr::IoKind::kWrite});
+    }
+  }
+  return requests;
+}
+
+/// The first element-wise difference (under ==) between the run-merge
+/// builder and the oracle's std::sort of the same events, or "".
+std::string build_difference(const Requests& requests,
+                             const tr::BandwidthOptions& options,
+                             std::optional<int> only_rank) {
+  Events got = {{-1.0, 1.0}};  // replaced, not appended to
+  tr::build_sorted_bandwidth_events(requests, options, only_rank, got);
+  Events want;
+  tr::append_bandwidth_events(requests, options, only_rank, want);
+  ftio::fuzz::sweep_oracle::sort_events(want);
+  if (got.size() != want.size()) {
+    return std::to_string(got.size()) + " events vs " +
+           std::to_string(want.size());
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    if (!(got[i].time == want[i].time) || !(got[i].delta == want[i].delta)) {
+      return "element " + std::to_string(i) + " of " +
+             std::to_string(want.size());
+    }
+  }
+  return "";
+}
+
+/// Checks the builder, bandwidth_signal (or rank_bandwidth_signal) and a
+/// chunked IncrementalBandwidth::extend against the oracle.
+void expect_matches_oracle(const Requests& requests,
+                           const tr::BandwidthOptions& options = {},
+                           std::optional<int> only_rank = std::nullopt) {
+  namespace oracle = ftio::fuzz::sweep_oracle;
+  EXPECT_EQ(build_difference(requests, options, only_rank), "");
+  tr::Trace trace;
+  trace.requests = requests;
+  const auto want = oracle::bandwidth_signal(trace, options, only_rank);
+  const auto got =
+      only_rank ? tr::rank_bandwidth_signal(trace, *only_rank, options)
+                : tr::bandwidth_signal(trace, options);
+  EXPECT_EQ(oracle::curve_difference(got, want), "") << "bandwidth_signal";
+  if (only_rank) return;  // IncrementalBandwidth sweeps every rank
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{37},
+                                  std::size_t{500}}) {
+    tr::IncrementalBandwidth inc(options);
+    for (std::size_t i = 0; i < requests.size(); i += chunk) {
+      const std::size_t n = std::min(chunk, requests.size() - i);
+      inc.extend(std::span<const tr::IoRequest>(requests).subspan(i, n));
+    }
+    EXPECT_EQ(oracle::curve_difference(inc.curve(), want), "")
+        << "extend in chunks of " << chunk;
+  }
+}
+
+}  // namespace
+
+TEST(BuildSortedBandwidthEvents, StartOrderedBackToBackRanks) {
+  expect_matches_oracle(back_to_back(32, 60, 3));
+  expect_matches_oracle(back_to_back(2, 400, 4));
+}
+
+TEST(BuildSortedBandwidthEvents, GroupsOfIdenticalEvents) {
+  expect_matches_oracle(identical_groups(512, 4));
+}
+
+TEST(BuildSortedBandwidthEvents, EqualStartsBreakTiesByRate) {
+  expect_matches_oracle(equal_starts_unequal_rates(48, 20));
+}
+
+TEST(BuildSortedBandwidthEvents, ShuffledAndReversedRunsFallBack) {
+  // Out of order by far more than the move budget: each run falls back
+  // to sort_bandwidth_events, and the merge must still be exact.
+  Requests requests = back_to_back(16, 128, 5);
+  std::reverse(requests.begin(), requests.end());
+  expect_matches_oracle(requests);
+  std::mt19937_64 rng(6);
+  std::shuffle(requests.begin(), requests.end(), rng);
+  expect_matches_oracle(requests);
+  Requests groups = identical_groups(64, 8);
+  std::shuffle(groups.begin(), groups.end(), rng);
+  expect_matches_oracle(groups);
+}
+
+TEST(BuildSortedBandwidthEvents, WindowKindAndRankSelection) {
+  const Requests requests = back_to_back(8, 100, 7);
+  tr::BandwidthOptions clipped;
+  clipped.window_start = 25.0;
+  clipped.window_end = 60.0;
+  expect_matches_oracle(requests, clipped);
+  tr::BandwidthOptions reads;
+  reads.kind = tr::IoKind::kRead;
+  expect_matches_oracle(identical_groups(16, 6), reads);
+  expect_matches_oracle(requests, {}, 3);
+  expect_matches_oracle(requests, clipped, 5);
+  expect_matches_oracle(requests, {}, 99);  // no such rank: no events
+}
+
+TEST(BuildSortedBandwidthEvents, DroppedRequestsBuildNoEvents) {
+  // Zero-duration, zero-byte and overflowing-rate requests contribute
+  // nothing, so every event time the runs hold is finite.
+  const double inf = std::numeric_limits<double>::infinity();
+  const Requests requests = {
+      {0, 1.0, 1.0, 100, tr::IoKind::kWrite},
+      {0, 2.0, 3.0, 0, tr::IoKind::kWrite},
+      {0, 0.0, 1e-300, 1ull << 40, tr::IoKind::kWrite},
+      {0, -inf, 4.0, 100, tr::IoKind::kWrite},
+      {0, 5.0, inf, 100, tr::IoKind::kWrite},
+      {1, 2.0, 6.0, 4000, tr::IoKind::kWrite}};
+  Events events;
+  tr::build_sorted_bandwidth_events(requests, {}, std::nullopt, events);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].time, 2.0);
+  EXPECT_EQ(events[1].time, 6.0);
+  expect_matches_oracle(requests);
+}
+
+// ---------------------------------------------------------------------------
 // Incremental bandwidth compaction
 // ---------------------------------------------------------------------------
 
@@ -983,13 +1152,12 @@ TEST(RecordDecoder, NumberTokenisationMatchesJson) {
     EXPECT_THROW(tr::from_jsonl(line), ftio::util::ParseError) << rank;
     expect_jsonl_agrees(line);
   }
-  // Negative bytes wrap to uint64, as the cast always did.
+  // Negative bytes are a bad record, not a wrapped uint64.
   const std::string negative =
       "{\"type\":\"io\",\"kind\":\"write\",\"start\":0,\"end\":1,"
       "\"bytes\":-5}\n";
-  const auto t = tr::from_jsonl(negative);
-  ASSERT_EQ(t.requests.size(), 1u);
-  EXPECT_EQ(t.requests[0].bytes, static_cast<std::uint64_t>(-5));
+  EXPECT_THROW(tr::from_jsonl(negative), ftio::util::ParseError);
+  expect_jsonl_agrees(negative);
   for (const char* line :
        {"{\"type\":\"meta\",\"ranks\":9223372036854775808}",
         "{\"type\":\"meta\",\"ranks\":-9223372036854775808}",
@@ -1014,6 +1182,70 @@ TEST(RecordDecoder, MetaWithBadRanksKeepsAppUnderSkipBad) {
   EXPECT_EQ(stats.records, 2u);
   EXPECT_EQ(stats.skipped, 1u);
   expect_jsonl_agrees(text);
+}
+
+// An integer field the narrowing cast would change is a bad record: a
+// negative byte count, a rank or a rank count outside int.
+TEST(RecordDecoder, IntegersOutsideTheirFieldAreBadRecords) {
+  const std::string good =
+      "{\"type\":\"io\",\"kind\":\"write\",\"rank\":1,\"start\":0,"
+      "\"end\":1,\"bytes\":8}";
+  const std::string limits =
+      "{\"type\":\"io\",\"kind\":\"write\",\"rank\":-2147483648,"
+      "\"start\":0,\"end\":1,\"bytes\":9223372036854775807}";
+  for (const std::string bad :
+       {"{\"type\":\"io\",\"kind\":\"write\",\"start\":0,\"end\":1,"
+        "\"bytes\":-1}",
+        "{\"type\":\"io\",\"kind\":\"write\",\"rank\":4294967297,"
+        "\"start\":0,\"end\":1}",
+        "{\"type\":\"io\",\"kind\":\"write\",\"rank\":-2147483649,"
+        "\"start\":0,\"end\":1}",
+        "{\"type\":\"meta\",\"app\":\"a\",\"ranks\":2147483648}"}) {
+    const std::string text = good + "\n" + bad + "\n" + limits + "\n";
+    EXPECT_THROW(static_cast<void>(tr::from_jsonl(text)),
+                 ftio::util::ParseError)
+        << bad;
+    tr::ParseStats stats;
+    const auto t = tr::from_jsonl(text, tr::ParsePolicy::kSkipBad, &stats);
+    ASSERT_EQ(t.requests.size(), 2u) << bad;
+    EXPECT_EQ(t.rank_count, 0) << bad;
+    EXPECT_EQ(t.requests[1].rank, std::numeric_limits<int>::min());
+    EXPECT_EQ(t.requests[1].bytes, 9223372036854775807u);
+    EXPECT_EQ(stats.records, 2u);
+    EXPECT_EQ(stats.skipped, 1u);
+    expect_jsonl_agrees(text);
+  }
+}
+
+TEST(RecordDecoder, MsgpackIntegersOutsideTheirFieldAreBadRecords) {
+  const auto io = [](std::int64_t rank, std::int64_t bytes) {
+    Json r = Json::object();
+    r.set("type", "io");
+    r.set("kind", "read");
+    r.set("rank", rank);
+    r.set("start", 0.0);
+    r.set("end", 2.0);
+    r.set("bytes", bytes);
+    return packed(r);
+  };
+  Json meta = Json::object();
+  meta.set("type", "meta");
+  meta.set("ranks", std::int64_t{-2147483649});
+  const auto good = io(std::numeric_limits<int>::max(), 0);
+  for (const auto& bad : {io(0, -1), io(4294967297, 8),
+                          io(-2147483649, 8), packed(meta)}) {
+    const auto bytes = cat({good, bad, good});
+    EXPECT_THROW(static_cast<void>(tr::from_msgpack(bytes)),
+                 ftio::util::ParseError);
+    tr::ParseStats stats;
+    const auto t = tr::from_msgpack(bytes, tr::ParsePolicy::kSkipBad, &stats);
+    ASSERT_EQ(t.requests.size(), 2u);
+    EXPECT_EQ(t.requests[0].rank, std::numeric_limits<int>::max());
+    EXPECT_EQ(t.rank_count, 0);
+    EXPECT_EQ(stats.records, 2u);
+    EXPECT_EQ(stats.skipped, 1u);
+    expect_msgpack_agrees(bytes);
+  }
 }
 
 TEST(RecordDecoder, NestedUnknownValuesAreValidatedAndIgnored) {

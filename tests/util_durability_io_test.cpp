@@ -377,6 +377,35 @@ TEST(FileIo, TextAndBinaryCheckedWritesRoundTrip) {
   fs::remove(path);
 }
 
+TEST(FileIo, WholeFileReadsRoundTripAtEverySize) {
+  const fs::path path = temp_file("whole.bin");
+  // Empty, one byte, and a multi-MB file whose size is no multiple of a
+  // stream buffer: each reads back as exactly the bytes written.
+  for (const std::size_t size : {std::size_t{0}, std::size_t{1},
+                                 std::size_t{(5u << 20) + 3}}) {
+    std::vector<std::uint8_t> bytes(size);
+    for (std::size_t i = 0; i < size; ++i) {
+      bytes[i] = static_cast<std::uint8_t>((i * 131u) ^ (i >> 11));
+    }
+    util::write_binary_file(path, bytes);
+    EXPECT_EQ(util::read_binary_file(path), bytes) << size << " bytes";
+    const std::string text(bytes.begin(), bytes.end());
+    EXPECT_EQ(util::read_text_file(path), text) << size << " bytes";
+  }
+  fs::remove(path);
+  EXPECT_THROW(util::read_binary_file(path), util::ParseError);
+}
+
+TEST(FileIo, WholeFileReadsPastAReportedSizeOfZero) {
+  // procfs reports size 0 for files that have content: the read must go
+  // on to end of file rather than trust the size.
+  const fs::path status = "/proc/self/status";
+  if (!fs::exists(status)) GTEST_SKIP() << "no procfs";
+  const std::string text = util::read_text_file(status);
+  EXPECT_NE(text.find("Name:"), std::string::npos);
+  EXPECT_EQ(util::read_binary_file(status).empty(), false);
+}
+
 TEST(BinIo, FrameHeaderHoldsLengthAndCrcOfThePayload) {
   util::BinWriter w;
   w.u8(0x77);  // a frame need not start the buffer
