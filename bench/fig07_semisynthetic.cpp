@@ -3,15 +3,15 @@
 //   (a) t_cpu = 1/4 of the I/O phase duration,
 //   (b) t_cpu ~ N(11, 22^2) truncated positive,
 //   (c) mean delta_k = 22 s added to the processes' I/O phases.
-// The three traces run as one engine::analyze_many batch.
+// The three traces run through core::detect under util::parallel_for.
 
 #include <cstdio>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "core/ftio.hpp"
-#include "engine/engine.hpp"
 #include "trace/model.hpp"
+#include "util/parallel.hpp"
 #include "workloads/semisynthetic.hpp"
 
 namespace {
@@ -71,13 +71,10 @@ int main(int argc, char** argv) {
   opts.sampling_frequency = 1.0;
   opts.with_metrics = false;
 
-  std::vector<ftio::engine::TraceView> views;
-  for (const auto& app : apps) {
-    views.push_back(ftio::engine::TraceView::of(app.trace));
-  }
-  ftio::engine::EngineOptions engine;
-  engine.threads = args.threads;
-  const auto results = ftio::engine::analyze_many(views, opts, engine);
+  std::vector<ftio::core::FtioResult> results(apps.size());
+  ftio::util::parallel_for(apps.size(), [&](std::size_t i) {
+    results[i] = ftio::core::detect(apps[i].trace, opts);
+  }, args.threads);
 
   describe("(a)", apps[0], results[0], "t_cpu = t_io / 4, delta_k = 0");
   describe("(b)", apps[1], results[1], "t_cpu ~ N(11, 22^2) truncated positive");

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/ftio.hpp"
-#include "engine/engine.hpp"
 #include "trace/model.hpp"
 #include "workloads/apps.hpp"
 #include "workloads/ior.hpp"
@@ -115,33 +114,6 @@ void BM_AutocorrelationRefinement(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AutocorrelationRefinement)->Arg(0)->Arg(1);
-
-void BM_AnalyzeManyBatch(benchmark::State& state) {
-  // A batch of 16 IOR traces through engine::analyze_many; Arg = worker
-  // thread count, so this curve is the engine's thread-scaling profile.
-  std::vector<ftio::trace::Trace> traces;
-  for (int i = 0; i < 16; ++i) {
-    ftio::workloads::IorConfig config;
-    config.ranks = 64;
-    config.iterations = 8;
-    config.compute_seconds = 100.0 + 5.0 * i;  // varied N per trace
-    traces.push_back(ftio::workloads::generate_ior_trace(config));
-  }
-  std::vector<ftio::engine::TraceView> views;
-  for (const auto& t : traces) {
-    views.push_back(ftio::engine::TraceView::of(t));
-  }
-  ftio::core::FtioOptions opts;
-  opts.sampling_frequency = 10.0;
-  ftio::engine::EngineOptions engine;
-  engine.threads = static_cast<unsigned>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ftio::engine::analyze_many(views, opts, engine));
-  }
-  state.counters["traces"] = static_cast<double>(views.size());
-}
-BENCHMARK(BM_AnalyzeManyBatch)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->MinTime(0.5)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 }  // namespace
 

@@ -2,10 +2,10 @@
 
 // Shared machinery for the Sec. III-A parameter sweeps (Figs. 8 and 9):
 // generate `traces` semi-synthetic applications per parameter point, run
-// FTIO on each through the batched engine, and collect detection errors
-// plus the characterization metrics. Generation fans out across hardware
-// threads, then engine::analyze_many runs the detection batch with shared
-// FFT plans and per-thread scratch.
+// FTIO on each, and collect detection errors plus the characterization
+// metrics. Each trace is generated and analysed by core::detect on one
+// worker of util::parallel_for; workers share FFT plans and keep
+// per-thread scratch.
 
 #include <algorithm>
 #include <optional>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/ftio.hpp"
-#include "engine/engine.hpp"
 #include "trace/model.hpp"
 #include "util/parallel.hpp"
 #include "workloads/semisynthetic.hpp"
@@ -48,10 +47,8 @@ inline SweepResult run_point(const ftio::workloads::SemiSyntheticConfig& base,
   ftio::core::FtioOptions opts;
   opts.sampling_frequency = 1.0;  // the paper's fs for these experiments
   opts.with_metrics = with_metrics;
-  ftio::engine::EngineOptions engine;
-  engine.threads = threads;
 
-  // Generate -> batch-analyse in bounded chunks: each semi-synthetic app
+  // Generate and analyse in bounded chunks: each semi-synthetic app
   // holds tens of thousands of requests, so materialising all `traces` at
   // once would make peak memory O(traces); a chunk a few times wider than
   // the thread count keeps every worker busy while bounding the peak.
@@ -62,22 +59,16 @@ inline SweepResult run_point(const ftio::workloads::SemiSyntheticConfig& base,
   for (std::size_t begin = 0; begin < traces; begin += chunk_size) {
     const std::size_t count = std::min(chunk_size, traces - begin);
 
-    // Phase 1: generate this chunk (embarrassingly parallel,
+    // Generate and analyse this chunk (embarrassingly parallel,
     // deterministic per global index).
     std::vector<ftio::workloads::SemiSyntheticApp> apps(count);
+    std::vector<ftio::core::FtioResult> results(count);
     ftio::util::parallel_for(count, [&](std::size_t j) {
       auto config = base;
       config.seed = seed + (begin + j) * 7919;
       apps[j] = ftio::workloads::generate_semisynthetic(config, library);
+      results[j] = ftio::core::detect(apps[j].trace, opts);
     }, threads);
-
-    // Phase 2: one batched detection pass over the chunk.
-    std::vector<ftio::engine::TraceView> views;
-    views.reserve(count);
-    for (const auto& app : apps) {
-      views.push_back(ftio::engine::TraceView::of(app.trace));
-    }
-    const auto results = ftio::engine::analyze_many(views, opts, engine);
 
     for (std::size_t j = 0; j < count; ++j) {
       const std::size_t i = begin + j;

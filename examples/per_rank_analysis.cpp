@@ -3,17 +3,16 @@
 // processes"): an application whose ranks follow different I/O cadences —
 // periodic checkpointers plus one logger — analysed rank by rank, then as
 // an aggregate, plus the wavelet view that localises a mid-run change.
-// The per-rank bandwidth curves and the aggregate trace all go through
-// one engine::analyze_many batch.
+// core::detect_per_rank analyses each rank's own bandwidth curve and
+// core::detect the aggregate trace.
 //
 //   ./examples/per_rank_analysis
 
-#include <cstdint>
 #include <cstdio>
 #include <vector>
 
 #include "core/ftio.hpp"
-#include "engine/engine.hpp"
+#include "core/per_rank.hpp"
 #include "signal/wavelet.hpp"
 #include "trace/model.hpp"
 
@@ -42,47 +41,23 @@ int main() {
   opts.sampling_frequency = 2.0;
   opts.with_metrics = false;
 
-  // One batch: the four per-rank bandwidth curves plus the aggregate
-  // trace, fanned across worker threads with shared FFT plans. This
-  // spells out the view-building that core::detect_per_rank (the
-  // canonical per-rank helper) does internally, to show the raw engine
-  // API; prefer detect_per_rank when you don't need the aggregate in the
-  // same batch.
-  std::vector<ftio::signal::StepFunction> rank_signals;
-  rank_signals.reserve(static_cast<std::size_t>(t.rank_count));
-  ftio::trace::BandwidthOptions bw;
-  bw.kind = opts.kind;  // keep the direction filter consistent per rank
-  for (int rank = 0; rank < t.rank_count; ++rank) {
-    rank_signals.push_back(ftio::trace::rank_bandwidth_signal(t, rank, bw));
-  }
-  std::vector<ftio::engine::TraceView> views;
-  std::vector<std::size_t> view_of_rank(rank_signals.size(), SIZE_MAX);
-  for (std::size_t i = 0; i < rank_signals.size(); ++i) {
-    if (rank_signals[i].empty()) continue;  // rank never did I/O
-    view_of_rank[i] = views.size();
-    views.push_back(ftio::engine::TraceView::of(rank_signals[i]));
-  }
-  views.push_back(ftio::engine::TraceView::of(t));
-  const auto batch = ftio::engine::analyze_many(views, opts);
-
   std::printf("per-rank view:\n");
-  for (int rank = 0; rank < t.rank_count; ++rank) {
-    const std::size_t slot = view_of_rank[static_cast<std::size_t>(rank)];
-    if (slot == SIZE_MAX) {
-      std::printf("  rank %d: no I/O\n", rank);
+  for (const auto& slot : ftio::core::detect_per_rank(t, opts)) {
+    if (!slot.has_io) {
+      std::printf("  rank %d: no I/O\n", slot.rank);
       continue;
     }
-    const auto& r = batch[slot];
+    const auto& r = slot.result;
     if (r.periodic()) {
-      std::printf("  rank %d: period %.2f s (confidence %.0f%%)\n", rank,
-                  r.period(), 100.0 * r.refined_confidence);
+      std::printf("  rank %d: period %.2f s (confidence %.0f%%)\n",
+                  slot.rank, r.period(), 100.0 * r.refined_confidence);
     } else {
-      std::printf("  rank %d: %s\n", rank,
+      std::printf("  rank %d: %s\n", slot.rank,
                   ftio::core::periodicity_name(r.dft.verdict));
     }
   }
 
-  const auto& aggregate = batch.back();
+  const auto aggregate = ftio::core::detect(t, opts);
   std::printf("\naggregate view: %s",
               ftio::core::periodicity_name(aggregate.dft.verdict));
   if (aggregate.periodic()) {

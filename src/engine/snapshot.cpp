@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "engine/streaming.hpp"
-#include "util/annotated.hpp"
 #include "util/binio.hpp"
 #include "util/error.hpp"
 
@@ -89,7 +88,6 @@ ftio::core::OnlineWindowState read_window_state(ftio::util::BinReader& in) {
 }  // namespace
 
 std::vector<std::uint8_t> StreamingSession::serialize_state() const {
-  const ftio::util::LockGuard lock(mutex_);
   ftio::util::BinWriter out;
   out.u16(kStateVersion);
 
@@ -133,7 +131,6 @@ std::vector<std::uint8_t> StreamingSession::serialize_state() const {
 }
 
 void StreamingSession::restore_state(std::span<const std::uint8_t> payload) {
-  const ftio::util::LockGuard lock(mutex_);
   // Parse everything into temporaries first and commit only at the very
   // end: a corrupt payload must leave the session untouched, not half-
   // restored. Non-ParseError exceptions (e.g. the StepFunction invariant

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <utility>
 
-#include "util/annotated.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 
@@ -42,20 +41,13 @@ StreamingSession::StreamingSession(StreamingOptions options)
                      "StreamingSession: warmup_analyses must be >= 1");
 }
 
-void StreamingSession::ingest(
-    std::span<const ftio::trace::IoRequest> requests) {
-  const ftio::util::LockGuard lock(mutex_);
-  ingest_locked(requests);
-}
-
 void StreamingSession::ingest(const ftio::trace::Trace& chunk) {
-  const ftio::util::LockGuard lock(mutex_);
   if (app_.empty()) app_ = chunk.app;
   rank_count_ = std::max(rank_count_, chunk.rank_count);
-  ingest_locked(std::span<const ftio::trace::IoRequest>(chunk.requests));
+  ingest(std::span<const ftio::trace::IoRequest>(chunk.requests));
 }
 
-void StreamingSession::ingest_locked(
+void StreamingSession::ingest(
     std::span<const ftio::trace::IoRequest> requests) {
   double chunk_bytes = 0.0;
   double chunk_byte_time = 0.0;
@@ -147,7 +139,6 @@ void StreamingSession::note_clamped(double requested) {
 }
 
 ftio::core::Prediction StreamingSession::predict() {
-  const ftio::util::LockGuard lock(mutex_);
   ftio::util::expect(request_count_ > 0,
                      "StreamingSession: no data ingested");
   ftio::util::expect(!bandwidth_.curve().empty(),
@@ -244,7 +235,6 @@ void StreamingSession::record(const ftio::core::Prediction& p) {
 }
 
 std::size_t StreamingSession::memory_bytes() const {
-  const ftio::util::LockGuard lock(mutex_);
   std::size_t total = sizeof(*this);
   total += bandwidth_.memory_bytes();
   total += history_.capacity() * sizeof(ftio::core::Prediction);
@@ -256,7 +246,6 @@ std::size_t StreamingSession::memory_bytes() const {
 
 const std::vector<ftio::core::FrequencyInterval>&
 StreamingSession::merged_intervals() const {
-  const ftio::util::LockGuard lock(mutex_);
   if (intervals_stale_) {
     intervals_ = ftio::core::merge_predictions(history_);
     intervals_stale_ = false;

@@ -10,7 +10,6 @@
 #include "core/online.hpp"
 #include "core/triage.hpp"
 #include "trace/model.hpp"
-#include "util/annotated.hpp"
 
 namespace ftio::engine {
 
@@ -132,25 +131,22 @@ struct StreamingOptions {
 /// full pipeline entirely. See bench/micro_streaming.cpp for the
 /// trajectory of all three tiers.
 ///
-/// Concurrency contract (the sharded-daemon posture, compiler-checked
-/// via the util::annotated primitives): every mutating entry point —
-/// ingest(), predict() — and every by-value accessor serialises on an
-/// internal mutex, so any number of threads may feed and evaluate one
-/// session concurrently. Accessors that return *references* into
-/// session state (history(), last_result(), bandwidth(),
-/// merged_intervals(), app()) take the lock for their own bookkeeping
-/// but hand out a reference the lock no longer covers: call them only
-/// while no other thread is mutating the session, exactly the
-/// single-threaded reading pattern they always had.
+/// Single-owner contract: one thread at a time calls into a session, for
+/// every entry point and accessor alike; the session holds no lock.
+/// Handing a session to another thread needs a happens-before edge
+/// between the old owner's last call and the new owner's first, such as
+/// the worker join in service::Shard::stop before the final checkpoint,
+/// or a restart that builds the session anew from a checkpoint.
+/// Independent sessions may run on different threads at once: what they
+/// share (the FFT plan cache, per-thread scratch) is thread-safe.
 class StreamingSession {
  public:
   explicit StreamingSession(StreamingOptions options);
 
   /// Appends freshly flushed requests, extending the incremental curve
   /// (and, when triage is enabled, the dominant-period filter bank).
-  void ingest(std::span<const ftio::trace::IoRequest> requests)
-      FTIO_EXCLUDES(mutex_);
-  void ingest(const ftio::trace::Trace& chunk) FTIO_EXCLUDES(mutex_);
+  void ingest(std::span<const ftio::trace::IoRequest> requests);
+  void ingest(const ftio::trace::Trace& chunk);
 
   /// Runs one evaluation of the window strategy over the current window
   /// and records it. Returns the Prediction — bit-identical to
@@ -159,7 +155,7 @@ class StreamingSession {
   /// / CompactionOptions for the scope of that promise when the cheap
   /// tiers are enabled). Throws InvalidArgument when no data was
   /// ingested yet.
-  ftio::core::Prediction predict() FTIO_EXCLUDES(mutex_);
+  ftio::core::Prediction predict();
 
   /// Predictions made so far, in order (the retained tail when
   /// CompactionOptions::max_history is set).
@@ -176,8 +172,7 @@ class StreamingSession {
 
   /// Merged frequency intervals of the history (Sec. II-D);
   /// cached between predictions.
-  const std::vector<ftio::core::FrequencyInterval>& merged_intervals() const
-      FTIO_EXCLUDES(mutex_);
+  const std::vector<ftio::core::FrequencyInterval>& merged_intervals() const;
 
   /// The incrementally maintained application-level bandwidth curve —
   /// bit-identical to trace::bandwidth_signal over all ingested requests
@@ -187,44 +182,21 @@ class StreamingSession {
   }
 
   /// The data window the *next* evaluation would use.
-  double current_window_start() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    return state_.window_start;
-  }
+  double current_window_start() const { return state_.window_start; }
 
   // Running trace aggregates (the requests themselves are not stored).
-  std::size_t request_count() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    return request_count_;
-  }
-  double begin_time() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    return begin_time_;
-  }
-  double end_time() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    return end_time_;
-  }
+  std::size_t request_count() const { return request_count_; }
+  double begin_time() const { return begin_time_; }
+  double end_time() const { return end_time_; }
   const std::string& app() const { return app_; }
-  int rank_count() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    return rank_count_;
-  }
+  int rank_count() const { return rank_count_; }
 
-  // O(window) / triage observability (by value: safe during concurrent
-  // ingest/predict).
-  CompactionStats compaction_stats() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    return compaction_stats_;
-  }
-  TriageStats triage_stats() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
-    return triage_stats_;
-  }
+  // O(window) / triage observability.
+  CompactionStats compaction_stats() const { return compaction_stats_; }
+  TriageStats triage_stats() const { return triage_stats_; }
   /// Current filter-bank estimate (invalid when triage is disabled or
   /// the bank has not warmed up yet).
-  ftio::core::TriageEstimate triage_estimate() const FTIO_EXCLUDES(mutex_) {
-    const ftio::util::LockGuard lock(mutex_);
+  ftio::core::TriageEstimate triage_estimate() const {
     return triage_bank_.estimate();
   }
   /// Serializes what a later restore needs to continue the stream
@@ -238,7 +210,7 @@ class StreamingSession {
   /// recomputed lazily), and last_result() (diagnostic only — empty
   /// after restore until the next full analysis). No sample state exists
   /// to save: every analysis discretises its window cold.
-  std::vector<std::uint8_t> serialize_state() const FTIO_EXCLUDES(mutex_);
+  std::vector<std::uint8_t> serialize_state() const;
 
   /// Restores state written by serialize_state into a session constructed
   /// with the *same* StreamingOptions: subsequent ingest()/predict()
@@ -249,74 +221,59 @@ class StreamingSession {
   /// shape does not match this session's options (triage grid); the
   /// session is unchanged on throw — recover-or-reject, never a
   /// half-restored hybrid.
-  void restore_state(std::span<const std::uint8_t> payload)
-      FTIO_EXCLUDES(mutex_);
+  void restore_state(std::span<const std::uint8_t> payload);
 
   /// Approximate resident bytes of all per-session state: sweep events,
   /// level cache, curve, histories, intervals, and the filter bank. The
   /// per-thread discretisation scratch belongs to no session and is not
   /// counted. Capacity-based, so eviction without shrink-to-fit would
   /// not show up as savings.
-  std::size_t memory_bytes() const FTIO_EXCLUDES(mutex_);
+  std::size_t memory_bytes() const;
 
  private:
-  /// Shared ingest body; both public overloads lock and delegate here
-  /// (ingest(Trace) could not simply call ingest(span) once the public
-  /// surface locks — the mutex is not recursive).
-  void ingest_locked(std::span<const ftio::trace::IoRequest> requests)
-      FTIO_REQUIRES(mutex_);
-  double derived_sampling_frequency() const FTIO_REQUIRES(mutex_);
+  double derived_sampling_frequency() const;
   /// Counts a window whose requested start fell below the compaction
   /// floor (defensive diagnostic — stays 0 for built-in strategies).
-  void note_clamped(double requested) FTIO_REQUIRES(mutex_);
+  void note_clamped(double requested);
   /// True when the triage tier may satisfy this flush without the full
   /// pipeline (stable estimate, warmed up, within the skip cadence).
-  bool should_skip_analysis() FTIO_REQUIRES(mutex_);
+  bool should_skip_analysis();
   /// The skipped-flush path: re-stamps the last full prediction.
-  ftio::core::Prediction skipped_prediction(double now) FTIO_REQUIRES(mutex_);
+  ftio::core::Prediction skipped_prediction(double now);
   /// Evicts state behind the reachable look-back window.
-  void maybe_compact(double now) FTIO_REQUIRES(mutex_);
+  void maybe_compact(double now);
   /// Records a prediction in the history and the window-adaptation state.
-  void record(const ftio::core::Prediction& p) FTIO_REQUIRES(mutex_);
-
-  /// Serialises every mutating entry point and by-value accessor. The
-  /// members below split into two groups: FTIO_GUARDED_BY members never
-  /// escape by reference, so the analysis proves every access locked;
-  /// the rest are handed out by the const-reference accessors, which a
-  /// GUARDED_BY annotation cannot express (the reference outlives the
-  /// lock) — they are still only *mutated* under the mutex, and reading
-  /// them through those accessors requires the documented quiescence.
-  mutable ftio::util::Mutex mutex_;
+  void record(const ftio::core::Prediction& p);
 
   StreamingOptions options_;
   trace::IncrementalBandwidth bandwidth_;
-  ftio::core::OnlineWindowState state_ FTIO_GUARDED_BY(mutex_);
+  ftio::core::OnlineWindowState state_;
   std::vector<ftio::core::Prediction> history_;
   ftio::core::FtioResult last_result_;
 
   // Running aggregates over every ingested request (pre-filter, matching
   // Trace::begin_time / end_time / suggest_sampling_frequency).
-  std::size_t request_count_ FTIO_GUARDED_BY(mutex_) = 0;
-  double begin_time_ FTIO_GUARDED_BY(mutex_) = 0.0;
-  double end_time_ FTIO_GUARDED_BY(mutex_) = 0.0;
-  double min_request_duration_ FTIO_GUARDED_BY(mutex_) = 0.0;
+  std::size_t request_count_ = 0;
+  double begin_time_ = 0.0;
+  double end_time_ = 0.0;
+  double min_request_duration_ = 0.0;
   std::string app_;
-  int rank_count_ FTIO_GUARDED_BY(mutex_) = 0;
+  int rank_count_ = 0;
 
   // Cached DBSCAN merge of the history.
   mutable std::vector<ftio::core::FrequencyInterval> intervals_;
   mutable bool intervals_stale_ = false;
 
   // Triage tier state.
-  ftio::core::TriageFilterBank triage_bank_ FTIO_GUARDED_BY(mutex_);
+  ftio::core::TriageFilterBank triage_bank_;
   /// Bank estimate @ last full run.
-  ftio::core::TriageEstimate triage_reference_ FTIO_GUARDED_BY(mutex_);
+  ftio::core::TriageEstimate triage_reference_;
   /// Latest full-analysis prediction (the triage skip template).
-  ftio::core::Prediction last_full_ FTIO_GUARDED_BY(mutex_);
-  std::size_t skipped_since_full_ FTIO_GUARDED_BY(mutex_) = 0;
-  TriageStats triage_stats_ FTIO_GUARDED_BY(mutex_);
+  ftio::core::Prediction last_full_;
+  std::size_t skipped_since_full_ = 0;
+  TriageStats triage_stats_;
 
-  CompactionStats compaction_stats_ FTIO_GUARDED_BY(mutex_);
+  CompactionStats compaction_stats_;
 };
 
 }  // namespace ftio::engine

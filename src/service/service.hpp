@@ -16,8 +16,8 @@
 /// long-running daemon that owns one engine::StreamingSession per active
 /// tenant, partitioned hash(tenant) -> shard. Each shard is a
 /// single-threaded event loop fed through a bounded MPSC mailbox, so the
-/// StreamingSession concurrency contract (mutating calls serialised,
-/// reference accessors quiescent) holds by construction — only the shard
+/// StreamingSession single-owner contract (one thread at a time, no
+/// lock inside the session) holds by construction — only the shard
 /// thread ever touches its sessions. Robustness is the design driver:
 /// admission control and backpressure at the mailbox, a graceful-
 /// degradation ladder that sheds analysis quality before availability

@@ -40,9 +40,12 @@ struct StringHash {
 /// hashes here. Concurrency is by ownership, not by locking: the tenant
 /// map, LRU list, and sessions are touched exclusively by the shard
 /// thread (or by pump() in foreground mode — same exclusivity, caller-
-/// side), so the only shared state is the mailbox, the stats block, and
-/// the results board, each behind its own mutex, plus the checkpoint
-/// writer (see write_checkpoint).
+/// side), which is the single owner a StreamingSession requires. stop()
+/// joins the worker before its final checkpoint reads the sessions from
+/// the caller's thread; a crash-only restart rebuilds them on the shard
+/// thread itself. The only shared state is the mailbox, the stats
+/// block, and the results board, each behind its own mutex, plus the
+/// checkpoint writer (see write_checkpoint).
 ///
 /// Robustness behaviours owned by this class:
 ///  - the degradation ladder: drain cycles sample the mailbox backlog

@@ -1,10 +1,9 @@
-// Multi-threaded stress over the engine fan-out and the streaming
-// session's internal locking: analyze_many with threads > 1 must match
-// the serial pass bit for bit, one StreamingSession must survive
-// concurrent ingest/predict/accessor traffic from several threads, and
-// independent concurrent sessions must stay deterministic. This is the
-// workload the TSan CI leg (and the clang thread-safety annotations)
-// exist to police.
+// Multi-threaded stress over what threads share: core::detect under
+// util::parallel_for with threads > 1 must match the serial loop bit for
+// bit, and independent single-owner StreamingSessions running at once
+// must stay deterministic. Both paths meet only in the global FFT plan
+// cache and per-thread scratch; this is the workload the TSan CI leg
+// exists to police.
 
 #include <gtest/gtest.h>
 
@@ -15,10 +14,9 @@
 #include <vector>
 
 #include "core/ftio.hpp"
-#include "engine/engine.hpp"
 #include "engine/streaming.hpp"
 #include "trace/model.hpp"
-#include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace core = ftio::core;
 namespace eng = ftio::engine;
@@ -49,9 +47,9 @@ core::FtioOptions base_options() {
   return options;
 }
 
-TEST(EngineParallelStress, ThreadedAnalyzeManyMatchesSerial) {
-  // 24 views with three distinct lengths, so the fan-out exercises both
-  // the batched same-length path and mixed windows.
+TEST(EngineParallelStress, ThreadedDetectMatchesSerial) {
+  // 24 traces with three distinct lengths, so the fan-out exercises both
+  // same-length and mixed windows on the shared plan cache.
   std::vector<tr::Trace> traces;
   traces.reserve(24);
   for (int i = 0; i < 24; ++i) {
@@ -59,77 +57,27 @@ TEST(EngineParallelStress, ThreadedAnalyzeManyMatchesSerial) {
         periodic_trace(12 + 4 * (i % 3), 8.0 + static_cast<double>(i % 5),
                        0.75, 2 + i % 3));
   }
-  std::vector<eng::TraceView> views;
-  views.reserve(traces.size());
-  for (const auto& trace : traces) views.push_back(eng::TraceView::of(trace));
 
-  eng::EngineOptions serial;
-  serial.threads = 1;
-  eng::EngineOptions threaded;
-  threaded.threads = 4;
   const auto base = base_options();
-  const auto a = eng::analyze_many(views, base, serial);
-  const auto b = eng::analyze_many(views, base, threaded);
+  std::vector<core::FtioResult> a(traces.size());
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    a[i] = core::detect(traces[i], base);
+  }
+  std::vector<core::FtioResult> b(traces.size());
+  ftio::util::parallel_for(
+      traces.size(),
+      [&](std::size_t i) { b[i] = core::detect(traces[i], base); }, 4);
 
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].periodic(), b[i].periodic()) << "view " << i;
+    ASSERT_EQ(a[i].periodic(), b[i].periodic()) << "trace " << i;
     if (a[i].periodic()) {
-      EXPECT_EQ(a[i].frequency(), b[i].frequency()) << "view " << i;
+      EXPECT_EQ(a[i].frequency(), b[i].frequency()) << "trace " << i;
     }
     EXPECT_EQ(a[i].refined_confidence, b[i].refined_confidence)
-        << "view " << i;
-    EXPECT_EQ(a[i].sample_count, b[i].sample_count) << "view " << i;
+        << "trace " << i;
+    EXPECT_EQ(a[i].sample_count, b[i].sample_count) << "trace " << i;
   }
-}
-
-TEST(EngineParallelStress, ConcurrentFlushesOnOneSession) {
-  // Several producers feed disjoint slices of one trace into a single
-  // session while every thread also calls predict() and the by-value
-  // accessors. Interleaving makes the prediction *sequence* schedule-
-  // dependent by design; what must hold is the absence of races (TSan),
-  // lost updates in the running aggregates, and deadlocks.
-  const tr::Trace trace = periodic_trace(64, 6.0, 0.5, 4);
-
-  eng::StreamingOptions options;
-  options.online.base = base_options();
-  options.online.strategy = core::WindowStrategy::kGrowing;
-  eng::StreamingSession session(options);
-
-  constexpr int kThreads = 4;
-  const std::size_t per_thread = trace.requests.size() / kThreads;
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      const std::size_t begin = static_cast<std::size_t>(t) * per_thread;
-      const std::size_t end = t + 1 == kThreads ? trace.requests.size()
-                                                : begin + per_thread;
-      constexpr std::size_t kChunk = 16;
-      for (std::size_t i = begin; i < end; i += kChunk) {
-        const std::size_t n = std::min(kChunk, end - i);
-        session.ingest(std::span<const tr::IoRequest>(
-            trace.requests.data() + i, n));
-        try {
-          static_cast<void>(session.predict());
-        } catch (const ftio::util::InvalidArgument&) {
-          // A racing thread may observe a window shorter than one
-          // sample before more data lands; that is the documented
-          // rejection, not a failure.
-        }
-        static_cast<void>(session.request_count());
-        static_cast<void>(session.memory_bytes());
-        static_cast<void>(session.triage_stats());
-      }
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  EXPECT_EQ(session.request_count(), trace.requests.size());
-  EXPECT_EQ(session.begin_time(), trace.begin_time());
-  EXPECT_EQ(session.end_time(), trace.end_time());
-  EXPECT_FALSE(session.history().empty());
-  static_cast<void>(session.merged_intervals());
 }
 
 TEST(EngineParallelStress, ConcurrentIndependentSessionsStayDeterministic) {
