@@ -4,6 +4,8 @@
 // they often require more computational effort"). This bench runs the
 // full detection pipeline under each method on the semi-synthetic
 // workload and reports detection rate, median error, and analysis time.
+// Deterministic results go to stdout, so two runs with the same --seed
+// print identical bytes there; wall-clock timings go to stderr.
 
 #include <chrono>
 #include <cstdio>
@@ -30,8 +32,8 @@ int main(int argc, char** argv) {
       ftio::outlier::Method::kIsolationForest,
       ftio::outlier::Method::kLocalOutlierFactor};
 
-  std::printf("%-18s %-12s %-14s %-12s\n", "method", "detected",
-              "median error", "time/trace");
+  std::printf("%-18s %-12s %s\n", "method", "detected", "median error");
+  std::fprintf(stderr, "%-18s %s\n", "method", "time/trace");
   for (const auto method : methods) {
     std::size_t detected = 0;
     std::vector<double> errors;
@@ -57,10 +59,12 @@ int main(int argc, char** argv) {
         errors.push_back(app.detection_error(r.period()));
       }
     }
-    std::printf("%-18s %4zu/%-7zu %-13.2f%% %8.2f ms\n",
+    std::printf("%-18s %4zu/%-7zu %11.2f%%\n",
                 ftio::outlier::method_name(method), detected, traces,
-                errors.empty() ? 100.0 : 100.0 * ftio::util::median(errors),
-                1e3 * seconds / static_cast<double>(traces));
+                errors.empty() ? 100.0 : 100.0 * ftio::util::median(errors));
+    std::fprintf(stderr, "%-18s %8.2f ms\n",
+                 ftio::outlier::method_name(method),
+                 1e3 * seconds / static_cast<double>(traces));
   }
 
   // Standalone outlier-step cost: each detector over a spectrum-sized
@@ -68,8 +72,8 @@ int main(int argc, char** argv) {
   // rest of the pipeline. This is the loop the per-call-scratch fixes
   // (isolation-forest in-place descent, LOF flat neighbour buffer)
   // target, so regressions show up here first.
-  std::printf("\n%-18s %-14s  (detector only, %zu-bin power array)\n",
-              "method", "time/call", std::size_t{4096});
+  std::fprintf(stderr, "\n%-18s %-14s  (detector only, %zu-bin power array)\n",
+               "method", "time/call", std::size_t{4096});
   ftio::util::Rng rng(args.seed);
   std::vector<double> powers(4096);
   for (auto& p : powers) p = rng.uniform(0.9, 1.1);
@@ -87,16 +91,17 @@ int main(int argc, char** argv) {
     const double seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
-    std::printf("%-18s %10.2f us\n", ftio::outlier::method_name(method),
-                1e6 * seconds / static_cast<double>(reps));
+    std::fprintf(stderr, "%-18s %10.2f us\n",
+                 ftio::outlier::method_name(method),
+                 1e6 * seconds / static_cast<double>(reps));
   }
 
   // Isolation forest parallelised over trees (util::parallel_for):
   // serial (threads = 1) vs all cores (threads = 0) on the same power
   // array. The chunked reduction keeps scores bit-identical either way —
   // verified here on every run before the speedup is reported.
-  std::printf("\nisolation forest over trees (%zu-bin power array)\n",
-              powers.size());
+  std::fprintf(stderr, "\nisolation forest over trees (%zu-bin power array)\n",
+               powers.size());
   ftio::outlier::IsolationForestOptions forest_opts;
   auto time_forest = [&](unsigned threads, std::vector<double>& scores) {
     forest_opts.threads = threads;
@@ -121,8 +126,11 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::printf("%-18s %10.2f us\n", "serial (1 thread)", serial_us);
-  std::printf("%-18s %10.2f us   (%.2fx, scores bit-identical)\n",
-              "parallel (all)", parallel_us, serial_us / parallel_us);
+  std::printf("\nisolation forest: serial and parallel scores bit-identical "
+              "(%zu-bin power array)\n",
+              powers.size());
+  std::fprintf(stderr, "%-18s %10.2f us\n", "serial (1 thread)", serial_us);
+  std::fprintf(stderr, "%-18s %10.2f us   (%.2fx)\n", "parallel (all)",
+               parallel_us, serial_us / parallel_us);
   return 0;
 }

@@ -3,6 +3,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -50,6 +51,10 @@ inline std::vector<ftio::trace::IoRequest> read_requests(
     if (p[32] > 1) throw ftio::util::ParseError("durability: bad IoKind");
     std::int64_t rank = 0;
     std::memcpy(&rank, p, 8);
+    if (rank < std::numeric_limits<int>::min() ||
+        rank > std::numeric_limits<int>::max()) {
+      throw ftio::util::ParseError("durability: rank outside int");
+    }
     r.rank = static_cast<int>(rank);
     std::memcpy(&r.start, p + 8, 8);
     std::memcpy(&r.end, p + 16, 8);

@@ -11,9 +11,9 @@ using Complex = std::complex<double>;
 /// Discrete Fourier transform X_k = sum_n x_n * exp(-2*pi*i*k*n/N), the
 /// definition in Sec. II-B1 of the paper. Runs the split-radix core when N
 /// is a power of two and Bluestein's chirp-z algorithm otherwise, so every
-/// N costs O(N log N), through the process-wide plan cache
-/// (signal/plan.hpp): tables are computed once per size and reused across
-/// calls and threads.
+/// N costs O(N log N). The plan comes from get_plan (signal/plan.hpp), so
+/// tables are computed once per resident size and reused across calls and
+/// threads.
 ///
 /// fft and ifft are the one interleaved std::complex adapter over the
 /// planar FftPlan API: they deinterleave into re/im lanes, run the planar

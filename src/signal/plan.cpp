@@ -3,11 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <future>
-#include <list>
 #include <mutex>
 #include <numbers>
-#include <unordered_map>
 #include <utility>
 
 #include "util/annotated.hpp"
@@ -806,141 +803,54 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
 }
 
 // ---------------------------------------------------------------------------
-// PlanCache
+// get_plan: the process-wide plan cache
 // ---------------------------------------------------------------------------
 
-struct PlanCache::Impl {
-  mutable ftio::util::Mutex mutex;
-  std::size_t capacity FTIO_GUARDED_BY(mutex);
-  // MRU-ordered list of (size, plan); map values point into the list.
-  std::list<std::pair<std::size_t, std::shared_ptr<const FftPlan>>> lru
-      FTIO_GUARDED_BY(mutex);
-  std::unordered_map<std::size_t,
-                     std::list<std::pair<std::size_t,
-                                         std::shared_ptr<const FftPlan>>>::
-                         iterator>
-      index FTIO_GUARDED_BY(mutex);
-  // In-flight constructions, keyed by size: late arrivals block on the
-  // winner's future instead of duplicating a potentially multi-ms build.
-  // The Build objects themselves are unguarded — the winning thread owns
-  // the promise, waiters only touch their shared_future copy.
-  struct Build {
-    std::promise<std::shared_ptr<const FftPlan>> promise;
-    std::shared_future<std::shared_ptr<const FftPlan>> future;
-  };
-  std::unordered_map<std::size_t, std::shared_ptr<Build>> building
-      FTIO_GUARDED_BY(mutex);
-  std::uint64_t hits FTIO_GUARDED_BY(mutex) = 0;
-  std::uint64_t misses FTIO_GUARDED_BY(mutex) = 0;
-  std::uint64_t miss_waits FTIO_GUARDED_BY(mutex) = 0;
-  std::uint64_t evictions FTIO_GUARDED_BY(mutex) = 0;
+namespace {
 
-  void evict_to_capacity_locked() FTIO_REQUIRES(mutex) {
-    while (lru.size() > capacity) {
-      index.erase(lru.back().first);
-      lru.pop_back();
-      ++evictions;
-    }
-  }
+/// One resident plan, stamped with the lookup count at its last use.
+struct PlanSlot {
+  std::size_t n;
+  std::shared_ptr<const FftPlan> plan;
+  std::uint64_t last_use;
 };
 
-PlanCache::PlanCache(std::size_t capacity) : impl_(new Impl) {
-  impl_->capacity = capacity == 0 ? 1 : capacity;
-}
+struct PlanSlots {
+  ftio::util::Mutex mutex;
+  std::vector<PlanSlot> slots FTIO_GUARDED_BY(mutex);
+  std::uint64_t uses FTIO_GUARDED_BY(mutex) = 0;
+};
 
-PlanCache::~PlanCache() = default;
-
-std::shared_ptr<const FftPlan> PlanCache::get(std::size_t n) {
-  std::shared_ptr<Impl::Build> build;
-  std::shared_future<std::shared_ptr<const FftPlan>> wait_on;
-  {
-    const ftio::util::LockGuard lock(impl_->mutex);
-    auto it = impl_->index.find(n);
-    if (it != impl_->index.end()) {
-      impl_->lru.splice(impl_->lru.begin(), impl_->lru, it->second);
-      ++impl_->hits;
-      return it->second->second;
-    }
-    auto in_flight = impl_->building.find(n);
-    if (in_flight != impl_->building.end()) {
-      // Another thread is constructing this size right now: block on its
-      // future instead of building a duplicate. The wait happens outside
-      // this scope — the builder needs the mutex to publish its result.
-      ++impl_->miss_waits;
-      wait_on = in_flight->second->future;
-    } else {
-      build = std::make_shared<Impl::Build>();
-      build->future = build->promise.get_future().share();
-      impl_->building.emplace(n, build);
-    }
-  }
-  if (wait_on.valid()) return wait_on.get();
-  // Construct outside the lock: plan construction can recurse into the
-  // cache (Bluestein's power-of-two sub-plan, the real-path half plan) and
-  // may take milliseconds for large N. The `building` slot guarantees this
-  // thread is the only one constructing size n.
-  std::shared_ptr<const FftPlan> plan;
-  try {
-    plan = std::make_shared<const FftPlan>(n);
-  } catch (...) {
-    {
-      const ftio::util::LockGuard lock(impl_->mutex);
-      impl_->building.erase(n);
-    }
-    build->promise.set_exception(std::current_exception());
-    throw;
-  }
-  {
-    const ftio::util::LockGuard lock(impl_->mutex);
-    ++impl_->misses;
-    impl_->lru.emplace_front(n, plan);
-    impl_->index[n] = impl_->lru.begin();
-    impl_->building.erase(n);
-    impl_->evict_to_capacity_locked();
-  }
-  build->promise.set_value(plan);
-  return plan;
-}
-
-PlanCache::Stats PlanCache::stats() const {
-  const ftio::util::LockGuard lock(impl_->mutex);
-  Stats s;
-  s.hits = impl_->hits;
-  s.misses = impl_->misses;
-  s.miss_waits = impl_->miss_waits;
-  s.evictions = impl_->evictions;
-  s.size = impl_->lru.size();
-  return s;
-}
-
-std::size_t PlanCache::capacity() const {
-  const ftio::util::LockGuard lock(impl_->mutex);
-  return impl_->capacity;
-}
-
-void PlanCache::set_capacity(std::size_t capacity) {
-  const ftio::util::LockGuard lock(impl_->mutex);
-  impl_->capacity = capacity == 0 ? 1 : capacity;
-  impl_->evict_to_capacity_locked();
-}
-
-void PlanCache::clear() {
-  const ftio::util::LockGuard lock(impl_->mutex);
-  impl_->lru.clear();
-  impl_->index.clear();
-  impl_->hits = 0;
-  impl_->misses = 0;
-  impl_->miss_waits = 0;
-  impl_->evictions = 0;
-}
-
-PlanCache& plan_cache() {
-  static PlanCache cache;
-  return cache;
-}
+}  // namespace
 
 std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
-  return plan_cache().get(n);
+  static PlanSlots cache;
+  const ftio::util::LockGuard lock(cache.mutex);
+  const std::uint64_t now = ++cache.uses;
+  for (auto& slot : cache.slots) {
+    if (slot.n == n) {
+      slot.last_use = now;
+      return slot.plan;
+    }
+  }
+  // Miss: build under the lock, so each resident size is built exactly
+  // once and a concurrent lookup of n waits here, then hits. This is safe
+  // only because the FftPlan constructor never calls get_plan (it would
+  // deadlock on this non-recursive mutex): the Bluestein sub-plan and the
+  // real-path half plan are fetched lazily, by ensure_bluestein_tables and
+  // ensure_real_tables on the first transform, outside this lock.
+  auto plan = std::make_shared<const FftPlan>(n);
+  if (cache.slots.size() < kPlanCacheSlots) {
+    cache.slots.push_back({n, plan, now});
+  } else {
+    const auto oldest = std::min_element(
+        cache.slots.begin(), cache.slots.end(),
+        [](const PlanSlot& a, const PlanSlot& b) {
+          return a.last_use < b.last_use;
+        });
+    *oldest = {n, plan, now};
+  }
+  return plan;
 }
 
 // ---------------------------------------------------------------------------

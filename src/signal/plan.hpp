@@ -169,53 +169,16 @@ class FftPlan {
   mutable std::vector<double> rtw_im_;  ///< Im exp(-2*pi*i*k/N), k <= N/2
 };
 
-/// Thread-safe LRU cache of FftPlans keyed by N. One global instance (see
-/// plan_cache()) backs get_plan() and the fft/ifft adapters so that repeated
-/// transforms of the same size reuse tables instead of recomputing them.
-class PlanCache {
- public:
-  static constexpr std::size_t kDefaultCapacity = 64;
+/// How many sizes the process-wide plan cache behind get_plan() keeps.
+inline constexpr std::size_t kPlanCacheSlots = 64;
 
-  explicit PlanCache(std::size_t capacity = kDefaultCapacity);
-  ~PlanCache();
-  PlanCache(const PlanCache&) = delete;
-  PlanCache& operator=(const PlanCache&) = delete;
-
-  /// Returns the plan for size n, constructing and caching it on a miss.
-  /// Concurrent lookups of the same absent size build the plan exactly
-  /// once: the first caller constructs, the rest block on the in-flight
-  /// build (counted as miss_waits, not hits) and share the result. The
-  /// returned handle stays valid after eviction (shared ownership), so
-  /// worker threads can hold a per-thread handle across a whole batch.
-  std::shared_ptr<const FftPlan> get(std::size_t n);
-
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;    ///< lookups that constructed the plan
-    std::uint64_t miss_waits = 0;///< lookups that blocked on another
-                                 ///  thread's in-flight construction
-    std::uint64_t evictions = 0;
-    std::size_t size = 0;        ///< plans currently resident
-  };
-  Stats stats() const;
-
-  std::size_t capacity() const;
-  /// Resizes the cache, evicting least-recently-used plans if needed.
-  void set_capacity(std::size_t capacity);
-  /// Drops every cached plan and resets the stats counters. Builds that
-  /// are in flight when clear() runs cannot be cancelled: they publish
-  /// into the emptied cache when they finish (one post-clear miss each).
-  void clear();
-
- private:
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
-/// The process-wide plan cache behind get_plan().
-PlanCache& plan_cache();
-
-/// Convenience: plan_cache().get(n).
+/// Returns the plan for size n, constructing it on a miss. Plans are
+/// cached process-wide; once kPlanCacheSlots sizes are resident, a miss
+/// replaces the least recently used one. Repeated transforms of the same
+/// size thus reuse tables instead of recomputing them. Thread-safe:
+/// concurrent lookups of one size share a single plan. The handle stays
+/// valid after eviction (shared ownership), so a worker can hold it
+/// across a whole batch.
 std::shared_ptr<const FftPlan> get_plan(std::size_t n);
 
 namespace detail {

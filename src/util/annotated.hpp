@@ -86,8 +86,8 @@ class FTIO_SCOPED_CAPABILITY LockGuard {
   Mutex& mutex_;
 };
 
-/// Scoped lock that can be dropped and re-taken mid-scope (the
-/// build-outside-the-lock pattern in PlanCache::get). Starts held.
+/// Scoped lock that can be dropped and re-taken mid-scope (Mailbox waits
+/// on a condition variable with it). Starts held.
 class FTIO_SCOPED_CAPABILITY UniqueLock {
  public:
   explicit UniqueLock(Mutex& mutex) FTIO_ACQUIRE(mutex)

@@ -379,51 +379,50 @@ TEST(FftPlan, InverseRealHalfRoundTrips) {
   }
 }
 
-TEST(PlanCache, HitsAndMisses) {
-  auto& cache = sig::plan_cache();
-  cache.clear();
-
-  const auto p1 = sig::get_plan(777);  // non-pow2: also builds sub-plans
-  const auto after_first = cache.stats();
-  EXPECT_GE(after_first.misses, 1u);
-
+TEST(GetPlan, HitsAndMisses) {
+  const auto p1 = sig::get_plan(777);
   const auto p2 = sig::get_plan(777);
-  const auto after_second = cache.stats();
   EXPECT_EQ(p1.get(), p2.get()) << "second lookup must reuse the plan";
-  EXPECT_EQ(after_second.misses, after_first.misses);
-  EXPECT_EQ(after_second.hits, after_first.hits + 1);
 }
 
-TEST(PlanCache, LruEviction) {
-  sig::PlanCache cache(2);
-  const auto p8 = cache.get(8);
-  const auto p16 = cache.get(16);
-  (void)cache.get(8);     // touch 8 so 16 is the LRU entry
-  (void)cache.get(32);    // evicts 16
-  const auto s = cache.stats();
-  EXPECT_EQ(s.size, 2u);
-  EXPECT_EQ(s.evictions, 1u);
-  // 8 must still be resident; 16 must rebuild.
-  EXPECT_EQ(cache.get(8).get(), p8.get());
-  EXPECT_NE(cache.get(16).get(), p16.get());
-  // Evicted handles stay usable (shared ownership).
-  const auto out = run_planar(*p16, random_signal(16, 9));
-  EXPECT_EQ(out.size(), 16u);
+TEST(GetPlan, LruEviction) {
+  // Fresh odd non-power-of-two sizes that no other test looks up: their
+  // constructor defers every table to the first transform, so each miss
+  // is cheap.
+  const auto fresh = [](std::size_t i) { return 2001 + 2 * i; };
+
+  // kPlanCacheSlots newer sizes push a held plan out: a new lookup
+  // builds a different one.
+  const auto held = sig::get_plan(fresh(0));
+  for (std::size_t i = 1; i <= sig::kPlanCacheSlots; ++i) {
+    (void)sig::get_plan(fresh(i));
+  }
+  EXPECT_NE(sig::get_plan(fresh(0)).get(), held.get());
+
+  // A plan touched within the last kPlanCacheSlots - 1 lookups stays,
+  // however long ago it was built: the second round's lookups would have
+  // pushed it out if hits did not refresh it.
+  const std::size_t base = sig::kPlanCacheSlots + 1;
+  const auto kept = sig::get_plan(fresh(base));
+  std::size_t next = base + 1;
+  for (int round = 0; round < 2; ++round) {
+    for (std::size_t i = 1; i < sig::kPlanCacheSlots; ++i) {
+      (void)sig::get_plan(fresh(next++));
+    }
+    EXPECT_EQ(sig::get_plan(fresh(base)).get(), kept.get())
+        << "round " << round;
+  }
+
+  // The evicted handle still transforms (shared ownership).
+  const auto x = random_signal(held->size(), 9);
+  EXPECT_LE(max_abs_diff(run_planar(*held, x), sig::dft_direct(x)),
+            tolerance(held->size()));
 }
 
-TEST(PlanCache, SetCapacityShrinks) {
-  sig::PlanCache cache(8);
-  for (std::size_t n : {2u, 4u, 8u, 16u, 32u}) (void)cache.get(n);
-  EXPECT_EQ(cache.stats().size, 5u);
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.stats().size, 2u);
-  EXPECT_EQ(cache.capacity(), 2u);
-}
-
-TEST(PlanCache, ThreadSafetyUnderParallelFor) {
+TEST(GetPlan, ThreadSafetyUnderParallelFor) {
   // Hammer the global cache from many workers with a mix of sizes that
-  // alias (forcing concurrent construction races) and verify every result
-  // against the direct DFT computed up front.
+  // alias (racing lookups of one size) and verify every result against
+  // the direct DFT computed up front.
   const std::size_t sizes[] = {64, 97, 128, 360, 509, 1024};
   struct Case {
     std::vector<Complex> input;
@@ -437,7 +436,6 @@ TEST(PlanCache, ThreadSafetyUnderParallelFor) {
     cases.push_back(std::move(c));
   }
 
-  sig::plan_cache().clear();
   const std::size_t kIterations = 96;
   std::vector<double> errors(kIterations, 0.0);
   ftio::util::parallel_for(kIterations, [&](std::size_t i) {
@@ -451,12 +449,9 @@ TEST(PlanCache, ThreadSafetyUnderParallelFor) {
   }
 }
 
-TEST(PlanCache, ConcurrentSameSizeLookupsBuildExactlyOnce) {
-  // All workers race get() on one absent size. In-flight deduplication
-  // must make exactly one thread construct the plan; every other lookup
-  // either blocks on that build (miss_wait) or arrives after publication
-  // (hit) — never a second construction, and everyone shares one plan.
-  sig::PlanCache cache(8);
+TEST(GetPlan, ConcurrentSameSizeLookupsShareOnePlan) {
+  // All workers race get_plan on one size. A miss builds the plan under
+  // the cache lock, so every thread gets the same plan.
   constexpr std::size_t kThreads = 8;
   const std::size_t n = 1 << 14;
 
@@ -469,19 +464,14 @@ TEST(PlanCache, ConcurrentSameSizeLookupsBuildExactlyOnce) {
       // Rendezvous so the lookups overlap as much as the scheduler allows.
       arrived.fetch_add(1);
       while (arrived.load() < kThreads) std::this_thread::yield();
-      plans[t] = cache.get(n);
+      plans[t] = sig::get_plan(n);
     });
   }
   for (auto& w : workers) w.join();
 
-  const auto s = cache.stats();
-  EXPECT_EQ(s.misses, 1u) << "losers must block on the in-flight build, "
-                             "not construct a duplicate plan";
-  EXPECT_EQ(s.hits + s.miss_waits, kThreads - 1);
-  EXPECT_EQ(s.size, 1u);
+  ASSERT_NE(plans[0], nullptr);
+  EXPECT_EQ(plans[0]->size(), n);
   for (std::size_t t = 1; t < kThreads; ++t) {
     EXPECT_EQ(plans[t].get(), plans[0].get()) << "thread " << t;
   }
-  ASSERT_NE(plans[0], nullptr);
-  EXPECT_EQ(plans[0]->size(), n);
 }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <optional>
@@ -154,6 +155,26 @@ std::vector<std::uint8_t> only_segment(const fs::path& dir) {
   EXPECT_EQ(segments.size(), 1u);
   return segments.empty() ? std::vector<std::uint8_t>{}
                           : util::read_binary_file(segments.front());
+}
+
+/// A pending request whose start time marks its place in an encoded
+/// frame: its rank is the 8 bytes before the start.
+constexpr double kMarkedStart = 12345.25;
+
+/// Rewrites the rank of the request marked by kMarkedStart to 2^32 + 1,
+/// which a bare cast to int would read as rank 1, and re-seals the CRC of
+/// the frame at `frame`: only the decoder's rank check can reject it.
+void widen_marked_rank(std::vector<std::uint8_t>& bytes, std::size_t frame) {
+  std::uint8_t marker[8];
+  std::memcpy(marker, &kMarkedStart, 8);
+  const auto at = std::search(bytes.begin(), bytes.end(), marker, marker + 8);
+  ASSERT_NE(at, bytes.end());
+  const std::int64_t rank = (std::int64_t{1} << 32) + 1;
+  std::memcpy(&*at - 8, &rank, 8);
+  std::uint32_t len = 0;
+  std::memcpy(&len, bytes.data() + frame, 4);
+  const std::uint32_t crc = util::crc32c(bytes.data() + frame + 8, len);
+  std::memcpy(bytes.data() + frame + 4, &crc, 4);
 }
 
 }  // namespace
@@ -676,6 +697,38 @@ TEST(DurabilityCodec, TruncateJournalKeepsOpenSegmentAndAboveFloor) {
             (std::vector<std::string>{"seg-00000000000000000005.wal",
                                       "seg-00000000000000000006.wal"}));
   fs::remove_all(dir);
+}
+
+TEST(DurabilityCodec, JournalRankOutsideIntIsDiscarded) {
+  dur::JournalRecord record;
+  record.seq = 1;
+  record.tenant = "t";
+  record.requests = {{1, kMarkedStart, 2.0, 4096, tr::IoKind::kWrite}};
+  auto bytes = dur::encode_journal_record(record);
+  widen_marked_rank(bytes, 0);
+
+  std::vector<dur::JournalRecord> scanned;
+  const dur::JournalScan scan =
+      dur::scan_journal_bytes(bytes, bytes.size(), scanned);
+  EXPECT_TRUE(scanned.empty());
+  EXPECT_EQ(scan.records_discarded, 1u);
+  EXPECT_FALSE(scan.clean);
+}
+
+TEST(DurabilityCodec, CheckpointRankOutsideIntSkipsTheTenantFrame) {
+  dur::CheckpointData data;
+  data.floor_seq = 2;
+  auto& tenant = data.tenants.emplace_back();
+  tenant.name = "t";
+  tenant.pending = {{1, kMarkedStart, 2.0, 4096, tr::IoKind::kWrite}};
+  auto bytes = dur::encode_checkpoint(data);
+  // The one tenant frame starts where a tenantless checkpoint ends.
+  widen_marked_rank(bytes,
+                    dur::encode_checkpoint(dur::CheckpointData{}).size());
+
+  dur::RecoveryStats stats;
+  EXPECT_TRUE(dur::parse_checkpoint(bytes, stats).tenants.empty());
+  EXPECT_EQ(stats.tenant_frames_skipped, 1u);
 }
 
 // The committed fuzz corpus's "valid" seeds must stay valid: a format
