@@ -819,36 +819,45 @@ struct PlanSlots {
   ftio::util::Mutex mutex;
   std::vector<PlanSlot> slots FTIO_GUARDED_BY(mutex);
   std::uint64_t uses FTIO_GUARDED_BY(mutex) = 0;
+
+  /// Counts a lookup of n: stamps and returns its resident plan, or
+  /// returns null when n is not resident.
+  std::shared_ptr<const FftPlan> touch(std::size_t n) FTIO_REQUIRES(mutex) {
+    const std::uint64_t now = ++uses;
+    for (auto& slot : slots) {
+      if (slot.n == n) {
+        slot.last_use = now;
+        return slot.plan;
+      }
+    }
+    return nullptr;
+  }
 };
 
 }  // namespace
 
 std::shared_ptr<const FftPlan> get_plan(std::size_t n) {
   static PlanSlots cache;
-  const ftio::util::LockGuard lock(cache.mutex);
-  const std::uint64_t now = ++cache.uses;
-  for (auto& slot : cache.slots) {
-    if (slot.n == n) {
-      slot.last_use = now;
-      return slot.plan;
-    }
+  {
+    const ftio::util::LockGuard lock(cache.mutex);
+    if (auto plan = cache.touch(n)) return plan;
   }
-  // Miss: build under the lock, so each resident size is built exactly
-  // once and a concurrent lookup of n waits here, then hits. This is safe
-  // only because the FftPlan constructor never calls get_plan (it would
-  // deadlock on this non-recursive mutex): the Bluestein sub-plan and the
-  // real-path half plan are fetched lazily, by ensure_bluestein_tables and
-  // ensure_real_tables on the first transform, outside this lock.
+  // Miss: build outside the lock, so a large build never stalls other
+  // threads' lookups. Threads that miss on the same n at once each build;
+  // the first to publish wins and the others adopt its plan, so callers
+  // share one plan per resident size.
   auto plan = std::make_shared<const FftPlan>(n);
+  const ftio::util::LockGuard lock(cache.mutex);
+  if (auto resident = cache.touch(n)) return resident;
   if (cache.slots.size() < kPlanCacheSlots) {
-    cache.slots.push_back({n, plan, now});
+    cache.slots.push_back({n, plan, cache.uses});
   } else {
     const auto oldest = std::min_element(
         cache.slots.begin(), cache.slots.end(),
         [](const PlanSlot& a, const PlanSlot& b) {
           return a.last_use < b.last_use;
         });
-    *oldest = {n, plan, now};
+    *oldest = {n, plan, cache.uses};
   }
   return plan;
 }

@@ -175,10 +175,12 @@ inline constexpr std::size_t kPlanCacheSlots = 64;
 /// Returns the plan for size n, constructing it on a miss. Plans are
 /// cached process-wide; once kPlanCacheSlots sizes are resident, a miss
 /// replaces the least recently used one. Repeated transforms of the same
-/// size thus reuse tables instead of recomputing them. Thread-safe:
-/// concurrent lookups of one size share a single plan. The handle stays
-/// valid after eviction (shared ownership), so a worker can hold it
-/// across a whole batch.
+/// size thus reuse tables instead of recomputing them. Thread-safe: a
+/// miss builds outside the cache lock, so it never stalls lookups of
+/// other sizes; threads that miss on one size at once may each build,
+/// but all get the first plan published. The handle stays valid after
+/// eviction (shared ownership), so a worker can hold it across a whole
+/// batch.
 std::shared_ptr<const FftPlan> get_plan(std::size_t n);
 
 namespace detail {

@@ -422,8 +422,10 @@ TEST(GetPlan, LruEviction) {
 TEST(GetPlan, ThreadSafetyUnderParallelFor) {
   // Hammer the global cache from many workers with a mix of sizes that
   // alias (racing lookups of one size) and verify every result against
-  // the direct DFT computed up front.
-  const std::size_t sizes[] = {64, 97, 128, 360, 509, 1024};
+  // a reference computed up front. No other test looks these sizes up,
+  // so the first lookups of each miss and race to build, whatever the
+  // test order.
+  const std::size_t sizes[] = {303, 601, 1203, 2402, std::size_t{1} << 15};
   struct Case {
     std::vector<Complex> input;
     std::vector<Complex> want;
@@ -432,7 +434,13 @@ TEST(GetPlan, ThreadSafetyUnderParallelFor) {
   for (std::size_t n : sizes) {
     Case c;
     c.input = random_signal(n, 7000 + n);
-    c.want = sig::dft_direct(c.input);
+    if ((n & (n - 1)) == 0) {
+      const sig::detail::Radix2Tables tables(n);
+      c.want = c.input;
+      sig::detail::radix2_scalar(c.want, tables, /*invert=*/false);
+    } else {
+      c.want = sig::dft_direct(c.input);
+    }
     cases.push_back(std::move(c));
   }
 
@@ -450,10 +458,12 @@ TEST(GetPlan, ThreadSafetyUnderParallelFor) {
 }
 
 TEST(GetPlan, ConcurrentSameSizeLookupsShareOnePlan) {
-  // All workers race get_plan on one size. A miss builds the plan under
-  // the cache lock, so every thread gets the same plan.
+  // All workers race get_plan on one size that no other test looks up
+  // (not even as a Bluestein sub-plan), so the lookups miss whatever the
+  // test order. Racing misses may each build, but the first plan
+  // published is the one every thread gets.
   constexpr std::size_t kThreads = 8;
-  const std::size_t n = 1 << 14;
+  const std::size_t n = std::size_t{1} << 16;
 
   std::vector<std::shared_ptr<const sig::FftPlan>> plans(kThreads);
   std::vector<std::thread> workers;
