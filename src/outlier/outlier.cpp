@@ -90,51 +90,6 @@ std::vector<int> dbscan_1d(std::span<const double> values, double eps,
   return labels;
 }
 
-std::vector<int> dbscan_2d(std::span<const Point2> points, double eps,
-                           std::size_t min_points) {
-  ftio::util::expect(eps >= 0.0, "dbscan_2d: negative eps");
-  const std::size_t n = points.size();
-  std::vector<int> labels(n, -1);
-  const double eps2 = eps * eps;
-
-  auto neighbors_of = [&](std::size_t i) {
-    std::vector<std::size_t> out;
-    for (std::size_t j = 0; j < n; ++j) {
-      const double dx = points[i].x - points[j].x;
-      const double dy = points[i].y - points[j].y;
-      if (dx * dx + dy * dy <= eps2) out.push_back(j);
-    }
-    return out;
-  };
-
-  std::vector<bool> visited(n, false);
-  int cluster = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (visited[i]) continue;
-    visited[i] = true;
-    auto seeds = neighbors_of(i);
-    if (seeds.size() < min_points) continue;
-    const int id = cluster++;
-    labels[i] = id;
-    std::deque<std::size_t> frontier(seeds.begin(), seeds.end());
-    while (!frontier.empty()) {
-      const std::size_t q = frontier.front();
-      frontier.pop_front();
-      if (labels[q] == -1) labels[q] = id;
-      if (visited[q]) continue;
-      visited[q] = true;
-      labels[q] = id;
-      auto qn = neighbors_of(q);
-      if (qn.size() >= min_points) {
-        for (std::size_t r : qn) {
-          if (!visited[r] || labels[r] == -1) frontier.push_back(r);
-        }
-      }
-    }
-  }
-  return labels;
-}
-
 std::vector<bool> dbscan_outliers(std::span<const double> values, double eps,
                                   std::size_t min_points) {
   const auto labels = dbscan_1d(values, eps, min_points);

@@ -47,16 +47,6 @@ std::vector<bool> zscore_outliers(std::span<const double> values,
 std::vector<int> dbscan_1d(std::span<const double> values, double eps,
                            std::size_t min_points);
 
-/// A 2-D point (e.g. a normalised (frequency, power) pair).
-struct Point2 {
-  double x = 0.0;
-  double y = 0.0;
-};
-
-/// DBSCAN over 2-D points with Euclidean distance; -1 marks noise.
-std::vector<int> dbscan_2d(std::span<const Point2> points, double eps,
-                           std::size_t min_points);
-
 /// Treats DBSCAN noise points with above-mean value as outliers; this
 /// matches using a density clustering decision function to isolate the
 /// high-power spectral bins.

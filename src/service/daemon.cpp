@@ -10,6 +10,22 @@
 
 namespace ftio::service {
 
+namespace {
+
+/// Counts the records a framed payload's kSkipBad decode skipped. Returns
+/// true when the payload held nothing but malformed records: that flush
+/// is counted and rejected as malformed instead of submitted.
+bool count_malformed(const ftio::trace::ParseStats& parse,
+                     std::atomic<std::size_t>& malformed_records,
+                     std::atomic<std::size_t>& rejected_malformed) {
+  malformed_records.fetch_add(parse.skipped, std::memory_order_relaxed);
+  if (parse.records != 0 || parse.skipped == 0) return false;
+  rejected_malformed.fetch_add(1, std::memory_order_relaxed);
+  return true;
+}
+
+}  // namespace
+
 IngestDaemon::IngestDaemon(ServiceOptions options)
     : options_(std::move(options)) {
   if (options_.shards == 0) options_.shards = 1;
@@ -47,13 +63,12 @@ Admission IngestDaemon::submit(
 
 Admission IngestDaemon::submit_jsonl(std::string_view tenant,
                                      std::string_view text) {
+  ftio::util::expect(!tenant.empty(), "submit_jsonl: empty tenant name");
   ftio::trace::ParseStats parse;
   ftio::trace::Trace chunk =
       ftio::trace::from_jsonl(text, ftio::trace::ParsePolicy::kSkipBad,
                               &parse);
-  malformed_records_.fetch_add(parse.skipped, std::memory_order_relaxed);
-  if (parse.records == 0 && parse.skipped > 0) {
-    rejected_malformed_.fetch_add(1, std::memory_order_relaxed);
+  if (count_malformed(parse, malformed_records_, rejected_malformed_)) {
     return Admission::kRejectedMalformed;
   }
   return submit(tenant, std::move(chunk.requests));
@@ -61,13 +76,12 @@ Admission IngestDaemon::submit_jsonl(std::string_view tenant,
 
 Admission IngestDaemon::submit_msgpack(std::string_view tenant,
                                        std::span<const std::uint8_t> bytes) {
+  ftio::util::expect(!tenant.empty(), "submit_msgpack: empty tenant name");
   ftio::trace::ParseStats parse;
   ftio::trace::Trace chunk =
       ftio::trace::from_msgpack(bytes, ftio::trace::ParsePolicy::kSkipBad,
                                 &parse);
-  malformed_records_.fetch_add(parse.skipped, std::memory_order_relaxed);
-  if (parse.records == 0 && parse.skipped > 0) {
-    rejected_malformed_.fetch_add(1, std::memory_order_relaxed);
+  if (count_malformed(parse, malformed_records_, rejected_malformed_)) {
     return Admission::kRejectedMalformed;
   }
   return submit(tenant, std::move(chunk.requests));

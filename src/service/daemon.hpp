@@ -65,7 +65,9 @@ class IngestDaemon {
   /// dropped instead of failing the flush. A payload yielding zero
   /// applied records *and* at least one skipped one is rejected as
   /// malformed; a well-formed but requestless payload (e.g. only meta
-  /// records) is admitted and queued like any flush.
+  /// records) is admitted and queued like any flush. An empty tenant
+  /// name throws InvalidArgument before the payload is decoded, so it
+  /// counts nothing as malformed.
   Admission submit_jsonl(std::string_view tenant, std::string_view text);
   Admission submit_msgpack(std::string_view tenant,
                            std::span<const std::uint8_t> bytes);

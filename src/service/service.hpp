@@ -224,7 +224,7 @@ struct ShardStats {
   LatencyHistogram process_time;
 
   /// Folds `other` into this (histograms bucket-wise, level by max —
-  /// used by DaemonStats::total()).
+  /// used by DaemonStats::total() and by a shard's per-cycle fold).
   void merge(const ShardStats& other);
 };
 

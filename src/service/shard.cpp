@@ -707,34 +707,11 @@ bool Shard::poisoned(std::string_view tenant) const {
 }
 
 void Shard::CycleDelta::fold_into(ShardStats& stats) const {
-  stats.processed_items += counters.processed_items;
-  stats.processed_requests += counters.processed_requests;
-  stats.deferred_flushes += counters.deferred_flushes;
-  stats.sessions_built += counters.sessions_built;
-  stats.session_build_failures += counters.session_build_failures;
-  stats.analyses += counters.analyses;
-  for (std::size_t i = 0; i < kDegradationLevels; ++i) {
-    stats.analyses_at_level[i] += counters.analyses_at_level[i];
-  }
-  stats.analysis_groups += counters.analysis_groups;
-  stats.grouped_analyses += counters.grouped_analyses;
-  stats.coalesced_analyses += counters.coalesced_analyses;
-  stats.stride_skips += counters.stride_skips;
-  stats.empty_window_analyses += counters.empty_window_analyses;
-  stats.dropped_ingest_only += counters.dropped_ingest_only;
-  stats.poisoned_sessions += counters.poisoned_sessions;
-  stats.dropped_poisoned_flushes += counters.dropped_poisoned_flushes;
-  stats.evicted_idle += counters.evicted_idle;
-  stats.shard_restarts += counters.shard_restarts;
-  stats.checkpoints_written += counters.checkpoints_written;
-  stats.checkpoint_failures += counters.checkpoint_failures;
-  stats.replay_skipped_duplicates += counters.replay_skipped_duplicates;
-  stats.ladder_step_downs += counters.ladder_step_downs;
-  stats.ladder_step_ups += counters.ladder_step_ups;
+  // Every other field of a cycle delta is a sum or zero; the occupancy
+  // pair is a snapshot, so it replaces rather than adds.
+  stats.merge(counters);
   stats.tenants = counters.tenants;
   stats.live_sessions = counters.live_sessions;
-  stats.queue_wait.merge(counters.queue_wait);
-  stats.process_time.merge(counters.process_time);
 }
 
 }  // namespace ftio::service

@@ -163,7 +163,7 @@ class Shard {
   /// Cycle-local counter deltas, folded into stats_ under one lock per
   /// drain cycle instead of one per item.
   struct CycleDelta {
-    ShardStats counters;  ///< only the processing counters are used
+    ShardStats counters;  ///< what one cycle adds; other fields stay 0
     void fold_into(ShardStats& stats) const;
   };
 

@@ -1,17 +1,14 @@
 #include "signal/autocorrelation.hpp"
 
-#include <cmath>
+#include <algorithm>
 
 #include "signal/fft.hpp"
 #include "signal/plan.hpp"
 #include "util/error.hpp"
-#include "util/stats.hpp"
 
 namespace ftio::signal {
 
-namespace {
-
-std::vector<double> acf_impl(std::span<const double> samples, bool center) {
+std::vector<double> autocorrelation(std::span<const double> samples) {
   ftio::util::expect(!samples.empty(), "autocorrelation: empty signal");
   const std::size_t n = samples.size();
 
@@ -30,10 +27,7 @@ std::vector<double> acf_impl(std::span<const double> samples, bool center) {
   thread_local std::vector<double> spec_re;
   thread_local std::vector<double> spec_im;
   padded.assign(m, 0.0);
-  const double mean = center ? ftio::util::mean(samples) : 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    padded[i] = samples[i] - mean;
-  }
+  std::copy(samples.begin(), samples.end(), padded.begin());
 
   const auto plan = get_plan(m);
   spec_re.resize(m / 2 + 1);
@@ -54,7 +48,7 @@ std::vector<double> acf_impl(std::span<const double> samples, bool center) {
   std::vector<double> acf(n, 0.0);
   const double lag0 = padded[0];
   if (lag0 == 0.0) {
-    // All-zero (or mean-constant) signal: define ACF as 1 at lag 0.
+    // All-zero signal: define ACF as 1 at lag 0.
     acf[0] = 1.0;
     return acf;
   }
@@ -62,16 +56,6 @@ std::vector<double> acf_impl(std::span<const double> samples, bool center) {
     acf[lag] = padded[lag] / lag0;
   }
   return acf;
-}
-
-}  // namespace
-
-std::vector<double> autocorrelation(std::span<const double> samples) {
-  return acf_impl(samples, /*center=*/false);
-}
-
-std::vector<double> autocorrelation_centered(std::span<const double> samples) {
-  return acf_impl(samples, /*center=*/true);
 }
 
 }  // namespace ftio::signal

@@ -13,8 +13,4 @@ namespace ftio::signal {
 /// implementation's use of raw `numpy.correlate`.
 std::vector<double> autocorrelation(std::span<const double> samples);
 
-/// Mean-removed (statistical) ACF variant, provided for callers that want
-/// the textbook definition; also lag-0 normalised.
-std::vector<double> autocorrelation_centered(std::span<const double> samples);
-
 }  // namespace ftio::signal

@@ -52,7 +52,8 @@ std::vector<Complex> fft(std::span<const Complex> input) {
 }
 
 std::vector<Complex> ifft(std::span<const Complex> input) {
-  ftio::util::expect(!input.empty(), "ifft: empty input");
+  ftio::util::expect(is_power_of_two(input.size()),
+                     "ifft: size must be a power of two");
   return planar_adapter(input, /*inverse=*/true);
 }
 

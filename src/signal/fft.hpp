@@ -22,7 +22,10 @@ using Complex = std::complex<double>;
 /// (forward_planar, forward_real_half_planar) directly.
 std::vector<Complex> fft(std::span<const Complex> input);
 
-/// Inverse transform: x_n = (1/N) sum_k X_k * exp(+2*pi*i*k*n/N).
+/// Inverse transform: x_n = (1/N) sum_k X_k * exp(+2*pi*i*k*n/N), on the
+/// split-radix core. N must be a power of two: any other size (empty
+/// input included) throws InvalidArgument rather than zero-padding, which
+/// would change the result.
 std::vector<Complex> ifft(std::span<const Complex> input);
 
 /// Reference O(N^2) DFT used for validating the FFT in tests.

@@ -78,8 +78,7 @@ void for_each_split_node(std::size_t n, std::size_t len, Fn&& fn) {
 /// that nested transforms (real-input path -> half plan's Bluestein ->
 /// power-of-two passes) never step on each other's lanes:
 ///   re/im   — the real-input paths: the packed N/2 signal and its
-///             spectrum, or for odd N the rebuilt full spectrum the
-///             inverse transforms
+///             spectrum
 ///   re2/im2 — the copy that makes in-place power-of-two planar calls
 ///             alias-safe, and the linearised pairs/fold of the blocked
 ///             real paths
@@ -464,7 +463,6 @@ void FftPlan::ensure_real_tables() const {
   });
 }
 
-template <bool Inv>
 void FftPlan::bluestein(const double* in_re, const double* in_im,
                         double* out_re, double* out_im,
                         std::size_t bins) const {
@@ -483,11 +481,10 @@ void FftPlan::bluestein(const double* in_re, const double* in_im,
   const double* __restrict wr = chirp_re_.data();
   const double* __restrict wi = chirp_im_.data();
 
-  // a_k = x_k * w_k (x conjugated for the inverse), zero-padded to m.
+  // a_k = x_k * w_k, zero-padded to m.
   for (std::size_t k = 0; k < n_; ++k) {
     const double xr = in_re[k];
-    double xi = in_im == nullptr ? 0.0 : in_im[k];
-    if constexpr (Inv) xi = -xi;
+    const double xi = in_im == nullptr ? 0.0 : in_im[k];
     tr[k] = xr * wr[k] - xi * wi[k];
     ti[k] = xr * wi[k] + xi * wr[k];
   }
@@ -510,21 +507,13 @@ void FftPlan::bluestein(const double* in_re, const double* in_im,
   detail::bitrev_permute_planar(bitrev, m_, fr, fi, tr, ti);
   sub_->split_passes(tr, ti, /*invert=*/true);
 
-  // X_k = (conv_k / m) * w_k; the inverse conjugates and scales by 1/N.
+  // X_k = (conv_k / m) * w_k.
   const double scale = 1.0 / static_cast<double>(m_);
-  const double inv_n = 1.0 / static_cast<double>(n_);
   for (std::size_t k = 0; k < bins; ++k) {
     const double ar = tr[k] * scale;
     const double ai = ti[k] * scale;
-    const double yr = ar * wr[k] - ai * wi[k];
-    const double yi = ar * wi[k] + ai * wr[k];
-    if constexpr (Inv) {
-      out_re[k] = yr * inv_n;
-      out_im[k] = -yi * inv_n;
-    } else {
-      out_re[k] = yr;
-      out_im[k] = yi;
-    }
+    out_re[k] = ar * wr[k] - ai * wi[k];
+    out_im[k] = ar * wi[k] + ai * wr[k];
   }
 }
 
@@ -565,8 +554,8 @@ void FftPlan::forward_planar(std::span<const double> in_re,
     return;
   }
   if (!pow2_) {
-    bluestein<false>(in_re.data(), in_im.data(), out_re.data(),
-                     out_im.data(), n_);
+    bluestein(in_re.data(), in_im.data(), out_re.data(), out_im.data(),
+              n_);
     return;
   }
   pow2_planar(in_re, in_im, out_re, out_im, /*invert=*/false);
@@ -579,17 +568,14 @@ void FftPlan::inverse_planar(std::span<const double> in_re,
   ftio::util::expect(in_re.size() == n_ && in_im.size() == n_ &&
                          out_re.size() == n_ && out_im.size() == n_,
                      "FftPlan::inverse_planar: size mismatch");
+  ftio::util::expect(pow2_,
+                     "FftPlan::inverse_planar: size must be a power of two");
   FTIO_CONTRACT(alias_full_or_disjoint(in_re.data(), out_re.data(), n_) &&
                     alias_full_or_disjoint(in_im.data(), out_im.data(), n_),
                 "planar lanes must fully alias or not overlap");
   if (n_ == 1) {
     out_re[0] = in_re[0];
     out_im[0] = in_im[0];
-    return;
-  }
-  if (!pow2_) {
-    bluestein<true>(in_re.data(), in_im.data(), out_re.data(),
-                    out_im.data(), n_);
     return;
   }
   pow2_planar(in_re, in_im, out_re, out_im, /*invert=*/true);
@@ -613,8 +599,7 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
   }
   if (n_ % 2 != 0) {
     // Odd N: the complex transform of the real lane, first half only.
-    bluestein<false>(in.data(), nullptr, out_re.data(), out_im.data(),
-                     n_ / 2 + 1);
+    bluestein(in.data(), nullptr, out_re.data(), out_im.data(), n_ / 2 + 1);
     return;
   }
 
@@ -637,7 +622,7 @@ void FftPlan::forward_real_half_planar(std::span<const double> in,
       re[j] = in[2 * j];
       im[j] = in[2 * j + 1];
     }
-    half_->bluestein<false>(re, im, re, im, h);
+    half_->bluestein(re, im, re, im, h);
   } else {
     const std::uint32_t* bp = half_->bitrev_.data();
     if (h >= detail::kBlockedBitrevMinN) {
@@ -692,37 +677,20 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
   ftio::util::expect(in_re.size() == n_ / 2 + 1 &&
                          in_im.size() == n_ / 2 + 1 && out.size() == n_,
                      "FftPlan::inverse_real_half_planar: size mismatch");
+  ftio::util::expect(
+      pow2_, "FftPlan::inverse_real_half_planar: size must be a power of two");
   if (n_ == 1) {
     out[0] = in_re[0];
     return;
   }
-  auto& ws = workspace();
-  if (n_ % 2 != 0) {
-    // Odd N: rebuild the full conjugate-symmetric spectrum and run the
-    // complex inverse; the imaginary parts of the result are rounding
-    // noise and land back in the scratch lane.
-    const std::size_t h = n_ / 2;
-    ws.re.resize(n_);
-    ws.im.resize(n_);
-    double* re = ws.re.data();
-    double* im = ws.im.data();
-    re[0] = in_re[0];
-    im[0] = 0.0;
-    for (std::size_t k = 1; k <= h; ++k) {
-      re[k] = re[n_ - k] = in_re[k];
-      im[k] = in_im[k];
-      im[n_ - k] = -in_im[k];
-    }
-    bluestein<true>(re, im, out.data(), im, n_);
-    return;
-  }
 
-  // Even N: fold the half spectrum back into the N/2-point packed signal
+  // Fold the half spectrum back into the N/2-point packed signal
   // Z_k = E_k + i*O_k (E/O the even/odd-sample spectra, O recovered with
   // the conjugate unpack twiddle), inverse-transform it, and deinterleave
   // z_j = x[2j] + i*x[2j+1]. DC and Nyquist imaginary parts are forced to
   // zero — a real signal cannot produce them.
   ensure_real_tables();
+  auto& ws = workspace();
   const std::size_t h = n_ / 2;
   struct Z {
     double r, i;
@@ -744,29 +712,10 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
     const double odi = rtw_re_[k] * di - rtw_im_[k] * dr;
     return {er - odi, ei + odr};
   };
-  const auto fold_linear = [&](double* zr, double* zi) {
-    zr[0] = z0.r;
-    zi[0] = z0.i;
-    for (std::size_t k = 1; k < h; ++k) {
-      const Z z = z_at(k);
-      zr[k] = z.r;
-      zi[k] = z.i;
-    }
-  };
   ws.re.resize(h);
   ws.im.resize(h);
   double* re = ws.re.data();
   double* im = ws.im.data();
-  if (!half_->pow2_) {
-    // The half plan's Bluestein inverts in place, 1/(N/2) included.
-    fold_linear(re, im);
-    half_->bluestein<true>(re, im, re, im, h);
-    for (std::size_t j = 0; j < h; ++j) {
-      out[2 * j] = re[j];
-      out[2 * j + 1] = im[j];
-    }
-    return;
-  }
   if (h == 1) {
     re[0] = z0.r;
     im[0] = z0.i;
@@ -777,9 +726,16 @@ void FftPlan::inverse_real_half_planar(std::span<const double> in_re,
     // scatter below, so the threshold never changes results.
     ws.re2.resize(h);
     ws.im2.resize(h);
-    fold_linear(ws.re2.data(), ws.im2.data());
-    detail::bitrev_permute_planar(half_->bitrev_.data(), h,
-                                  ws.re2.data(), ws.im2.data(), re, im);
+    double* zr = ws.re2.data();
+    double* zi = ws.im2.data();
+    zr[0] = z0.r;
+    zi[0] = z0.i;
+    for (std::size_t k = 1; k < h; ++k) {
+      const Z z = z_at(k);
+      zr[k] = z.r;
+      zi[k] = z.i;
+    }
+    detail::bitrev_permute_planar(half_->bitrev_.data(), h, zr, zi, re, im);
     half_->split_passes(re, im, /*invert=*/true);
   } else {
     // Scatter into bit-reversed order so the split passes run directly

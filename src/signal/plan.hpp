@@ -18,9 +18,12 @@ namespace ftio::signal {
 /// other N: a length-N chirp-z convolution run through a power-of-two
 /// sub-plan of size next_pow2(2N-1)), and (for
 /// even N) a half-size sub-plan plus the unpack twiddles that make the
-/// real-input fast path possible. Plans are immutable after construction
-/// and therefore safe to share across threads; mutable scratch lives in
-/// per-thread workspaces inside the execution functions.
+/// real-input fast path possible. Forward transforms run at every N;
+/// inverse transforms need a power-of-two N and throw InvalidArgument
+/// otherwise (every inverse the library runs, the FFT-based ACF and the
+/// CWT rows, is zero-padded to a power of two). Plans are immutable after
+/// construction and therefore safe to share across threads; mutable
+/// scratch lives in per-thread workspaces inside the execution functions.
 ///
 /// The power-of-two core is a split-radix (radix-2/4 mixed) decomposition
 /// over deinterleaved (planar) real/imag double arrays: each size-L node
@@ -70,7 +73,8 @@ class FftPlan {
                       std::span<double> out_im) const;
 
   /// Inverse DFT on planar lanes, including the 1/N normalisation.
-  /// Aliasing rules as forward_planar.
+  /// Aliasing rules as forward_planar. Throws InvalidArgument unless
+  /// size() is a power of two.
   void inverse_planar(std::span<const double> in_re,
                       std::span<const double> in_im,
                       std::span<double> out_re,
@@ -87,10 +91,11 @@ class FftPlan {
                                 std::span<double> out_re,
                                 std::span<double> out_im) const;
 
-  /// Inverse of forward_real_half_planar: reconstructs the N real samples
-  /// from the packed half spectrum in re/im lanes of length size()/2 + 1
-  /// (which must be the transform of a real signal: in_im[0] and, for
-  /// even N, in_im[N/2] are ignored). Includes the 1/N normalisation.
+  /// Inverse of forward_real_half_planar for a power-of-two N (any other
+  /// size throws InvalidArgument): reconstructs the N real samples from
+  /// the packed half spectrum in re/im lanes of length size()/2 + 1
+  /// (which must be the transform of a real signal: in_im[0] and
+  /// in_im[N/2] are ignored). Includes the 1/N normalisation.
   void inverse_real_half_planar(std::span<const double> in_re,
                                 std::span<const double> in_im,
                                 std::span<double> out) const;
@@ -123,12 +128,11 @@ class FftPlan {
   template <bool Inv>
   void split_iterative(double* re, double* im, std::size_t len,
                        std::size_t pos) const;
-  /// Bluestein chirp-z DFT of the length-size() planar signal in_re/in_im
-  /// (in_im == nullptr reads an all-zero imaginary lane), writing bins
-  /// [0, bins) to out_re/out_im. Inv computes conj(B(conj x)) / N, the
-  /// normalised inverse. The out lanes may fully alias the in lanes: the
-  /// input is consumed before the first output write.
-  template <bool Inv>
+  /// Bluestein chirp-z forward DFT of the length-size() planar signal
+  /// in_re/in_im (in_im == nullptr reads an all-zero imaginary lane),
+  /// writing bins [0, bins) to out_re/out_im. The out lanes may fully
+  /// alias the in lanes: the input is consumed before the first output
+  /// write.
   void bluestein(const double* in_re, const double* in_im, double* out_re,
                  double* out_im, std::size_t bins) const;
   void ensure_bluestein_tables() const;

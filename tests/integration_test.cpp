@@ -10,12 +10,10 @@
 #include "core/ftio.hpp"
 #include "core/online.hpp"
 #include "core/per_rank.hpp"
-#include "core/profile.hpp"
 #include "engine/streaming.hpp"
 #include "mpisim/cluster.hpp"
 #include "tmio/tracer.hpp"
 #include "trace/formats.hpp"
-#include "util/error.hpp"
 #include "util/file.hpp"
 #include "workloads/ior.hpp"
 
@@ -157,7 +155,7 @@ TEST(Integration, OnlinePredictionFromTracerChunks) {
   EXPECT_NEAR(last.period(), 15.0, 1.5);
 }
 
-TEST(Integration, IorGeneratorThroughProfile) {
+TEST(Integration, IorGeneratorThroughDetect) {
   ftio::workloads::IorConfig config;
   config.ranks = 16;
   config.iterations = 10;
@@ -169,51 +167,6 @@ TEST(Integration, IorGeneratorThroughProfile) {
 
   core::FtioOptions opts;
   opts.sampling_frequency = 2.0;
-  opts.keep_spectrum = true;
   const auto r = core::detect(trace, opts);
   ASSERT_TRUE(r.periodic());
-
-  // Reference signal, re-sampled the same way detect() did.
-  const auto bw = tr::bandwidth_signal(trace);
-  std::vector<double> reference(r.sample_count);
-  for (std::size_t i = 0; i < reference.size(); ++i) {
-    reference[i] = bw.value_at(r.window_start +
-                               static_cast<double>(i) / opts.sampling_frequency);
-  }
-
-  const auto one = core::build_profile(r, 1);
-  const auto five = core::build_profile(r, 5);
-  EXPECT_EQ(one.waves.size(), 1u);
-  EXPECT_EQ(five.waves.size(), 5u);
-  // More waves fit the reference at least as well.
-  EXPECT_LE(core::profile_rms_error(five, reference),
-            core::profile_rms_error(one, reference) + 1e-9);
-  // The strongest wave is the dominant frequency.
-  EXPECT_NEAR(one.waves.front().frequency, r.frequency(),
-              2.0 * r.spectrum->frequency_step());
-}
-
-TEST(Integration, ProfileRequiresSpectrum) {
-  ftio::workloads::IorConfig config;
-  config.ranks = 4;
-  config.iterations = 6;
-  const auto trace = ftio::workloads::generate_ior_trace(config);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-  opts.keep_spectrum = false;
-  const auto r = core::detect(trace, opts);
-  EXPECT_THROW(core::build_profile(r, 2), ftio::util::InvalidArgument);
-}
-
-TEST(Integration, ProfileBandwidthNonNegative) {
-  ftio::workloads::IorConfig config;
-  config.ranks = 8;
-  config.iterations = 8;
-  const auto trace = ftio::workloads::generate_ior_trace(config);
-  core::FtioOptions opts;
-  opts.sampling_frequency = 1.0;
-  opts.keep_spectrum = true;
-  const auto r = core::detect(trace, opts);
-  const auto profile = core::build_profile(r, 8);
-  for (double v : profile.sample(512)) EXPECT_GE(v, 0.0);
 }

@@ -143,17 +143,6 @@ TEST(Dbscan1d, ChainClustersThroughDensity) {
   for (int l : labels) EXPECT_EQ(l, labels[0]);
 }
 
-TEST(Dbscan2d, ClustersAndNoise) {
-  std::vector<out::Point2> pts{{0, 0}, {0.1, 0}, {0, 0.1},
-                               {5, 5}, {5.1, 5}, {5, 5.1},
-                               {100, 100}};
-  const auto labels = out::dbscan_2d(pts, 0.3, 2);
-  EXPECT_EQ(labels[0], labels[1]);
-  EXPECT_EQ(labels[3], labels[4]);
-  EXPECT_NE(labels[0], labels[3]);
-  EXPECT_EQ(labels[6], -1);
-}
-
 TEST(DbscanOutliers, FlagsHighValueNoise) {
   const auto v = spiked_data();
   const auto flags = out::dbscan_outliers(v, 0.3, 3);

@@ -346,6 +346,23 @@ TEST(ServiceTest, MalformedRecordsAreContainedPerRecord) {
   EXPECT_EQ(stats.total().processed_requests, 2u);
 }
 
+TEST(ServiceTest, FramedEmptyTenantThrowsBeforeDecoding) {
+  // The tenant is checked before the payload is decoded, so an all-garbage
+  // payload for an empty tenant throws like submit() does and counts
+  // nothing as malformed.
+  svc::IngestDaemon daemon(foreground_options());
+  EXPECT_THROW(
+      static_cast<void>(daemon.submit_jsonl("", "garbage\nmore garbage\n")),
+      ftio::util::InvalidArgument);
+  EXPECT_THROW(static_cast<void>(daemon.submit_msgpack(
+                   "", std::vector<std::uint8_t>{0xc1, 0xc1, 0xc1})),
+               ftio::util::InvalidArgument);
+  const svc::DaemonStats stats = daemon.stats();
+  EXPECT_EQ(stats.malformed_records, 0u);
+  EXPECT_EQ(stats.rejected_malformed, 0u);
+  EXPECT_EQ(stats.total().submitted, 0u);
+}
+
 TEST(ServiceTest, StoppedDaemonRejectsNewWorkButDrainsAdmitted) {
   svc::IngestDaemon daemon(foreground_options());
   ASSERT_EQ(daemon.submit("app", phase(0.0, 2.0)), svc::Admission::kAccepted);

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "signal/fft.hpp"
+#include "util/error.hpp"
 #include "util/parallel.hpp"
 #include "util/rng.hpp"
 
@@ -117,6 +118,7 @@ TEST(FftPlan, RfftMatchesDirectDft) {
 
 TEST(FftPlan, IfftInvertsFft) {
   for (std::size_t n : kSizes) {
+    if (!sig::is_power_of_two(n)) continue;  // inverses are pow2-only
     const auto x = random_signal(n, 3000 + n);
     const auto roundtrip = sig::ifft(sig::fft(x));
     EXPECT_LE(max_abs_diff(roundtrip, x), tolerance(n)) << "n = " << n;
@@ -182,18 +184,12 @@ void expect_lanes_eq(const std::vector<double>& re,
 }  // namespace
 
 TEST(FftPlan, BluesteinBitIdenticalToTextbook) {
-  // Every non-power-of-two transform is Bluestein, so pin it bit for bit
-  // against the std::complex formulation above: forward, inverse (via
-  // conj(B(conj x)) / N), the in-place planar form and the odd-N real
-  // transform.
+  // Every non-power-of-two forward transform is Bluestein, so pin it bit
+  // for bit against the std::complex formulation above: fft, the in-place
+  // planar form and the odd-N real transform.
   for (const std::size_t n : {3u, 97u, 100u, 360u, 4099u, 7817u}) {
     const auto x = random_signal(n, 8800 + n);
     const auto want = textbook_bluestein(x);
-    std::vector<Complex> cx(n);
-    for (std::size_t i = 0; i < n; ++i) cx[i] = std::conj(x[i]);
-    auto want_inv = textbook_bluestein(cx);
-    const double scale = 1.0 / static_cast<double>(n);
-    for (auto& v : want_inv) v = std::conj(v) * scale;
 
     const auto split = [](const std::vector<Complex>& v) {
       std::vector<double> re(v.size()), im(v.size());
@@ -205,8 +201,6 @@ TEST(FftPlan, BluesteinBitIdenticalToTextbook) {
     };
     const auto [fre, fim] = split(sig::fft(x));
     expect_lanes_eq(fre, fim, want, "fft");
-    const auto [ire, iim] = split(sig::ifft(x));
-    expect_lanes_eq(ire, iim, want_inv, "ifft");
     auto [re, im] = split(x);
     sig::get_plan(n)->forward_planar(re, im, re, im);
     expect_lanes_eq(re, im, want, "in-place forward_planar");
@@ -254,8 +248,9 @@ TEST(FftPlan, SplitRadixCoreMatchesRadix2ReferenceOnEveryPow2) {
 
 TEST(FftPlan, PlanarMatchesInterleavedBitForBit) {
   // The fft/ifft adapters must produce the planar transform's bits lane
-  // for lane — pow2 (split-radix core) and non-pow2 (Bluestein) alike,
-  // forward and inverse, plus the documented full-aliasing in-place form.
+  // for lane — forward at pow2 (split-radix core) and non-pow2
+  // (Bluestein) sizes alike, inverse at the pow2 sizes it accepts, plus
+  // the documented full-aliasing in-place form.
   for (std::size_t n : {2u, 8u, 64u, 97u, 360u, 1024u, 4096u}) {
     const auto x = random_signal(n, 8100 + n);
     const auto plan = sig::get_plan(n);
@@ -281,6 +276,7 @@ TEST(FftPlan, PlanarMatchesInterleavedBitForBit) {
       EXPECT_EQ(io_im[i], out_im[i]) << "in-place im n=" << n << " i=" << i;
     }
 
+    if (!sig::is_power_of_two(n)) continue;
     const auto want_inv = sig::ifft(x);
     plan->inverse_planar(in_re, in_im, out_re, out_im);
     for (std::size_t i = 0; i < n; ++i) {
@@ -361,10 +357,9 @@ TEST(FftPlan, RfftHalfNyquistBinIsReal) {
 }
 
 TEST(FftPlan, InverseRealHalfRoundTrips) {
-  // The planar real-half inverse recovers x from its packed spectrum for
-  // every parity class of N: pow2, even with pow2 half, even with non-pow2
-  // half, odd, prime.
-  const std::size_t sizes[] = {1, 2, 4, 6, 8, 12, 31, 60, 97, 128, 360, 1024};
+  // The planar real-half inverse recovers x from its packed spectrum at
+  // every power-of-two N it accepts, the N = 1 and N = 2 corners included.
+  const std::size_t sizes[] = {1, 2, 4, 8, 16, 128, 1024};
   for (std::size_t n : sizes) {
     const auto x = random_real(n, 7200 + n);
     const auto plan = sig::get_plan(n);
@@ -483,5 +478,24 @@ TEST(GetPlan, ConcurrentSameSizeLookupsShareOnePlan) {
   EXPECT_EQ(plans[0]->size(), n);
   for (std::size_t t = 1; t < kThreads; ++t) {
     EXPECT_EQ(plans[t].get(), plans[0].get()) << "thread " << t;
+  }
+}
+
+TEST(FftPlan, InverseRejectsNonPowerOfTwo) {
+  // Inverse transforms run only at power-of-two N; any other size throws
+  // instead of zero-padding, which would change the result.
+  for (const std::size_t n : {3u, 97u, 360u, 7817u}) {
+    const auto x = random_signal(n, 9900 + n);
+    EXPECT_THROW(static_cast<void>(sig::ifft(x)), ftio::util::InvalidArgument)
+        << "n = " << n;
+    const auto plan = sig::get_plan(n);
+    std::vector<double> re(n), im(n), out_re(n), out_im(n);
+    EXPECT_THROW(plan->inverse_planar(re, im, out_re, out_im),
+                 ftio::util::InvalidArgument)
+        << "n = " << n;
+    std::vector<double> hre(n / 2 + 1), him(n / 2 + 1), back(n);
+    EXPECT_THROW(plan->inverse_real_half_planar(hre, him, back),
+                 ftio::util::InvalidArgument)
+        << "n = " << n;
   }
 }
